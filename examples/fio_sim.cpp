@@ -307,6 +307,21 @@ bool Parse(int argc, char** argv, Args& args) {
   return true;
 }
 
+// The objects a run sets up. They live in main, outside the Run coroutine,
+// and are destroyed only after Scheduler::Run() returns: a run that ends
+// early (a failed guest op, or a --kill-osd-at timer still pending after
+// the last op) must not free the cluster under in-flight NIC transfers,
+// recovery workers or timers. Members are destroyed images first, then the
+// cluster, then the metadata device the images use.
+struct Rig {
+  // Local device backing the persistent metadata plane; reopening the
+  // image against the SAME device is what makes the warm start possible.
+  dev::NvmeDevice meta_dev;
+  std::unique_ptr<rados::Cluster> cluster;
+  std::shared_ptr<rbd::Image> image;
+  std::shared_ptr<rbd::Image> reopened;
+};
+
 // Failure injection: marks `osd` down `at` ns after spawn (during the
 // measured run); recovery is kicked by MarkOsdDown itself.
 sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
@@ -318,7 +333,7 @@ sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
   cluster.MarkOsdDown(osd);
 }
 
-sim::Task<void> Run(Args args, bool* ok) {
+sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
   rados::ClusterConfig cluster_config;
   if (args.nodes > 0) cluster_config.nodes = args.nodes;
   if (args.osds > 0) {
@@ -359,9 +374,7 @@ sim::Task<void> Run(Args args, bool* ok) {
   }
   auto cluster = co_await rados::Cluster::Create(cluster_config);
   if (!cluster.ok()) co_return;
-  // Local device backing the persistent metadata plane; reopening the
-  // image against the SAME device is what makes the warm start possible.
-  dev::NvmeDevice meta_dev;
+  rig->cluster = std::move(*cluster);
   rbd::ImageOptions options;
   options.size = 64ull << 30;
   options.stripe_unit = args.stripe_unit;
@@ -383,15 +396,17 @@ sim::Task<void> Run(Args args, bool* ok) {
   options.iv_cache.max_objects = args.iv_cache_objects;
   if (args.meta_store) {
     options.meta_store.enabled = true;
-    options.meta_store.device = &meta_dev;
+    options.meta_store.device = &rig->meta_dev;
   }
   options.obs.enabled = args.obs;
   if (args.slow_ops > 0) {
     options.obs.slow_ops = std::max(options.obs.slow_ops, args.slow_ops);
   }
   if (args.tenant_qos) options.tenant = args.tenant;
-  auto image = co_await rbd::Image::Create(**cluster, "fio", "pw", options);
+  auto image =
+      co_await rbd::Image::Create(*rig->cluster, "fio", "pw", options);
   if (!image.ok()) co_return;
+  rig->image = std::move(*image);
 
   workload::FioConfig fio;
   fio.is_write = args.is_write;
@@ -410,7 +425,7 @@ sim::Task<void> Run(Args args, bool* ok) {
     std::printf("invalid config: %s\n", s.ToString().c_str());
     co_return;
   }
-  workload::FioRunner runner(**image, fio);
+  workload::FioRunner runner(*rig->image, fio);
 
   // Any run that issues reads (pure read or rwmix) needs valid
   // ciphertext + IVs underneath — and verify mode assumes the content
@@ -425,12 +440,12 @@ sim::Task<void> Run(Args args, bool* ok) {
       std::printf("prefill failed: %s\n", s.ToString().c_str());
       co_return;
     }
-    co_await (*cluster)->Drain();
+    co_await rig->cluster->Drain();
   }
 
   if (args.kill_osd_at_ms > 0) {
     sim::Scheduler::Current().Spawn(KillOsdAfter(
-        **cluster, args.kill_osd_at_ms * sim::kMs, /*osd=*/0));
+        *rig->cluster, args.kill_osd_at_ms * sim::kMs, /*osd=*/0));
   }
   auto result = co_await runner.Run();
   if (!result.ok()) {
@@ -440,7 +455,7 @@ sim::Task<void> Run(Args args, bool* ok) {
   if (args.kill_osd_at_ms > 0) {
     // Let background recovery settle before reporting: a clean exit means
     // the degraded object count really returned to zero.
-    co_await (*cluster)->WaitForClean();
+    co_await rig->cluster->WaitForClean();
   }
   const char* direction = args.rw_mix_pct >= 0
                               ? "rwmix"
@@ -453,8 +468,8 @@ sim::Task<void> Run(Args args, bool* ok) {
   if (args.cores > 0 || args.stripe_count > 1) {
     std::printf("  layout: cores=%u stripe_unit=%llu stripe_count=%llu\n",
                 args.cores,
-                static_cast<unsigned long long>((*image)->stripe_unit()),
-                static_cast<unsigned long long>((*image)->stripe_count()));
+                static_cast<unsigned long long>(rig->image->stripe_unit()),
+                static_cast<unsigned long long>(rig->image->stripe_count()));
   }
   std::printf("  %s\n", result->Summary().c_str());
   if (!result->core_util.empty()) {
@@ -495,7 +510,7 @@ sim::Task<void> Run(Args args, bool* ok) {
                 static_cast<unsigned long long>(is.iv_meta_bytes_fetched));
   }
   if (args.meta_store) {
-    if ((*image)->meta_store() == nullptr) {
+    if (rig->image->meta_store() == nullptr) {
       std::printf("  meta:  plane refused (needs --integrity=hmac or "
                   "--cipher=gcm)\n");
     } else {
@@ -514,21 +529,21 @@ sim::Task<void> Run(Args args, bool* ok) {
                              args.replication > 0 || args.pg_count > 0 ||
                              args.kill_osd_at_ms > 0 || args.tenant_qos;
   if (cluster_flags) {
-    const rados::ClusterStats& cs = (*cluster)->stats();
+    const rados::ClusterStats& cs = rig->cluster->stats();
     std::printf("  cluster: osds=%zu nodes=%zu repl=%zu pgs=%u epoch=%llu "
                 "refreshes=%llu redirects=%llu timeouts=%llu "
                 "degraded_writes=%llu\n",
-                (*cluster)->osd_count(), cluster_config.nodes,
+                rig->cluster->osd_count(), cluster_config.nodes,
                 cluster_config.replication, cluster_config.pg_count,
                 static_cast<unsigned long long>(
-                    (*cluster)->placement().map().epoch()),
+                    rig->cluster->placement().map().epoch()),
                 static_cast<unsigned long long>(cs.map_refreshes),
                 static_cast<unsigned long long>(cs.eagain_redirects),
                 static_cast<unsigned long long>(cs.osd_timeouts),
                 static_cast<unsigned long long>(cs.degraded_writes));
   }
   if (args.kill_osd_at_ms > 0) {
-    const rados::RecoveryStats& rs = (*cluster)->recovery().stats();
+    const rados::RecoveryStats& rs = rig->cluster->recovery().stats();
     std::printf("  recovery: pushed=%llu bytes=%llu inline_pulls=%llu "
                 "stale=%llu unrecoverable=%llu degraded_now=%zu\n",
                 static_cast<unsigned long long>(rs.objects_pushed),
@@ -536,14 +551,14 @@ sim::Task<void> Run(Args args, bool* ok) {
                 static_cast<unsigned long long>(rs.inline_pulls),
                 static_cast<unsigned long long>(rs.stale_pushes),
                 static_cast<unsigned long long>(rs.objects_unrecoverable),
-                (*cluster)->DegradedObjectCount());
+                rig->cluster->DegradedObjectCount());
   }
   if (args.tenant_qos) {
     // Sum the image tenant's mClock counters across OSDs.
     uint64_t admitted = 0, queued = 0, rdisp = 0;
     double wait_ms = 0;
-    for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-      const auto* q = (*cluster)->osd(i).qos();
+    for (size_t i = 0; i < rig->cluster->osd_count(); ++i) {
+      const auto* q = rig->cluster->osd(i).qos();
       if (q == nullptr) continue;
       auto it = q->tenant_stats().find(args.tenant.id);
       if (it == q->tenant_stats().end()) continue;
@@ -563,7 +578,7 @@ sim::Task<void> Run(Args args, bool* ok) {
   }
   if (args.slow_ops > 0) {
     std::printf("\n%s",
-                (*image)->obs().op_tracker().FormatSlowOps(args.slow_ops)
+                rig->image->obs().op_tracker().FormatSlowOps(args.slow_ops)
                     .c_str());
   }
   if (!args.json_path.empty()) {
@@ -576,11 +591,11 @@ sim::Task<void> Run(Args args, bool* ok) {
   }
   if (!args.trace_path.empty()) {
     if (WriteFile(args.trace_path,
-                  (*image)->obs().tracer().ExportChromeJson())) {
+                  rig->image->obs().tracer().ExportChromeJson())) {
       std::printf("wrote trace: %s (%zu spans, %llu dropped)\n",
-                  args.trace_path.c_str(), (*image)->obs().tracer().size(),
+                  args.trace_path.c_str(), rig->image->obs().tracer().size(),
                   static_cast<unsigned long long>(
-                      (*image)->obs().tracer().dropped()));
+                      rig->image->obs().tracer().dropped()));
     } else {
       std::fprintf(stderr, "failed to write %s\n", args.trace_path.c_str());
       co_return;
@@ -591,24 +606,25 @@ sim::Task<void> Run(Args args, bool* ok) {
     // Clean close -> reopen against the same plane device: the second
     // read pass starts warm (resident bitmaps + IV rows off the local
     // plane, ~zero metadata bytes from the object store).
-    if (Status s = co_await (*image)->Close(); !s.ok()) {
+    if (Status s = co_await rig->image->Close(); !s.ok()) {
       std::printf("close failed: %s\n", s.ToString().c_str());
       co_return;
     }
-    co_await (*cluster)->Drain();
+    co_await rig->cluster->Drain();
     auto reopened = co_await rbd::Image::Open(
-        **cluster, "fio", "pw", {}, nullptr, {}, options.iv_cache,
+        *rig->cluster, "fio", "pw", {}, nullptr, {}, options.iv_cache,
         options.meta_store, options.obs);
     if (!reopened.ok()) {
       std::printf("reopen failed: %s\n", reopened.status().ToString().c_str());
       co_return;
     }
+    rig->reopened = std::move(*reopened);
     workload::FioConfig reread = fio;
     reread.is_write = false;
     reread.rw_mix_pct = -1;
     reread.discard_pct = 0;
     reread.verify = false;
-    workload::FioRunner warm_runner(**reopened, reread);
+    workload::FioRunner warm_runner(*rig->reopened, reread);
     auto warm = co_await warm_runner.Run();
     if (!warm.ok()) {
       std::printf("warm rerun failed: %s\n",
@@ -625,12 +641,12 @@ sim::Task<void> Run(Args args, bool* ok) {
                 static_cast<unsigned long long>(ws.meta_cold_resets),
                 static_cast<unsigned long long>(ws.iv_meta_bytes_fetched),
                 static_cast<unsigned long long>(ws.trim_state_loads));
-    if (Status s = co_await (*reopened)->Close(); !s.ok()) {
+    if (Status s = co_await rig->reopened->Close(); !s.ok()) {
       std::printf("close failed: %s\n", s.ToString().c_str());
       co_return;
     }
   } else if (args.meta_store) {
-    if (Status s = co_await (*image)->Close(); !s.ok()) {
+    if (Status s = co_await rig->image->Close(); !s.ok()) {
       std::printf("close failed: %s\n", s.ToString().c_str());
       co_return;
     }
@@ -667,8 +683,9 @@ int main(int argc, char** argv) {
   // N-core CPU model: crypto and apply charges pin to per-object cores and
   // overlap across them; 0 keeps the legacy infinite-overlap timeline.
   if (args.cores > 0) sched.ConfigureCores(args.cores);
+  Rig rig;
   bool ok = false;
-  sched.Spawn(Run(args, &ok));
+  sched.Spawn(Run(args, &rig, &ok));
   sched.Run();
   return ok ? 0 : 1;
 }

@@ -101,11 +101,11 @@ class DeterministicFormat final : public EncryptionFormat {
       case CipherMode::kNone:
         break;
       case CipherMode::kXtsLba:
-        xts_.emplace(spec_.backend, master_key);
+        xts_.emplace(master_key);
         break;
       case CipherMode::kXtsEssiv:
-        xts_.emplace(spec_.backend, master_key);
-        essiv_.emplace(spec_.backend, master_key);
+        xts_.emplace(master_key);
+        essiv_.emplace(master_key);
         break;
       case CipherMode::kWideLba:
         wide_.emplace(ByteSpan(DeriveSubkey(master_key, "wide-block", 64)));
@@ -214,12 +214,11 @@ class RandomIvFormat final : public EncryptionFormat {
       : EncryptionFormat(spec),
         object_size_(object_size),
         rng_(spec.iv_seed == 0 ? crypto::Drbg() : crypto::Drbg(spec.iv_seed)),
-        iv_mask_(crypto::MakeAes(spec.backend,
-                                 DeriveSubkey(master_key, "iv-mask", 32))) {
+        iv_mask_(crypto::MakeAes(DeriveSubkey(master_key, "iv-mask", 32))) {
     if (spec_.mode == CipherMode::kGcmRandom) {
-      gcm_.emplace(spec_.backend, DeriveSubkey(master_key, "gcm", 32));
+      gcm_.emplace(DeriveSubkey(master_key, "gcm", 32));
     } else {
-      xts_.emplace(spec_.backend, master_key);
+      xts_.emplace(master_key);
       if (spec_.integrity == Integrity::kHmac) {
         hmac_key_ = DeriveSubkey(master_key, "integrity", 32);
       }

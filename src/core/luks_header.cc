@@ -31,7 +31,7 @@ Bytes ComputeDigest(ByteSpan master_key, ByteSpan salt, uint32_t iterations) {
 // Encrypt/decrypt AF-split material sector-by-sector with the slot key.
 void CryptSplitMaterial(ByteSpan key, ByteSpan in, MutByteSpan out,
                         bool encrypt) {
-  crypto::XtsCipher xts(crypto::Backend::kOpenssl, key);
+  crypto::XtsCipher xts(key);
   const size_t unit = 4096;
   size_t off = 0;
   uint64_t sector = 0;

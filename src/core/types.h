@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "crypto/block_cipher.h"
 #include "util/bytes.h"
 
 namespace vde::core {
@@ -62,7 +61,6 @@ struct EncryptionSpec {
   CipherMode mode = CipherMode::kXtsLba;
   IvLayout layout = IvLayout::kNone;
   Integrity integrity = Integrity::kNone;
-  crypto::Backend backend = crypto::Backend::kOpenssl;
   // Deterministic IV stream for reproducible benches (0 = system entropy).
   uint64_t iv_seed = 0;
   // Compress-before-encrypt stage. Only meaningful on metadata-bearing

@@ -1,13 +1,11 @@
 // OpenSSL EVP implementation of the BlockCipher interface plus the MakeAes
 // factory. Kept in one translation unit so no OpenSSL header leaks into the
 // public interface.
-#include <openssl/evp.h>
+#include "crypto/block_cipher.h"
 
 #include <cassert>
-#include <memory>
 
-#include "crypto/aes.h"
-#include "crypto/block_cipher.h"
+#include "crypto/evp.h"
 
 namespace vde::crypto {
 
@@ -23,14 +21,10 @@ class OpensslAes final : public BlockCipher {
       case 32: cipher = EVP_aes_256_ecb(); break;
       default: assert(false && "AES key must be 16/24/32 bytes");
     }
-    enc_ = EVP_CIPHER_CTX_new();
-    dec_ = EVP_CIPHER_CTX_new();
-    assert(enc_ && dec_);
-    int rc = EVP_EncryptInit_ex(enc_, cipher, nullptr, key.data(), nullptr);
-    assert(rc == 1);
-    rc = EVP_DecryptInit_ex(dec_, cipher, nullptr, key.data(), nullptr);
-    assert(rc == 1);
-    (void)rc;
+    enc_ = evp::Checked(EVP_CIPHER_CTX_new());
+    dec_ = evp::Checked(EVP_CIPHER_CTX_new());
+    evp::Check(EVP_EncryptInit_ex(enc_, cipher, nullptr, key.data(), nullptr));
+    evp::Check(EVP_DecryptInit_ex(dec_, cipher, nullptr, key.data(), nullptr));
     EVP_CIPHER_CTX_set_padding(enc_, 0);
     EVP_CIPHER_CTX_set_padding(dec_, 0);
   }
@@ -45,16 +39,14 @@ class OpensslAes final : public BlockCipher {
 
   void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const override {
     int len = 0;
-    const int rc = EVP_EncryptUpdate(enc_, out, &len, in, 16);
-    assert(rc == 1 && len == 16);
-    (void)rc;
+    evp::Check(EVP_EncryptUpdate(enc_, out, &len, in, 16));
+    assert(len == 16);
   }
 
   void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const override {
     int len = 0;
-    const int rc = EVP_DecryptUpdate(dec_, out, &len, in, 16);
-    assert(rc == 1 && len == 16);
-    (void)rc;
+    evp::Check(EVP_DecryptUpdate(dec_, out, &len, in, 16));
+    assert(len == 16);
   }
 
   size_t key_size() const override { return key_size_; }
@@ -67,11 +59,8 @@ class OpensslAes final : public BlockCipher {
 
 }  // namespace
 
-std::unique_ptr<BlockCipher> MakeAes(Backend backend, ByteSpan key) {
-  if (backend == Backend::kOpenssl) {
-    return std::make_unique<OpensslAes>(key);
-  }
-  return std::make_unique<SoftAes>(key);
+std::unique_ptr<BlockCipher> MakeAes(ByteSpan key) {
+  return std::make_unique<OpensslAes>(key);
 }
 
 }  // namespace vde::crypto

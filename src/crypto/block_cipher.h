@@ -1,4 +1,5 @@
-// 16-byte block-cipher interface implemented by SoftAes and OpensslAes.
+// 16-byte AES block-cipher interface, backed by OpenSSL EVP (AES-NI when
+// the CPU has it).
 #pragma once
 
 #include <cstddef>
@@ -20,13 +21,7 @@ class BlockCipher {
   virtual size_t key_size() const = 0;
 };
 
-// Which low-level AES implementation backs a cipher object.
-enum class Backend {
-  kSoft,     // our from-scratch AES
-  kOpenssl,  // OpenSSL EVP (AES-NI when available)
-};
-
-// Factory: AES block cipher for `key` (16/24/32 bytes) on the given backend.
-std::unique_ptr<BlockCipher> MakeAes(Backend backend, ByteSpan key);
+// Factory: AES block cipher for `key` (16/24/32 bytes).
+std::unique_ptr<BlockCipher> MakeAes(ByteSpan key);
 
 }  // namespace vde::crypto

@@ -1,63 +1,53 @@
 #include "crypto/chacha20.h"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "crypto/evp.h"
 
 namespace vde::crypto {
 
 namespace {
-inline void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
+
+// EVP's ChaCha20 IV is RFC 8439's initial state words 12..15: the 32-bit
+// block counter (little-endian) followed by the 96-bit nonce.
+void MakeIv(ByteSpan nonce, uint32_t counter, uint8_t iv[16]) {
+  assert(nonce.size() == 12);
+  StoreU32Le(iv, counter);
+  std::copy(nonce.begin(), nonce.end(), iv + 4);
 }
+
 }  // namespace
 
-ChaCha20::ChaCha20(ByteSpan key, ByteSpan nonce, uint32_t counter) {
-  assert(key.size() == 32 && nonce.size() == 12);
-  state_[0] = 0x61707865;
-  state_[1] = 0x3320646e;
-  state_[2] = 0x79622d32;
-  state_[3] = 0x6b206574;
-  for (int i = 0; i < 8; ++i) state_[static_cast<size_t>(4 + i)] = LoadU32Le(key.data() + 4 * i);
-  state_[12] = counter;
-  for (int i = 0; i < 3; ++i) state_[static_cast<size_t>(13 + i)] = LoadU32Le(nonce.data() + 4 * i);
+void ChaCha20::CtxFree::operator()(EVP_CIPHER_CTX* ctx) const {
+  EVP_CIPHER_CTX_free(ctx);
 }
 
-void ChaCha20::Block(uint8_t out[64]) {
-  std::array<uint32_t, 16> x = state_;
-  for (int round = 0; round < 10; ++round) {
-    QuarterRound(x[0], x[4], x[8], x[12]);
-    QuarterRound(x[1], x[5], x[9], x[13]);
-    QuarterRound(x[2], x[6], x[10], x[14]);
-    QuarterRound(x[3], x[7], x[11], x[15]);
-    QuarterRound(x[0], x[5], x[10], x[15]);
-    QuarterRound(x[1], x[6], x[11], x[12]);
-    QuarterRound(x[2], x[7], x[8], x[13]);
-    QuarterRound(x[3], x[4], x[9], x[14]);
-  }
-  for (int i = 0; i < 16; ++i) {
-    const uint32_t v = x[static_cast<size_t>(i)] + state_[static_cast<size_t>(i)];
-    StoreU32Le(out + 4 * i, v);
-  }
-  state_[12]++;  // block counter
+ChaCha20::ChaCha20(ByteSpan key, ByteSpan nonce, uint32_t counter)
+    : ctx_(evp::Checked(EVP_CIPHER_CTX_new())) {
+  assert(key.size() == 32);
+  uint8_t iv[16];
+  MakeIv(nonce, counter, iv);
+  evp::Check(EVP_EncryptInit_ex2(ctx_.get(), evp::ChaCha20(), key.data(), iv,
+                                 nullptr));
+}
+
+void ChaCha20::Restart(ByteSpan nonce, uint32_t counter) {
+  uint8_t iv[16];
+  MakeIv(nonce, counter, iv);
+  evp::Check(EVP_EncryptInit_ex2(ctx_.get(), nullptr, nullptr, iv, nullptr));
 }
 
 void ChaCha20::XorStream(MutByteSpan data) {
-  uint8_t block[64];
-  size_t off = 0;
-  while (off < data.size()) {
-    Block(block);
-    const size_t take = std::min<size_t>(64, data.size() - off);
-    for (size_t i = 0; i < take; ++i) data[off + i] ^= block[i];
-    off += take;
-  }
+  if (data.empty()) return;
+  int len = 0;
+  evp::Check(EVP_EncryptUpdate(ctx_.get(), data.data(), &len, data.data(),
+                               static_cast<int>(data.size())));
+  assert(len == static_cast<int>(data.size()));
 }
 
 void ChaCha20::Keystream(MutByteSpan out) {
-  std::memset(out.data(), 0, out.size());
+  std::fill(out.begin(), out.end(), 0);
   XorStream(out);
 }
 

@@ -15,7 +15,7 @@ namespace vde::crypto {
 class Essiv {
  public:
   // `key` is the data-encryption key; the ESSIV key is its SHA-256 digest.
-  Essiv(Backend backend, ByteSpan key);
+  explicit Essiv(ByteSpan key);
 
   // 16-byte IV for `sector`.
   void DeriveIv(uint64_t sector, uint8_t out[16]) const;

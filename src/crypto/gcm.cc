@@ -1,116 +1,63 @@
 #include "crypto/gcm.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "crypto/evp.h"
 
 namespace vde::crypto {
 
-namespace {
+// One keyed context per direction; Seal/Open re-init only the IV, so the
+// AES key schedule and GHASH key are computed once per cipher object.
+struct GcmCipher::EvpState {
+  EVP_CIPHER_CTX* enc = nullptr;
+  EVP_CIPHER_CTX* dec = nullptr;
 
-struct U128 {
-  uint64_t hi = 0;  // bytes 0..7 big-endian
-  uint64_t lo = 0;  // bytes 8..15
+  ~EvpState() {
+    EVP_CIPHER_CTX_free(enc);
+    EVP_CIPHER_CTX_free(dec);
+  }
 };
 
-U128 Load(const uint8_t b[16]) {
-  return {LoadU64Be(b), LoadU64Be(b + 8)};
+GcmCipher::GcmCipher(ByteSpan key) : evp_(std::make_unique<EvpState>()) {
+  assert((key.size() == 16 || key.size() == 32) &&
+         "GCM key must be 16 or 32 bytes");
+  const EVP_CIPHER* cipher =
+      key.size() == 16 ? EVP_aes_128_gcm() : EVP_aes_256_gcm();
+  evp_->enc = evp::Checked(EVP_CIPHER_CTX_new());
+  evp_->dec = evp::Checked(EVP_CIPHER_CTX_new());
+  // The default GCM IV length is the 96-bit kGcmIvSize.
+  evp::Check(
+      EVP_EncryptInit_ex(evp_->enc, cipher, nullptr, key.data(), nullptr));
+  evp::Check(
+      EVP_DecryptInit_ex(evp_->dec, cipher, nullptr, key.data(), nullptr));
 }
 
-void Store(const U128& v, uint8_t b[16]) {
-  StoreU64Be(b, v.hi);
-  StoreU64Be(b + 8, v.lo);
-}
-
-// GF(2^128) multiplication per SP 800-38D (bit-reflected convention).
-U128 GfMul(U128 x, U128 y) {
-  U128 z;
-  U128 v = y;
-  for (int i = 0; i < 128; ++i) {
-    const bool bit = i < 64 ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const bool lsb = v.lo & 1;
-    v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb) v.hi ^= 0xe100000000000000ULL;
-  }
-  return z;
-}
-
-void Inc32(uint8_t block[16]) {
-  uint32_t ctr = LoadU32Be(block + 12);
-  StoreU32Be(block + 12, ctr + 1);
-}
-
-}  // namespace
-
-GcmCipher::GcmCipher(Backend backend, ByteSpan key)
-    : cipher_(MakeAes(backend, key)) {
-  const uint8_t zero[16] = {};
-  cipher_->EncryptBlock(zero, h_);
-}
-
-void GcmCipher::Ctr(const uint8_t j0[16], ByteSpan in, MutByteSpan out) const {
-  uint8_t counter[16];
-  std::memcpy(counter, j0, 16);
-  size_t off = 0;
-  while (off < in.size()) {
-    Inc32(counter);
-    uint8_t ks[16];
-    cipher_->EncryptBlock(counter, ks);
-    const size_t take = std::min<size_t>(16, in.size() - off);
-    for (size_t i = 0; i < take; ++i) out[off + i] = in[off + i] ^ ks[i];
-    off += take;
-  }
-}
-
-void GcmCipher::Ghash(ByteSpan aad, ByteSpan cipher, uint8_t out[16]) const {
-  const U128 h = Load(h_);
-  U128 y;
-  auto absorb = [&](ByteSpan data) {
-    size_t off = 0;
-    while (off < data.size()) {
-      uint8_t block[16] = {};
-      const size_t take = std::min<size_t>(16, data.size() - off);
-      std::memcpy(block, data.data() + off, take);
-      const U128 x = Load(block);
-      y.hi ^= x.hi;
-      y.lo ^= x.lo;
-      y = GfMul(y, h);
-      off += take;
-    }
-  };
-  absorb(aad);
-  absorb(cipher);
-  uint8_t lens[16];
-  StoreU64Be(lens, aad.size() * 8);
-  StoreU64Be(lens + 8, cipher.size() * 8);
-  const U128 x = Load(lens);
-  y.hi ^= x.hi;
-  y.lo ^= x.lo;
-  y = GfMul(y, h);
-  Store(y, out);
-}
+GcmCipher::~GcmCipher() = default;
+GcmCipher::GcmCipher(GcmCipher&&) noexcept = default;
+GcmCipher& GcmCipher::operator=(GcmCipher&&) noexcept = default;
 
 void GcmCipher::Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
                      MutByteSpan out, MutByteSpan tag) const {
   assert(iv.size() == kGcmIvSize && "only 96-bit IVs supported");
   assert(plain.size() == out.size());
   assert(tag.size() == kGcmTagSize);
-
-  uint8_t j0[16] = {};
-  std::memcpy(j0, iv.data(), 12);
-  j0[15] = 1;
-
-  Ctr(j0, plain, out);
-
-  uint8_t s[16];
-  Ghash(aad, ByteSpan(out.data(), out.size()), s);
-  uint8_t ek_j0[16];
-  cipher_->EncryptBlock(j0, ek_j0);
-  for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ ek_j0[i];
+  EVP_CIPHER_CTX* ctx = evp_->enc;
+  int len = 0;
+  evp::Check(EVP_EncryptInit_ex(ctx, nullptr, nullptr, nullptr, iv.data()));
+  if (!aad.empty()) {
+    evp::Check(EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
+                                 static_cast<int>(aad.size())));
+  }
+  if (!plain.empty()) {
+    evp::Check(EVP_EncryptUpdate(ctx, out.data(), &len, plain.data(),
+                                 static_cast<int>(plain.size())));
+    assert(len == static_cast<int>(plain.size()));
+  }
+  uint8_t none[kGcmTagSize];  // GCM emits no bytes at finalization
+  evp::Check(EVP_EncryptFinal_ex(ctx, none, &len));
+  evp::Check(EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_GET_TAG,
+                                 static_cast<int>(kGcmTagSize), tag.data()));
 }
 
 bool GcmCipher::Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
@@ -118,22 +65,28 @@ bool GcmCipher::Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
   assert(iv.size() == kGcmIvSize);
   assert(cipher.size() == out.size());
   assert(tag.size() == kGcmTagSize);
-
-  uint8_t j0[16] = {};
-  std::memcpy(j0, iv.data(), 12);
-  j0[15] = 1;
-
-  uint8_t s[16];
-  Ghash(aad, cipher, s);
-  uint8_t ek_j0[16];
-  cipher_->EncryptBlock(j0, ek_j0);
-  uint8_t expect[16];
-  for (int i = 0; i < 16; ++i) expect[i] = s[i] ^ ek_j0[i];
-  if (!ConstantTimeEqual(ByteSpan(expect, 16), tag)) {
-    std::memset(out.data(), 0, out.size());
+  EVP_CIPHER_CTX* ctx = evp_->dec;
+  int len = 0;
+  evp::Check(EVP_DecryptInit_ex(ctx, nullptr, nullptr, nullptr, iv.data()));
+  if (!aad.empty()) {
+    evp::Check(EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
+                                 static_cast<int>(aad.size())));
+  }
+  if (!cipher.empty()) {
+    evp::Check(EVP_DecryptUpdate(ctx, out.data(), &len, cipher.data(),
+                                 static_cast<int>(cipher.size())));
+    assert(len == static_cast<int>(cipher.size()));
+  }
+  evp::Check(EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_SET_TAG,
+                                 static_cast<int>(kGcmTagSize),
+                                 const_cast<uint8_t*>(tag.data())));
+  uint8_t none[kGcmTagSize];
+  if (EVP_DecryptFinal_ex(ctx, none, &len) != 1) {
+    // EVP has already written the unauthenticated plaintext: wipe it, so a
+    // failed Open never hands out partial plaintext.
+    std::fill(out.begin(), out.end(), 0);
     return false;
   }
-  Ctr(j0, cipher, out);
   return true;
 }
 

@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "crypto/block_cipher.h"
 #include "util/bytes.h"
 
 namespace vde::crypto {
@@ -19,23 +18,27 @@ inline constexpr size_t kGcmTagSize = 16;
 class GcmCipher {
  public:
   // AES key, 16 or 32 bytes.
-  GcmCipher(Backend backend, ByteSpan key);
+  explicit GcmCipher(ByteSpan key);
+  ~GcmCipher();
+
+  GcmCipher(GcmCipher&&) noexcept;
+  GcmCipher& operator=(GcmCipher&&) noexcept;
 
   // Encrypts `plain` into `out` (same size) and writes the 16-byte tag.
-  // `iv` must be 12 bytes and MUST NOT repeat for a given key.
+  // `iv` must be 12 bytes and MUST NOT repeat for a given key. `out` may
+  // alias `plain`.
   void Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutByteSpan out,
             MutByteSpan tag) const;
 
   // Decrypts and verifies; returns false (and zeroes `out`) on tag mismatch.
+  // `out` may alias `cipher`.
   [[nodiscard]] bool Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
                           MutByteSpan out, ByteSpan tag) const;
 
  private:
-  void Ctr(const uint8_t j0[16], ByteSpan in, MutByteSpan out) const;
-  void Ghash(ByteSpan aad, ByteSpan cipher, uint8_t out[16]) const;
+  struct EvpState;
 
-  std::unique_ptr<BlockCipher> cipher_;
-  uint8_t h_[16];  // GHASH key = E_K(0^128)
+  std::unique_ptr<EvpState> evp_;
 };
 
 }  // namespace vde::crypto

@@ -1,10 +1,14 @@
-// HMAC-SHA256 (RFC 2104) and key-derivation helpers (PBKDF2, HKDF).
+// HMAC-SHA256 (RFC 2104) and key-derivation helpers (PBKDF2, HKDF), all
+// over OpenSSL.
 #pragma once
 
 #include <array>
+#include <memory>
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
+
+struct evp_mac_ctx_st;  // OpenSSL's EVP_MAC_CTX
 
 namespace vde::crypto {
 
@@ -19,8 +23,11 @@ class HmacSha256Stream {
   std::array<uint8_t, kSha256DigestSize> Finish();
 
  private:
-  Sha256 inner_;
-  std::array<uint8_t, 64> opad_key_;
+  struct CtxFree {
+    void operator()(evp_mac_ctx_st* ctx) const;
+  };
+
+  std::unique_ptr<evp_mac_ctx_st, CtxFree> ctx_;
 };
 
 // PBKDF2-HMAC-SHA256 (RFC 8018). Derives `out.size()` bytes.

@@ -23,16 +23,28 @@ void SystemRandom(MutByteSpan out) {
   }
 }
 
-Drbg::Drbg() : key_(32) {
-  SystemRandom(key_);
+namespace {
+
+constexpr uint8_t kZeroNonce[12] = {};
+
+Bytes EntropyKey() {
+  Bytes key(32);
+  SystemRandom(key);
+  return key;
 }
 
-Drbg::Drbg(uint64_t seed) : key_(32) {
+Bytes SeedKey(uint64_t seed) {
   uint8_t seed_bytes[8];
   StoreU64Le(seed_bytes, seed);
   const auto digest = Sha256::Digest(ByteSpan(seed_bytes, 8));
-  std::memcpy(key_.data(), digest.data(), 32);
+  return Bytes(digest.begin(), digest.end());
 }
+
+}  // namespace
+
+Drbg::Drbg() : key_(EntropyKey()), stream_(key_, kZeroNonce) {}
+
+Drbg::Drbg(uint64_t seed) : key_(SeedKey(seed)), stream_(key_, kZeroNonce) {}
 
 void Drbg::Rekey(ByteSpan seed32) {
   assert(seed32.size() == 32);
@@ -43,6 +55,7 @@ void Drbg::Rekey(ByteSpan seed32) {
   const auto digest = h.Finish();
   std::memcpy(key_.data(), digest.data(), 32);
   counter_ = 0;
+  stream_ = ChaCha20(key_, kZeroNonce);
 }
 
 void Drbg::Reseed() {
@@ -55,8 +68,8 @@ void Drbg::Generate(MutByteSpan out) {
   // Each Generate call uses a distinct nonce derived from the counter.
   uint8_t nonce[12] = {};
   StoreU64Le(nonce, counter_++);
-  ChaCha20 stream(key_, ByteSpan(nonce, 12));
-  stream.Keystream(out);
+  stream_.Restart(ByteSpan(nonce, 12));
+  stream_.Keystream(out);
   if (counter_ == ~uint64_t{0}) Reseed();
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "crypto/chacha20.h"
 #include "util/bytes.h"
@@ -19,6 +18,8 @@ void SystemRandom(MutByteSpan out);
 
 // Deterministic random bit generator built on the ChaCha20 keystream.
 // Reseedable; a fixed seed yields a reproducible IV stream for tests.
+// Generate call n emits the keystream of (key, nonce = LE64(n) || 0^32)
+// from block 0; one keyed context serves every call.
 class Drbg {
  public:
   // Seeded from system entropy.
@@ -37,6 +38,7 @@ class Drbg {
 
   Bytes key_;           // 32-byte ChaCha20 key, ratcheted on rekey
   uint64_t counter_ = 0;  // nonce counter; rekey before it wraps 2^32 blocks
+  ChaCha20 stream_;     // keyed with key_; each Generate restarts its nonce
 };
 
 }  // namespace vde::crypto

@@ -1,99 +1,32 @@
 #include "crypto/sha256.h"
 
-#include <bit>
-#include <cstring>
+#include "crypto/evp.h"
 
 namespace vde::crypto {
 
-namespace {
-constexpr std::array<uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+void Sha256::CtxFree::operator()(EVP_MD_CTX* ctx) const {
+  EVP_MD_CTX_free(ctx);
+}
 
-uint32_t Rotr(uint32_t x, int n) { return std::rotr(x, n); }
-}  // namespace
-
-Sha256::Sha256()
-    : h_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = LoadU32Be(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t t1 = h + s1 + ch + kK[static_cast<size_t>(i)] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
+Sha256::Sha256() : ctx_(evp::Checked(EVP_MD_CTX_new())) {
+  evp::Check(EVP_DigestInit_ex2(ctx_.get(), evp::Sha256(), nullptr));
 }
 
 void Sha256::Update(ByteSpan data) {
-  total_len_ += data.size();
-  size_t off = 0;
-  if (buf_len_ > 0) {
-    const size_t take = std::min(data.size(), sizeof(buf_) - buf_len_);
-    std::memcpy(buf_ + buf_len_, data.data(), take);
-    buf_len_ += take;
-    off = take;
-    if (buf_len_ == sizeof(buf_)) {
-      ProcessBlock(buf_);
-      buf_len_ = 0;
-    }
-  }
-  while (off + 64 <= data.size()) {
-    ProcessBlock(data.data() + off);
-    off += 64;
-  }
-  if (off < data.size()) {
-    std::memcpy(buf_, data.data() + off, data.size() - off);
-    buf_len_ = data.size() - off;
-  }
+  evp::Check(EVP_DigestUpdate(ctx_.get(), data.data(), data.size()));
 }
 
 std::array<uint8_t, kSha256DigestSize> Sha256::Finish() {
-  const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad_byte = 0x80;
-  Update(ByteSpan(&pad_byte, 1));
-  const uint8_t zero = 0;
-  while (buf_len_ != 56) Update(ByteSpan(&zero, 1));
-  uint8_t len_be[8];
-  StoreU64Be(len_be, bit_len);
-  Update(ByteSpan(len_be, 8));
-
   std::array<uint8_t, kSha256DigestSize> out;
-  for (int i = 0; i < 8; ++i) StoreU32Be(out.data() + 4 * i, h_[static_cast<size_t>(i)]);
+  evp::Check(EVP_DigestFinal_ex(ctx_.get(), out.data(), nullptr));
   return out;
 }
 
 std::array<uint8_t, kSha256DigestSize> Sha256::Digest(ByteSpan data) {
-  Sha256 s;
-  s.Update(data);
-  return s.Finish();
+  std::array<uint8_t, kSha256DigestSize> out;
+  evp::Check(EVP_Digest(data.data(), data.size(), out.data(), nullptr,
+                        evp::Sha256(), nullptr));
+  return out;
 }
 
 }  // namespace vde::crypto

@@ -1,10 +1,13 @@
-// From-scratch SHA-256 (FIPS 180-4), streaming interface.
+// SHA-256 (FIPS 180-4) over OpenSSL EVP, streaming interface.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "util/bytes.h"
+
+struct evp_md_ctx_st;  // OpenSSL's EVP_MD_CTX
 
 namespace vde::crypto {
 
@@ -22,12 +25,11 @@ class Sha256 {
   static std::array<uint8_t, kSha256DigestSize> Digest(ByteSpan data);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  struct CtxFree {
+    void operator()(evp_md_ctx_st* ctx) const;
+  };
 
-  std::array<uint32_t, 8> h_;
-  uint8_t buf_[64];
-  size_t buf_len_ = 0;
-  uint64_t total_len_ = 0;
+  std::unique_ptr<evp_md_ctx_st, CtxFree> ctx_;
 };
 
 }  // namespace vde::crypto

@@ -9,7 +9,6 @@
 
 #include <memory>
 
-#include "crypto/block_cipher.h"
 #include "util/bytes.h"
 
 namespace vde::crypto {
@@ -18,7 +17,7 @@ class XtsCipher {
  public:
   // `key` is the concatenation key1 || key2, each 16 or 32 bytes
   // (AES-128-XTS uses 32 total, AES-256-XTS uses 64 total).
-  XtsCipher(Backend backend, ByteSpan key);
+  explicit XtsCipher(ByteSpan key);
   ~XtsCipher();
 
   XtsCipher(XtsCipher&&) noexcept;
@@ -31,23 +30,13 @@ class XtsCipher {
 
   size_t key_size() const { return key_size_; }
 
-  // Multiply an XTS tweak block by alpha in GF(2^128) (little-endian
-  // convention). Exposed for tests.
-  static void MulAlpha(uint8_t t[16]);
-
  private:
   struct EvpState;
 
-  void SoftCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                 bool encrypt) const;
-  void EvpCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                bool encrypt) const;
+  void Crypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
+             bool encrypt) const;
 
   size_t key_size_ = 0;
-  // Soft path: two AES instances (data key, tweak key).
-  std::unique_ptr<BlockCipher> data_cipher_;
-  std::unique_ptr<BlockCipher> tweak_cipher_;
-  // EVP path.
   std::unique_ptr<EvpState> evp_;
 };
 

@@ -58,15 +58,31 @@ TEST(ChaCha20, ChunkedMatchesWhole) {
   ChaCha20 a(key, nonce);
   a.Keystream(whole);
 
-  // Same stream read in odd-sized chunks must agree — but note each
-  // XorStream call starts at a block boundary internally only if the
-  // previous call consumed whole blocks; here we consume block multiples.
+  // The same stream read in odd-sized chunks, straddling block boundaries,
+  // must agree byte for byte.
   Bytes parts(257, 0);
   ChaCha20 b(key, nonce);
-  b.Keystream(MutByteSpan(parts.data(), 128));
+  b.Keystream(MutByteSpan(parts.data(), 1));
+  b.Keystream(MutByteSpan(parts.data() + 1, 70));
+  b.Keystream(MutByteSpan(parts.data() + 71, 57));
   b.Keystream(MutByteSpan(parts.data() + 128, 129));
-  EXPECT_EQ(ToHex(ByteSpan(whole.data(), 128)),
-            ToHex(ByteSpan(parts.data(), 128)));
+  EXPECT_EQ(ToHex(whole), ToHex(parts));
+}
+
+TEST(ChaCha20, RestartMatchesFreshStream) {
+  Rng rng(3);
+  const Bytes key = rng.RandomBytes(32);
+  const Bytes n1 = rng.RandomBytes(12);
+  const Bytes n2 = rng.RandomBytes(12);
+  ChaCha20 reused(key, n1);
+  Bytes skip(100);
+  reused.Keystream(skip);  // leave the context mid-block
+  reused.Restart(n2, 1);
+  Bytes a(200), b(200);
+  reused.Keystream(a);
+  ChaCha20 fresh(key, n2, 1);
+  fresh.Keystream(b);
+  EXPECT_EQ(ToHex(a), ToHex(b));
 }
 
 TEST(Drbg, DeterministicSeedReproduces) {

@@ -104,10 +104,14 @@ TEST(Hkdf, Rfc5869Case1) {
             "34007208d5b887185865");
 }
 
+// RFC 5869 test case 3: empty salt (HashLen zero bytes) and empty info.
 TEST(Hkdf, EmptySaltWorks) {
-  Bytes out(32);
-  HkdfSha256(BytesOf("input key material"), {}, BytesOf("ctx"), out);
-  EXPECT_NE(ToHex(out), std::string(64, '0'));
+  const Bytes ikm(22, 0x0b);
+  Bytes out(42);
+  HkdfSha256(ikm, {}, {}, out);
+  EXPECT_EQ(ToHex(out),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8");
 }
 
 TEST(Hkdf, InfoSeparatesOutputs) {
