@@ -67,6 +67,10 @@ struct RunOut {
   sim::SimTime clock = 0;
   uint64_t events = 0;
   workload::FioResult result;
+  // Registry snapshot after the final drain: image counters since the
+  // image was created and the cluster's capacity gauges once every tail
+  // trim has landed.
+  obs::Metrics totals;
 };
 
 // One fio run on a fresh cluster/image. `cores` = 0 keeps the legacy
@@ -97,8 +101,7 @@ RunOut Run(const rados::ClusterConfig& cluster_cfg,
     if (!result.ok()) co_return;
     out.result = std::move(*result);
     co_await (*cluster)->Drain();
-    // Capacity gauges after the drain so every tail trim has landed.
-    out.result.store = (*cluster)->TotalStoreSpace();
+    out.totals = (*image)->MetricsSnapshot();
     out.ok = true;
   };
   sched.Spawn(body());
@@ -176,19 +179,22 @@ int main(int argc, char** argv) {
     mut.verify = true;
     const RunOut ver = Run(CompressCluster(), Spec(layout, true), mut, 0);
 
-    const rbd::ImageStats& s = cap.result.image;
-    const double logical = static_cast<double>(s.compress_in_bytes);
-    const uint64_t blocks = s.compress_blocks + s.compress_verbatim_blocks;
+    const obs::Metrics& s = cap.totals;
+    const double logical =
+        static_cast<double>(s.CounterOr("image.compress_in_bytes"));
+    const uint64_t blocks = s.CounterOr("image.compress_blocks") +
+                            s.CounterOr("image.compress_verbatim_blocks");
     // Compression ratio at capacity granularity: the fraction of each
     // 4 KiB block the codec freed, with the stored head rounded up to the
     // store's 512 B allocation unit (finer tails cannot become capacity).
     const uint64_t avg_stored =
-        blocks > 0 ? s.compress_stored_bytes / blocks : 4096;
+        blocks > 0 ? s.CounterOr("image.compress_stored_bytes") / blocks
+                   : 4096;
     const uint64_t stored_units = (avg_stored + 511) / 512 * 512;
     const double ratio =
         static_cast<double>(4096 - stored_units) / 4096.0;
-    const double reclaimed =
-        static_cast<double>(cap.result.store.punched_bytes);
+    const double* punched = s.FindGauge("cluster.space.punched_bytes");
+    const double reclaimed = punched != nullptr ? *punched : 0;
     const double floor = 0.90 * ratio * logical;
     const bool ok = cap.ok && ver.ok && logical > 0 && ratio > 0 &&
                     reclaimed >= floor;
@@ -229,8 +235,9 @@ int main(int argc, char** argv) {
       p50_off > 0 ? std::fabs(p50_on - p50_off) / p50_off : 1.0;
   const bool latency_ok =
       off.ok && on.ok && p50_delta <= 0.03 &&
-      on.result.image.compress_blocks == 0 &&  // nothing compressed...
-      on.result.image.compress_verbatim_blocks > 0;  // ...everything tried
+      // Nothing compressed, yet every block tried.
+      on.totals.CounterOr("image.compress_blocks") == 0 &&
+      on.totals.CounterOr("image.compress_verbatim_blocks") > 0;
   std::printf("gate latency: incompressible 4 KiB writes qd=32\n");
   std::printf("  p50 off=%.0f ns  on=%.0f ns  delta=%.2f%% (<= 3%%)  %s\n",
               p50_off, p50_on, 100.0 * p50_delta,
@@ -255,9 +262,10 @@ int main(int argc, char** argv) {
                          mixed, cores);
     const RunOut b = Run(plain, Spec(core::IvLayout::kObjectEnd, false),
                          mixed, cores);
-    const bool pure = a.result.image.compress_in_bytes == 0 &&
-                      a.result.image.compress_blocks == 0 &&
-                      a.result.image.compress_expanded_blocks == 0;
+    const obs::Metrics& t = a.totals;
+    const bool pure = t.CounterOr("image.compress_in_bytes") == 0 &&
+                      t.CounterOr("image.compress_blocks") == 0 &&
+                      t.CounterOr("image.compress_expanded_blocks") == 0;
     const bool ok = a.ok && b.ok && a.clock == b.clock &&
                     a.events == b.events && pure;
     std::printf("  cores=%u: clock=%llu ns events=%llu rerun=%s "

@@ -97,10 +97,11 @@ CachePoint RunCachePoint(const core::EncryptionSpec& spec,
 
     point.p50_us = result->latency_ns.Percentile(50) / 1000.0;
     point.p99_us = result->latency_ns.Percentile(99) / 1000.0;
-    point.hits = result->image.iv_hits;
-    point.misses = result->image.iv_misses;
-    point.meta_fetched = result->image.iv_meta_bytes_fetched;
-    point.meta_saved = result->image.iv_meta_bytes_saved;
+    const obs::Metrics& m = result->metrics;
+    point.hits = m.CounterOr("image.iv_hits");
+    point.misses = m.CounterOr("image.iv_misses");
+    point.meta_fetched = m.CounterOr("image.iv_meta_bytes_fetched");
+    point.meta_saved = m.CounterOr("image.iv_meta_bytes_saved");
     point.ok = true;
   };
 

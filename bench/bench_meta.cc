@@ -159,9 +159,9 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
                                              options.iv_cache);
       if (!image.ok()) co_return;
       co_await reread(**image, &cold_ok);
-      const rbd::ImageStats s = (*image)->stats();
-      point.cold_meta_bytes = s.iv_meta_bytes_fetched;
-      point.cold_bitmap_loads = s.trim_state_loads;
+      const obs::Metrics s = (*image)->MetricsSnapshot();
+      point.cold_meta_bytes = s.CounterOr("image.iv_meta_bytes_fetched");
+      point.cold_bitmap_loads = s.CounterOr("image.trim_state_loads");
       if (!(co_await (*image)->Close()).ok()) co_return;
     }
 
@@ -173,11 +173,11 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
                                              options.meta_store);
       if (!image.ok()) co_return;
       co_await reread(**image, &warm_ok);
-      const rbd::ImageStats s = (*image)->stats();
-      point.warm_meta_bytes = s.iv_meta_bytes_fetched;
-      point.warm_bitmap_loads = s.trim_state_loads;
-      point.warm_hits = s.meta_warm_hits;
-      point.recovered_rows = s.meta_recovered_rows;
+      const obs::Metrics s = (*image)->MetricsSnapshot();
+      point.warm_meta_bytes = s.CounterOr("image.iv_meta_bytes_fetched");
+      point.warm_bitmap_loads = s.CounterOr("image.trim_state_loads");
+      point.warm_hits = s.CounterOr("image.meta_warm_hits");
+      point.recovered_rows = s.CounterOr("image.meta_recovered_rows");
       if (!(co_await (*image)->Close()).ok()) co_return;
     }
     point.data_ok = cold_ok && warm_ok;
@@ -363,12 +363,12 @@ PassthroughPoint RunPassthroughPoint(bool with_disabled_config,
     }
     if (!(co_await (*image)->Flush()).ok()) co_return;
     co_await (*cluster)->Drain();
-    const rbd::ImageStats s = (*image)->stats();
+    const obs::Metrics s = (*image)->MetricsSnapshot();
     point.end_time = sim::Scheduler::Current().now();
-    point.bytes_written = s.bytes_written;
-    point.bytes_read = s.bytes_read;
-    point.iv_meta_bytes_fetched = s.iv_meta_bytes_fetched;
-    point.meta_spills = s.meta_spills;
+    point.bytes_written = s.CounterOr("image.bytes_written");
+    point.bytes_read = s.CounterOr("image.bytes_read");
+    point.iv_meta_bytes_fetched = s.CounterOr("image.iv_meta_bytes_fetched");
+    point.meta_spills = s.CounterOr("image.meta_spills");
     if (!(co_await (*image)->Close()).ok()) co_return;
     point.ok = true;
   };

@@ -147,11 +147,11 @@ void RunScenario(Mode mode, uint64_t victim_ops, TenantPoint* victim,
     victim->p99_us = v.latency_ns.Percentile(99) / 1e3;
     victim->iops = v.Iops();
     victim->ops = v.ops;
-    victim->throttled = v.image.qos_throttled;
+    victim->throttled = v.metrics.CounterOr("image.qos_throttled");
     victim->ok = true;
     aggressor->mbps = a.BandwidthMBps();
     aggressor->ops = a.ops;
-    aggressor->throttled = a.image.qos_throttled;
+    aggressor->throttled = a.metrics.CounterOr("image.qos_throttled");
     aggressor->ok = true;
     if (!(co_await (*victim_img)->Flush()).ok()) co_return;
     if (!(co_await (*aggressor_img)->Flush()).ok()) co_return;

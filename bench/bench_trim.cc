@@ -96,8 +96,7 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
 
     // Warmed reread of every trimmed range: the discards populated the
     // cleared markers, so these reads must not touch the store.
-    const dev::DeviceStats dev_before = (*cluster)->TotalDeviceStats();
-    const rbd::ImageStats img_before = img.stats();
+    const obs::Metrics before = img.MetricsSnapshot();
     bool all_zero = true;
     for (size_t o = 0; o < objects; ++o) {
       auto got = co_await img.Read(o * kObjSize, kObjSize / 2);
@@ -105,12 +104,10 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
       all_zero = all_zero && std::all_of(got->begin(), got->end(),
                                          [](uint8_t b) { return b == 0; });
     }
-    const dev::DeviceStats dev_after = (*cluster)->TotalDeviceStats();
-    const rbd::ImageStats img_after = img.stats();
-    point.reread_dev_reads = dev_after.read_ops - dev_before.read_ops;
-    point.reread_meta_bytes =
-        img_after.iv_meta_bytes_fetched - img_before.iv_meta_bytes_fetched;
-    point.zero_reads = img_after.trim_zero_reads - img_before.trim_zero_reads;
+    const obs::Metrics reread = img.MetricsSnapshot().DeltaSince(before);
+    point.reread_dev_reads = reread.CounterOr("cluster.device.read_ops");
+    point.reread_meta_bytes = reread.CounterOr("image.iv_meta_bytes_fetched");
+    point.zero_reads = reread.CounterOr("image.trim_zero_reads");
     point.reread_all_zero = all_zero;
     point.ok = true;
   };

@@ -26,14 +26,6 @@ struct WbPoint {
   bool ok = false;
 };
 
-uint64_t StoreTxns(rados::Cluster& cluster) {
-  uint64_t n = 0;
-  for (size_t i = 0; i < cluster.osd_count(); ++i) {
-    n += cluster.osd(i).store().stats().transactions;
-  }
-  return n;
-}
-
 WbPoint RunDbPoint(const core::EncryptionSpec& spec, bool coalesce,
                    uint64_t ops) {
   WbPoint point;
@@ -70,26 +62,26 @@ WbPoint RunDbPoint(const core::EncryptionSpec& spec, bool coalesce,
     if (!(co_await img.Flush()).ok()) co_return;
     co_await (*cluster)->Drain();
 
-    const uint64_t txns_before = StoreTxns(**cluster);
-    const uint64_t rmw_before = img.stats().rmw_blocks;
-    const uint64_t writes_before = img.stats().writes;
+    const obs::Metrics before = img.MetricsSnapshot();
     auto result = co_await runner.Run();
     if (!result.ok()) co_return;
     // The durability barrier: staged blocks flush here and count too.
     if (!(co_await img.Flush()).ok()) co_return;
     co_await (*cluster)->Drain();
 
-    const double writes =
-        static_cast<double>(img.stats().writes - writes_before);
+    const obs::Metrics after = img.MetricsSnapshot();
+    const obs::Metrics d = after.DeltaSince(before);
+    const double writes = static_cast<double>(d.CounterOr("image.writes"));
     point.txns_per_write =
-        static_cast<double>(StoreTxns(**cluster) - txns_before) / writes;
+        static_cast<double>(d.CounterOr("cluster.store.transactions")) /
+        writes;
     point.rmw_per_write =
-        static_cast<double>(img.stats().rmw_blocks - rmw_before) / writes;
+        static_cast<double>(d.CounterOr("image.rmw_blocks")) / writes;
     point.p50_us = result->latency_ns.Percentile(50) / 1000.0;
     point.p99_us = result->latency_ns.Percentile(99) / 1000.0;
     point.iops = result->Iops();
-    point.wb_hits = img.stats().wb_hits;
-    point.wb_flushes = img.stats().wb_flushes;
+    point.wb_hits = after.CounterOr("image.wb_hits");
+    point.wb_flushes = after.CounterOr("image.wb_flushes");
     point.ok = true;
   };
 

@@ -10,17 +10,12 @@
 // io_size grid; --discard=PCT mixes TRIM into the stream; --rwmix=PCT
 // models a mixed tenant (PCT percent of ops are writes).
 // QoS: --qos-iops=N / --qos-bw=BYTES_PER_SEC / --qos-depth=N attach the
-// image to a client-side qos::Scheduler with those ceilings — the summary
-// line then reports queueing and throttling counters.
+// image to a client-side qos::Scheduler with those ceilings.
 // IV cache: --iv-cache keeps random-IV metadata rows resident client-side
 // (reads of cached extents go data-only); --iv-cache-objects=N bounds the
-// LRU-by-object capacity. The summary reports hit/miss and fetch-byte
-// counters.
+// LRU-by-object capacity.
 // Discard pipeline: TRIMs are tracked (store capacity is really
 // reclaimed) and authenticated under --integrity=hmac / --cipher=gcm.
-// Runs with --discard report a trim[...] segment (client-side zero-fill
-// reads, bitmap updates/loads) and a store[...] segment (cluster free and
-// punched capacity, fragment counts) in the summary line.
 // Metadata plane: --meta-store backs the image with a persistent local
 // plane (durable IV rows + discard bitmaps on a dedicated device; implies
 // --iv-cache); --reopen then closes the image after the run, reopens it
@@ -28,8 +23,7 @@
 // summary shows the warm start (meta[...] counters, ~zero metadata
 // fetched from the object store). Requires an authenticating format
 // (--integrity=hmac or --cipher=gcm).
-// Pipelined data plane: --cores=N turns on the sim's N-core CPU model
-// (per-core utilization is reported in the summary's cores[...] segment);
+// Pipelined data plane: --cores=N turns on the sim's N-core CPU model;
 // --stripe-unit=SIZE / --stripe-count=N stripe the guest's linear space
 // across objects RBD-style, fanning sequential streams over cores.
 // Compression: --compress runs every written block through the in-tree LZ
@@ -40,7 +34,6 @@
 // the workload's written blocks PCT-percent compressible (default 0:
 // incompressible random fill); --min-gain=PCT overrides the minimum space
 // gain a block must achieve to be stored compressed (implies --compress).
-// The summary grows a compress[...] segment with the achieved ratio.
 // Scale-out cluster: --osds=N (total, spread over --nodes=N nodes),
 // --replication=N, --pg-count=N size the data plane; --kill-osd-at=MS
 // marks OSD 0 down that many milliseconds into the measured run (writes
@@ -50,20 +43,26 @@
 // mClock dequeue and tags the image's ops with tenant 1 (reservation R
 // IOPS, weight W, limit L IOPS; bare flag = weight-only defaults).
 // Observability: --obs enables request tracing + the per-stage latency
-// breakdown (the summary grows a stages_us[...] segment); --json=PATH
-// writes the machine-readable result (throughput, percentiles, stage
-// histograms, full metrics registry); --trace=PATH writes a Chrome
+// breakdown; --json=PATH writes the machine-readable result (throughput,
+// percentiles and the metrics delta over the measured window, stage
+// histograms included); --trace=PATH writes a Chrome
 // trace_event JSON (load via chrome://tracing or Perfetto); --slow-ops=N
 // prints the N slowest ops with their stage breakdowns. The last three
 // imply --obs. All of it reads the sim clock only — enabling it does not
 // change any reported timing.
+// Output: the summary line renders one segment per active layer (wb, iv,
+// trim, compress, qos, meta, store, cores, stages_us) from the run's
+// metrics delta; cluster flags add cluster, recovery and mclock lines.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "device/nvme.h"
+#include "obs/metrics.h"
 #include "qos/scheduler.h"
 #include "rados/cluster.h"
 #include "rbd/image.h"
@@ -322,6 +321,22 @@ struct Rig {
   std::shared_ptr<rbd::Image> reopened;
 };
 
+// Ends a line with " label=value" for each registry path (a counter or a
+// gauge; 0 when the path is absent).
+void PrintPaths(const obs::Metrics& m,
+                std::initializer_list<std::pair<const char*, const char*>>
+                    fields) {
+  for (const auto& [label, path] : fields) {
+    const uint64_t* counter = m.FindCounter(path);
+    const double* gauge = m.FindGauge(path);
+    std::printf(" %s=%.0f", label,
+                counter != nullptr ? static_cast<double>(*counter)
+                : gauge != nullptr ? *gauge
+                                   : 0.0);
+  }
+  std::printf("\n");
+}
+
 // Failure injection: marks `osd` down `at` ns after spawn (during the
 // measured run); recovery is kicked by MarkOsdDown itself.
 sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
@@ -472,106 +487,51 @@ sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
                 static_cast<unsigned long long>(rig->image->stripe_count()));
   }
   std::printf("  %s\n", result->Summary().c_str());
-  if (!result->core_util.empty()) {
-    std::printf("  cores: ");
-    for (size_t i = 0; i < result->core_util.size(); ++i) {
-      std::printf("%scpu%zu=%.0f%%", i == 0 ? "" : " ", i,
-                  result->core_util[i] * 100.0);
-    }
-    std::printf("\n");
+  if (args.meta_store && rig->image->meta_store() == nullptr) {
+    std::printf("  meta:  plane refused (needs --integrity=hmac or "
+                "--cipher=gcm)\n");
   }
-  // The per-image counters behind the summary: RMW/write-back behavior and
-  // (with --qos-*) dispatch-queue pressure.
-  const rbd::ImageStats& is = result->image;
-  std::printf("  image: rmw_blocks=%llu rmw_merged=%llu wb_stages=%llu "
-              "wb_hits=%llu wb_flushes=%llu\n",
-              static_cast<unsigned long long>(is.rmw_blocks),
-              static_cast<unsigned long long>(is.rmw_merged),
-              static_cast<unsigned long long>(is.wb_stages),
-              static_cast<unsigned long long>(is.wb_hits),
-              static_cast<unsigned long long>(is.wb_flushes));
-  if (args.UseQos()) {
-    std::printf("  qos:   submitted=%llu queued=%llu throttled=%llu "
-                "peak_queue=%llu wait_ms=%.1f\n",
-                static_cast<unsigned long long>(is.qos_submitted),
-                static_cast<unsigned long long>(is.qos_queued),
-                static_cast<unsigned long long>(is.qos_throttled),
-                static_cast<unsigned long long>(is.qos_peak_queue),
-                static_cast<double>(is.qos_wait_ns) / 1e6);
-  }
-  if (args.iv_cache) {
-    std::printf("  iv:    hits=%llu misses=%llu evictions=%llu "
-                "invalidations=%llu meta_saved=%llu meta_fetched=%llu\n",
-                static_cast<unsigned long long>(is.iv_hits),
-                static_cast<unsigned long long>(is.iv_misses),
-                static_cast<unsigned long long>(is.iv_evictions),
-                static_cast<unsigned long long>(is.iv_invalidations),
-                static_cast<unsigned long long>(is.iv_meta_bytes_saved),
-                static_cast<unsigned long long>(is.iv_meta_bytes_fetched));
-  }
-  if (args.meta_store) {
-    if (rig->image->meta_store() == nullptr) {
-      std::printf("  meta:  plane refused (needs --integrity=hmac or "
-                  "--cipher=gcm)\n");
-    } else {
-      std::printf("  meta:  spills=%llu flushes=%llu warm=%llu rows=%llu "
-                  "epoch_rej=%llu cold=%llu wal_commits=%llu\n",
-                  static_cast<unsigned long long>(is.meta_spills),
-                  static_cast<unsigned long long>(is.meta_journal_flushes),
-                  static_cast<unsigned long long>(is.meta_warm_hits),
-                  static_cast<unsigned long long>(is.meta_recovered_rows),
-                  static_cast<unsigned long long>(is.meta_epoch_rejections),
-                  static_cast<unsigned long long>(is.meta_cold_resets),
-                  static_cast<unsigned long long>(is.meta_kv_wal_commits));
-    }
-  }
+  // Cluster totals since it came up, recovery included: one registry
+  // snapshot taken after the run settled.
+  const obs::Metrics totals = rig->image->MetricsSnapshot();
   const bool cluster_flags = args.osds > 0 || args.nodes > 0 ||
                              args.replication > 0 || args.pg_count > 0 ||
                              args.kill_osd_at_ms > 0 || args.tenant_qos;
   if (cluster_flags) {
-    const rados::ClusterStats& cs = rig->cluster->stats();
-    std::printf("  cluster: osds=%zu nodes=%zu repl=%zu pgs=%u epoch=%llu "
-                "refreshes=%llu redirects=%llu timeouts=%llu "
-                "degraded_writes=%llu\n",
+    std::printf("  cluster: osds=%zu nodes=%zu repl=%zu pgs=%u",
                 rig->cluster->osd_count(), cluster_config.nodes,
-                cluster_config.replication, cluster_config.pg_count,
-                static_cast<unsigned long long>(
-                    rig->cluster->placement().map().epoch()),
-                static_cast<unsigned long long>(cs.map_refreshes),
-                static_cast<unsigned long long>(cs.eagain_redirects),
-                static_cast<unsigned long long>(cs.osd_timeouts),
-                static_cast<unsigned long long>(cs.degraded_writes));
+                cluster_config.replication, cluster_config.pg_count);
+    PrintPaths(totals, {{"epoch", "cluster.mon.epoch"},
+                        {"refreshes", "cluster.mon.map_refreshes"},
+                        {"redirects", "cluster.mon.eagain_redirects"},
+                        {"timeouts", "cluster.mon.osd_timeouts"},
+                        {"degraded_writes", "cluster.mon.degraded_writes"}});
   }
   if (args.kill_osd_at_ms > 0) {
-    const rados::RecoveryStats& rs = rig->cluster->recovery().stats();
-    std::printf("  recovery: pushed=%llu bytes=%llu inline_pulls=%llu "
-                "stale=%llu unrecoverable=%llu degraded_now=%zu\n",
-                static_cast<unsigned long long>(rs.objects_pushed),
-                static_cast<unsigned long long>(rs.bytes_pushed),
-                static_cast<unsigned long long>(rs.inline_pulls),
-                static_cast<unsigned long long>(rs.stale_pushes),
-                static_cast<unsigned long long>(rs.objects_unrecoverable),
-                rig->cluster->DegradedObjectCount());
+    std::printf("  recovery:");
+    PrintPaths(totals,
+               {{"pushed", "cluster.recovery.objects_pushed"},
+                {"bytes", "cluster.recovery.bytes_pushed"},
+                {"inline_pulls", "cluster.recovery.inline_pulls"},
+                {"stale", "cluster.recovery.stale_pushes"},
+                {"unrecoverable", "cluster.recovery.objects_unrecoverable"},
+                {"degraded_now", "cluster.recovery.degraded_objects"}});
   }
   if (args.tenant_qos) {
-    // Sum the image tenant's mClock counters across OSDs.
-    uint64_t admitted = 0, queued = 0, rdisp = 0;
-    double wait_ms = 0;
-    for (size_t i = 0; i < rig->cluster->osd_count(); ++i) {
-      const auto* q = rig->cluster->osd(i).qos();
-      if (q == nullptr) continue;
-      auto it = q->tenant_stats().find(args.tenant.id);
-      if (it == q->tenant_stats().end()) continue;
-      admitted += it->second.admitted;
-      queued += it->second.queued;
-      rdisp += it->second.reservation_dispatches;
-      wait_ms += static_cast<double>(it->second.wait_ns) / 1e6;
-    }
-    std::printf("  mclock: admitted=%llu queued=%llu res_dispatch=%llu "
+    // The image tenant's mClock counters, summed across OSDs.
+    auto sum = [&](const char* counter) {
+      double total = 0;
+      for (size_t i = 0; i < rig->cluster->osd_count(); ++i) {
+        total += static_cast<double>(totals.CounterOr(
+            "cluster.osd." + std::to_string(i) + ".qos.tenant_" +
+            std::to_string(args.tenant.id) + "." + counter));
+      }
+      return total;
+    };
+    std::printf("  mclock: admitted=%.0f queued=%.0f res_dispatch=%.0f "
                 "wait_ms=%.1f\n",
-                static_cast<unsigned long long>(admitted),
-                static_cast<unsigned long long>(queued),
-                static_cast<unsigned long long>(rdisp), wait_ms);
+                sum("admitted"), sum("queued"), sum("reservation_dispatches"),
+                sum("wait_ns") / 1e6);
   }
   if (args.verify && !args.is_write) {
     std::printf("  verify: all reads matched\n");
@@ -631,16 +591,15 @@ sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
                   warm.status().ToString().c_str());
       co_return;
     }
-    const rbd::ImageStats& ws = warm->image;
     std::printf("\nreopen (warm read pass):\n  %s\n",
                 warm->Summary().c_str());
-    std::printf("  meta:  warm=%llu rows=%llu cold=%llu | store metadata: "
-                "iv_fetched=%llu bitmap_loads=%llu\n",
-                static_cast<unsigned long long>(ws.meta_warm_hits),
-                static_cast<unsigned long long>(ws.meta_recovered_rows),
-                static_cast<unsigned long long>(ws.meta_cold_resets),
-                static_cast<unsigned long long>(ws.iv_meta_bytes_fetched),
-                static_cast<unsigned long long>(ws.trim_state_loads));
+    std::printf("  meta: ");
+    PrintPaths(warm->metrics,
+               {{"warm", "image.meta_warm_hits"},
+                {"rows", "image.meta_recovered_rows"},
+                {"cold", "image.meta_cold_resets"},
+                {"store_iv_fetched", "image.iv_meta_bytes_fetched"},
+                {"store_bitmap_loads", "image.trim_state_loads"}});
     if (Status s = co_await rig->reopened->Close(); !s.ok()) {
       std::printf("close failed: %s\n", s.ToString().c_str());
       co_return;

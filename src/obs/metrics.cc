@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "sim/scheduler.h"
@@ -8,10 +9,11 @@ namespace vde::obs {
 
 namespace {
 
+// Shortest text that parses back to exactly `v`: byte counts above 10^6
+// keep every digit.
 std::string FormatDouble(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace
@@ -80,6 +82,23 @@ const Histogram* Metrics::FindHist(const std::string& path) const {
   auto child = children_.find(path.substr(0, dot));
   if (child == children_.end()) return nullptr;
   return child->second.FindHist(path.substr(dot + 1));
+}
+
+Metrics Metrics::DeltaSince(const Metrics& before) const {
+  Metrics d = *this;
+  for (auto& [name, v] : d.counters_) {
+    auto it = before.counters_.find(name);
+    if (it != before.counters_.end()) v -= it->second;
+  }
+  for (auto& [name, h] : d.hists_) {
+    auto it = before.hists_.find(name);
+    if (it != before.hists_.end()) h = h.DeltaSince(it->second);
+  }
+  for (auto& [name, child] : d.children_) {
+    auto it = before.children_.find(name);
+    if (it != before.children_.end()) child = child.DeltaSince(it->second);
+  }
+  return d;
 }
 
 void Metrics::AppendText(std::string& out, const std::string& prefix) const {
@@ -166,7 +185,7 @@ std::string Metrics::ToJson() const {
 void ExportSim(const sim::Scheduler& sched, Metrics& node) {
   node.Counter("events_processed", sched.events_processed());
   node.Gauge("cores", static_cast<double>(sched.cores()));
-  node.Counter("core_model", sched.core_model_enabled() ? 1 : 0);
+  node.Gauge("core_model", sched.core_model_enabled() ? 1 : 0);
   const auto& busy = sched.core_busy_ns();
   for (size_t i = 0; i < busy.size(); ++i) {
     node.Counter("core" + std::to_string(i) + "_busy_ns", busy[i]);

@@ -32,6 +32,8 @@ class Metrics {
   // Child node, created on first use.
   Metrics& Child(const std::string& name) { return children_[name]; }
 
+  // Counters only grow (DeltaSince subtracts them); a level that can fall,
+  // or a flag, is a gauge.
   void Counter(const std::string& name, uint64_t value) {
     counters_[name] = value;
   }
@@ -52,6 +54,11 @@ class Metrics {
     const uint64_t* v = FindCounter(path);
     return v != nullptr ? *v : fallback;
   }
+
+  // What accumulated since `before`, an earlier snapshot of the same tree:
+  // counters subtract, histograms take Histogram::DeltaSince, gauges keep
+  // this (the later) value. An entry absent from `before` counts from zero.
+  Metrics DeltaSince(const Metrics& before) const;
 
   // One "path.name = value" line per entry, depth-first.
   std::string ToText() const;

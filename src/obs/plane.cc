@@ -30,19 +30,19 @@ void Plane::EndOp(const std::shared_ptr<TraceContext>& ctx, sim::SimTime end,
 }
 
 void Plane::ExportMetrics(Metrics& node) const {
-  node.Counter("enabled", config_.enabled ? 1 : 0);
+  node.Gauge("enabled", config_.enabled ? 1 : 0);
   node.Counter("ops_started", op_tracker_.started());
   node.Counter("ops_finished", op_tracker_.finished());
-  node.Counter("ops_inflight", op_tracker_.inflight_count());
+  node.Gauge("ops_inflight",
+             static_cast<double>(op_tracker_.inflight_count()));
   node.Counter("spans_recorded", tracer_.recorded());
   node.Counter("spans_dropped", tracer_.dropped());
   node.Hist("latency_ns", latency_);
+  // Every stage, empty or not, so the registry's shape does not depend on
+  // which layers a run happened to touch.
   for (size_t s = 0; s < kNumStages; ++s) {
-    if (stage_[s].count() > 0) {
-      node.Hist(std::string("stage_") + StageName(static_cast<Stage>(s)) +
-                    "_ns",
-                stage_[s]);
-    }
+    node.Hist(std::string("stage_") + StageName(static_cast<Stage>(s)) + "_ns",
+              stage_[s]);
   }
 }
 

@@ -48,9 +48,6 @@ class Plane {
     return stage_;
   }
 
-  // Copy of the current stage histograms (for before/after windowing).
-  std::array<Histogram, kNumStages> StageSnapshot() const { return stage_; }
-
   // Exports tracer/op-tracker counters and the latency histograms.
   void ExportMetrics(Metrics& node) const;
 

@@ -94,7 +94,7 @@ const TenantStats& Scheduler::stats(TenantId id) const {
 void Scheduler::ExportMetrics(obs::Metrics& node) const {
   node.Gauge("total_queued", static_cast<double>(total_queued_));
   node.Gauge("total_inflight", static_cast<double>(total_inflight_));
-  node.Counter("tenants", tenants_.size());
+  node.Gauge("tenants", static_cast<double>(tenants_.size()));
   for (const auto& [id, t] : tenants_) {
     obs::Metrics& tn = node.Child("tenant" + std::to_string(id));
     tn.Counter("submitted", t.stats.submitted);

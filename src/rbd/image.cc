@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <initializer_list>
+#include <utility>
 
 #include "util/crc32.h"
 
@@ -143,38 +145,63 @@ Image::~Image() {
   if (options_.qos_scheduler) options_.qos_scheduler->Detach(qos_tenant_);
 }
 
-namespace {
-// Counter-list drift guard: the struct is the X-macro fields plus the one
-// high-water mark (qos_peak_queue).
-#define VDE_COUNT_ONE(field) +1
-constexpr size_t kImageStatFields = 0 VDE_IMAGE_STATS_COUNTERS(VDE_COUNT_ONE);
-#undef VDE_COUNT_ONE
-static_assert(sizeof(ImageStats) == (kImageStatFields + 1) * sizeof(uint64_t),
-              "ImageStats field added without updating "
-              "VDE_IMAGE_STATS_COUNTERS");
-}  // namespace
-
-ImageStats ImageStats::Delta(const ImageStats& after,
-                             const ImageStats& before) {
-  ImageStats d;
-#define VDE_DELTA_ONE(field) d.field = after.field - before.field;
-  VDE_IMAGE_STATS_COUNTERS(VDE_DELTA_ONE)
-#undef VDE_DELTA_ONE
-  d.qos_peak_queue = after.qos_peak_queue;
-  return d;
-}
-
-void ExportImageStats(const ImageStats& s, obs::Metrics& node) {
-#define VDE_EXPORT_ONE(field) node.Counter(#field, s.field);
-  VDE_IMAGE_STATS_COUNTERS(VDE_EXPORT_ONE)
-#undef VDE_EXPORT_ONE
-  node.Gauge("qos_peak_queue", static_cast<double>(s.qos_peak_queue));
-}
-
 void Image::ExportMetrics(obs::Metrics& root) const {
-  ExportImageStats(stats(), root.Child("image"));
-  root.Child("image").Gauge("wb_staged_blocks",
-                            static_cast<double>(writeback_->staged_blocks()));
+  obs::Metrics& n = root.Child("image");
+  auto counters =
+      [&n](std::initializer_list<std::pair<const char*, uint64_t>> list) {
+        for (const auto& [name, value] : list) n.Counter(name, value);
+      };
+  const Counters& c = counters_;
+  counters({{"writes", c.writes}, {"reads", c.reads},
+            {"discards", c.discards}, {"flushes", c.flushes},
+            {"bytes_written", c.bytes_written}, {"bytes_read", c.bytes_read},
+            {"bytes_discarded", c.bytes_discarded},
+            {"rmw_blocks", c.rmw_blocks}, {"rmw_merged", c.rmw_merged},
+            {"wb_hits", c.wb_hits}, {"wb_stages", c.wb_stages},
+            {"wb_flushes", c.wb_flushes}});
+  n.Gauge("wb_staged_blocks", static_cast<double>(writeback_->staged_blocks()));
+  // IV-cache hits/misses count extents; invalidations are rows dropped
+  // stale (trimmed or superseded by an overwrite); trim_zero_reads are
+  // reads served client-side from cleared markers.
+  const IvCacheStats& iv = iv_cache_->stats();
+  const TrimStateStats& ts = trim_state_->stats();
+  counters({{"iv_hits", iv.hits}, {"iv_misses", iv.misses},
+            {"iv_evictions", iv.evictions},
+            {"iv_invalidations", iv.invalidations},
+            {"iv_meta_bytes_saved", iv.meta_bytes_saved},
+            {"iv_meta_bytes_fetched", iv.meta_bytes_fetched},
+            {"trim_zero_reads", iv.trim_hits},
+            {"trim_state_loads", ts.loads},
+            {"trim_bitmap_updates", ts.bitmap_updates}});
+  const qos::TenantStats q = options_.qos_scheduler
+                                 ? options_.qos_scheduler->stats(qos_tenant_)
+                                 : qos::TenantStats{};
+  counters({{"qos_submitted", q.submitted}, {"qos_queued", q.queued},
+            {"qos_throttled", q.throttled}, {"qos_wait_ns", q.wait_ns}});
+  n.Gauge("qos_peak_queue", static_cast<double>(q.peak_queue));
+  const MetaStoreStats m =
+      meta_store_ != nullptr ? meta_store_->stats() : MetaStoreStats{};
+  const kv::KvStats kvs =
+      meta_store_ != nullptr ? meta_store_->kv_stats() : kv::KvStats{};
+  counters({{"meta_warm_hits", m.warm_hits},
+            {"meta_recovered_rows", m.recovered_rows},
+            {"meta_spills", m.spills},
+            {"meta_epoch_rejections", m.epoch_rejections},
+            {"meta_cold_resets", m.cold_resets},
+            {"meta_journal_flushes", m.journal_flushes},
+            {"meta_gc_rows", m.gc_rows},
+            {"meta_kv_wal_bytes", kvs.wal_bytes},
+            {"meta_kv_wal_commits", kvs.wal_commits},
+            {"meta_kv_flush_bytes", kvs.bytes_flushed},
+            {"meta_kv_compaction_bytes", kvs.bytes_compacted}});
+  const core::CompressStats z =
+      format_ != nullptr ? format_->compress_stats() : core::CompressStats{};
+  counters({{"compress_in_bytes", z.in_bytes},
+            {"compress_stored_bytes", z.stored_bytes},
+            {"compress_blocks", z.compressed_blocks},
+            {"compress_verbatim_blocks", z.verbatim_blocks},
+            {"compress_expanded_blocks", z.decompressed_blocks}});
+
   if (options_.qos_scheduler) {
     options_.qos_scheduler->ExportMetrics(root.Child("qos"));
   }
@@ -183,51 +210,10 @@ void Image::ExportMetrics(obs::Metrics& root) const {
   ExportSim(sim::Scheduler::Current(), root.Child("sim"));
 }
 
-ImageStats Image::stats() const {
-  ImageStats s = stats_;
-  const IvCacheStats& iv = iv_cache_->stats();
-  s.iv_hits = iv.hits;
-  s.iv_misses = iv.misses;
-  s.iv_evictions = iv.evictions;
-  s.iv_invalidations = iv.invalidations;
-  s.iv_meta_bytes_saved = iv.meta_bytes_saved;
-  s.iv_meta_bytes_fetched = iv.meta_bytes_fetched;
-  s.trim_zero_reads = iv.trim_hits;
-  const TrimStateStats& ts = trim_state_->stats();
-  s.trim_state_loads = ts.loads;
-  s.trim_bitmap_updates = ts.bitmap_updates;
-  if (options_.qos_scheduler) {
-    const qos::TenantStats& q = options_.qos_scheduler->stats(qos_tenant_);
-    s.qos_submitted = q.submitted;
-    s.qos_queued = q.queued;
-    s.qos_throttled = q.throttled;
-    s.qos_wait_ns = q.wait_ns;
-    s.qos_peak_queue = q.peak_queue;
-  }
-  if (meta_store_ != nullptr) {
-    const MetaStoreStats& m = meta_store_->stats();
-    s.meta_warm_hits = m.warm_hits;
-    s.meta_recovered_rows = m.recovered_rows;
-    s.meta_spills = m.spills;
-    s.meta_epoch_rejections = m.epoch_rejections;
-    s.meta_cold_resets = m.cold_resets;
-    s.meta_journal_flushes = m.journal_flushes;
-    s.meta_gc_rows = m.gc_rows;
-    const kv::KvStats kvs = meta_store_->kv_stats();
-    s.meta_kv_wal_bytes = kvs.wal_bytes;
-    s.meta_kv_wal_commits = kvs.wal_commits;
-    s.meta_kv_flush_bytes = kvs.bytes_flushed;
-    s.meta_kv_compaction_bytes = kvs.bytes_compacted;
-  }
-  if (format_ != nullptr) {
-    const core::CompressStats& c = format_->compress_stats();
-    s.compress_in_bytes = c.in_bytes;
-    s.compress_stored_bytes = c.stored_bytes;
-    s.compress_blocks = c.compressed_blocks;
-    s.compress_verbatim_blocks = c.verbatim_blocks;
-    s.compress_expanded_blocks = c.decompressed_blocks;
-  }
-  return s;
+obs::Metrics Image::MetricsSnapshot() const {
+  obs::Metrics root;
+  ExportMetrics(root);
+  return root;
 }
 
 std::string Image::ObjectName(uint64_t object_no) const {

@@ -78,121 +78,6 @@ struct ImageOptions {
   rados::TenantSpec tenant;
 };
 
-// Every monotonic ImageStats counter, in declaration order. Drives
-// ImageStats::Delta, the metrics-registry export, and FioResult::ToJson —
-// add a field to the struct AND this list (a static_assert in image.cc
-// checks the count). qos_peak_queue is deliberately absent: it is a
-// high-water mark, not a monotonic counter.
-#define VDE_IMAGE_STATS_COUNTERS(X)                                       \
-  X(writes)                                                               \
-  X(reads)                                                                \
-  X(discards)                                                             \
-  X(flushes)                                                              \
-  X(bytes_written)                                                        \
-  X(bytes_read)                                                           \
-  X(bytes_discarded)                                                      \
-  X(rmw_blocks)                                                           \
-  X(rmw_merged)                                                           \
-  X(wb_hits)                                                              \
-  X(wb_stages)                                                            \
-  X(wb_flushes)                                                           \
-  X(iv_hits)                                                              \
-  X(iv_misses)                                                            \
-  X(iv_evictions)                                                         \
-  X(iv_invalidations)                                                     \
-  X(iv_meta_bytes_saved)                                                  \
-  X(iv_meta_bytes_fetched)                                                \
-  X(trim_zero_reads)                                                      \
-  X(trim_state_loads)                                                     \
-  X(trim_bitmap_updates)                                                  \
-  X(qos_submitted)                                                        \
-  X(qos_queued)                                                           \
-  X(qos_throttled)                                                        \
-  X(qos_wait_ns)                                                          \
-  X(meta_warm_hits)                                                       \
-  X(meta_recovered_rows)                                                  \
-  X(meta_spills)                                                          \
-  X(meta_epoch_rejections)                                                \
-  X(meta_cold_resets)                                                     \
-  X(meta_journal_flushes)                                                 \
-  X(meta_gc_rows)                                                         \
-  X(meta_kv_wal_bytes)                                                    \
-  X(meta_kv_wal_commits)                                                  \
-  X(meta_kv_flush_bytes)                                                  \
-  X(meta_kv_compaction_bytes)                                             \
-  X(compress_in_bytes)                                                    \
-  X(compress_stored_bytes)                                                \
-  X(compress_blocks)                                                      \
-  X(compress_verbatim_blocks)                                             \
-  X(compress_expanded_blocks)
-
-struct ImageStats {
-  uint64_t writes = 0;
-  uint64_t reads = 0;
-  uint64_t discards = 0;       // discard + write-zeroes requests
-  uint64_t flushes = 0;
-  uint64_t bytes_written = 0;
-  uint64_t bytes_read = 0;
-  uint64_t bytes_discarded = 0;
-  uint64_t rmw_blocks = 0;     // partial blocks read back for merge
-  uint64_t rmw_merged = 0;     // RMW edge reads served from the staging
-                               // buffer (store read avoided)
-  uint64_t wb_hits = 0;        // writes absorbed into an existing stage
-  uint64_t wb_stages = 0;      // staged-block creations
-  uint64_t wb_flushes = 0;     // staged-block flush transactions
-  // IV-metadata cache counters, mirrored from the image's IvCache (all
-  // zero with the cache disabled or a metadata-free format).
-  uint64_t iv_hits = 0;          // extents read data-only off cached rows
-  uint64_t iv_misses = 0;        // extents that fetched their metadata
-  uint64_t iv_evictions = 0;     // objects evicted by LRU pressure
-  uint64_t iv_invalidations = 0; // rows dropped stale: trimmed (discard/
-                                 // write-zeroes/remove) or superseded by an
-                                 // overwrite (which re-caches fresh rows)
-  uint64_t iv_meta_bytes_saved = 0;    // metadata fetch bytes avoided
-  uint64_t iv_meta_bytes_fetched = 0;  // metadata bytes actually fetched
-  // Discard-pipeline counters: reads served client-side from cleared
-  // markers (no store IO at all), authenticated-bitmap loads (once per
-  // object), and transactions that carried a bitmap update op.
-  uint64_t trim_zero_reads = 0;
-  uint64_t trim_state_loads = 0;
-  uint64_t trim_bitmap_updates = 0;
-  // QoS dispatch counters, mirrored from the shared scheduler's per-tenant
-  // stats (all zero without an enabled policy).
-  uint64_t qos_submitted = 0;  // requests routed through the dispatch queue
-  uint64_t qos_queued = 0;     // of those, dispatched only after waiting
-  uint64_t qos_throttled = 0;  // head-of-queue token-bucket deferrals
-  uint64_t qos_wait_ns = 0;    // total sim time spent in the queue
-  uint64_t qos_peak_queue = 0; // high-water dispatch-queue length
-  // Persistent metadata plane counters, mirrored from the image's
-  // MetaStore and its backing KV (all zero with the plane disabled).
-  uint64_t meta_warm_hits = 0;        // bitmaps/row-sets served warm
-  uint64_t meta_recovered_rows = 0;   // IV rows installed at reopen
-  uint64_t meta_spills = 0;           // journal entries (rows + bitmaps)
-  uint64_t meta_epoch_rejections = 0; // persisted rows refused by the floor
-  uint64_t meta_cold_resets = 0;      // dirty/corrupt/mismatched starts
-  uint64_t meta_journal_flushes = 0;  // write-behind batches committed
-  uint64_t meta_gc_rows = 0;          // persisted rows GC'd for removed objects
-  uint64_t meta_kv_wal_bytes = 0;         // plane WAL bytes written
-  uint64_t meta_kv_wal_commits = 0;       // plane WAL commits
-  uint64_t meta_kv_flush_bytes = 0;       // plane memtable-flush bytes
-  uint64_t meta_kv_compaction_bytes = 0;  // plane compaction bytes
-  // Compression-stage counters, mirrored from the format's CompressStats
-  // (all zero with compression off). stored/in is the achieved physical
-  // ratio; verbatim blocks count toward in/stored at full block size.
-  uint64_t compress_in_bytes = 0;         // plaintext bytes offered
-  uint64_t compress_stored_bytes = 0;     // ciphertext bytes stored
-  uint64_t compress_blocks = 0;           // blocks stored compressed
-  uint64_t compress_verbatim_blocks = 0;  // blocks stored verbatim
-  uint64_t compress_expanded_blocks = 0;  // blocks decompressed on read
-
-  // after - before for every monotonic counter; qos_peak_queue carries the
-  // `after` high-water mark unchanged.
-  static ImageStats Delta(const ImageStats& after, const ImageStats& before);
-};
-
-// Exports every ImageStats field into a metrics node (one counter each).
-void ExportImageStats(const ImageStats& s, obs::Metrics& node);
-
 class Image {
  public:
   // Creates the image: generates a master key, formats the LUKS-like
@@ -288,9 +173,6 @@ class Image {
   StripeRun MapOffset(uint64_t off) const;
   const core::EncryptionSpec& spec() const { return options_.enc; }
   const std::string& name() const { return name_; }
-  // Snapshot of the image's IO counters; the qos_* fields are pulled from
-  // the shared scheduler's per-tenant stats at call time.
-  ImageStats stats() const;
   const Writeback& writeback() const { return *writeback_; }
   const IvCache& iv_cache() const { return *iv_cache_; }
   const TrimState& trim_state() const { return *trim_state_; }
@@ -300,8 +182,14 @@ class Image {
   obs::Plane& obs() const { return *obs_plane_; }
   // Full metrics snapshot: image counters, write-back/qos/obs state, the
   // cluster's store+device totals, and the sim core model — the one
-  // walkable tree replacing per-layer stats plumbing.
+  // walkable tree replacing per-layer stats plumbing. The `image` node
+  // holds the request counters below plus the IV cache, trim state,
+  // metadata plane + KV, codec and qos-tenant counters, all zero when
+  // that component is off.
   void ExportMetrics(obs::Metrics& root) const;
+  // ExportMetrics into a fresh root: the snapshots FioRunner deltas, and
+  // how tests and benches read a counter ("image.writes").
+  obs::Metrics MetricsSnapshot() const;
   rados::Cluster& cluster() const { return cluster_; }
   // IoCtx carrying this image's cluster-QoS tenant tag. All image-issued
   // RADOS ops must go through this (not cluster().ioctx()) so mClock can
@@ -366,7 +254,23 @@ class Image {
   bool encrypted_ = false;
   bool closed_ = false;
   std::deque<std::pair<uint64_t, std::string>> snaps_;  // newest first
-  ImageStats stats_;
+  // Request-path counters, kept by ImageRequest and Writeback.
+  struct Counters {
+    uint64_t writes = 0;
+    uint64_t reads = 0;
+    uint64_t discards = 0;  // discard + write-zeroes requests
+    uint64_t flushes = 0;
+    uint64_t bytes_written = 0;
+    uint64_t bytes_read = 0;
+    uint64_t bytes_discarded = 0;
+    uint64_t rmw_blocks = 0;  // partial blocks read back for merge
+    uint64_t rmw_merged = 0;  // RMW edge reads served from the staging
+                              // buffer (store read avoided)
+    uint64_t wb_hits = 0;     // writes absorbed into an existing stage
+    uint64_t wb_stages = 0;   // staged-block creations
+    uint64_t wb_flushes = 0;  // staged-block flush transactions
+  };
+  Counters counters_;
   qos::TenantId qos_tenant_ = 0;  // valid while options_.qos_scheduler set
 
   uint64_t next_write_seq_ = 0;

@@ -251,7 +251,7 @@ sim::Task<void> ImageRequest::Run(std::unique_ptr<ImageRequest> self) {
   Status status = co_await self->Execute();
   if (self->seq_assigned_) self->image_.EndWriteIo(self->write_seq_);
   if (status.ok()) {
-    ImageStats& stats = self->image_.stats_;
+    Image::Counters& stats = self->image_.counters_;
     switch (self->kind_) {
       case IoKind::kRead:
         stats.reads++;
@@ -573,13 +573,13 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
     if (const Bytes* staged =
             wb.Staged(chunk.cover.object_no, e.ext.first_block)) {
       std::memcpy(e.out.data(), staged->data(), kBlockSize);
-      image_.stats_.rmw_merged++;
+      image_.counters_.rmw_merged++;
     } else {
       from_store.push_back(e);
     }
   }
   if (from_store.empty()) co_return Status::Ok();
-  image_.stats_.rmw_blocks += from_store.size();
+  image_.counters_.rmw_blocks += from_store.size();
 
   core::EncryptionFormat& fmt = *image_.format_;
   // RMW reads merge into the head: load + thread the discard bitmap.

@@ -106,7 +106,7 @@ sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
   // (and a resident cleared marker skips the store outright).
   CachedExtentRead plan(image_.iv_cache_.get(), fmt, ext, zeros);
   plan.AppendOps(txn);
-  image_.stats_.rmw_blocks++;
+  image_.counters_.rmw_blocks++;
   if (plan.zero_fill()) {
     VDE_CO_RETURN_IF_ERROR(plan.Finish(objstore::ReadResult{}, out));
     co_return Status::Ok();
@@ -149,12 +149,12 @@ sim::Task<Status> Writeback::StageWrite(uint64_t object_no, uint64_t block,
         // block — the next window coalesces on top of it with no re-read.
         VDE_CO_RETURN_IF_ERROR(co_await WriteOutStage(object_no, block,
                                                       stage));
-        image_.stats_.wb_flushes++;
+        image_.counters_.wb_flushes++;
         stage.window_start = sim::Scheduler::Current().now();
       }
       std::memcpy(stage.data.data() + offset_in_block, bytes.data(),
                   bytes.size());
-      image_.stats_.wb_hits++;
+      image_.counters_.wb_hits++;
       co_return Status::Ok();
     }
   }
@@ -170,7 +170,7 @@ sim::Task<Status> Writeback::StageWrite(uint64_t object_no, uint64_t block,
   stage.window_start = sim::Scheduler::Current().now();
   objects_[object_no].stages.emplace(block, std::move(stage));
   staged_count_++;
-  image_.stats_.wb_stages++;
+  image_.counters_.wb_stages++;
   stage_fifo_.emplace_back(object_no, block);
   // Entries whose stage was flushed or dropped linger in the fifo (lazy
   // pruning); compact before it can grow without bound.
@@ -306,7 +306,7 @@ sim::Task<Status> Writeback::FlushLocked(uint64_t object_no, uint64_t block) {
   if (st == it->second.stages.end()) co_return Status::Ok();
   VDE_CO_RETURN_IF_ERROR(co_await WriteOutStage(object_no, block, st->second));
   EraseStage(object_no, block);
-  image_.stats_.wb_flushes++;
+  image_.counters_.wb_flushes++;
   co_return Status::Ok();
 }
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <optional>
 
+#include "obs/trace.h"
+
 namespace vde::workload {
 
 namespace {
@@ -38,6 +40,90 @@ Status FioConfig::Validate() const {
   return Status::Ok();
 }
 
+namespace {
+
+// One value of a Summary() segment, read from the metrics delta: a
+// counter or gauge, or the mean of a histogram (skipped while empty).
+struct Field {
+  std::string label;
+  std::string path;
+  const char* fmt = "%.0f";
+  double scale = 1;      // printed value = raw / scale ...
+  std::string per = {};  // ... / the counter at `per`, when set
+};
+
+struct Segment {
+  std::string name;
+  std::vector<Field> fields;
+};
+
+// Every Summary() segment with the registry paths it renders. A segment
+// prints when any of its counters or histograms moved in the window;
+// gauges (space, peak queue) only ride along.
+std::vector<Segment> SummaryTable(const obs::Metrics& m,
+                                  sim::SimTime duration) {
+  constexpr double kMiB = 1 << 20;
+  const double ns_per_pct =
+      static_cast<double>(std::max<sim::SimTime>(duration, 1)) / 100;
+  std::vector<Field> cores;
+  for (size_t i = 0;; ++i) {
+    const std::string busy = "sim.core" + std::to_string(i) + "_busy_ns";
+    if (m.FindCounter(busy) == nullptr) break;
+    cores.push_back({"cpu" + std::to_string(i), busy, "%.0f%%", ns_per_pct});
+  }
+  std::vector<Field> stages;
+  for (size_t s = 0; s < obs::kNumStages; ++s) {
+    const char* stage = obs::StageName(static_cast<obs::Stage>(s));
+    stages.push_back(
+        {stage, std::string("obs.stage_") + stage + "_ns", "%.1f", 1e3});
+  }
+  return {
+      {"wb",
+       {{"stages", "image.wb_stages"}, {"hits", "image.wb_hits"},
+        {"flushes", "image.wb_flushes"}, {"rmw", "image.rmw_blocks"},
+        {"rmw_merged", "image.rmw_merged"}}},
+      {"iv",
+       {{"hits", "image.iv_hits"}, {"misses", "image.iv_misses"},
+        {"evictions", "image.iv_evictions"},
+        {"invalidations", "image.iv_invalidations"},
+        {"meta_saved", "image.iv_meta_bytes_saved"},
+        {"meta_fetched", "image.iv_meta_bytes_fetched"}}},
+      {"trim",
+       {{"zero_reads", "image.trim_zero_reads"},
+        {"bmp_updates", "image.trim_bitmap_updates"},
+        {"loads", "image.trim_state_loads"}}},
+      {"compress",
+       {{"ratio", "image.compress_stored_bytes", "%.2f", 1,
+         "image.compress_in_bytes"},
+        {"blocks", "image.compress_blocks"},
+        {"verbatim", "image.compress_verbatim_blocks"},
+        {"expanded", "image.compress_expanded_blocks"}}},
+      {"qos",
+       {{"submitted", "image.qos_submitted"}, {"queued", "image.qos_queued"},
+        {"throttled", "image.qos_throttled"},
+        {"peak_q", "image.qos_peak_queue"},
+        {"wait_ms", "image.qos_wait_ns", "%.1f", 1e6}}},
+      {"meta",
+       {{"warm", "image.meta_warm_hits"}, {"rows", "image.meta_recovered_rows"},
+        {"spills", "image.meta_spills"},
+        {"flushes", "image.meta_journal_flushes"},
+        {"epoch_rej", "image.meta_epoch_rejections"},
+        {"cold", "image.meta_cold_resets"}, {"gc", "image.meta_gc_rows"},
+        {"wal_kb", "image.meta_kv_wal_bytes", "%.1f", 1024},
+        {"comp_kb", "image.meta_kv_compaction_bytes", "%.1f", 1024}}},
+      {"store",
+       {{"trims", "cluster.store.trim_ops"},
+        {"free_mb", "cluster.space.free_bytes", "%.1f", kMiB},
+        {"punched_mb", "cluster.space.punched_bytes", "%.1f", kMiB},
+        {"frags", "cluster.space.fragments"},
+        {"punched_frags", "cluster.space.punched_fragments"}}},
+      {"cores", std::move(cores)},
+      {"stages_us", std::move(stages)},
+  };
+}
+
+}  // namespace
+
 std::string FioResult::Summary() const {
   char buf[256];
   std::snprintf(
@@ -51,109 +137,28 @@ std::string FioResult::Summary() const {
       latency_ns.Percentile(50) / 1e3, latency_ns.Percentile(99) / 1e3,
       static_cast<double>(latency_ns.max()) / 1e3);
   std::string out = buf;
-  if (image.wb_stages + image.wb_hits + image.wb_flushes +
-          image.rmw_merged > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " wb[stages=%llu hits=%llu flushes=%llu rmw_merged=%llu]",
-                  static_cast<unsigned long long>(image.wb_stages),
-                  static_cast<unsigned long long>(image.wb_hits),
-                  static_cast<unsigned long long>(image.wb_flushes),
-                  static_cast<unsigned long long>(image.rmw_merged));
-    out += buf;
-  }
-  if (image.iv_hits + image.iv_misses > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " iv[hits=%llu misses=%llu meta_saved=%llu "
-                  "meta_fetched=%llu]",
-                  static_cast<unsigned long long>(image.iv_hits),
-                  static_cast<unsigned long long>(image.iv_misses),
-                  static_cast<unsigned long long>(image.iv_meta_bytes_saved),
-                  static_cast<unsigned long long>(image.iv_meta_bytes_fetched));
-    out += buf;
-  }
-  if (image.trim_zero_reads + image.trim_bitmap_updates +
-          image.trim_state_loads > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " trim[zero_reads=%llu bmp_updates=%llu loads=%llu]",
-                  static_cast<unsigned long long>(image.trim_zero_reads),
-                  static_cast<unsigned long long>(image.trim_bitmap_updates),
-                  static_cast<unsigned long long>(image.trim_state_loads));
-    out += buf;
-  }
-  if (image.compress_in_bytes > 0 || image.compress_expanded_blocks > 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        " compress[ratio=%.2f blocks=%llu verbatim=%llu expanded=%llu]",
-        image.compress_in_bytes == 0
-            ? 0.0
-            : static_cast<double>(image.compress_stored_bytes) /
-                  static_cast<double>(image.compress_in_bytes),
-        static_cast<unsigned long long>(image.compress_blocks),
-        static_cast<unsigned long long>(image.compress_verbatim_blocks),
-        static_cast<unsigned long long>(image.compress_expanded_blocks));
-    out += buf;
-  }
-  if (discards > 0) {
-    // Reclamation gauges: what the TRIMs actually freed cluster-wide.
-    std::snprintf(buf, sizeof(buf),
-                  " store[free_mb=%.1f punched_mb=%.1f frags=%llu+%llu]",
-                  static_cast<double>(store.free_bytes) / (1 << 20),
-                  static_cast<double>(store.punched_bytes) / (1 << 20),
-                  static_cast<unsigned long long>(store.fragments),
-                  static_cast<unsigned long long>(store.punched_fragments));
-    out += buf;
-  }
-  if (!core_util.empty()) {
-    std::string seg = " cores[";
-    for (size_t i = 0; i < core_util.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%.0f%%", i == 0 ? "" : " ",
-                    core_util[i] * 100.0);
-      seg += buf;
+  for (const Segment& seg : SummaryTable(metrics, duration)) {
+    std::string text;
+    bool moved = false;
+    for (const Field& f : seg.fields) {
+      const uint64_t* counter = metrics.FindCounter(f.path);
+      const double* gauge = metrics.FindGauge(f.path);
+      const Histogram* hist = metrics.FindHist(f.path);
+      if (hist != nullptr && hist->count() == 0) continue;
+      moved = moved || hist != nullptr || (counter != nullptr && *counter > 0);
+      double v = counter != nullptr ? static_cast<double>(*counter)
+                 : gauge != nullptr ? *gauge
+                 : hist != nullptr  ? hist->Mean()
+                                    : 0;
+      v /= f.scale;
+      if (!f.per.empty()) {
+        const double den = static_cast<double>(metrics.CounterOr(f.per));
+        v = den > 0 ? v / den : 0;
+      }
+      std::snprintf(buf, sizeof(buf), f.fmt, v);
+      text += (text.empty() ? "" : " ") + f.label + "=" + buf;
     }
-    seg += "]";
-    out += seg;
-  }
-  if (image.qos_submitted > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " qos[queued=%llu throttled=%llu peak_q=%llu wait_ms=%.1f]",
-                  static_cast<unsigned long long>(image.qos_queued),
-                  static_cast<unsigned long long>(image.qos_throttled),
-                  static_cast<unsigned long long>(image.qos_peak_queue),
-                  static_cast<double>(image.qos_wait_ns) / 1e6);
-    out += buf;
-  }
-  if (image.meta_warm_hits + image.meta_recovered_rows + image.meta_spills +
-          image.meta_kv_wal_commits > 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        " meta[warm=%llu rows=%llu spills=%llu epoch_rej=%llu gc=%llu "
-        "wal_kb=%llu comp_kb=%llu]",
-        static_cast<unsigned long long>(image.meta_warm_hits),
-        static_cast<unsigned long long>(image.meta_recovered_rows),
-        static_cast<unsigned long long>(image.meta_spills),
-        static_cast<unsigned long long>(image.meta_epoch_rejections),
-        static_cast<unsigned long long>(image.meta_gc_rows),
-        static_cast<unsigned long long>(image.meta_kv_wal_bytes >> 10),
-        static_cast<unsigned long long>(image.meta_kv_compaction_bytes >> 10));
-    out += buf;
-  }
-  if (has_stages) {
-    // Mean exclusive time per op in each stage — the per-op latency budget
-    // breakdown (sums to the mean end-to-end latency by construction).
-    std::string seg = " stages_us[";
-    bool first = true;
-    for (size_t s = 0; s < obs::kNumStages; ++s) {
-      if (stage_latency[s].count() == 0) continue;
-      const double mean_us =
-          static_cast<double>(stage_latency[s].sum()) /
-          static_cast<double>(stage_latency[s].count()) / 1e3;
-      std::snprintf(buf, sizeof(buf), "%s%s=%.1f", first ? "" : " ",
-                    obs::StageName(static_cast<obs::Stage>(s)), mean_us);
-      seg += buf;
-      first = false;
-    }
-    seg += "]";
-    if (!first) out += seg;
+    if (moved) out += " " + seg.name + "[" + text + "]";
   }
   return out;
 }
@@ -177,40 +182,6 @@ std::string FioResult::ToJson() const {
                 Iops());
   out += buf;
   out += "\"latency_ns\":" + latency_ns.ToJson();
-  if (image.compress_in_bytes > 0 || image.compress_expanded_blocks > 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\"compress\":{\"in_bytes\":%llu,\"stored_bytes\":%llu,"
-        "\"blocks\":%llu,\"verbatim_blocks\":%llu,\"expanded_blocks\":%llu}",
-        static_cast<unsigned long long>(image.compress_in_bytes),
-        static_cast<unsigned long long>(image.compress_stored_bytes),
-        static_cast<unsigned long long>(image.compress_blocks),
-        static_cast<unsigned long long>(image.compress_verbatim_blocks),
-        static_cast<unsigned long long>(image.compress_expanded_blocks));
-    out += buf;
-  }
-  if (!core_util.empty()) {
-    out += ",\"core_util\":[";
-    for (size_t i = 0; i < core_util.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%.6g", i == 0 ? "" : ",",
-                    core_util[i]);
-      out += buf;
-    }
-    out += "]";
-  }
-  if (has_stages) {
-    out += ",\"stages_ns\":{";
-    bool first = true;
-    for (size_t s = 0; s < obs::kNumStages; ++s) {
-      if (stage_latency[s].count() == 0) continue;
-      if (!first) out += ",";
-      out += "\"";
-      out += obs::StageName(static_cast<obs::Stage>(s));
-      out += "\":" + stage_latency[s].ToJson();
-      first = false;
-    }
-    out += "}";
-  }
   if (!metrics.empty()) {
     out += ",\"metrics\":";
     metrics.AppendJson(out);
@@ -466,8 +437,7 @@ sim::Task<void> FioRunner::Worker(size_t worker_id, FioResult* result,
       // First measured op: open the timing window at steady state.
       measuring_ = true;
       measure_start_ = sim::Scheduler::Current().now();
-      busy_at_start_ = sim::Scheduler::Current().core_busy_ns();
-      stages_at_start_ = image_.obs().StageSnapshot();
+      window_open_ = image_.MetricsSnapshot();
     }
     const uint64_t offset = NextOffset();
     const bool do_discard =
@@ -567,9 +537,9 @@ sim::Task<Result<FioResult>> FioRunner::Run() {
   stop_ = false;
   measure_start_ = sim::Scheduler::Current().now();
   measure_end_ = measure_start_;
-  busy_at_start_ = sim::Scheduler::Current().core_busy_ns();
-  stages_at_start_ = image_.obs().StageSnapshot();
-  const rbd::ImageStats stats_before = image_.stats();
+  // Replaced when the first measured op opens the window; a run stopped
+  // before that reports its deltas from here.
+  window_open_ = image_.MetricsSnapshot();
 
   std::vector<sim::Task<void>> workers;
   for (size_t w = 0; w < config_.queue_depth; ++w) {
@@ -577,35 +547,10 @@ sim::Task<Result<FioResult>> FioRunner::Run() {
   }
   co_await sim::WhenAll(std::move(workers));
 
+  // Ops straddling the window's opening land on whichever side completed
+  // them, for every counter and histogram alike.
   result.duration = measure_end_ - measure_start_;
-  result.image = rbd::ImageStats::Delta(image_.stats(), stats_before);
-  result.store = image_.cluster().TotalStoreSpace();
-  if (image_.obs().enabled()) {
-    // Stage breakdown over the measured window: whatever the plane
-    // accumulated since the window opened (ops straddling the warmup
-    // boundary land on whichever side completed them — same convention as
-    // the image counter delta above).
-    const std::array<Histogram, obs::kNumStages> now_stages =
-        image_.obs().StageSnapshot();
-    for (size_t s = 0; s < obs::kNumStages; ++s) {
-      result.stage_latency[s] = now_stages[s].DeltaSince(stages_at_start_[s]);
-    }
-    result.has_stages = true;
-  }
-  image_.ExportMetrics(result.metrics);
-  // Per-core utilization over the measured window (core model only; the
-  // busy counters monotonically accumulate, so the delta is this run's).
-  const std::vector<sim::SimTime>& busy_now =
-      sim::Scheduler::Current().core_busy_ns();
-  if (!busy_now.empty() && result.duration > 0 &&
-      busy_at_start_.size() == busy_now.size()) {
-    result.core_util.resize(busy_now.size());
-    for (size_t i = 0; i < busy_now.size(); ++i) {
-      result.core_util[i] = static_cast<double>(busy_now[i] -
-                                                busy_at_start_[i]) /
-                            static_cast<double>(result.duration);
-    }
-  }
+  result.metrics = image_.MetricsSnapshot().DeltaSince(window_open_);
   if (!status.ok()) co_return status;
   co_return result;
 }

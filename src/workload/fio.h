@@ -8,13 +8,11 @@
 // 8 KiB+512 accesses). A discard percentage mixes TRIM into any pattern.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rbd/image.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -89,25 +87,11 @@ struct FioResult {
   uint64_t bytes = 0;
   sim::SimTime duration = 0;
   Histogram latency_ns;
-  // Per-image counter delta over the whole run (warmup included): the
-  // write-back and QoS behavior behind the measured numbers. The qos peak
-  // field is a high-water mark, not a delta.
-  rbd::ImageStats image;
-  // Cluster-wide allocator capacity at the end of the run (gauges, not
-  // deltas): free/punched bytes and fragmentation — what a TRIM-heavy run
-  // actually reclaimed. Summary() prints it when discards were issued.
-  objstore::StoreSpace store;
-  // Fraction of the measured window each simulated core spent busy, in
-  // core order. Empty when the sim's N-core CPU model is disabled.
-  std::vector<double> core_util;
-  // Per-stage exclusive latency histograms over the measured window,
-  // indexed by obs::Stage — where each op's end-to-end time was actually
-  // spent (queue wait, write-back, crypto, store, device). Populated only
-  // when the image was opened with observability enabled (has_stages).
-  std::array<Histogram, obs::kNumStages> stage_latency;
-  bool has_stages = false;
-  // Full metrics-registry snapshot at the end of the run: image counters,
-  // qos, cluster store/space/device totals, obs plane, and sim core state.
+  // Metrics-registry delta over the measured window (Metrics::DeltaSince
+  // of the snapshots taken when the first measured op is issued and after
+  // the run): image, qos, obs stage histograms, cluster store/device and
+  // sim core counters count only that window; gauges (cluster space,
+  // qos_peak_queue) hold their end-of-run value.
   obs::Metrics metrics;
 
   double BandwidthMBps() const {
@@ -121,12 +105,13 @@ struct FioResult {
                : static_cast<double>(ops) * 1e9 / static_cast<double>(duration);
   }
   // One-line human-readable digest: throughput plus p50/p99/max latency
-  // from the (warmup-excluded) histogram, the read/write split for mixed
-  // runs, and — when active — the write-back and QoS counters.
+  // from the (warmup-excluded) histogram, the read/write split, and one
+  // bracketed segment per active layer (wb, iv, trim, compress, qos, meta,
+  // store, cores, stages_us), each rendered from `metrics`.
   std::string Summary() const;
 
-  // Machine-readable result: throughput, latency percentiles, the
-  // per-stage breakdown (when present), and the full metrics registry.
+  // Machine-readable result: throughput, latency percentiles, and the
+  // metrics delta (which carries the codec, core and stage breakdowns).
   std::string ToJson() const;
 };
 
@@ -197,10 +182,7 @@ class FioRunner {
   uint64_t measured_done_ = 0;
   sim::SimTime measure_start_ = 0;
   sim::SimTime measure_end_ = 0;
-  std::vector<sim::SimTime> busy_at_start_;  // core busy_ns at window open
-  // Obs-plane stage histograms at window open (DeltaSince at close gives
-  // the measured-window breakdown without per-op bookkeeping here).
-  std::array<Histogram, obs::kNumStages> stages_at_start_;
+  obs::Metrics window_open_;  // registry snapshot at window open
 };
 
 // One tenant of a multi-image run: a name for reporting, the image to

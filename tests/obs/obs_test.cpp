@@ -65,6 +65,64 @@ TEST(Metrics, EmptyAndEscaping) {
   EXPECT_EQ(JsonEscape(std::string("\x01", 1)), "\\u0001");
 }
 
+// Byte-sized gauges above 10^6 must keep every digit: allocated space is
+// the difference of two such gauges.
+TEST(Metrics, LargeGaugeRendersExactly) {
+  Metrics root;
+  root.Child("space").Gauge("free_bytes", 1099511627776.0);
+  root.Gauge("ratio", 0.25);
+  EXPECT_NE(root.ToJson().find("\"free_bytes\":1099511627776}"),
+            std::string::npos)
+      << root.ToJson();
+  EXPECT_NE(root.ToText().find("space.free_bytes = 1099511627776\n"),
+            std::string::npos)
+      << root.ToText();
+  EXPECT_NE(root.ToText().find("ratio = 0.25\n"), std::string::npos);
+}
+
+TEST(Metrics, DeltaSinceSubtractsCountersAndHistograms) {
+  Histogram h;
+  h.Add(100);
+  h.Add(200);
+  Metrics before;
+  before.Counter("writes", 10);
+  before.Gauge("free", 500);
+  before.Hist("lat", h);
+  before.Child("cluster").Counter("txns", 4);
+
+  h.Add(1000);
+  Metrics after;
+  after.Counter("writes", 25);
+  after.Gauge("free", 300);
+  after.Hist("lat", h);
+  after.Child("cluster").Counter("txns", 9);
+  after.Child("cluster").Counter("new_counter", 6);
+  Histogram fresh;
+  fresh.Add(7);
+  after.Child("cluster").Hist("fresh", fresh);
+  after.Child("late").Counter("n", 3);
+
+  const Metrics d = after.DeltaSince(before);
+  EXPECT_EQ(d.CounterOr("writes"), 15u);
+  ASSERT_NE(d.FindGauge("free"), nullptr);
+  EXPECT_DOUBLE_EQ(*d.FindGauge("free"), 300) << "gauges keep the later value";
+  ASSERT_NE(d.FindHist("lat"), nullptr);
+  EXPECT_EQ(d.FindHist("lat")->count(), 1u);
+  EXPECT_EQ(d.FindHist("lat")->sum(), 1000u);
+  EXPECT_EQ(d.CounterOr("cluster.txns"), 5u);
+  // Entries present only in `after` count from zero.
+  EXPECT_EQ(d.CounterOr("cluster.new_counter"), 6u);
+  ASSERT_NE(d.FindHist("cluster.fresh"), nullptr);
+  EXPECT_EQ(d.FindHist("cluster.fresh")->count(), 1u);
+  EXPECT_EQ(d.CounterOr("late.n"), 3u);
+  // Nothing moved: every counter and histogram of the delta is zero.
+  const Metrics none = after.DeltaSince(after);
+  EXPECT_EQ(none.CounterOr("writes", 99), 0u);
+  EXPECT_EQ(none.CounterOr("cluster.new_counter", 99), 0u);
+  EXPECT_EQ(none.FindHist("lat")->count(), 0u);
+  EXPECT_DOUBLE_EQ(*none.FindGauge("free"), 300);
+}
+
 // --- Tracer ring ---
 
 TEST(Tracer, RingBoundAndDropCount) {

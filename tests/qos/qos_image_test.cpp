@@ -19,6 +19,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 using testutil::RunSim;
 using workload::FioConfig;
 using workload::FioResult;
@@ -65,7 +67,7 @@ core::EncryptionSpec ObjectEndSpec() {
 // the zero-overhead passthrough requirement.
 struct WorkloadOutcome {
   FioResult result;
-  ImageStats stats;
+  obs::Metrics stats;
   bool ok = false;
 };
 
@@ -90,7 +92,7 @@ sim::Task<void> RunWorkload(std::shared_ptr<qos::Scheduler> qos,
   CO_ASSERT_OK(co_await (*image)->Flush());
   co_await (*cluster)->Drain();
   out->result = std::move(*result);
-  out->stats = (*image)->stats();
+  out->stats = (*image)->MetricsSnapshot();
   out->ok = true;
 }
 
@@ -126,8 +128,9 @@ TEST(QosImage, DisabledPolicyIsBitIdenticalToNoScheduler) {
   EXPECT_EQ(end_none, end_passthrough) << "passthrough added sim work";
   EXPECT_EQ(none.result.duration, passthrough.result.duration);
   EXPECT_EQ(none.result.latency_ns.max(), passthrough.result.latency_ns.max());
-  EXPECT_EQ(none.stats.reads, passthrough.stats.reads);
-  EXPECT_EQ(passthrough.stats.qos_submitted, 0u);
+  EXPECT_EQ(ImageCounter(none.stats, "reads"),
+            ImageCounter(passthrough.stats, "reads"));
+  EXPECT_EQ(ImageCounter(passthrough.stats, "qos_submitted"), 0u);
 }
 
 TEST(QosImage, LostUpdateRegressionHoldsThroughEnabledQos) {
@@ -170,7 +173,7 @@ TEST(QosImage, LostUpdateRegressionHoldsThroughEnabledQos) {
     EXPECT_TRUE(std::all_of(got->begin() + 1024, got->begin() + 1536,
                             [](uint8_t v) { return v == 0xBB; }))
         << "second write lost";
-    EXPECT_GT(img.stats().qos_submitted, 0u);
+    EXPECT_GT(ImageCounter(img, "qos_submitted"), 0u);
   });
 }
 
@@ -207,9 +210,9 @@ TEST(QosImage, VerifyFioMutatingThroughThrottledQos) {
     EXPECT_EQ(result->ops, 192u);
     EXPECT_GT(result->read_ops, 0u);
     EXPECT_GT(result->write_ops, 0u);
-    const ImageStats stats = (*image)->stats();
-    EXPECT_GT(stats.qos_submitted, 0u);
-    EXPECT_GT(stats.qos_throttled, 0u);
+    const obs::Metrics stats = (*image)->MetricsSnapshot();
+    EXPECT_GT(ImageCounter(stats, "qos_submitted"), 0u);
+    EXPECT_GT(ImageCounter(stats, "qos_throttled"), 0u);
     CO_ASSERT_OK(co_await (*image)->Flush());
   });
 }
@@ -239,7 +242,7 @@ TEST(QosImage, IopsCeilingBoundsMeasuredThroughput) {
     // 100 ops at <= 2000 IOPS need >= ~50 ms of simulated time; allow the
     // one-op burst headroom.
     EXPECT_LE(result->Iops(), 2100.0);
-    EXPECT_GT((*image)->stats().qos_throttled, 0u);
+    EXPECT_GT(ImageCounter(**image, "qos_throttled"), 0u);
     CO_ASSERT_OK(co_await (*image)->Flush());
   });
 }
@@ -268,7 +271,9 @@ TEST(QosImage, DepthCapBoundsInflightBelowGuestQueueDepth) {
     const qos::TenantStats& ts = qos->stats((*image)->qos_tenant());
     EXPECT_EQ(ts.peak_inflight, 2u) << "depth cap not enforced";
     EXPECT_GT(ts.depth_deferred, 0u);
-    EXPECT_GT((*image)->stats().qos_peak_queue, 0u);
+    const obs::Metrics m = (*image)->MetricsSnapshot();
+    CO_ASSERT_TRUE(m.FindGauge("image.qos_peak_queue") != nullptr);
+    EXPECT_GT(*m.FindGauge("image.qos_peak_queue"), 0.0);
     CO_ASSERT_OK(co_await (*image)->Flush());
   });
 }

@@ -14,6 +14,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 
@@ -89,7 +91,7 @@ TEST_P(AioAllLayouts, SubBlockWriteRoundTrips) {
     CO_ASSERT_OK(co_await img.Write(patch_off, patch));
     std::copy(patch.begin(), patch.end(),
               model.begin() + static_cast<long>(patch_off));
-    EXPECT_GT(img.stats().rmw_blocks, 0u);
+    EXPECT_GT(ImageCounter(img, "rmw_blocks"), 0u);
 
     auto got = co_await img.Read(0, model.size());
     CO_ASSERT_OK(got.status());
@@ -197,8 +199,8 @@ TEST_P(AioAllLayouts, DiscardThenReadZeroes) {
     auto got = co_await img.Read(0, model.size());
     CO_ASSERT_OK(got.status());
     CO_ASSERT_TRUE(*got == model);
-    EXPECT_EQ(img.stats().discards, 2u);
-    EXPECT_EQ(img.stats().bytes_discarded, kObjSize + len);
+    EXPECT_EQ(ImageCounter(img, "discards"), 2u);
+    EXPECT_EQ(ImageCounter(img, "bytes_discarded"), kObjSize + len);
   });
 }
 
@@ -257,7 +259,7 @@ TEST_P(AioAllLayouts, FlushOrdering) {
     CO_ASSERT_OK(flush->status());
     CO_ASSERT_TRUE(flush_saw_all_writes);
     for (const auto& w : writes) CO_ASSERT_OK(w->status());
-    EXPECT_EQ(img.stats().flushes, 1u);
+    EXPECT_EQ(ImageCounter(img, "flushes"), 1u);
     // An idle-image flush resolves immediately.
     CO_ASSERT_OK(co_await img.Flush());
   });

@@ -16,6 +16,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
@@ -109,11 +111,13 @@ TEST_P(CompressedImageMatrix, MutatingVerifyFio) {
     auto result = co_await runner.Run();
     CO_ASSERT_OK(result.status());
 
-    const ImageStats s = (*image)->stats();
-    EXPECT_GT(s.compress_blocks, 0u) << "60%-runs must compress";
-    EXPECT_GT(s.compress_in_bytes, s.compress_stored_bytes)
+    const obs::Metrics s = (*image)->MetricsSnapshot();
+    EXPECT_GT(ImageCounter(s, "compress_blocks"), 0u)
+        << "60%-runs must compress";
+    EXPECT_GT(ImageCounter(s, "compress_in_bytes"),
+              ImageCounter(s, "compress_stored_bytes"))
         << "stored bytes must shrink below logical bytes";
-    EXPECT_GT(s.compress_expanded_blocks, 0u)
+    EXPECT_GT(ImageCounter(s, "compress_expanded_blocks"), 0u)
         << "verified reads must decompress stored blocks";
     co_await (*cluster)->Drain();
   });
@@ -145,9 +149,9 @@ TEST(CompressedImage, ShortCiphertextsPunchCapacity) {
     const uint64_t punched_delta = after.punched_bytes - before.punched_bytes;
     EXPECT_GE(punched_delta, data.size() * 7 / 8);
 
-    const ImageStats s = (*image)->stats();
-    EXPECT_EQ(s.compress_blocks, 64u);
-    EXPECT_EQ(s.compress_verbatim_blocks, 0u);
+    const obs::Metrics s = (*image)->MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(s, "compress_blocks"), 64u);
+    EXPECT_EQ(ImageCounter(s, "compress_verbatim_blocks"), 0u);
   });
 }
 
@@ -198,10 +202,10 @@ TEST(CompressedImage, WarmReopenKeepsCompressedLengths) {
     auto got = co_await img.Read(0, data.size());
     CO_ASSERT_OK(got.status());
     EXPECT_EQ(*got, data);
-    const ImageStats s = img.stats();
-    EXPECT_EQ(s.iv_meta_bytes_fetched, 0u)
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(s, "iv_meta_bytes_fetched"), 0u)
         << "warm reopen must serve compressed lengths from the local plane";
-    EXPECT_GT(s.compress_expanded_blocks, 0u)
+    EXPECT_GT(ImageCounter(s, "compress_expanded_blocks"), 0u)
         << "compressed blocks must decompress off locally-served headers";
     CO_ASSERT_OK(co_await img.Close());
   });
@@ -230,8 +234,8 @@ TEST(CompressedImage, ReopenedImageKeepsCompressing) {
     auto got = co_await (*reopened)->Read(0, data.size());
     CO_ASSERT_OK(got.status());
     EXPECT_EQ(*got, data);
-    const ImageStats s = (*reopened)->stats();
-    EXPECT_EQ(s.compress_blocks, 4u)
+    const obs::Metrics s = (*reopened)->MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(s, "compress_blocks"), 4u)
         << "the persisted header must re-enable the codec on open";
     co_await (*cluster)->Drain();
   });
@@ -297,10 +301,10 @@ void OffRunAndClock(sim::SimTime* clock, uint64_t* events) {
       EXPECT_NE(s.stage, obs::Stage::kCompress)
           << "compression off must never open a compress span";
     }
-    const ImageStats st = (*image)->stats();
-    EXPECT_EQ(st.compress_in_bytes, 0u);
-    EXPECT_EQ(st.compress_blocks, 0u);
-    EXPECT_EQ(st.compress_expanded_blocks, 0u);
+    const obs::Metrics st = (*image)->MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(st, "compress_in_bytes"), 0u);
+    EXPECT_EQ(ImageCounter(st, "compress_blocks"), 0u);
+    EXPECT_EQ(ImageCounter(st, "compress_expanded_blocks"), 0u);
     co_await (*cluster)->Drain();
     *ok = true;
   }(&ok));

@@ -11,6 +11,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 rados::ClusterConfig TestCluster() {
   rados::ClusterConfig c;
   c.store.journal_size = 8ull << 20;
@@ -150,7 +152,7 @@ TEST(Image, UnalignedIoSupportedViaRmw) {
     auto got = co_await img.Read(100, 4096);
     CO_ASSERT_OK(got.status());
     CO_ASSERT_TRUE(*got == data);
-    EXPECT_GT(img.stats().rmw_blocks, 0u);
+    EXPECT_GT(ImageCounter(img, "rmw_blocks"), 0u);
     // Zero-length and past-the-end IO still rejected.
     EXPECT_EQ((co_await img.Read(0, 0)).status().code(),
               StatusCode::kInvalidArgument);
@@ -457,10 +459,10 @@ TEST(Image, StatsAccumulate) {
     Rng rng(6);
     CO_ASSERT_OK(co_await img.Write(0, rng.RandomBytes(8192)));
     (void)co_await img.Read(0, 4096);
-    EXPECT_EQ(img.stats().writes, 1u);
-    EXPECT_EQ(img.stats().reads, 1u);
-    EXPECT_EQ(img.stats().bytes_written, 8192u);
-    EXPECT_EQ(img.stats().bytes_read, 4096u);
+    EXPECT_EQ(ImageCounter(img, "writes"), 1u);
+    EXPECT_EQ(ImageCounter(img, "reads"), 1u);
+    EXPECT_EQ(ImageCounter(img, "bytes_written"), 8192u);
+    EXPECT_EQ(ImageCounter(img, "bytes_read"), 4096u);
   });
 }
 

@@ -16,6 +16,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
@@ -185,23 +187,24 @@ TEST_P(IvCacheAllLayouts, ColdVsWarmRereadEquivalence) {
     auto cold = co_await img.Read(kBlk, model.size());
     CO_ASSERT_OK(cold.status());
     CO_ASSERT_TRUE(*cold == model);
-    const ImageStats after_cold = img.stats();
-    EXPECT_EQ(after_cold.iv_hits, 0u);
-    EXPECT_GT(after_cold.iv_misses, 0u);
-    EXPECT_GT(after_cold.iv_meta_bytes_fetched, 0u);
+    const obs::Metrics after_cold = img.MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(after_cold, "iv_hits"), 0u);
+    EXPECT_GT(ImageCounter(after_cold, "iv_misses"), 0u);
+    EXPECT_GT(ImageCounter(after_cold, "iv_meta_bytes_fetched"), 0u);
 
     auto warm = co_await img.Read(kBlk, model.size());
     CO_ASSERT_OK(warm.status());
     CO_ASSERT_TRUE(*warm == model);
-    const ImageStats after_warm = img.stats();
+    const obs::Metrics after_warm = img.MetricsSnapshot();
     // The interleaved layout only profits on single-block extents, so a
     // multi-block warm read stays on the full-fetch path there.
     if (spec.layout == core::IvLayout::kUnaligned) {
-      EXPECT_EQ(after_warm.iv_hits, 0u);
+      EXPECT_EQ(ImageCounter(after_warm, "iv_hits"), 0u);
     } else {
-      EXPECT_GT(after_warm.iv_hits, 0u);
-      EXPECT_GT(after_warm.iv_meta_bytes_saved, 0u);
-      EXPECT_EQ(after_warm.iv_misses, after_cold.iv_misses)
+      EXPECT_GT(ImageCounter(after_warm, "iv_hits"), 0u);
+      EXPECT_GT(ImageCounter(after_warm, "iv_meta_bytes_saved"), 0u);
+      EXPECT_EQ(ImageCounter(after_warm, "iv_misses"),
+                ImageCounter(after_cold, "iv_misses"))
           << "warm reread must not fetch metadata again";
     }
   });
@@ -227,14 +230,15 @@ TEST(IvCache, UnalignedSingleBlockRmwHits) {
     // Single-block read: profitable for unaligned, populates the row.
     auto got = co_await img.Read(0, kBlk);
     CO_ASSERT_OK(got.status());
-    const uint64_t misses_after_read = img.stats().iv_misses;
+    const uint64_t misses_after_read = ImageCounter(img, "iv_misses");
 
     const Bytes patch = rng.RandomBytes(512);
     CO_ASSERT_OK(co_await img.Write(256, patch));
     std::copy(patch.begin(), patch.end(), model.begin() + 256);
-    const ImageStats stats = img.stats();
-    EXPECT_GT(stats.iv_hits, 0u) << "RMW edge read should hit the cache";
-    EXPECT_EQ(stats.iv_misses, misses_after_read);
+    const obs::Metrics stats = img.MetricsSnapshot();
+    EXPECT_GT(ImageCounter(stats, "iv_hits"), 0u)
+        << "RMW edge read should hit the cache";
+    EXPECT_EQ(ImageCounter(stats, "iv_misses"), misses_after_read);
 
     auto reread = co_await img.Read(0, kBlk);
     CO_ASSERT_OK(reread.status());
@@ -258,10 +262,10 @@ TEST_P(IvCacheAllLayouts, DiscardInvalidatesRows) {
     CO_ASSERT_OK(co_await img.Flush());
     auto warmup = co_await img.Read(0, 4 * kBlk);  // rows resident
     CO_ASSERT_OK(warmup.status());
-    const uint64_t invalidations_before = img.stats().iv_invalidations;
+    const uint64_t invalidations_before = ImageCounter(img, "iv_invalidations");
 
     CO_ASSERT_OK(co_await img.Discard(kBlk, 2 * kBlk));  // blocks 1..2
-    EXPECT_GT(img.stats().iv_invalidations, invalidations_before);
+    EXPECT_GT(ImageCounter(img, "iv_invalidations"), invalidations_before);
 
     auto got = co_await img.Read(0, 4 * kBlk);
     CO_ASSERT_OK(got.status());
@@ -380,8 +384,8 @@ TEST(IvCache, LruEvictionUnderManyObjects) {
       models.push_back(rng.RandomBytes(kBlk));
       CO_ASSERT_OK(co_await img.Write(o * kObjSize, models.back()));
     }
-    const ImageStats stats = img.stats();
-    EXPECT_GT(stats.iv_evictions, 0u);
+    const obs::Metrics stats = img.MetricsSnapshot();
+    EXPECT_GT(ImageCounter(stats, "iv_evictions"), 0u);
     EXPECT_LE(img.iv_cache().cached_objects(), 2u);
     for (uint64_t o = 0; o < 6; ++o) {
       auto got = co_await img.Read(o * kObjSize, kBlk);
@@ -456,7 +460,9 @@ TEST_P(IvCacheAllLayouts, MutatingVerifyFioWithCacheEnabled) {
     CO_ASSERT_OK(co_await runner.Prefill());
     auto result = co_await runner.Run();
     CO_ASSERT_OK(result.status());
-    EXPECT_GT(result->image.iv_hits + result->image.iv_misses, 0u)
+    EXPECT_GT(ImageCounter(result->metrics, "iv_hits") +
+                  ImageCounter(result->metrics, "iv_misses"),
+              0u)
         << "cache consult path never engaged";
   });
 }
@@ -482,11 +488,11 @@ TEST(IvCache, DisabledCacheCountsNothing) {
     CO_ASSERT_OK(r2.status());
     CO_ASSERT_TRUE(*r1 == model);
     CO_ASSERT_TRUE(*r2 == model);
-    const ImageStats stats = img.stats();
-    EXPECT_EQ(stats.iv_hits, 0u);
-    EXPECT_EQ(stats.iv_misses, 0u);
-    EXPECT_EQ(stats.iv_meta_bytes_fetched, 0u);
-    EXPECT_EQ(stats.iv_meta_bytes_saved, 0u);
+    const obs::Metrics stats = img.MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(stats, "iv_hits"), 0u);
+    EXPECT_EQ(ImageCounter(stats, "iv_misses"), 0u);
+    EXPECT_EQ(ImageCounter(stats, "iv_meta_bytes_fetched"), 0u);
+    EXPECT_EQ(ImageCounter(stats, "iv_meta_bytes_saved"), 0u);
   });
 }
 
@@ -509,16 +515,18 @@ TEST_P(IvCacheAllLayouts, TrimmedRereadZeroFillsWithoutStoreIO) {
     co_await (*cluster)->Drain();
 
     const dev::DeviceStats dev_before = (*cluster)->TotalDeviceStats();
-    const ImageStats before = img.stats();
+    const obs::Metrics before = img.MetricsSnapshot();
     auto got = co_await img.Read(kBlk, 2 * kBlk);
     CO_ASSERT_OK(got.status());
     EXPECT_TRUE(std::all_of(got->begin(), got->end(),
                             [](uint8_t b) { return b == 0; }));
-    const ImageStats after = img.stats();
+    const obs::Metrics after = img.MetricsSnapshot();
     EXPECT_EQ((*cluster)->TotalDeviceStats().read_ops, dev_before.read_ops)
         << "trimmed reread must not touch any device";
-    EXPECT_EQ(after.iv_meta_bytes_fetched, before.iv_meta_bytes_fetched);
-    EXPECT_GT(after.trim_zero_reads, before.trim_zero_reads);
+    EXPECT_EQ(ImageCounter(after, "iv_meta_bytes_fetched"),
+              ImageCounter(before, "iv_meta_bytes_fetched"));
+    EXPECT_GT(ImageCounter(after, "trim_zero_reads"),
+              ImageCounter(before, "trim_zero_reads"));
   });
 }
 
@@ -572,7 +580,7 @@ TEST_P(IvCacheAllLayouts, FullObjectDiscardCachesMarkers) {
     EXPECT_TRUE(std::all_of(got->begin(), got->end(),
                             [](uint8_t b) { return b == 0; }));
     EXPECT_EQ((*cluster)->TotalDeviceStats().read_ops, dev_before.read_ops);
-    EXPECT_GT(img.stats().trim_zero_reads, 0u);
+    EXPECT_GT(ImageCounter(img, "trim_zero_reads"), 0u);
   });
 }
 

@@ -14,6 +14,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
@@ -101,10 +103,11 @@ TEST_P(MetaPlaneAllGeometries, WarmReopenServesMetadataLocally) {
       CO_ASSERT_OK(co_await (*image)->Discard(2 * kBlk, kBlk));
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
-      const ImageStats s = (*image)->stats();
-      EXPECT_GT(s.meta_spills, 0u) << "writes must journal rows/bitmaps";
-      EXPECT_GT(s.meta_kv_wal_commits, 0u)
-          << "plane KV stats must surface through ImageStats";
+      const obs::Metrics s = (*image)->MetricsSnapshot();
+      EXPECT_GT(ImageCounter(s, "meta_spills"), 0u)
+          << "writes must journal rows/bitmaps";
+      EXPECT_GT(ImageCounter(s, "meta_kv_wal_commits"), 0u)
+          << "plane KV stats must surface in the image registry node";
       CO_ASSERT_OK(co_await (*image)->Close());
     }
     auto reopened = co_await Image::Open(**cluster, "warm", "pw", {}, nullptr,
@@ -123,14 +126,14 @@ TEST_P(MetaPlaneAllGeometries, WarmReopenServesMetadataLocally) {
                                data.begin() + static_cast<long>(b * kBlk)));
       }
     }
-    const ImageStats s = img.stats();
-    EXPECT_GT(s.meta_warm_hits, 0u);
-    EXPECT_GT(s.meta_recovered_rows, 0u);
-    EXPECT_EQ(s.trim_state_loads, 0u)
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_GT(ImageCounter(s, "meta_warm_hits"), 0u);
+    EXPECT_GT(ImageCounter(s, "meta_recovered_rows"), 0u);
+    EXPECT_EQ(ImageCounter(s, "trim_state_loads"), 0u)
         << "warm reopen must not load the bitmap from the store";
-    EXPECT_EQ(s.iv_meta_bytes_fetched, 0u)
+    EXPECT_EQ(ImageCounter(s, "iv_meta_bytes_fetched"), 0u)
         << "warm reopen must not fetch IV metadata from the store";
-    EXPECT_EQ(s.meta_cold_resets, 0u);
+    EXPECT_EQ(ImageCounter(s, "meta_cold_resets"), 0u);
     CO_ASSERT_OK(co_await img.Close());
   });
 }
@@ -165,12 +168,12 @@ TEST(MetaStore, DirtyReopenColdStartsAndStaysCorrect) {
     auto got = co_await img.Read(0, 3 * kBlk);
     CO_ASSERT_OK(got.status());
     EXPECT_TRUE(std::equal(got->begin(), got->end(), data.begin()));
-    const ImageStats s = img.stats();
-    EXPECT_GE(s.meta_cold_resets, 1u);
-    EXPECT_EQ(s.meta_warm_hits, 0u)
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_GE(ImageCounter(s, "meta_cold_resets"), 1u);
+    EXPECT_EQ(ImageCounter(s, "meta_warm_hits"), 0u)
         << "a dirty plane must never serve persisted state";
-    EXPECT_EQ(s.meta_recovered_rows, 0u);
-    EXPECT_GT(s.iv_meta_bytes_fetched, 0u)
+    EXPECT_EQ(ImageCounter(s, "meta_recovered_rows"), 0u);
+    EXPECT_GT(ImageCounter(s, "iv_meta_bytes_fetched"), 0u)
         << "cold start refetches metadata from the store";
     CO_ASSERT_OK(co_await img.Close());
   });
@@ -198,9 +201,10 @@ TEST(MetaStore, CrashBeforeJournalCommitLosesSpillsSafely) {
       CO_ASSERT_OK(image.status());
       CO_ASSERT_OK(co_await (*image)->Write(0, data));
       co_await (*cluster)->Drain();
-      const ImageStats s = (*image)->stats();
-      EXPECT_GT(s.meta_spills, 0u) << "rows were journaled in memory";
-      EXPECT_EQ(s.meta_journal_flushes, 0u)
+      const obs::Metrics s = (*image)->MetricsSnapshot();
+      EXPECT_GT(ImageCounter(s, "meta_spills"), 0u)
+          << "rows were journaled in memory";
+      EXPECT_EQ(ImageCounter(s, "meta_journal_flushes"), 0u)
           << "nothing may have committed before the crash";
       // Dropped without Flush or Close: pending journal entries vanish.
     }
@@ -212,9 +216,9 @@ TEST(MetaStore, CrashBeforeJournalCommitLosesSpillsSafely) {
     auto got = co_await img.Read(0, 2 * kBlk);
     CO_ASSERT_OK(got.status());
     EXPECT_TRUE(std::equal(got->begin(), got->end(), data.begin()));
-    const ImageStats s = img.stats();
-    EXPECT_GE(s.meta_cold_resets, 1u);
-    EXPECT_EQ(s.meta_recovered_rows, 0u)
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_GE(ImageCounter(s, "meta_cold_resets"), 1u);
+    EXPECT_EQ(ImageCounter(s, "meta_recovered_rows"), 0u)
         << "uncommitted spills must never resurface";
     CO_ASSERT_OK(co_await img.Close());
   });
@@ -253,9 +257,9 @@ TEST(MetaStore, CorruptPlaneSuperblockDegradesToCold) {
     auto got = co_await img.Read(0, 2 * kBlk);
     CO_ASSERT_OK(got.status());
     EXPECT_TRUE(std::equal(got->begin(), got->end(), data.begin()));
-    const ImageStats s = img.stats();
-    EXPECT_GE(s.meta_cold_resets, 1u);
-    EXPECT_EQ(s.meta_warm_hits, 0u);
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_GE(ImageCounter(s, "meta_cold_resets"), 1u);
+    EXPECT_EQ(ImageCounter(s, "meta_warm_hits"), 0u);
     CO_ASSERT_OK(co_await img.Close());
   });
 }
@@ -426,7 +430,7 @@ TEST(MetaStore, DisabledPlaneIsBehaviorIdenticalPassthrough) {
   const auto spec = Spec(core::CipherMode::kXtsRandom,
                          core::IvLayout::kObjectEnd, core::Integrity::kHmac);
   auto run = [&](bool with_disabled_config, uint64_t* end_time,
-                 ImageStats* out) {
+                 obs::Metrics* out) {
     testutil::RunSim([&]() -> sim::Task<void> {
       dev::NvmeDevice meta_dev;
       auto cluster = co_await rados::Cluster::Create(TestCluster());
@@ -452,25 +456,30 @@ TEST(MetaStore, DisabledPlaneIsBehaviorIdenticalPassthrough) {
       CO_ASSERT_OK(got.status());
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
-      *out = (*image)->stats();
+      *out = (*image)->MetricsSnapshot();
       *end_time = sim::Scheduler::Current().now();
       CO_ASSERT_OK(co_await (*image)->Close());
     });
   };
   uint64_t t_base = 0, t_disabled = 0;
-  ImageStats s_base, s_disabled;
+  obs::Metrics s_base, s_disabled;
   run(false, &t_base, &s_base);
   run(true, &t_disabled, &s_disabled);
   EXPECT_EQ(t_base, t_disabled)
       << "a disabled plane must not change simulated time";
-  EXPECT_EQ(s_base.bytes_written, s_disabled.bytes_written);
-  EXPECT_EQ(s_base.bytes_read, s_disabled.bytes_read);
-  EXPECT_EQ(s_base.iv_hits, s_disabled.iv_hits);
-  EXPECT_EQ(s_base.iv_meta_bytes_fetched, s_disabled.iv_meta_bytes_fetched);
-  EXPECT_EQ(s_base.trim_state_loads, s_disabled.trim_state_loads);
-  EXPECT_EQ(s_disabled.meta_spills, 0u);
-  EXPECT_EQ(s_disabled.meta_journal_flushes, 0u);
-  EXPECT_EQ(s_disabled.meta_kv_wal_commits, 0u);
+  EXPECT_EQ(ImageCounter(s_base, "bytes_written"),
+            ImageCounter(s_disabled, "bytes_written"));
+  EXPECT_EQ(ImageCounter(s_base, "bytes_read"),
+            ImageCounter(s_disabled, "bytes_read"));
+  EXPECT_EQ(ImageCounter(s_base, "iv_hits"),
+            ImageCounter(s_disabled, "iv_hits"));
+  EXPECT_EQ(ImageCounter(s_base, "iv_meta_bytes_fetched"),
+            ImageCounter(s_disabled, "iv_meta_bytes_fetched"));
+  EXPECT_EQ(ImageCounter(s_base, "trim_state_loads"),
+            ImageCounter(s_disabled, "trim_state_loads"));
+  EXPECT_EQ(ImageCounter(s_disabled, "meta_spills"), 0u);
+  EXPECT_EQ(ImageCounter(s_disabled, "meta_journal_flushes"), 0u);
+  EXPECT_EQ(ImageCounter(s_disabled, "meta_kv_wal_commits"), 0u);
 }
 
 // A format without authenticated trims (plain XTS, no integrity) refuses
@@ -490,7 +499,7 @@ TEST(MetaStore, UnauthenticatedFormatRefusesPlane) {
     CO_ASSERT_OK(co_await (*image)->Write(0, rng.RandomBytes(kBlk)));
     CO_ASSERT_OK(co_await (*image)->Flush());
     co_await (*cluster)->Drain();
-    EXPECT_EQ((*image)->stats().meta_spills, 0u);
+    EXPECT_EQ(ImageCounter(**image, "meta_spills"), 0u);
     CO_ASSERT_OK(co_await (*image)->Close());
   });
 }
@@ -521,7 +530,7 @@ TEST(MetaStore, CloseGcDropsRowsForRemovedObjects) {
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
-      EXPECT_EQ((*image)->stats().meta_gc_rows, 0u);
+      EXPECT_EQ(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
     uint64_t rows_before_gc = 0;
     {
@@ -536,13 +545,13 @@ TEST(MetaStore, CloseGcDropsRowsForRemovedObjects) {
       auto r1 = co_await (*image)->Read(kObjSize, kObjSize);
       CO_ASSERT_OK(r1.status());
       EXPECT_TRUE(std::equal(r1->begin(), r1->end(), obj1.begin()));
-      rows_before_gc = (*image)->stats().meta_recovered_rows;
+      rows_before_gc = ImageCounter(**image, "meta_recovered_rows");
       EXPECT_GT(rows_before_gc, 0u);
       CO_ASSERT_OK(co_await (*image)->Discard(0, kObjSize));  // full remove
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
-      EXPECT_GT((*image)->stats().meta_gc_rows, 0u);
+      EXPECT_GT(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
     auto reopened = co_await Image::Open(**cluster, "gc", "pw", {}, nullptr,
                                          {}, {.enabled = true},
@@ -558,10 +567,10 @@ TEST(MetaStore, CloseGcDropsRowsForRemovedObjects) {
     auto kept = co_await img.Read(kObjSize, kObjSize);
     CO_ASSERT_OK(kept.status());
     EXPECT_TRUE(std::equal(kept->begin(), kept->end(), obj1.begin()));
-    EXPECT_EQ(img.stats().iv_meta_bytes_fetched, 0u);
+    EXPECT_EQ(ImageCounter(img, "iv_meta_bytes_fetched"), 0u);
     // The same read pass now installs strictly fewer rows: object 0's
     // persisted rows were deleted by the close-time GC.
-    EXPECT_LT(img.stats().meta_recovered_rows, rows_before_gc);
+    EXPECT_LT(ImageCounter(img, "meta_recovered_rows"), rows_before_gc);
     CO_ASSERT_OK(co_await img.Close());
   });
 }
@@ -597,7 +606,7 @@ TEST(MetaStore, RewriteAfterRemoveCancelsGc) {
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
-      EXPECT_EQ((*image)->stats().meta_gc_rows, 0u);
+      EXPECT_EQ(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
     auto reopened = co_await Image::Open(**cluster, "regc", "pw", {}, nullptr,
                                          {}, {.enabled = true},
@@ -607,8 +616,8 @@ TEST(MetaStore, RewriteAfterRemoveCancelsGc) {
     auto got = co_await img.Read(0, kObjSize);
     CO_ASSERT_OK(got.status());
     EXPECT_TRUE(std::equal(got->begin(), got->end(), fresh.begin()));
-    EXPECT_EQ(img.stats().iv_meta_bytes_fetched, 0u);
-    EXPECT_GT(img.stats().meta_warm_hits, 0u);
+    EXPECT_EQ(ImageCounter(img, "iv_meta_bytes_fetched"), 0u);
+    EXPECT_GT(ImageCounter(img, "meta_warm_hits"), 0u);
     CO_ASSERT_OK(co_await img.Close());
   });
 }
@@ -650,7 +659,7 @@ TEST(MetaStore, EpochFloorSurvivesCloseGc) {
       CO_ASSERT_OK(co_await (*image)->Flush());
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
-      EXPECT_GT((*image)->stats().meta_gc_rows, 0u);
+      EXPECT_GT(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
     {
       // Recreate the object past the floor; drop WITHOUT Close so the

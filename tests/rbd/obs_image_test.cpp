@@ -8,6 +8,7 @@
 #include <set>
 
 #include "../testutil.h"
+#include "device/nvme.h"
 #include "obs/metrics.h"
 #include "rbd/image.h"
 #include "util/rng.h"
@@ -140,6 +141,103 @@ TEST(ObsImage, TraceCoversLayersAndRegistryWalks) {
     EXPECT_NE(json.find("\"image\""), std::string::npos);
     EXPECT_NE(json.find("\"obs\""), std::string::npos);
   });
+}
+
+// Pins every registry path the repository benchmark reads (by CounterOr,
+// which reads a missing path as 0): a rename in any exporter fails here
+// instead of silently zeroing io_amp or a per-layer metric. The image has
+// every feature on: random IV with HMAC, IV cache, metadata plane, LZ, a
+// client qos depth cap, cluster mClock for a tagged tenant, observability
+// and the 4-core model.
+TEST(ObsImage, BenchmarkRegistryPathsResolve) {
+  constexpr unsigned kCores = 4;
+  constexpr uint64_t kTenant = 3;
+  sim::Scheduler sched;
+  sched.ConfigureCores(kCores);
+  dev::NvmeDevice meta_dev;
+  bool done = false;
+  sched.Spawn([](dev::NvmeDevice* meta_dev, bool* done) -> sim::Task<void> {
+    rados::ClusterConfig cc = TestCluster();
+    cc.qos.enabled = true;
+    auto cluster = co_await rados::Cluster::Create(cc);
+    CO_ASSERT_OK(cluster.status());
+    ImageOptions o = TestImage(true);
+    o.enc.integrity = core::Integrity::kHmac;
+    o.enc.compression.codec = core::Compression::kLz;
+    o.iv_cache.enabled = true;
+    o.meta_store.enabled = true;
+    o.meta_store.device = meta_dev;
+    o.qos_scheduler = std::make_shared<qos::Scheduler>();
+    o.qos.enabled = true;
+    o.qos.max_queue_depth = 2;
+    o.tenant.id = kTenant;
+    auto image = co_await Image::Create(**cluster, "pin", "pw", o);
+    CO_ASSERT_OK(image.status());
+    CO_ASSERT_TRUE((*image)->meta_store() != nullptr);
+    CO_ASSERT_TRUE(co_await MixedRun(**image, 64));
+    CO_ASSERT_OK(co_await (*image)->Flush());
+    co_await (*cluster)->Drain();
+
+    const obs::Metrics m = (*image)->MetricsSnapshot();
+    for (const char* c :
+         {"writes", "reads", "discards", "bytes_written", "bytes_read",
+          "wb_stages", "wb_hits", "wb_flushes", "rmw_blocks", "iv_hits",
+          "iv_misses", "iv_meta_bytes_fetched", "iv_evictions",
+          "trim_bitmap_updates", "trim_state_loads", "meta_spills",
+          "meta_journal_flushes", "meta_kv_wal_bytes",
+          "meta_kv_compaction_bytes", "compress_in_bytes", "compress_blocks",
+          "compress_verbatim_blocks", "compress_stored_bytes", "qos_wait_ns",
+          "qos_queued", "qos_submitted"}) {
+      EXPECT_NE(m.FindCounter(std::string("image.") + c), nullptr) << c;
+    }
+    EXPECT_GT(m.CounterOr("image.qos_queued"), 0u) << "depth cap idle";
+    EXPECT_GT(m.CounterOr("image.compress_in_bytes"), 0u);
+    for (const char* c :
+         {"cluster.store.transactions", "cluster.store.journal_bytes",
+          "cluster.store.rmw_sectors", "cluster.device.bytes_read",
+          "cluster.device.bytes_written", "cluster.device.read_ops",
+          "cluster.device.write_ops", "cluster.mon.degraded_writes",
+          "cluster.mon.osd_timeouts", "cluster.mon.map_refreshes",
+          "cluster.mon.eagain_redirects", "cluster.recovery.objects_pushed",
+          "cluster.recovery.bytes_pushed", "cluster.recovery.inline_pulls",
+          "cluster.recovery.stale_pushes",
+          "cluster.recovery.objects_unrecoverable",
+          "cluster.net.client.egress_bytes"}) {
+      EXPECT_NE(m.FindCounter(c), nullptr) << c;
+    }
+    EXPECT_NE(m.FindGauge("cluster.space.total_bytes"), nullptr);
+    EXPECT_NE(m.FindGauge("cluster.space.free_bytes"), nullptr);
+    size_t tagged_osds = 0;
+    for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
+      const std::string osd = "cluster.osd." + std::to_string(i);
+      EXPECT_NE(m.FindGauge(osd + ".up"), nullptr) << osd;
+      if (m.FindCounter(osd + ".qos.tenant_" + std::to_string(kTenant) +
+                        ".wait_ns") != nullptr) {
+        tagged_osds++;
+      }
+    }
+    EXPECT_GT(tagged_osds, 0u) << "no OSD exported the tenant's mClock wait";
+    for (size_t n = 0; n < cc.nodes; ++n) {
+      const std::string nic =
+          "cluster.net.node_" + std::to_string(n) + ".egress_bytes";
+      EXPECT_NE(m.FindCounter(nic), nullptr) << nic;
+    }
+    EXPECT_NE(m.FindHist("obs.latency_ns"), nullptr);
+    for (size_t s = 0; s < obs::kNumStages; ++s) {
+      const std::string hist = std::string("obs.stage_") +
+                               obs::StageName(static_cast<obs::Stage>(s)) +
+                               "_ns";
+      EXPECT_NE(m.FindHist(hist), nullptr) << hist;
+    }
+    for (unsigned c = 0; c < kCores; ++c) {
+      const std::string busy = "sim.core" + std::to_string(c) + "_busy_ns";
+      EXPECT_NE(m.FindCounter(busy), nullptr) << busy;
+    }
+    CO_ASSERT_OK(co_await (*image)->Close());
+    *done = true;
+  }(&meta_dev, &done));
+  sched.Run();
+  EXPECT_TRUE(done);
 }
 
 // Op tracker under depth: issue 32 writes without awaiting, dump the

@@ -15,6 +15,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::ImageCounter;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
@@ -187,22 +189,22 @@ TEST(Writeback, CoalescesAdjacentSubBlockWrites) {
 
     Bytes model(kBlk);
     const uint64_t before = TxnCount(**cluster);
-    const uint64_t rmw_before = img.stats().rmw_blocks;
+    const uint64_t rmw_before = ImageCounter(img, "rmw_blocks");
     for (int i = 0; i < 8; ++i) {
       const Bytes sector = rng.RandomBytes(512);
       CO_ASSERT_OK(co_await img.Write(i * 512, sector));
       std::copy(sector.begin(), sector.end(),
                 model.begin() + static_cast<long>(i) * 512);
     }
-    EXPECT_EQ(img.stats().wb_stages, 1u);
-    EXPECT_EQ(img.stats().wb_hits, 7u);
-    EXPECT_EQ(img.stats().rmw_blocks - rmw_before, 1u)
+    EXPECT_EQ(ImageCounter(img, "wb_stages"), 1u);
+    EXPECT_EQ(ImageCounter(img, "wb_hits"), 7u);
+    EXPECT_EQ(ImageCounter(img, "rmw_blocks") - rmw_before, 1u)
         << "one RMW read for 8 sub-block writes";
     EXPECT_EQ(TxnCount(**cluster) - before, 0u)
         << "no transactions while staged";
 
     CO_ASSERT_OK(co_await img.Flush());
-    EXPECT_EQ(img.stats().wb_flushes, 1u);
+    EXPECT_EQ(ImageCounter(img, "wb_flushes"), 1u);
     EXPECT_EQ(TxnCount(**cluster) - before, 1u)
         << "8 writes coalesced into one transaction";
     auto got = co_await img.Read(0, kBlk);
@@ -292,7 +294,7 @@ TEST_P(WritebackAllLayouts, WriteZeroesAbsorbsStagedBytes) {
 
     CO_ASSERT_OK(co_await img.WriteZeroes(50, 300));
     std::fill(model.begin() + 50, model.begin() + 350, 0);
-    EXPECT_GT(img.stats().rmw_merged, 0u)
+    EXPECT_GT(ImageCounter(img, "rmw_merged"), 0u)
         << "edge RMW must come from the stage, not the stale store copy";
 
     CO_ASSERT_OK(co_await img.Flush());
@@ -353,9 +355,9 @@ TEST(Writeback, MergeWindowCloseWritesOut) {
                 model.begin() + static_cast<long>(i) * 512);
       co_await sim::Sleep{2 * sim::kMs};  // idle past the merge window
     }
-    EXPECT_EQ(img.stats().wb_stages, 1u);
-    EXPECT_EQ(img.stats().wb_hits, 2u);
-    EXPECT_EQ(img.stats().wb_flushes, 2u)
+    EXPECT_EQ(ImageCounter(img, "wb_stages"), 1u);
+    EXPECT_EQ(ImageCounter(img, "wb_hits"), 2u);
+    EXPECT_EQ(ImageCounter(img, "wb_flushes"), 2u)
         << "each window close writes the prior content out";
     CO_ASSERT_OK(co_await img.Flush());
     auto got = co_await img.Read(0, kBlk);
@@ -385,7 +387,7 @@ TEST(Writeback, PressureEvictsOldestStage) {
                 model.begin() + static_cast<long>(b) * kBlk + 100);
     }
     EXPECT_LE(img.writeback().staged_blocks(), 3u);
-    EXPECT_GE(img.stats().wb_flushes, 3u);
+    EXPECT_GE(ImageCounter(img, "wb_flushes"), 3u);
     CO_ASSERT_OK(co_await img.Flush());
     EXPECT_EQ(img.writeback().staged_blocks(), 0u);
     auto got = co_await img.Read(0, model.size());
@@ -501,7 +503,8 @@ TEST(Writeback, OpenHonorsClientWritebackConfig) {
     auto& img = **reopened;
     const Bytes patch = rng.RandomBytes(512);
     CO_ASSERT_OK(co_await img.Write(700, patch));
-    EXPECT_EQ(img.stats().wb_stages, 0u) << "sub-block write must go through";
+    EXPECT_EQ(ImageCounter(img, "wb_stages"), 0u)
+        << "sub-block write must go through";
     auto got = co_await img.Read(700, patch.size());
     CO_ASSERT_OK(got.status());
     CO_ASSERT_TRUE(*got == patch);
@@ -534,7 +537,7 @@ TEST(Writeback, DbStreamCoalescesTransactions) {
     EXPECT_LT(txns * 2, writes)
         << "db stream must coalesce well below one txn per write; got "
         << txns << " txns for " << writes << " writes";
-    EXPECT_GT(img.stats().wb_hits, 0u);
+    EXPECT_GT(ImageCounter(img, "wb_hits"), 0u);
   });
 }
 

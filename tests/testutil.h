@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
+#include "obs/metrics.h"
+#include "rbd/image.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
@@ -26,6 +29,23 @@ inline void RunSim(std::function<sim::Task<void>()> body) {
   sched.Run();
   ASSERT_TRUE(finished) << "simulation did not run the body to completion "
                            "(deadlock or lost continuation)";
+}
+
+// Counter `name` of the registry's `image` node, read from a snapshot or a
+// FioResult delta. A name the registry lacks fails the test instead of
+// reading as 0.
+inline uint64_t ImageCounter(const obs::Metrics& m, const std::string& name) {
+  const uint64_t* v = m.FindCounter("image." + name);
+  if (v == nullptr) {
+    ADD_FAILURE() << "no counter image." << name << " in the registry";
+    return 0;
+  }
+  return *v;
+}
+
+inline uint64_t ImageCounter(const rbd::Image& image,
+                             const std::string& name) {
+  return ImageCounter(image.MetricsSnapshot(), name);
 }
 
 }  // namespace vde::testutil

@@ -13,6 +13,8 @@
 namespace vde::workload {
 namespace {
 
+using testutil::ImageCounter;
+
 rados::ClusterConfig TestCluster() {
   rados::ClusterConfig c;
   c.store.journal_size = 8ull << 20;
@@ -52,10 +54,10 @@ double AchievedRatio(uint32_t pct) {
     FioRunner runner(**image, cfg);
     auto result = co_await runner.Run();
     CO_ASSERT_OK(result.status());
-    const rbd::ImageStats& s = result->image;
-    CO_ASSERT_TRUE(s.compress_in_bytes > 0);
-    ratio = static_cast<double>(s.compress_stored_bytes) /
-            static_cast<double>(s.compress_in_bytes);
+    const obs::Metrics& s = result->metrics;
+    CO_ASSERT_TRUE(ImageCounter(s, "compress_in_bytes") > 0);
+    ratio = static_cast<double>(ImageCounter(s, "compress_stored_bytes")) /
+            static_cast<double>(ImageCounter(s, "compress_in_bytes"));
   });
   return ratio;
 }
@@ -95,7 +97,7 @@ TEST(CompressFio, VerifyComposesWithShapedContent) {
     CO_ASSERT_OK(co_await runner.Prefill());
     auto result = co_await runner.Run();
     CO_ASSERT_OK(result.status());
-    EXPECT_GT(result->image.compress_blocks, 0u);
+    EXPECT_GT(ImageCounter(result->metrics, "compress_blocks"), 0u);
   });
 }
 

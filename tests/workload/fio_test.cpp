@@ -8,6 +8,8 @@
 namespace vde::workload {
 namespace {
 
+using testutil::ImageCounter;
+
 rados::ClusterConfig TestCluster() {
   rados::ClusterConfig c;
   c.store.journal_size = 8ull << 20;
@@ -131,7 +133,7 @@ TEST(Fio, SequentialPatternCoversWorkingSetInOrder) {
     CO_ASSERT_OK(result.status());
     // All 16 + 1 warmup sequential 64K IOs -> image bytes written cover
     // 17 * 64K contiguously from offset 0.
-    EXPECT_EQ((*image)->stats().bytes_written, 17u * 65536);
+    EXPECT_EQ(ImageCounter(**image, "bytes_written"), 17u * 65536);
   });
 }
 
@@ -215,10 +217,37 @@ TEST(Fio, RwMixDrivesBothDirectionsAndVerifies) {
     EXPECT_GT(result->read_ops, 16u);
     EXPECT_GT(result->write_ops, 16u);
     EXPECT_EQ(result->read_ops + result->write_ops, 128u);
-    // The per-image delta rode along for Summary consumers: it covers the
-    // run (measured + warmup) but not the prefill writes before it.
-    EXPECT_GE(result->image.writes, result->write_ops);
-    EXPECT_LT(result->image.writes, (*image)->stats().writes);
+    // The registry delta rode along for Summary consumers: it covers the
+    // measured window, so neither the prefill nor the warmup writes count,
+    // while ops issued before the window opened may complete inside it.
+    EXPECT_GE(ImageCounter(result->metrics, "writes"), result->write_ops);
+    EXPECT_LT(ImageCounter(result->metrics, "writes"),
+              ImageCounter(**image, "writes"));
+  });
+}
+
+// Every counter of the metrics delta covers the measured window and
+// nothing else: at queue depth 1 the warmup writes complete before the
+// first measured op is issued, so the image saw exactly total_ops writes.
+TEST(Fio, MetricsDeltaExcludesWarmup) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto image = co_await MakeImage(**cluster, core::IvLayout::kObjectEnd);
+    CO_ASSERT_OK(image.status());
+    FioConfig cfg;
+    cfg.is_write = true;
+    cfg.io_size = 4096;
+    cfg.queue_depth = 1;
+    cfg.total_ops = 24;
+    cfg.warmup_ops = 8;
+    FioRunner runner(**image, cfg);
+    auto result = co_await runner.Run();
+    CO_ASSERT_OK(result.status());
+    EXPECT_EQ(ImageCounter(result->metrics, "writes"), cfg.total_ops);
+    EXPECT_EQ(ImageCounter(result->metrics, "bytes_written"),
+              cfg.total_ops * cfg.io_size);
+    EXPECT_EQ(ImageCounter(**image, "writes"),
+              cfg.total_ops + cfg.warmup_ops);
   });
 }
 
@@ -264,7 +293,7 @@ TEST(Fio, SummarySurfacesWritebackCounters) {
     FioRunner runner(**image, cfg);
     auto result = co_await runner.Run();
     CO_ASSERT_OK(result.status());
-    EXPECT_GT(result->image.wb_hits, 0u);
+    EXPECT_GT(ImageCounter(result->metrics, "wb_hits"), 0u);
     const std::string summary = result->Summary();
     EXPECT_NE(summary.find("wb["), std::string::npos) << summary;
     EXPECT_NE(summary.find("writes="), std::string::npos) << summary;
