@@ -4,7 +4,8 @@
 // performance", and the XTS-vs-GCM gap relevant to the integrity extension.
 // The 4 KiB captures are exactly the calls a format makes per block: one
 // XTS or GCM pass, the HMAC tag over ciphertext || LBA || IV, and one
-// 16-byte IV draw.
+// 16-byte IV draw. BM_Crc32c is the one non-crypto capture: the journal
+// frame checksum every replica computes per committed transaction.
 #include <benchmark/benchmark.h>
 
 #include "crypto/chacha20.h"
@@ -14,6 +15,7 @@
 #include "crypto/sha256.h"
 #include "crypto/wideblock.h"
 #include "crypto/xts.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -157,6 +159,18 @@ void BM_ChaCha20(benchmark::State& state) {
                           static_cast<int64_t>(size));
 }
 
+// The WAL frame checksum: 4120 B is one 4 KiB block's journal frame body
+// (the replicated commit path writes one per replica), 64 KiB a large one.
+void BM_Crc32c(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  const Bytes in = BenchData(size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(in));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+
 }  // namespace
 
 BENCHMARK(BM_XtsEncrypt)->Arg(4096)->Arg(65536);
@@ -168,5 +182,6 @@ BENCHMARK(BM_HmacSha256)->Arg(4096);
 BENCHMARK(BM_HmacBlockTag);
 BENCHMARK(BM_DrbgIvGeneration);
 BENCHMARK(BM_ChaCha20)->Arg(4096);
+BENCHMARK(BM_Crc32c)->Arg(4120)->Arg(65536);
 
 BENCHMARK_MAIN();

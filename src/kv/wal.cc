@@ -19,32 +19,28 @@ void Wal::Reset(uint64_t new_generation) {
 
 sim::Task<Status> Wal::Append(ByteSpan payload) {
   const uint32_t sector = device_.sector_size();
-  // Frame bytes.
-  Bytes frame;
-  frame.reserve(kHeaderSize + payload.size());
-  Bytes body;
-  AppendU64Le(body, generation_);
-  AppendBytes(body, payload);
-  const uint32_t crc = Crc32c(body);
-  AppendU32Le(frame, crc);
-  AppendU32Le(frame, static_cast<uint32_t>(payload.size()));
-  AppendBytes(frame, body);
-
-  if (append_off_ + frame.size() > capacity()) {
+  const uint64_t frame_size = kHeaderSize + payload.size();
+  if (append_off_ + frame_size > capacity()) {
     co_return Status::OutOfSpace("wal full");
   }
 
   const uint64_t start = append_off_;
-  const uint64_t end = start + frame.size();
+  const uint64_t end = start + frame_size;
   const uint64_t first_sector = start / sector;
   const uint64_t last_sector = (end + sector - 1) / sector;
 
-  // Compose the contiguous sector run [first_sector, last_sector).
+  // Compose the contiguous sector run [first_sector, last_sector): the
+  // already-written bytes of the first (partial) sector, the frame built in
+  // place over them, and zeros after it.
   Bytes io((last_sector - first_sector) * sector, 0);
-  // Preserve already-written bytes of the first (partial) sector.
   std::memcpy(io.data(), tail_.data(), sector);
-  std::memcpy(io.data() + (start - first_sector * sector), frame.data(),
-              frame.size());
+  uint8_t* frame = io.data() + (start - first_sector * sector);
+  StoreU32Le(frame + 4, static_cast<uint32_t>(payload.size()));
+  StoreU64Le(frame + 8, generation_);
+  if (!payload.empty()) {
+    std::memcpy(frame + kHeaderSize, payload.data(), payload.size());
+  }
+  StoreU32Le(frame, Crc32c(ByteSpan(frame + 8, 8 + payload.size())));
 
   VDE_CO_RETURN_IF_ERROR(
       co_await device_.Write(first_sector * sector, io));

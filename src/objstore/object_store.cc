@@ -12,7 +12,12 @@ namespace {
 // Journal record: full transaction serialization (metadata + payload). The
 // journal append is the commit point; its size drives the commit cost.
 Bytes SerializeTxn(const Transaction& txn, const SnapContext& snapc) {
+  // Reserve for the payloads, which dominate the record; the headers and
+  // omap entries of a typical transaction fit in the slack.
+  size_t payload = 0;
+  for (const auto& op : txn.ops) payload += op.data.size();
   Bytes out;
+  out.reserve(payload + 256);
   AppendU32Le(out, static_cast<uint32_t>(txn.oid.size()));
   AppendBytes(out, BytesOf(txn.oid));
   AppendU64Le(out, snapc.seq);

@@ -43,6 +43,118 @@ TEST(SparseRam, PartialPageWritePreservesNeighbors) {
   EXPECT_EQ(out[110], 0xAA);
 }
 
+// Memory released by Punch and handed to a different page number must not
+// show its previous tenant's bytes outside the new write. The tenants are a
+// full page and the exact sector span the new 100 B write touches, so either
+// way the new write can land in the released memory.
+TEST(SparseRam, RecycledPageReadsZerosOutsideNewWrite) {
+  for (const auto& [tenant_off, tenant_len] :
+       {std::pair<size_t, size_t>{0, 4096}, {512, 1024}}) {
+    SparseRam ram(1 << 20);
+    ram.WriteAt(tenant_off, Bytes(tenant_len, 0xAA));
+    ram.Punch(0, 4096);
+    EXPECT_EQ(ram.allocated_pages(), 0u);
+    ram.WriteAt(5 * 4096 + 1000, Bytes(100, 0xBB));
+    Bytes out(4096);
+    ram.ReadAt(5 * 4096, out);
+    for (size_t i = 0; i < out.size(); ++i) {
+      const uint8_t want = (i >= 1000 && i < 1100) ? 0xBB : 0x00;
+      ASSERT_EQ(out[i], want) << "tenant " << tenant_len << " byte " << i;
+    }
+    ram.ReadAt(0, out);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [](uint8_t b) { return b == 0; }));
+  }
+}
+
+// Same property at scale: more pages than fit one allocation batch, all
+// punched, then each recycled by a write elsewhere that touches every
+// sector of its page but misses a few bytes at both ends.
+TEST(SparseRam, ManyRecycledPagesReadZerosOutsideNewWrites) {
+  constexpr uint64_t kPages = 600;
+  SparseRam ram(2 * kPages * 4096);
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ram.WriteAt(p * 4096, Bytes(4096, 0xEE));
+  }
+  ram.Punch(0, kPages * 4096);
+  EXPECT_EQ(ram.allocated_pages(), 0u);
+  for (uint64_t p = kPages; p < 2 * kPages; ++p) {
+    ram.WriteAt(p * 4096 + 7, Bytes(4083, 0x11));
+  }
+  EXPECT_EQ(ram.allocated_pages(), kPages);
+  Bytes out(4096);
+  for (uint64_t p = kPages; p < 2 * kPages; ++p) {
+    ram.ReadAt(p * 4096, out);
+    for (size_t i = 0; i < out.size(); ++i) {
+      const uint8_t want = (i >= 7 && i < 4090) ? 0x11 : 0x00;
+      ASSERT_EQ(out[i], want) << "page " << p << " byte " << i;
+    }
+  }
+}
+
+TEST(SparseRam, FreshFullPageWriteThenPartialOverwrite) {
+  SparseRam ram(1 << 20);
+  Rng rng(5);
+  Bytes page = rng.RandomBytes(4096);
+  ram.WriteAt(3 * 4096, page);
+  Bytes out(4096);
+  ram.ReadAt(3 * 4096, out);
+  EXPECT_EQ(out, page);
+  const Bytes patch = rng.RandomBytes(100);
+  ram.WriteAt(3 * 4096 + 2000, patch);
+  std::copy(patch.begin(), patch.end(), page.begin() + 2000);
+  ram.ReadAt(3 * 4096, out);
+  EXPECT_EQ(out, page);
+  EXPECT_EQ(ram.allocated_pages(), 1u);
+}
+
+// Random writes (some all-zero, some partly zero), punches and reads at
+// arbitrary byte offsets and lengths across page and sector boundaries,
+// checked against a flat byte array.
+TEST(SparseRam, MatchesFlatModelUnderRandomOps) {
+  constexpr size_t kSize = 64 * 4096;
+  SparseRam ram(kSize);
+  Bytes model(kSize, 0);
+  Rng rng(11);
+  for (int op = 0; op < 4000; ++op) {
+    const size_t off = rng.NextBelow(kSize);
+    const size_t len = 1 + rng.NextBelow(std::min<size_t>(kSize - off, 9000));
+    switch (rng.NextBelow(4)) {
+      case 0: {  // random bytes with a zero run in the middle
+        Bytes b = rng.RandomBytes(len);
+        const size_t z = rng.NextBelow(len);
+        std::fill(b.begin() + static_cast<long>(z),
+                  b.begin() + static_cast<long>(
+                                  std::min(len, z + rng.NextBelow(2048))),
+                  0);
+        ram.WriteAt(off, b);
+        std::copy(b.begin(), b.end(), model.begin() + static_cast<long>(off));
+        break;
+      }
+      case 1: {
+        const Bytes zeros(len, 0);
+        ram.WriteAt(off, zeros);
+        std::fill_n(model.begin() + static_cast<long>(off), len, 0);
+        break;
+      }
+      case 2:
+        ram.Punch(off, len);
+        std::fill_n(model.begin() + static_cast<long>(off), len, 0);
+        break;
+      default: {
+        Bytes out(len, 0xFF);
+        ram.ReadAt(off, out);
+        ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                               model.begin() + static_cast<long>(off)))
+            << "op " << op << " read " << off << "+" << len;
+      }
+    }
+  }
+  Bytes all(kSize);
+  ram.ReadAt(0, all);
+  EXPECT_EQ(all, model);
+}
+
 sim::Task<void> DoIo(NvmeDevice& dev, std::vector<Status>* results) {
   Rng rng(7);
   const Bytes data = rng.RandomBytes(8192);

@@ -7,6 +7,7 @@
 #include "../testutil.h"
 #include "device/nvme.h"
 #include "device/region.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace vde::kv {
@@ -146,6 +147,44 @@ TEST(Wal, LargeFrameSpansSectorsInOneWrite) {
     CO_ASSERT_OK(co_await wal.Append(rng.RandomBytes(10000)));
     CO_ASSERT_EQ(nvme.stats().write_ops, 1u);
     CO_ASSERT_EQ(nvme.stats().sectors_written, 3u);  // ceil(10016/4096)
+  });
+}
+
+// Pins the exact bytes a fixed frame sequence leaves on the device: header
+// layout, payload placement, the zeros after each frame, and the tail-sector
+// carry between appends. Frames: empty, 100 B, one 4 KiB block record
+// (4096 + 24 B), one that ends exactly on a sector boundary, and a small one
+// that starts the next sector.
+TEST(Wal, GoldenRegionBytes) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    dev::NvmeDevice nvme;
+    dev::RegionDevice region(nvme, 0, 16 * 4096);
+    Wal wal(region, 7);
+    auto pattern = [](size_t n, uint8_t seed) {
+      Bytes b(n);
+      for (size_t i = 0; i < n; ++i) {
+        b[i] = static_cast<uint8_t>(seed + i * 29 + (i >> 7));
+      }
+      return b;
+    };
+    CO_ASSERT_OK(co_await wal.Append({}));
+    CO_ASSERT_EQ(wal.bytes_used(), 16u);
+    CO_ASSERT_OK(co_await wal.Append(pattern(100, 1)));
+    CO_ASSERT_EQ(wal.bytes_used(), 132u);
+    CO_ASSERT_OK(co_await wal.Append(pattern(4096 + 24, 2)));
+    CO_ASSERT_EQ(wal.bytes_used(), 4268u);
+    CO_ASSERT_OK(co_await wal.Append(pattern(8192 - 4268 - 16, 3)));
+    CO_ASSERT_EQ(wal.bytes_used(), 8192u);
+    CO_ASSERT_OK(co_await wal.Append(pattern(10, 4)));
+    CO_ASSERT_EQ(wal.bytes_used(), 8218u);
+
+    Bytes raw(region.capacity_bytes());
+    CO_ASSERT_OK(co_await region.Read(0, raw));
+    // The empty frame: [crc][len 0][gen 7], then the 100 B frame.
+    EXPECT_EQ(LoadU32Le(raw.data() + 4), 0u);
+    EXPECT_EQ(LoadU64Le(raw.data() + 8), 7u);
+    EXPECT_EQ(LoadU32Le(raw.data() + 16 + 4), 100u);
+    EXPECT_EQ(Crc32c(raw), 0x3FD030BFu);
   });
 }
 
