@@ -1,47 +1,37 @@
 #include "device/sparse_ram.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace vde::dev {
 
-// Each access below walks its range one sector piece at a time; a piece
-// never crosses a page, so a new page starts where the offset is page
-// aligned and the page is looked up once there.
-
-uint8_t* SparseRam::AllocSector() {
+SparseRam::Page* SparseRam::AllocPage() {
   if (!free_.empty()) {
-    uint8_t* sector = free_.back();
+    Page* page = free_.back();
     free_.pop_back();
-    return sector;
+    return page;
   }
-  if (slab_used_ == kSlabSectors) {
+  if (slab_used_ == kSlabPages) {
     // Default-initialised: the slab is not zeroed here.
-    slabs_.emplace_back(new uint8_t[kSlabSectors * kSectorSize]);
+    slabs_.emplace_back(new Page[kSlabPages]);
     slab_used_ = 0;
   }
-  return slabs_.back().get() + kSectorSize * slab_used_++;
+  return &slabs_.back()[slab_used_++];
 }
 
 void SparseRam::ReadAt(uint64_t offset, MutByteSpan out) const {
   assert(offset + out.size() <= capacity_);
-  const Page* page = nullptr;
   size_t done = 0;
   while (done < out.size()) {
     const uint64_t pos = offset + done;
-    const size_t in_sector = pos % kSectorSize;
-    const size_t take = std::min(out.size() - done, kSectorSize - in_sector);
-    if (done == 0 || pos % kPageSize == 0) {
-      const auto it = pages_.find(pos / kPageSize);
-      page = it == pages_.end() ? nullptr : &it->second;
-    }
-    const uint8_t* sector =
-        page == nullptr ? nullptr : (*page)[pos % kPageSize / kSectorSize];
-    if (sector == nullptr) {
+    const uint64_t page_no = pos / kPageSize;
+    const size_t in_page = pos % kPageSize;
+    const size_t take = std::min(out.size() - done, kPageSize - in_page);
+    const auto it = pages_.find(page_no);
+    if (it == pages_.end()) {
       std::memset(out.data() + done, 0, take);
     } else {
-      std::memcpy(out.data() + done, sector + in_sector, take);
+      std::memcpy(out.data() + done, it->second->data + in_page, take);
     }
     done += take;
   }
@@ -49,62 +39,42 @@ void SparseRam::ReadAt(uint64_t offset, MutByteSpan out) const {
 
 void SparseRam::WriteAt(uint64_t offset, ByteSpan data) {
   assert(offset + data.size() <= capacity_);
-  static constexpr uint8_t kZeros[kSectorSize] = {};
-  Page* page = nullptr;
   size_t done = 0;
   while (done < data.size()) {
     const uint64_t pos = offset + done;
-    const size_t in_sector = pos % kSectorSize;
-    const size_t take = std::min(data.size() - done, kSectorSize - in_sector);
-    const uint8_t* src = data.data() + done;
-    if (done == 0 || pos % kPageSize == 0) {
-      const auto it = pages_.find(pos / kPageSize);
-      page = it == pages_.end() ? nullptr : &it->second;
-    }
-    done += take;
-    uint8_t* sector =
-        page == nullptr ? nullptr : (*page)[pos % kPageSize / kSectorSize];
-    if (sector == nullptr) {
-      if (std::memcmp(src, kZeros, take) == 0) continue;  // stays a hole
-      if (page == nullptr) page = &pages_[pos / kPageSize];
-      sector = (*page)[pos % kPageSize / kSectorSize] = AllocSector();
+    const uint64_t page_no = pos / kPageSize;
+    const size_t in_page = pos % kPageSize;
+    const size_t take = std::min(data.size() - done, kPageSize - in_page);
+    Page*& page = pages_[page_no];
+    if (page == nullptr) {
+      page = AllocPage();
       // Zero what the write does not cover: the memory may be recycled.
-      std::memset(sector, 0, in_sector);
-      std::memset(sector + in_sector + take, 0,
-                  kSectorSize - in_sector - take);
+      std::memset(page->data, 0, in_page);
+      std::memset(page->data + in_page + take, 0, kPageSize - in_page - take);
     }
-    std::memcpy(sector + in_sector, src, take);
+    std::memcpy(page->data + in_page, data.data() + done, take);
+    done += take;
   }
 }
 
 void SparseRam::Punch(uint64_t offset, uint64_t length) {
   assert(offset + length <= capacity_);
-  Page* page = nullptr;
   uint64_t done = 0;
   while (done < length) {
     const uint64_t pos = offset + done;
-    const size_t in_sector = pos % kSectorSize;
-    const size_t take =
-        std::min<uint64_t>(length - done, kSectorSize - in_sector);
-    if (done == 0 || pos % kPageSize == 0) {
-      const auto it = pages_.find(pos / kPageSize);
-      page = it == pages_.end() ? nullptr : &it->second;
+    const uint64_t page_no = pos / kPageSize;
+    const size_t in_page = pos % kPageSize;
+    const size_t take = std::min<size_t>(length - done, kPageSize - in_page);
+    const auto it = pages_.find(page_no);
+    if (it != pages_.end()) {
+      if (take == kPageSize) {
+        free_.push_back(it->second);
+        pages_.erase(it);
+      } else {
+        std::memset(it->second->data + in_page, 0, take);
+      }
     }
     done += take;
-    if (page == nullptr) continue;
-    uint8_t*& sector = (*page)[pos % kPageSize / kSectorSize];
-    if (sector == nullptr) continue;
-    if (take < kSectorSize) {
-      std::memset(sector + in_sector, 0, take);
-      continue;
-    }
-    free_.push_back(sector);
-    sector = nullptr;
-    if (std::all_of(page->begin(), page->end(),
-                    [](const uint8_t* s) { return s == nullptr; })) {
-      pages_.erase(pos / kPageSize);
-      page = nullptr;
-    }
   }
 }
 

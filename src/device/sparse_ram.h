@@ -2,14 +2,10 @@
 //
 // Pages are allocated on first write, so a "1.8 TB" device costs memory only
 // for what benches actually touch. Reads of holes return zeros, as a trimmed
-// flash device would. Inside a page, memory is held per 512 B sector: a
-// sector gets memory from the first write that gives it a non-zero byte and
-// keeps it until a Punch covers it whole. Zero-padded records (compressed
-// blocks, journal frames that carry them) thus cost only their non-zero
-// sectors.
+// flash device would. Page memory comes from slabs, and pages a Punch
+// releases are recycled for later writes.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -22,38 +18,35 @@ namespace vde::dev {
 class SparseRam {
  public:
   static constexpr size_t kPageSize = 4096;
-  static constexpr size_t kSectorSize = 512;
 
   explicit SparseRam(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   uint64_t capacity() const { return capacity_; }
-  // Pages that hold at least one sector.
   size_t allocated_pages() const { return pages_.size(); }
 
   // Arbitrary byte-granularity access (alignment is the device's concern).
   void ReadAt(uint64_t offset, MutByteSpan out) const;
   void WriteAt(uint64_t offset, ByteSpan data);
 
-  // TRIM: sectors wholly inside the range are released (subsequent reads
-  // return zeros), partially covered sectors are zero-filled in place.
+  // TRIM: whole pages in the range are released (subsequent reads return
+  // zeros), partial edge pages are zero-filled in place.
   void Punch(uint64_t offset, uint64_t length);
 
  private:
-  static constexpr size_t kSectorsPerPage = kPageSize / kSectorSize;
-  // Sector memory comes 256 pages' worth to a slab.
-  static constexpr size_t kSlabSectors = 256 * kSectorsPerPage;
+  static constexpr size_t kSlabPages = 256;
 
-  // A page's sectors; nullptr is a hole.
-  using Page = std::array<uint8_t*, kSectorsPerPage>;
+  struct Page {
+    uint8_t data[kPageSize];
+  };
 
-  // A sector's memory, from the free list first. Not zeroed.
-  uint8_t* AllocSector();
+  // A page's memory, from the free list first. Not zeroed.
+  Page* AllocPage();
 
   uint64_t capacity_;
-  std::unordered_map<uint64_t, Page> pages_;
-  std::vector<std::unique_ptr<uint8_t[]>> slabs_;
-  size_t slab_used_ = kSlabSectors;  // sectors handed out of slabs_.back()
-  std::vector<uint8_t*> free_;       // sectors released by Punch
+  std::unordered_map<uint64_t, Page*> pages_;
+  std::vector<std::unique_ptr<Page[]>> slabs_;
+  size_t slab_used_ = kSlabPages;  // pages handed out of slabs_.back()
+  std::vector<Page*> free_;        // pages released by Punch
 };
 
 }  // namespace vde::dev

@@ -317,16 +317,23 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
   // stage below is ordered per object.
   const Bytes record = SerializeTxn(txn, snapc);
   obs::SpanScope journal_span(txn.trace, obs::Stage::kDevice);
+  auto frame = journal_unapplied_.insert(journal_->bytes_used());
   Status js = co_await journal_->Append(record);
   if (js.code() == StatusCode::kOutOfSpace) {
     // Checkpoint: applied state is durable by construction once the
     // background charges drain, so the journal can restart.
     co_await Drain();
     journal_->Reset(journal_->generation() + 1);
+    journal_released_ = 0;
+    journal_unapplied_.erase(frame);
+    frame = journal_unapplied_.insert(journal_->bytes_used());
     js = co_await journal_->Append(record);
   }
   journal_span.End();
-  VDE_CO_RETURN_IF_ERROR(js);
+  if (!js.ok()) {
+    RetireJournalFrame(frame);
+    co_return js;
+  }
   stats_.transactions++;
   stats_.journal_bytes += record.size();
 
@@ -359,7 +366,25 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
   const Status status = co_await ApplyLocked(txn, snapc);
   lock.ReleaseExclusive();
   MaybePruneLock(txn.oid);
+  RetireJournalFrame(frame);
   co_return status;
+}
+
+void ObjectStore::RetireJournalFrame(
+    std::multiset<uint64_t>::iterator frame) {
+  journal_unapplied_.erase(frame);
+  // The next append rewrites the sector holding the journal's end, and an
+  // unapplied frame's sectors are still live: release up to the sector
+  // holding the nearer of the two. The journal region starts at offset 0.
+  uint64_t head = journal_->bytes_used();
+  if (!journal_unapplied_.empty()) {
+    head = std::min(head, *journal_unapplied_.begin());
+  }
+  head -= head % device_->sector_size();
+  if (head > journal_released_) {
+    device_->PokeTrim(journal_released_, head - journal_released_);
+    journal_released_ = head;
+  }
 }
 
 sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,

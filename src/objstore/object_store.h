@@ -10,6 +10,10 @@
 //   3. A background applier charges the final-location device IO, including
 //      read-modify-write of partial head/tail sectors — the cost the paper's
 //      "unaligned" layout keeps paying.
+// The store applies from memory and never replays its journal, so a frame
+// is dead once its transaction is applied: the journal below the oldest
+// unapplied frame holds no memory (released without simulated time), and a
+// store's memory tracks its live data, not how many transactions it ran.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
 // AND its OMAP rows (random IVs stored via OMAP must remain readable for
@@ -20,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "device/extent_allocator.h"
@@ -198,6 +203,9 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   void MaybePruneLock(const std::string& oid);
   sim::Task<Status> ApplyLocked(const Transaction& txn,
                                 const SnapContext& snapc);
+  // Drops one applied (or failed) journal frame and releases the journal
+  // memory below the oldest frame still unapplied.
+  void RetireJournalFrame(std::multiset<uint64_t>::iterator frame);
   sim::Task<Result<ReadResult>> ExecuteReadLocked(const Transaction& txn,
                                                   SnapId snap);
   sim::Task<Status> MaybeClone(const std::string& oid, Onode& node,
@@ -219,6 +227,8 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   std::unique_ptr<dev::RegionDevice> journal_region_;
   std::unique_ptr<dev::RegionDevice> kv_region_;
   std::unique_ptr<kv::Wal> journal_;
+  std::multiset<uint64_t> journal_unapplied_;  // start offsets of frames
+  uint64_t journal_released_ = 0;  // journal bytes below hold no memory
   std::unique_ptr<kv::KvStore> kv_;
   std::unique_ptr<dev::ExtentAllocator> alloc_;
   std::map<std::string, Onode> objects_;

@@ -355,6 +355,42 @@ TEST(ObjectStore, JournalCheckpointWhenFull) {
   });
 }
 
+TEST(ObjectStore, JournalKeepsOnlyItsEndSectorOnceApplied) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    StoreConfig cfg = SmallStore();
+    cfg.journal_size = 1ull << 20;  // wraps a few times below
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    auto& os = **store;
+    Rng rng(10);
+    std::vector<Bytes> latest(3);
+    Bytes journal(cfg.journal_size);
+    for (int i = 0; i < 30; ++i) {
+      const std::string oid = "jr" + std::to_string(i % 3);
+      latest[i % 3] = rng.RandomBytes(100 * 1024 + 7 * i);
+      CO_ASSERT_OK(co_await os.Apply(WriteTxn(oid, 512, latest[i % 3]), {}));
+      // Every frame is applied, so only the sector the next append
+      // rewrites may still hold journal bytes.
+      nvme->PeekRead(0, journal);
+      const auto backed = std::count_if(journal.begin(), journal.end(),
+                                        [](uint8_t b) { return b != 0; });
+      EXPECT_LE(backed, static_cast<long>(nvme->sector_size())) << "txn " << i;
+    }
+    EXPECT_EQ(os.stats().transactions, 30u);
+    // Released journal memory is recycled into object data: it must carry
+    // no journal bytes into the objects.
+    for (int k = 0; k < 3; ++k) {
+      auto got = co_await os.ExecuteRead(
+          ReadTxn("jr" + std::to_string(k), 0, 512 + latest[k].size()),
+          kHeadSnap);
+      CO_ASSERT_OK(got.status());
+      EXPECT_EQ(Bytes(got->data.begin() + 512, got->data.end()), latest[k]);
+      EXPECT_TRUE(std::all_of(got->data.begin(), got->data.begin() + 512,
+                              [](uint8_t b) { return b == 0; }));
+    }
+  });
+}
+
 TEST(ObjectStore, ReadOfMissingObjectFails) {
   testutil::RunSim([]() -> sim::Task<void> {
     auto nvme = std::make_shared<dev::NvmeDevice>();
