@@ -39,6 +39,11 @@ class NvmeDevice final : public BlockDevice {
   // object store to make committed state visible instantly while the device
   // cost is charged by the background applier via Charge*().
   void PokeWrite(uint64_t offset, ByteSpan data) { ram_.WriteAt(offset, data); }
+  // PokeWrite that stores a whole-page payload once across devices: see
+  // SparseRam::WriteAt(offset, data, share).
+  void PokeWrite(uint64_t offset, ByteSpan data, SparseRam::PageRun& share) {
+    ram_.WriteAt(offset, data, share);
+  }
   void PeekRead(uint64_t offset, MutByteSpan out) const {
     ram_.ReadAt(offset, out);
   }
@@ -47,6 +52,8 @@ class NvmeDevice final : public BlockDevice {
   void PokeTrim(uint64_t offset, uint64_t length) {
     ram_.Punch(offset, length);
   }
+  // Holders of the data-plane page under `offset` (0 for a hole).
+  uint32_t PeekPageRefs(uint64_t offset) const { return ram_.PageRefs(offset); }
 
   // Timing/stats-only IO (no data movement); offset/len sector-aligned.
   sim::Task<Status> ChargeRead(uint64_t offset, size_t len);

@@ -2,21 +2,105 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
+
+#include "util/asan.h"
 
 namespace vde::dev {
 
-SparseRam::Page* SparseRam::AllocPage() {
-  if (!free_.empty()) {
-    Page* page = free_.back();
-    free_.pop_back();
+// The refcount sits after the data, so page data keeps the slab's 64 B
+// alignment (a count in front of it would misalign every page copy).
+struct alignas(64) SparseRam::Page {
+  uint8_t data[kPageSize];
+  uint32_t refs;
+};
+
+namespace {
+
+using Page = SparseRam::Page;
+
+// Process-wide page pool (the simulation is single-threaded). Pages come
+// from 256-page slabs, released pages are reused first, and the slabs are
+// freed once no page is live, so a new simulation starts from fresh memory.
+class PageArena {
+ public:
+  // A page with one reference; its data is not zeroed.
+  Page* Alloc() {
+    Page* page;
+    if (!free_.empty()) {
+      page = free_.back();
+      free_.pop_back();
+      UnpoisonMemory(page->data, kPageSize);
+    } else {
+      if (slab_used_ == kSlabPages) {
+        // Default-initialised: the slab is not zeroed here.
+        slabs_.emplace_back(new Page[kSlabPages]);
+        slab_used_ = 0;
+      }
+      page = &slabs_.back()[slab_used_++];
+    }
+    page->refs = 1;
+    ++live_;
     return page;
   }
-  if (slab_used_ == kSlabPages) {
-    // Default-initialised: the slab is not zeroed here.
-    slabs_.emplace_back(new Page[kSlabPages]);
-    slab_used_ = 0;
+
+  static Page* Ref(Page* page) {
+    ++page->refs;
+    return page;
   }
-  return &slabs_.back()[slab_used_++];
+
+  void Unref(Page* page) {
+    assert(page->refs > 0);
+    if (--page->refs > 0) return;
+    if (--live_ == 0) {
+      for (auto& slab : slabs_) {
+        UnpoisonMemory(slab.get(), kSlabPages * sizeof(Page));
+      }
+      slabs_.clear();
+      free_.clear();
+      slab_used_ = kSlabPages;
+      return;
+    }
+    PoisonMemory(page->data, kPageSize);
+    free_.push_back(page);
+  }
+
+  size_t live() const { return live_; }
+  size_t slabs() const { return slabs_.size(); }
+
+ private:
+  static constexpr size_t kPageSize = SparseRam::kPageSize;
+  static constexpr size_t kSlabPages = 256;
+
+  std::vector<std::unique_ptr<Page[]>> slabs_;
+  size_t slab_used_ = kSlabPages;  // pages handed out of slabs_.back()
+  std::vector<Page*> free_;        // released pages, poisoned
+  size_t live_ = 0;                // pages with at least one reference
+};
+
+// Never destroyed: a device torn down during static destruction still
+// finds it.
+PageArena& Arena() {
+  static PageArena* const arena = new PageArena;
+  return *arena;
+}
+
+}  // namespace
+
+SparseRam::PageRun::~PageRun() {
+  for (Page* page : pages_) Arena().Unref(page);
+}
+
+SparseRam::~SparseRam() {
+  for (const auto& [page_no, page] : pages_) Arena().Unref(page);
+}
+
+size_t SparseRam::ArenaLivePages() { return Arena().live(); }
+size_t SparseRam::ArenaSlabs() { return Arena().slabs(); }
+
+uint32_t SparseRam::PageRefs(uint64_t offset) const {
+  const auto it = pages_.find(offset / kPageSize);
+  return it == pages_.end() ? 0 : it->second->refs;
 }
 
 void SparseRam::ReadAt(uint64_t offset, MutByteSpan out) const {
@@ -37,23 +121,59 @@ void SparseRam::ReadAt(uint64_t offset, MutByteSpan out) const {
   }
 }
 
+SparseRam::Page* SparseRam::PrivatePage(uint64_t page_no, size_t in_page,
+                                        size_t take) {
+  Page*& page = pages_[page_no];
+  if (page != nullptr && page->refs == 1) return page;
+  Page* const shared = page;
+  page = Arena().Alloc();
+  if (shared == nullptr) {
+    // Zero what the write does not cover: the memory may be recycled.
+    std::memset(page->data, 0, in_page);
+    std::memset(page->data + in_page + take, 0, kPageSize - in_page - take);
+  } else {
+    // Copy on write; a full-page write needs none of the old bytes.
+    if (take != kPageSize) std::memcpy(page->data, shared->data, kPageSize);
+    Arena().Unref(shared);
+  }
+  return page;
+}
+
 void SparseRam::WriteAt(uint64_t offset, ByteSpan data) {
   assert(offset + data.size() <= capacity_);
   size_t done = 0;
   while (done < data.size()) {
     const uint64_t pos = offset + done;
-    const uint64_t page_no = pos / kPageSize;
     const size_t in_page = pos % kPageSize;
     const size_t take = std::min(data.size() - done, kPageSize - in_page);
-    Page*& page = pages_[page_no];
-    if (page == nullptr) {
-      page = AllocPage();
-      // Zero what the write does not cover: the memory may be recycled.
-      std::memset(page->data, 0, in_page);
-      std::memset(page->data + in_page + take, 0, kPageSize - in_page - take);
-    }
+    Page* page = PrivatePage(pos / kPageSize, in_page, take);
     std::memcpy(page->data + in_page, data.data() + done, take);
     done += take;
+  }
+}
+
+void SparseRam::WriteAt(uint64_t offset, ByteSpan data, PageRun& share) {
+  if (offset % kPageSize != 0 || data.empty() ||
+      data.size() % kPageSize != 0) {
+    WriteAt(offset, data);
+    return;
+  }
+  assert(offset + data.size() <= capacity_);
+  const uint64_t first = offset / kPageSize;
+  const size_t count = data.size() / kPageSize;
+  if (share.empty()) {
+    WriteAt(offset, data);
+    share.pages_.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      share.pages_.push_back(PageArena::Ref(pages_.at(first + i)));
+    }
+    return;
+  }
+  assert(share.pages_.size() == count);
+  for (size_t i = 0; i < count; ++i) {
+    Page*& page = pages_[first + i];
+    if (page != nullptr) Arena().Unref(page);
+    page = PageArena::Ref(share.pages_[i]);
   }
 }
 
@@ -68,10 +188,11 @@ void SparseRam::Punch(uint64_t offset, uint64_t length) {
     const auto it = pages_.find(page_no);
     if (it != pages_.end()) {
       if (take == kPageSize) {
-        free_.push_back(it->second);
+        Arena().Unref(it->second);
         pages_.erase(it);
       } else {
-        std::memset(it->second->data + in_page, 0, take);
+        std::memset(PrivatePage(page_no, in_page, take)->data + in_page, 0,
+                    take);
       }
     }
     done += take;

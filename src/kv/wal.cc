@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
 
 #include "util/crc32.h"
 
@@ -18,8 +19,15 @@ void Wal::Reset(uint64_t new_generation) {
 }
 
 sim::Task<Status> Wal::Append(ByteSpan payload) {
+  return Append(payload.size(), [payload](MutByteSpan out) {
+    if (!payload.empty()) std::memcpy(out.data(), payload.data(), out.size());
+  });
+}
+
+sim::Task<Status> Wal::Append(size_t payload_size,
+                              std::function<void(MutByteSpan)> write) {
   const uint32_t sector = device_.sector_size();
-  const uint64_t frame_size = kHeaderSize + payload.size();
+  const uint64_t frame_size = kHeaderSize + payload_size;
   if (append_off_ + frame_size > capacity()) {
     co_return Status::OutOfSpace("wal full");
   }
@@ -28,30 +36,31 @@ sim::Task<Status> Wal::Append(ByteSpan payload) {
   const uint64_t end = start + frame_size;
   const uint64_t first_sector = start / sector;
   const uint64_t last_sector = (end + sector - 1) / sector;
+  const size_t head = start - first_sector * sector;
+  const size_t run = (last_sector - first_sector) * sector;
 
   // Compose the contiguous sector run [first_sector, last_sector): the
   // already-written bytes of the first (partial) sector, the frame built in
-  // place over them, and zeros after it.
-  Bytes io((last_sector - first_sector) * sector, 0);
-  std::memcpy(io.data(), tail_.data(), sector);
-  uint8_t* frame = io.data() + (start - first_sector * sector);
-  StoreU32Le(frame + 4, static_cast<uint32_t>(payload.size()));
+  // place after them, and zeros after it. Only those zeros are filled; the
+  // frame overwrites the rest.
+  auto io = std::make_unique_for_overwrite<uint8_t[]>(run);
+  std::memcpy(io.get(), tail_.data(), head);
+  uint8_t* frame = io.get() + head;
+  StoreU32Le(frame + 4, static_cast<uint32_t>(payload_size));
   StoreU64Le(frame + 8, generation_);
-  if (!payload.empty()) {
-    std::memcpy(frame + kHeaderSize, payload.data(), payload.size());
-  }
-  StoreU32Le(frame, Crc32c(ByteSpan(frame + 8, 8 + payload.size())));
+  write(MutByteSpan(frame + kHeaderSize, payload_size));
+  StoreU32Le(frame, Crc32c(ByteSpan(frame + 8, 8 + payload_size)));
+  std::memset(frame + frame_size, 0, run - head - frame_size);
 
   VDE_CO_RETURN_IF_ERROR(
-      co_await device_.Write(first_sector * sector, io));
+      co_await device_.Write(first_sector * sector, ByteSpan(io.get(), run)));
 
   // Remember the new tail sector content for the next append; a fresh
   // sector starts from zeros.
   if (end % sector == 0) {
     std::fill(tail_.begin(), tail_.end(), 0);
   } else {
-    std::memcpy(tail_.data(),
-                io.data() + (last_sector - first_sector - 1) * sector, sector);
+    std::memcpy(tail_.data(), io.get() + run - sector, sector);
   }
   append_off_ = end;
   co_return Status::Ok();

@@ -6,6 +6,8 @@
 // fence stale frames after a reset, so recovery never replays the past.
 #pragma once
 
+#include <functional>
+
 #include "device/block_device.h"
 #include "sim/task.h"
 #include "util/bytes.h"
@@ -23,6 +25,13 @@ class Wal {
   // OutOfSpace when the region cannot hold the frame — caller must flush
   // the memtable and Reset().
   sim::Task<Status> Append(ByteSpan payload);
+
+  // Append of a `payload_size`-byte payload that `write` serializes
+  // straight into the frame (it must fill all of its argument), so the
+  // payload needs no buffer of its own. `write` runs before the first
+  // suspension, and only if the frame fits.
+  sim::Task<Status> Append(size_t payload_size,
+                           std::function<void(MutByteSpan)> write);
 
   // Starts a fresh log under a new generation (after a memtable flush).
   void Reset(uint64_t new_generation);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "obs/trace.h"
 
@@ -11,33 +12,53 @@ namespace {
 
 // Journal record: full transaction serialization (metadata + payload). The
 // journal append is the commit point; its size drives the commit cost.
-Bytes SerializeTxn(const Transaction& txn, const SnapContext& snapc) {
-  // Reserve for the payloads, which dominate the record; the headers and
-  // omap entries of a typical transaction fit in the slack.
-  size_t payload = 0;
-  for (const auto& op : txn.ops) payload += op.data.size();
-  Bytes out;
-  out.reserve(payload + 256);
-  AppendU32Le(out, static_cast<uint32_t>(txn.oid.size()));
-  AppendBytes(out, BytesOf(txn.oid));
-  AppendU64Le(out, snapc.seq);
-  AppendU32Le(out, static_cast<uint32_t>(txn.ops.size()));
+// `out` either counts the bytes (CountSink) or writes them (WriteSink), so
+// the record layout is written down once.
+template <typename Sink>
+void EncodeTxn(const Transaction& txn, const SnapContext& snapc, Sink& out) {
+  out.Le(static_cast<uint32_t>(txn.oid.size()));
+  out.Put(ByteSpan(reinterpret_cast<const uint8_t*>(txn.oid.data()),
+                   txn.oid.size()));
+  out.Le(snapc.seq);
+  out.Le(static_cast<uint32_t>(txn.ops.size()));
   for (const auto& op : txn.ops) {
-    AppendU8(out, static_cast<uint8_t>(op.type));
-    AppendU64Le(out, op.offset);
-    AppendU64Le(out, op.length);
-    AppendU32Le(out, static_cast<uint32_t>(op.data.size()));
-    AppendBytes(out, op.data);
-    AppendU32Le(out, static_cast<uint32_t>(op.omap_kvs.size()));
+    out.Le(static_cast<uint8_t>(op.type));
+    out.Le(op.offset);
+    out.Le(op.length);
+    out.Le(static_cast<uint32_t>(op.data.size()));
+    out.Put(op.data);
+    out.Le(static_cast<uint32_t>(op.omap_kvs.size()));
     for (const auto& [k, v] : op.omap_kvs) {
-      AppendU16Le(out, static_cast<uint16_t>(k.size()));
-      AppendBytes(out, k);
-      AppendU32Le(out, static_cast<uint32_t>(v.size()));
-      AppendBytes(out, v);
+      out.Le(static_cast<uint16_t>(k.size()));
+      out.Put(k);
+      out.Le(static_cast<uint32_t>(v.size()));
+      out.Put(v);
     }
   }
-  return out;
 }
+
+struct CountSink {
+  size_t size = 0;
+  template <typename T>
+  void Le(T) {
+    size += sizeof(T);
+  }
+  void Put(ByteSpan b) { size += b.size(); }
+};
+
+struct WriteSink {
+  uint8_t* at;
+  template <typename T>
+  void Le(T v) {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      *at++ = static_cast<uint8_t>(static_cast<uint64_t>(v) >> (8 * i));
+    }
+  }
+  void Put(ByteSpan b) {
+    if (!b.empty()) std::memcpy(at, b.data(), b.size());
+    at += b.size();
+  }
+};
 
 bool IsWriteClass(OsdOp::Type t) {
   switch (t) {
@@ -157,6 +178,16 @@ Result<Bytes> ObjectStore::PeekObjectData(const std::string& oid,
   Bytes out(length);
   device_->PeekRead(data_base_ + it->second.base + offset, out);
   return out;
+}
+
+Result<uint32_t> ObjectStore::PeekPageRefs(const std::string& oid,
+                                           uint64_t offset) const {
+  const auto it = objects_.find(oid);
+  if (it == objects_.end()) return Status::NotFound(oid);
+  if (offset >= config_.max_object_size) {
+    return Status::InvalidArgument("peek beyond object extent");
+  }
+  return device_->PeekPageRefs(data_base_ + it->second.base + offset);
 }
 
 sim::Task<Result<Bytes>> ObjectStore::PeekOmapRow(const std::string& oid,
@@ -306,7 +337,8 @@ void ObjectStore::MaybePruneLock(const std::string& oid) {
 }
 
 sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
-                                     const SnapContext& snapc) {
+                                     const SnapContext& snapc,
+                                     PageShare* share) {
   for (const auto& op : txn.ops) {
     if (!IsWriteClass(op.type)) {
       co_return Status::InvalidArgument("read op in write transaction");
@@ -315,10 +347,16 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
   // 1. Commit point: journal the whole transaction. Journaling pipelines
   // across transactions (like the OSD's journal/WAL stage); only the apply
   // stage below is ordered per object.
-  const Bytes record = SerializeTxn(txn, snapc);
+  CountSink record;
+  EncodeTxn(txn, snapc, record);
+  const auto write_record = [&txn, &snapc](MutByteSpan out) {
+    WriteSink sink{out.data()};
+    EncodeTxn(txn, snapc, sink);
+    assert(sink.at == out.data() + out.size());
+  };
   obs::SpanScope journal_span(txn.trace, obs::Stage::kDevice);
   auto frame = journal_unapplied_.insert(journal_->bytes_used());
-  Status js = co_await journal_->Append(record);
+  Status js = co_await journal_->Append(record.size, write_record);
   if (js.code() == StatusCode::kOutOfSpace) {
     // Checkpoint: applied state is durable by construction once the
     // background charges drain, so the journal can restart.
@@ -327,7 +365,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
     journal_released_ = 0;
     journal_unapplied_.erase(frame);
     frame = journal_unapplied_.insert(journal_->bytes_used());
-    js = co_await journal_->Append(record);
+    js = co_await journal_->Append(record.size, write_record);
   }
   journal_span.End();
   if (!js.ok()) {
@@ -335,7 +373,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
     co_return js;
   }
   stats_.transactions++;
-  stats_.journal_bytes += record.size();
+  stats_.journal_bytes += record.size;
 
   // Pipelined apply (core model on): the prepare stage — payload staging
   // penalties for sub-sector and unaligned ops — runs BEFORE the
@@ -363,7 +401,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
 
   sim::SharedLock& lock = ObjectLock(txn.oid);
   co_await lock.AcquireExclusive();
-  const Status status = co_await ApplyLocked(txn, snapc);
+  const Status status = co_await ApplyLocked(txn, snapc, share);
   lock.ReleaseExclusive();
   MaybePruneLock(txn.oid);
   RetireJournalFrame(frame);
@@ -388,7 +426,8 @@ void ObjectStore::RetireJournalFrame(
 }
 
 sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
-                                           const SnapContext& snapc) {
+                                           const SnapContext& snapc,
+                                           PageShare* share) {
   // 2. Resolve the object and preserve snapshot state before mutating.
   const bool is_remove = txn.ops.size() == 1 &&
                          txn.ops[0].type == OsdOp::Type::kRemove;
@@ -446,7 +485,20 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   // one object serialize — the RADOS per-object ordering made physical.
   const uint64_t obj_shard = sim::ShardOf(txn.oid);
   const bool pipelined = sched.core_model_enabled();
-  for (const auto& op : txn.ops) {
+  if (share != nullptr && share->ops.empty()) share->ops.resize(txn.ops.size());
+  assert(share == nullptr || share->ops.size() == txn.ops.size());
+  // Makes a payload visible at `abs`; through a share, a whole-page payload
+  // is stored once across the replicas of this write.
+  const auto poke_payload = [&](size_t op_index, uint64_t abs,
+                                ByteSpan data) {
+    if (share == nullptr) {
+      device_->PokeWrite(abs, data);
+    } else {
+      device_->PokeWrite(abs, data, share->ops[op_index]);
+    }
+  };
+  for (size_t op_index = 0; op_index < txn.ops.size(); ++op_index) {
+    const OsdOp& op = txn.ops[op_index];
     // Software cost of the data-op apply path (sync, per DESIGN.md §5).
     if (op.type == OsdOp::Type::kWrite || op.type == OsdOp::Type::kWriteFull ||
         op.type == OsdOp::Type::kZero || op.type == OsdOp::Type::kTrim) {
@@ -474,7 +526,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         stats_.bytes_restored += alloc_->Restore(node.base + op.offset,
                                                  op.data.size());
         IntervalMapRemove(node.trimmed, op.offset, op.data.size());
-        device_->PokeWrite(data_base_ + node.base + op.offset, op.data);
+        poke_payload(op_index, data_base_ + node.base + op.offset, op.data);
         node.size = std::max(node.size, op.offset + op.data.size());
         appliers_.Add(1);
         sim::Scheduler::Current().Spawn(ChargeApply(
@@ -488,7 +540,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         }
         stats_.bytes_restored += alloc_->Restore(node.base, op.data.size());
         node.trimmed.clear();
-        device_->PokeWrite(data_base_ + node.base, op.data);
+        poke_payload(op_index, data_base_ + node.base, op.data);
         node.size = op.data.size();
         appliers_.Add(1);
         sim::Scheduler::Current().Spawn(

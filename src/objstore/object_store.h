@@ -4,7 +4,8 @@
 //
 // Commit protocol (models Ceph's WAL-then-apply):
 //   1. The whole transaction (metadata + payload) is appended to the journal
-//      — ONE contiguous device write; this is the commit point.
+//      — ONE contiguous device write, serialized straight into the journal's
+//      sector buffer; this is the commit point.
 //   2. State becomes visible immediately (data plane is RAM); OMAP mutations
 //      go through the LSM store synchronously (they ARE the OMAP cost).
 //   3. A background applier charges the final-location device IO, including
@@ -14,6 +15,18 @@
 // is dead once its transaction is applied: the journal below the oldest
 // unapplied frame holds no memory (released without simulated time), and a
 // store's memory tracks its live data, not how many transactions it ran.
+//
+// Replicas share data pages: every replica of a write stores the same
+// ciphertext, so the stores applying one replicated transaction share a
+// PageShare. The first to apply a page-aligned, whole-page kWrite/kWriteFull
+// payload writes it to its device; the others adopt those pages (shared
+// copy-on-write, dev::SparseRam) instead of copying the payload. Like the
+// instant-visibility write itself, this is host memory only: no simulated
+// time, no device stats, and each store still charges its own apply IO.
+// A payload that is not whole pages at a page-aligned device offset on a
+// store (the unaligned layout's interleaved IVs, sub-page IV records, an
+// extent off a page boundary under 512 B allocation units) is copied by
+// that store, and snapshot clones copy their data.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
 // AND its OMAP rows (random IVs stored via OMAP must remain readable for
@@ -26,6 +39,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "device/extent_allocator.h"
 #include "device/nvme.h"
@@ -78,6 +92,15 @@ struct CostModel {
   }
 };
 
+// Pages of one replicated write, shared by every store that applies it
+// (see the header comment). The caller that fans a transaction out owns one
+// per write and passes it to each replica's Apply; it holds page references
+// until destroyed, so a replica that applies late still adopts exactly the
+// bytes the first one wrote.
+struct PageShare {
+  std::vector<dev::SparseRam::PageRun> ops;  // by op index; empty = unshared
+};
+
 struct StoreConfig {
   uint64_t journal_size = 64ull << 20;
   uint64_t kv_region_size = 512ull << 20;
@@ -127,8 +150,10 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   static sim::Task<Result<std::shared_ptr<ObjectStore>>> Open(
       std::shared_ptr<dev::NvmeDevice> device, StoreConfig config);
 
-  // Atomically applies `txn` under `snapc` (write-class ops only).
-  sim::Task<Status> Apply(const Transaction& txn, const SnapContext& snapc);
+  // Atomically applies `txn` under `snapc` (write-class ops only). Stores
+  // applying the same replicated write pass the same `share`.
+  sim::Task<Status> Apply(const Transaction& txn, const SnapContext& snapc,
+                          PageShare* share = nullptr);
 
   // Executes read-class ops (kRead / kOmapGetRange) against `snap`.
   sim::Task<Result<ReadResult>> ExecuteRead(const Transaction& txn,
@@ -160,6 +185,9 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   // IO — the attacker snapshotting state to replay later.
   Result<Bytes> PeekObjectData(const std::string& oid, uint64_t offset,
                                size_t length) const;
+  // Holders of the device page under byte `offset` of the live object
+  // (0 for a hole): how many replicas share that page.
+  Result<uint32_t> PeekPageRefs(const std::string& oid, uint64_t offset) const;
   sim::Task<Result<Bytes>> PeekOmapRow(const std::string& oid, ByteSpan key);
 
   // Waits until all background appliers finished (test determinism).
@@ -202,7 +230,7 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   // Drops `oid`'s lock entry when the object is gone and the lock is idle.
   void MaybePruneLock(const std::string& oid);
   sim::Task<Status> ApplyLocked(const Transaction& txn,
-                                const SnapContext& snapc);
+                                const SnapContext& snapc, PageShare* share);
   // Drops one applied (or failed) journal frame and releases the journal
   // memory below the oldest frame still unapplied.
   void RetireJournalFrame(std::multiset<uint64_t>::iterator frame);

@@ -40,7 +40,8 @@ sim::Task<void> Osd::AdmitOp(uint64_t tenant, sim::SimTime software_cost) {
 }
 
 sim::Task<Status> Osd::HandleReplicaWrite(const objstore::Transaction& txn,
-                                          const objstore::SnapContext& snapc) {
+                                          const objstore::SnapContext& snapc,
+                                          objstore::PageShare* share) {
   // Replication requests run on a dedicated queue (no primary-shard
   // contention; also removes any chance of cross-OSD shard deadlock).
   // They bypass mClock too — the client op already paid its tenant's dues
@@ -48,7 +49,7 @@ sim::Task<Status> Osd::HandleReplicaWrite(const objstore::Transaction& txn,
   co_await sim::Sleep{config_.costs.replica_op +
                       config_.costs.per_extra_op *
                           (txn.ops.empty() ? 0 : txn.ops.size() - 1)};
-  co_return co_await store_->Apply(txn, snapc);
+  co_return co_await store_->Apply(txn, snapc, share);
 }
 
 sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
@@ -106,18 +107,21 @@ sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
 
   // Local apply and replica fan-out proceed concurrently; the op commits
   // when the slowest surviving participant commits (primary-copy
-  // replication).
+  // replication). Every participant stores the same payload, so they share
+  // its pages (host memory only; see objstore::PageShare).
+  objstore::PageShare share;
   std::vector<Status> results(1 + targets.size(), Status::Ok());
   std::vector<sim::Task<void>> waves;
   waves.push_back([](Osd* self, Cluster* cluster, uint32_t pg_id,
                      uint64_t write_gen, const objstore::Transaction* txn,
                      const objstore::SnapContext* snapc,
+                     objstore::PageShare* share,
                      Status* out) -> sim::Task<void> {
-    *out = co_await self->store_->Apply(*txn, *snapc);
+    *out = co_await self->store_->Apply(*txn, *snapc, share);
     if (out->ok()) {
       cluster->pg_log(pg_id).NoteHave(self->id(), txn->oid, write_gen);
     }
-  }(this, &cluster, pg, gen, &txn, &snapc, &results[0]));
+  }(this, &cluster, pg, gen, &txn, &snapc, &share, &results[0]));
 
   const size_t payload = txn.PayloadBytes();
   for (size_t r = 0; r < targets.size(); ++r) {
@@ -125,6 +129,7 @@ sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
                        uint32_t pg_id, uint64_t write_gen, size_t payload,
                        const objstore::Transaction* txn,
                        const objstore::SnapContext* snapc,
+                       objstore::PageShare* share,
                        Status* out) -> sim::Task<void> {
       obs::SpanScope span(txn->trace, obs::Stage::kReplicate);
       if (!cluster->IsOsdUp(replica_id)) {
@@ -139,7 +144,7 @@ sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
       co_await net::Send(cluster->node_nic(primary->node()),
                          cluster->node_nic(replica.node()),
                          cluster->config().request_header_bytes + payload);
-      *out = co_await replica.HandleReplicaWrite(*txn, *snapc);
+      *out = co_await replica.HandleReplicaWrite(*txn, *snapc, share);
       // Commit ack back to the primary.
       co_await net::Send(cluster->node_nic(replica.node()),
                          cluster->node_nic(primary->node()),
@@ -147,7 +152,7 @@ sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
       if (out->ok()) {
         cluster->pg_log(pg_id).NoteHave(replica_id, txn->oid, write_gen);
       }
-    }(&cluster, this, targets[r], pg, gen, payload, &txn, &snapc,
+    }(&cluster, this, targets[r], pg, gen, payload, &txn, &snapc, &share,
                      &results[1 + r]));
   }
   co_await sim::WhenAll(std::move(waves));

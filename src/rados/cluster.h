@@ -115,9 +115,11 @@ class Osd {
                                        const objstore::Transaction& txn,
                                        const objstore::SnapContext& snapc);
 
-  // Replica-side apply (already on the replica's node).
+  // Replica-side apply (already on the replica's node). `share` is the
+  // primary's PageShare for this write.
   sim::Task<Status> HandleReplicaWrite(const objstore::Transaction& txn,
-                                       const objstore::SnapContext& snapc);
+                                       const objstore::SnapContext& snapc,
+                                       objstore::PageShare* share);
 
   sim::Task<Result<objstore::ReadResult>> HandleRead(
       Cluster& cluster, const objstore::Transaction& txn,

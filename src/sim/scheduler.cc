@@ -36,7 +36,11 @@ Scheduler& Scheduler::Current() {
 
 void Scheduler::ScheduleAt(SimTime at, std::coroutine_handle<> h) {
   assert(at >= now_ && "cannot schedule into the past");
-  queue_.push(Event{at, next_seq_++, h});
+  if (at == now_) {
+    ready_.push_back(h);
+  } else {
+    queue_.push(Event{at, next_seq_++, h});
+  }
 }
 
 void Scheduler::ConfigureCores(unsigned n) {
@@ -60,24 +64,38 @@ void Scheduler::Spawn(Task<void> task) {
   ScheduleNow(handle);
 }
 
-SimTime Scheduler::Run() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
+bool Scheduler::RunNext(SimTime deadline) {
+  std::coroutine_handle<> h;
+  if (now_ > deadline) return false;
+  if (!queue_.empty() && queue_.top().at == now_) {
+    h = queue_.top().handle;
     queue_.pop();
-    now_ = ev.at;
-    events_processed_++;
-    ev.handle.resume();
+  } else if (ready_head_ < ready_.size()) {
+    h = ready_[ready_head_++];
+    if (ready_head_ == ready_.size()) {
+      ready_.clear();
+      ready_head_ = 0;
+    }
+  } else if (!queue_.empty() && queue_.top().at <= deadline) {
+    now_ = queue_.top().at;
+    h = queue_.top().handle;
+    queue_.pop();
+  } else {
+    return false;
+  }
+  events_processed_++;
+  h.resume();
+  return true;
+}
+
+SimTime Scheduler::Run() {
+  while (RunNext(~SimTime{0})) {
   }
   return now_;
 }
 
 SimTime Scheduler::RunUntil(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.at;
-    events_processed_++;
-    ev.handle.resume();
+  while (RunNext(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
   return now_;

@@ -2,7 +2,10 @@
 //
 // Time is simulated nanoseconds. Events with equal timestamps run in FIFO
 // order (sequence-number tie-break), so a given seed always produces the
-// same interleaving — bench results are exactly reproducible.
+// same interleaving — bench results are exactly reproducible. Events due at
+// now() skip the heap: they queue in a plain FIFO, which runs after the heap
+// events due at now() — those were pushed before the clock got here, so
+// they come first in (at, seq) order anyway.
 //
 // CPU model: by default every CPU charge (ChargeCpu) degrades to a plain
 // Sleep — the legacy "infinite cores" timeline, bit-identical to the
@@ -96,10 +99,15 @@ class Scheduler {
     }
   };
 
+  // Runs the next event due at or before `deadline`; false when none is.
+  bool RunNext(SimTime deadline);
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<std::coroutine_handle<>> ready_;  // due at now_, FIFO
+  size_t ready_head_ = 0;                       // next ready_ entry to run
   std::vector<SimTime> busy_until_;  // per-core frontier; empty = disabled
   std::vector<SimTime> busy_ns_;    // per-core accumulated busy time
   uint64_t next_shard_ = 0;

@@ -4,10 +4,15 @@
 // starts it (symmetric transfer); completion resumes the awaiter. Detached
 // tasks (Scheduler::Spawn) self-destroy at final suspend. Single-threaded by
 // design — the whole simulation runs deterministically on one thread.
+//
+// Frames come from per-thread free lists, one per 64 B size class: a
+// simulation creates and destroys millions of short-lived frames of a few
+// sizes. Pooled frames are ASan-poisoned, so a use after free still faults.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -19,7 +24,16 @@ class Task;
 
 namespace detail {
 
+// Coroutine frame memory (task.cc).
+void* AllocFrame(std::size_t size);
+void FreeFrame(void* frame, std::size_t size) noexcept;
+
 struct PromiseBase {
+  static void* operator new(std::size_t size) { return AllocFrame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FreeFrame(frame, size);
+  }
+
   std::coroutine_handle<> continuation;
   bool detached = false;
   std::exception_ptr exception;

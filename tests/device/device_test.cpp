@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "device/nvme.h"
 #include "device/sparse_ram.h"
 #include "net/link.h"
@@ -153,6 +155,138 @@ TEST(SparseRam, MatchesFlatModelUnderRandomOps) {
   Bytes all(kSize);
   ram.ReadAt(0, all);
   EXPECT_EQ(all, model);
+}
+
+Bytes ReadBack(const SparseRam& ram, uint64_t offset, size_t length) {
+  Bytes out(length);
+  ram.ReadAt(offset, out);
+  return out;
+}
+
+// A whole-page write through a share is stored once: the second device
+// adopts the first one's pages (at its own offset) instead of copying.
+TEST(SparseRam, SharedWholePageWriteIsStoredOnce) {
+  const size_t live = SparseRam::ArenaLivePages();
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(3).RandomBytes(2 * 4096);
+  {
+    SparseRam::PageRun share;
+    a.WriteAt(4096, data, share);
+    b.WriteAt(5 * 4096, data, share);
+    EXPECT_EQ(a.PageRefs(4096), 3u);  // a, b and the run
+  }
+  EXPECT_EQ(SparseRam::ArenaLivePages() - live, 2u);
+  EXPECT_EQ(a.PageRefs(2 * 4096), 2u);
+  EXPECT_EQ(b.PageRefs(6 * 4096), 2u);
+  EXPECT_EQ(ReadBack(a, 4096, data.size()), data);
+  EXPECT_EQ(ReadBack(b, 5 * 4096, data.size()), data);
+}
+
+// Unaligned or partial-page payloads are copied, and leave the run empty.
+TEST(SparseRam, PartialPagePayloadThroughShareIsCopied) {
+  SparseRam a(1 << 20);
+  SparseRam::PageRun share;
+  a.WriteAt(100, Bytes(4096, 0x11), share);
+  a.WriteAt(8192, Bytes(512, 0x22), share);
+  EXPECT_TRUE(share.empty());
+  EXPECT_EQ(a.PageRefs(0), 1u);
+  EXPECT_EQ(a.PageRefs(8192), 1u);
+}
+
+// Two devices holding one shared page at offset 0 (the run is dropped).
+struct SharedPair {
+  SparseRam a{1 << 20};
+  SparseRam b{1 << 20};
+  Bytes page = Rng(7).RandomBytes(4096);
+  SharedPair() {
+    SparseRam::PageRun share;
+    a.WriteAt(0, page, share);
+    b.WriteAt(0, page, share);
+  }
+};
+
+TEST(SparseRam, PartialWriteToSharedPageCopiesIt) {
+  SharedPair p;
+  const Bytes patch(100, 0xAB);
+  p.a.WriteAt(2000, patch);
+  Bytes want = p.page;
+  std::copy(patch.begin(), patch.end(), want.begin() + 2000);
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), want);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), p.page);
+  EXPECT_EQ(p.a.PageRefs(0), 1u);
+  EXPECT_EQ(p.b.PageRefs(0), 1u);
+}
+
+TEST(SparseRam, PunchOfSharedPageCopiesIt) {
+  SharedPair p;
+  p.a.Punch(1000, 24);
+  Bytes want = p.page;
+  std::fill_n(want.begin() + 1000, 24, 0);
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), want);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), p.page);
+  p.b.Punch(0, 4096);
+  EXPECT_EQ(p.b.allocated_pages(), 0u);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), Bytes(4096, 0));
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), want);
+}
+
+TEST(SparseRam, FullPageOverwriteOfSharedPageLeavesOtherHolder) {
+  SharedPair p;
+  const Bytes fresh(4096, 0x5A);
+  p.a.WriteAt(0, fresh);
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), fresh);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), p.page);
+  EXPECT_EQ(p.b.PageRefs(0), 1u);
+}
+
+// The run holds its pages: a device adopting after the writer changed
+// them (a slower replica) still gets the bytes first written.
+TEST(SparseRam, LateAdopterGetsTheBytesFirstWritten) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(9).RandomBytes(2 * 4096);
+  SparseRam::PageRun share;
+  a.WriteAt(0, data, share);
+  a.WriteAt(0, Bytes(4096, 0x01));
+  a.WriteAt(4096 + 7, Bytes(9, 0x02));
+  a.Punch(0, 4096);
+  b.WriteAt(0, data, share);
+  EXPECT_EQ(ReadBack(b, 0, data.size()), data);
+}
+
+TEST(SparseRam, SharedPageOutlivesTheDeviceThatWroteIt) {
+  auto a = std::make_unique<SparseRam>(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(4).RandomBytes(4096);
+  {
+    SparseRam::PageRun share;
+    a->WriteAt(4096, data, share);
+    b.WriteAt(4096, data, share);
+  }
+  a.reset();
+  EXPECT_EQ(b.PageRefs(4096), 1u);
+  EXPECT_EQ(ReadBack(b, 4096, 4096), data);
+}
+
+// Relies on no other device being alive in this test binary.
+TEST(SparseRam, ArenaFreesItsSlabsOnceEmpty) {
+  ASSERT_EQ(SparseRam::ArenaLivePages(), 0u);
+  {
+    SparseRam a(1 << 22);
+    SparseRam b(1 << 22);
+    {
+      SparseRam::PageRun share;
+      a.WriteAt(0, Bytes(300 * 4096, 0x33), share);  // more than one slab
+      b.WriteAt(0, Bytes(300 * 4096, 0x33), share);
+      EXPECT_GE(SparseRam::ArenaSlabs(), 2u);
+    }
+    a.Punch(0, 300 * 4096);
+    EXPECT_EQ(SparseRam::ArenaLivePages(), 300u);  // b's pages
+    EXPECT_GE(SparseRam::ArenaSlabs(), 2u);
+  }
+  EXPECT_EQ(SparseRam::ArenaLivePages(), 0u);
+  EXPECT_EQ(SparseRam::ArenaSlabs(), 0u);
 }
 
 sim::Task<void> DoIo(NvmeDevice& dev, std::vector<Status>* results) {

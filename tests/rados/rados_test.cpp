@@ -5,6 +5,7 @@
 #include <set>
 
 #include "../testutil.h"
+#include "core/format.h"
 #include "rados/cluster.h"
 #include "util/rng.h"
 
@@ -96,6 +97,74 @@ TEST(Cluster, ReadReturnsWrittenData) {
     auto part = co_await io.Read("robj", 4096, 8192);
     CO_ASSERT_OK(part.status());
     EXPECT_TRUE(std::equal(part->begin(), part->end(), data.begin() + 4096));
+  });
+}
+
+// Every replica stores the same ciphertext, so a replicated whole-page
+// write leaves one host copy of the data page, held by all three replicas.
+// Tampering with one replica's copy fails authentication only there.
+TEST(Cluster, ReplicasShareDataPagesAndTamperingStaysLocal) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await Cluster::Create(SmallCluster());
+    CO_ASSERT_OK(cluster.status());
+    core::EncryptionSpec spec;
+    spec.mode = core::CipherMode::kXtsRandom;
+    spec.layout = core::IvLayout::kObjectEnd;
+    spec.integrity = core::Integrity::kHmac;
+    spec.iv_seed = 1;
+    constexpr uint64_t kObjectSize = 4ull << 20;
+    auto format = core::MakeFormat(spec, Rng(5).RandomBytes(64), kObjectSize);
+    core::ObjectExtent ext;
+    ext.oid = "shared";
+    ext.first_block = 2;
+    ext.block_count = 1;
+    ext.image_block = 2;
+    const Bytes plain = Rng(6).RandomBytes(core::kBlockSize);
+    objstore::Transaction txn;
+    CO_ASSERT_OK(format->MakeWrite(ext, plain, txn));
+    auto io = (*cluster)->ioctx();
+    CO_ASSERT_OK(co_await io.Operate(ext.oid, std::move(txn), {}));
+
+    const uint64_t data_off = ext.first_block * core::kBlockSize;
+    const uint64_t meta_off =
+        kObjectSize + ext.first_block * spec.MetaPerBlock();
+    const auto acting = (*cluster)->placement().OsdsFor(ext.oid);
+    CO_ASSERT_EQ(acting.size(), 3u);
+    for (size_t id : acting) {
+      const objstore::ObjectStore& store = (*cluster)->osd(id).store();
+      auto data_refs = store.PeekPageRefs(ext.oid, data_off);
+      CO_ASSERT_OK(data_refs.status());
+      EXPECT_EQ(*data_refs, 3u) << "osd " << id;
+      // The IV+tag record is a sub-page payload: each replica copies it.
+      auto meta_refs = store.PeekPageRefs(ext.oid, meta_off);
+      CO_ASSERT_OK(meta_refs.status());
+      EXPECT_EQ(*meta_refs, 1u) << "osd " << id;
+    }
+
+    objstore::ObjectStore& victim = (*cluster)->osd(acting[1]).store();
+    auto byte = victim.PeekObjectData(ext.oid, data_off + 100, 1);
+    CO_ASSERT_OK(byte.status());
+    (*byte)[0] ^= 0x01;
+    CO_ASSERT_OK(victim.TamperObjectData(ext.oid, data_off + 100, *byte));
+    EXPECT_EQ(victim.PeekPageRefs(ext.oid, data_off).value(), 1u);
+
+    for (size_t id : acting) {
+      objstore::Transaction read;
+      read.oid = ext.oid;
+      format->MakeRead(ext, read);
+      auto result =
+          co_await (*cluster)->osd(id).store().ExecuteRead(read,
+                                                           objstore::kHeadSnap);
+      CO_ASSERT_OK(result.status());
+      Bytes out(core::kBlockSize);
+      const Status s = format->FinishRead(ext, *result, out);
+      if (id == acting[1]) {
+        EXPECT_EQ(s.code(), StatusCode::kCorruption) << "osd " << id;
+      } else {
+        EXPECT_TRUE(s.ok()) << "osd " << id << ": " << s.ToString();
+        EXPECT_EQ(out, plain) << "osd " << id;
+      }
+    }
   });
 }
 

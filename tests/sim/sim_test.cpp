@@ -73,6 +73,32 @@ TEST(Scheduler, FifoOrderAtSameTimestamp) {
   EXPECT_EQ(log.size(), 5u);
 }
 
+Task<void> Record(int id, std::vector<int>* order) {
+  order->push_back(id);
+  co_return;
+}
+
+Task<void> WakeRecordAndSpawn(SimTime delay, int id, int spawn_id,
+                              std::vector<int>* order) {
+  co_await Sleep{delay};
+  order->push_back(id);
+  if (spawn_id != 0) Scheduler::Current().Spawn(Record(spawn_id, order));
+}
+
+// At t=10 task 1 spawns task 3, due now. Task 2's wake-up for t=10 was
+// queued at t=0, before task 3 existed, so it has the lower sequence number
+// and runs first even though task 3 is due at the same time.
+TEST(Scheduler, DueNowEventRunsAfterEarlierQueuedEventAtSameTime) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.Spawn(WakeRecordAndSpawn(10, 1, 3, &order));
+  sched.Spawn(WakeRecordAndSpawn(10, 2, 0, &order));
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sched.now(), 10u);
+  EXPECT_EQ(sched.events_processed(), 5u);
+}
+
 Task<void> UseSemaphore(Semaphore& sem, SimTime hold, std::vector<SimTime>* done) {
   co_await sem.Acquire();
   co_await Sleep{hold};
