@@ -16,8 +16,8 @@
 //              stay within 1.3x of its solo p99.
 //   identity   the pay-to-use contract: mClock with one untagged tenant on
 //              a healthy cluster lands on the exact same simulated clock
-//              as the plain shard semaphore, and a healthy run drives zero
-//              map refreshes / redirects / recovery work.
+//              as qos off (every op admitted as tenant 0), and a healthy
+//              run drives zero map refreshes / redirects / recovery work.
 //
 // Artifacts: writes bench-cluster.json (per-section numbers + gate
 // verdicts). Exit non-zero if any gate fails.
@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
 
   // --- identity ---
   std::printf("Pay-to-use identity: healthy mixed workload, mClock single "
-              "tenant vs plain shard semaphore\n");
+              "tenant vs qos off\n");
   IdentityPoint plain, single;
   RunIdentityPoint(/*mclock_on=*/false, &plain);
   RunIdentityPoint(/*mclock_on=*/true, &single);

@@ -10,7 +10,8 @@
 // io_size grid; --discard=PCT mixes TRIM into the stream; --rwmix=PCT
 // models a mixed tenant (PCT percent of ops are writes).
 // QoS: --qos-iops=N / --qos-bw=BYTES_PER_SEC / --qos-depth=N attach the
-// image to a client-side qos::Scheduler with those ceilings.
+// image to a client-side qos::Scheduler (the tenant admission engine)
+// with those ceilings.
 // IV cache: --iv-cache keeps random-IV metadata rows resident client-side
 // (reads of cached extents go data-only); --iv-cache-objects=N bounds the
 // LRU-by-object capacity.
@@ -39,9 +40,10 @@
 // marks OSD 0 down that many milliseconds into the measured run (writes
 // keep committing degraded; pair with --replication>=2 and --verify to
 // check no data is lost), then waits for background recovery to finish
-// and prints its counters. --tenant-qos[=R:W:L] turns on the cluster-side
-// mClock dequeue and tags the image's ops with tenant 1 (reservation R
-// IOPS, weight W, limit L IOPS; bare flag = weight-only defaults).
+// and prints its counters. --tenant-qos[=R:W:L] turns on mClock ordering
+// in every OSD's admission engine and tags the image's ops with tenant 1
+// (reservation R IOPS, weight W, limit L IOPS; bare flag = weight-only
+// defaults).
 // Observability: --obs enables request tracing + the per-stage latency
 // breakdown; --json=PATH writes the machine-readable result (throughput,
 // percentiles and the metrics delta over the measured window, stage

@@ -14,10 +14,17 @@ Osd::Osd(size_t id, size_t node, const ClusterConfig& config)
       node_(node),
       config_(config),
       device_(std::make_shared<dev::NvmeDevice>(config.nvme)),
-      shards_(config.costs.op_shards) {
+      qos_(config.costs.op_shards) {
   if (config.qos.enabled) {
-    qos_ = std::make_unique<MClockQueue>(config.costs.op_shards, config.qos);
+    for (const TenantSpec& spec : config.qos.tenants) SetTenantSpec(spec);
   }
+}
+
+void Osd::SetTenantSpec(const TenantSpec& spec) {
+  qos::QosPolicy limit;
+  limit.max_iops = spec.limit_iops;
+  limit.burst_ops = 1;
+  qos_.Configure(spec.id, limit, spec.reservation_iops, spec.weight);
 }
 
 sim::Task<Status> Osd::Start() {
@@ -28,15 +35,10 @@ sim::Task<Status> Osd::Start() {
 }
 
 sim::Task<void> Osd::AdmitOp(uint64_t tenant, sim::SimTime software_cost) {
-  if (qos_) {
-    co_await qos_->Acquire(tenant);
-    MClockGuard guard(*qos_);
-    co_await sim::Sleep{software_cost};
-  } else {
-    co_await shards_.Acquire();
-    sim::SemGuard guard(shards_);
-    co_await sim::Sleep{software_cost};
-  }
+  if (!config_.qos.enabled) tenant = 0;
+  co_await qos_.Acquire(tenant);
+  co_await sim::Sleep{software_cost};
+  qos_.Release(tenant);
 }
 
 sim::Task<Status> Osd::HandleReplicaWrite(const objstore::Transaction& txn,
@@ -383,9 +385,8 @@ sim::Task<void> Cluster::WaitForClean() {
 }
 
 void Cluster::SetTenantSpec(const TenantSpec& spec) {
-  for (auto& osd : osds_) {
-    if (osd->qos() != nullptr) osd->qos()->SetSpec(spec);
-  }
+  if (!config_.qos.enabled) return;
+  for (auto& osd : osds_) osd->SetTenantSpec(spec);
 }
 
 sim::Task<void> Cluster::Drain() {
@@ -492,17 +493,7 @@ void Cluster::ExportMetrics(obs::Metrics& node) const {
     ExportStoreStats(m.Child("store"), osd->store().stats());
     ExportDeviceStats(m.Child("device"), osd->device().stats());
     ExportNicGauges(m.Child("net"), *node_nics_[osd->node()]);
-    if (osd->qos() != nullptr) {
-      obs::Metrics& q = m.Child("qos");
-      q.Gauge("free_slots", static_cast<double>(osd->qos()->free_slots()));
-      for (const auto& [tenant, st] : osd->qos()->tenant_stats()) {
-        obs::Metrics& tm = q.Child("tenant_" + std::to_string(tenant));
-        tm.Counter("admitted", st.admitted);
-        tm.Counter("queued", st.queued);
-        tm.Counter("reservation_dispatches", st.reservation_dispatches);
-        tm.Counter("wait_ns", static_cast<uint64_t>(st.wait_ns));
-      }
-    }
+    if (config_.qos.enabled) osd->qos().ExportMetrics(m.Child("qos"));
   }
 
   obs::Metrics& nets = node.Child("net");

@@ -16,8 +16,9 @@
 //     surviving replicas, with the divergent objects tracked in per-PG
 //     logs. RecoveryManager streams them back in the background; a primary
 //     that is itself missing an object pulls it inline before serving.
-//   - With qos.enabled, each OSD runs an mClock dequeue (osd_qos.h) in
-//     front of its op shards, keyed by the op's tenant tag.
+//   - Every OSD admits ops to its op shards through a qos::Scheduler. With
+//     qos.enabled it orders them by the op's tenant tag (mClock); with qos
+//     off every op is tenant 0, which is a plain FIFO over the shards.
 // All three features are pay-to-use: on a healthy cluster with qos off the
 // event sequence is bit-identical to the pre-v2 data plane.
 #pragma once
@@ -29,7 +30,7 @@
 #include "device/nvme.h"
 #include "net/link.h"
 #include "objstore/object_store.h"
-#include "rados/osd_qos.h"
+#include "qos/scheduler.h"
 #include "rados/pg_log.h"
 #include "rados/placement.h"
 #include "rados/recovery.h"
@@ -40,6 +41,23 @@ class Metrics;
 }  // namespace vde::obs
 
 namespace vde::rados {
+
+// One tenant's cluster-side mClock parameters. id 0 is the default,
+// untagged tenant.
+struct TenantSpec {
+  uint64_t id = 0;
+  double reservation_iops = 0;  // guaranteed minimum; 0 = none
+  double weight = 1.0;          // share of surplus capacity
+  double limit_iops = 0;        // hard cap; 0 = uncapped
+};
+
+struct OsdQosConfig {
+  bool enabled = false;
+  // Specs applied at cluster creation; tenants not listed get defaults
+  // (no reservation, weight 1, no limit). SetTenantSpec can add/adjust
+  // later.
+  std::vector<TenantSpec> tenants;
+};
 
 // Software costs of the OSD op pipeline (queue, decode, PG lock, commit
 // bookkeeping). Values are calibration constants — see DESIGN.md §5.
@@ -104,9 +122,11 @@ class Osd {
   const dev::NvmeDevice& device() const { return *device_; }
   objstore::ObjectStore& store() { return *store_; }
   const objstore::ObjectStore& store() const { return *store_; }
-  // Null when qos is disabled (the plain shard semaphore is in charge).
-  const MClockQueue* qos() const { return qos_.get(); }
-  MClockQueue* qos() { return qos_.get(); }
+  // Op-shard admission. With qos off every op is tenant 0.
+  const qos::Scheduler& qos() const { return qos_; }
+  // Applies a tenant's reservation and weight; its limit becomes an ops
+  // bucket with a burst of one op.
+  void SetTenantSpec(const TenantSpec& spec);
 
   // Primary write: local apply + fan-out replication, ack when all
   // surviving acting members commit. Bounces with kBusy when this OSD is
@@ -126,7 +146,8 @@ class Osd {
       objstore::SnapId snap);
 
  private:
-  // Op-shard admission: mClock when enabled, plain FIFO semaphore when not.
+  // Holds an op shard for `software_cost`, admitted as `tenant` when qos
+  // is enabled and as tenant 0 otherwise.
   sim::Task<void> AdmitOp(uint64_t tenant, sim::SimTime software_cost);
 
   size_t id_;
@@ -134,8 +155,7 @@ class Osd {
   const ClusterConfig& config_;
   std::shared_ptr<dev::NvmeDevice> device_;
   std::shared_ptr<objstore::ObjectStore> store_;
-  sim::Semaphore shards_;
-  std::unique_ptr<MClockQueue> qos_;
+  qos::Scheduler qos_;
 };
 
 // Client handle: placement-aware replicated object IO (libRADOS IoCtx).

@@ -225,11 +225,10 @@ void ImageRequest::Submit(Image& image, IoKind kind, uint64_t offset,
   if (req->trace_ != nullptr) req->trace_->Enter(obs::Stage::kQueue);
   // Admission: an enabled QoS tenant rides the shared dispatch queue (FIFO
   // per image, so holds and flush tickets — both taken above, in submission
-  // order — are owned only by requests dispatched no later than ours);
-  // otherwise spawn directly. Flushes move no data and pay no tokens, but
-  // still queue FIFO behind the writes they fence.
-  qos::Scheduler* qsched = image.qos_scheduler();
-  if (qsched != nullptr && qsched->enabled(image.qos_tenant())) {
+  // order — are owned only by requests dispatched no later than ours); a
+  // disabled one, or no scheduler, spawns directly. Flushes move no data
+  // and pay no tokens, but still queue FIFO behind the writes they fence.
+  if (qos::Scheduler* qsched = image.qos_scheduler()) {
     const uint64_t cost = req->length_;
     const bool charge = kind != IoKind::kFlush;
     qsched->Submit(image.qos_tenant(), cost, charge, Run(std::move(req)));

@@ -3,7 +3,7 @@
 // lost-update regression guarantees), enabled policies throttle and cap
 // in-flight depth without breaking ordering or verify-mode content, flush
 // barriers hold through the dispatch queue, and a saturating noisy
-// neighbor cannot starve a weighted victim.
+// neighbor held to its caps cannot starve the victim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -336,8 +336,8 @@ sim::Task<void> RunNeighbors(bool use_qos, NeighborOutcome* out) {
   qos::QosPolicy victim_policy, aggressor_policy;
   if (use_qos) {
     // The aggressor's caps do the isolating here (weighted sharing of a
-    // scarce host-wide window is a different contention shape, covered
-    // by scheduler_test's fairness case — bounding the window in THIS
+    // finite slot pool is a different contention shape, covered by
+    // scheduler_test's fairness case — bounding the slots in THIS
     // scenario would squeeze the victim's own dispatch too).
     qos = std::make_shared<qos::Scheduler>();
     victim_policy.enabled = true;

@@ -1,7 +1,7 @@
 // Failure + recovery + cluster QoS: degraded writes, client map refresh on
 // dead/mispointed primaries, background and inline recovery, the recovery
-// throttle, and the mClock dequeue (identity, caps, reservations, and the
-// rbd tenant plumb-through).
+// throttle, and OSD op-shard admission (the qos-off clock, mClock identity,
+// caps, reservations, and the rbd tenant plumb-through).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -318,12 +318,8 @@ TEST(ClusterQos, ReservationShieldsVictimFromGreedyNeighbor) {
     // would take at the back of a 64-deep weight-8 queue.
     uint64_t reservation_dispatches = 0;
     for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-      const auto* q = (*cluster)->osd(i).qos();
-      CO_ASSERT_TRUE(q != nullptr);
-      auto it = q->tenant_stats().find(2);
-      if (it != q->tenant_stats().end()) {
-        reservation_dispatches += it->second.reservation_dispatches;
-      }
+      reservation_dispatches +=
+          (*cluster)->osd(i).qos().stats(2).reservation_dispatches;
     }
     EXPECT_GT(reservation_dispatches, 0u);
     EXPECT_LT(victim_time, static_cast<sim::SimTime>(2) * sim::kSec);
@@ -354,14 +350,56 @@ TEST(ClusterQos, ImageOpsCarryTenantTag) {
 
     uint64_t tagged_ops = 0;
     for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-      const auto* q = (*cluster)->osd(i).qos();
-      CO_ASSERT_TRUE(q != nullptr);
-      auto it = q->tenant_stats().find(42);
-      if (it != q->tenant_stats().end()) tagged_ops += it->second.admitted;
+      tagged_ops += (*cluster)->osd(i).qos().stats(42).admitted;
     }
     EXPECT_GT(tagged_ops, 0u)
         << "image IO must reach the OSDs under its tenant id";
   });
+}
+
+// Every OSD's op shards saturated with qos off: 32 concurrent clients mix
+// 8 KiB writes and 4 KiB reads against a 3-OSD cluster, more than the
+// three primaries' 8 shards each can hold. The final clock and event count
+// are golden values recorded at commit 3580217, where a qos-off OSD
+// admitted ops through a plain sim::Semaphore instead of the admission
+// engine; admitting every op as tenant 0 must reproduce them exactly.
+TEST(ClusterQos, SaturatedShardsWithQosOffKeepTheSemaphoreClock) {
+  sim::Scheduler sched;
+  bool finished = false;
+  sched.Spawn([](bool* done) -> sim::Task<void> {
+    ClusterConfig config = SmallCluster();
+    config.nodes = 3;
+    config.osds_per_node = 1;
+    auto cluster = co_await Cluster::Create(config);
+    CO_ASSERT_OK(cluster.status());
+    sim::WaitGroup wg;
+    for (int w = 0; w < 32; ++w) {
+      wg.Add(1);
+      sim::Scheduler::Current().Spawn(
+          [](Cluster* c, int w, sim::WaitGroup* wg) -> sim::Task<void> {
+            auto io = c->ioctx();
+            Rng rng(200 + w);
+            const Bytes data = rng.RandomBytes(8192);
+            const std::string oid = "sat." + std::to_string(w % 12);
+            EXPECT_TRUE((co_await io.WriteFull(oid, data)).ok());
+            for (int i = 0; i < 16; ++i) {
+              if (rng.NextBool(0.5)) {
+                EXPECT_TRUE((co_await io.WriteFull(oid, data)).ok());
+              } else {
+                EXPECT_TRUE((co_await io.Read(oid, 0, 4096)).ok());
+              }
+            }
+            wg->Done();
+          }(&**cluster, w, &wg));
+    }
+    co_await wg.Wait();
+    co_await (*cluster)->Drain();
+    *done = true;
+  }(&finished));
+  const sim::SimTime end = sched.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(end, 16408341u);
+  EXPECT_EQ(sched.events_processed(), 20984u);
 }
 
 }  // namespace
