@@ -4,8 +4,11 @@
 // to be accessed versus 8 in the baseline."
 //
 // This bench prints the THEORETICAL sector counts per layout and IO size
-// and then validates them against the simulated device's actual sector
-// counters for single-op writes on a one-OSD store.
+// next to the simulated device's actual sector counters for single-op
+// writes on a one-OSD store. Gate: every cell's theory and measurement
+// agree, and the paper's two examples hold on the object-end layout (4K:
+// 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Prints `gates: PASS/FAIL` and
+// exits non-zero on FAIL.
 #include <cstdio>
 
 #include "core/format.h"
@@ -125,11 +128,26 @@ int main() {
       {"OMAP", {core::CipherMode::kXtsRandom, core::IvLayout::kOmap}},
   };
 
+  size_t cells = 0;
+  size_t matched = 0;
+  bool examples_ok = true;
   for (uint64_t io = 4096; io <= (1ull << 20); io *= 2) {
     std::printf("%8lluK", static_cast<unsigned long long>(io >> 10));
+    uint64_t luks_written = 0;
     for (const auto& c : cases) {
       const auto theory = Theoretical(c.spec.layout, io, /*first_block=*/1);
       const auto meas = Measured(c.spec, io);
+      cells++;
+      if (theory.written == meas.written && theory.rmw_read == meas.rmw_read) {
+        matched++;
+      }
+      if (c.spec.layout == core::IvLayout::kNone) luks_written = meas.written;
+      if (c.spec.layout == core::IvLayout::kObjectEnd &&
+          (io == 4096 || io == 32768)) {
+        // 4K: 2 vs 1; 32K: 9 vs 8 — one extra sector for the IV region.
+        examples_ok = examples_ok && luks_written == io / kSector &&
+                      meas.written == io / kSector + 1;
+      }
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%llu+%lluR / %llu+%lluR",
                     static_cast<unsigned long long>(theory.written),
@@ -141,6 +159,11 @@ int main() {
     std::printf("\n");
   }
   std::printf("\nPaper's examples: 4K write -> 2 sectors vs 1 baseline; "
-              "32K -> 9 vs 8. ('xR' = extra RMW sector reads)\n");
-  return 0;
+              "32K -> 9 vs 8. ('xR' = extra RMW sector reads)\n\n");
+  std::printf("cells matching theory: %zu/%zu\n", matched, cells);
+  std::printf("paper examples (object end vs LUKS2): %s\n",
+              examples_ok ? "hold" : "BROKEN");
+  const bool gates_ok = matched == cells && examples_ok;
+  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
+  return gates_ok ? 0 : 1;
 }

@@ -448,6 +448,166 @@ sim::Task<Status> Image::EnsureObjectState(uint64_t object_no,
   co_return co_await trim_state_->Ensure(object_no);
 }
 
+// --- The object IO steps ---
+
+core::IvRows* Image::IvCapture(Mutation& m, uint64_t first_block) const {
+  if (!iv_cache_->enabled() || !options_.enc.NeedsMetadata()) return nullptr;
+  return &m.rows.emplace_back(first_block, core::IvRows{}).second;
+}
+
+sim::Task<Status> Image::PrepareMutation(uint64_t object_no,
+                                         obs::TraceContext* trace) {
+  VDE_CO_RETURN_IF_ERROR(co_await EnsureObjectState(object_no, trace));
+  if (meta_store_ != nullptr && meta_store_->NeedsDirtyMark()) {
+    VDE_CO_RETURN_IF_ERROR(co_await meta_store_->MarkDirty());
+  }
+  co_return Status::Ok();
+}
+
+sim::Task<Status> Image::CommitMutation(uint64_t object_no,
+                                        const std::string& oid, Mutation m,
+                                        obs::TraceContext* trace) {
+  // Blocks whose zero-legit bit flips carry the updated MAC'd bitmap in
+  // the SAME transaction (steady-state overwrites of live blocks stage
+  // nothing).
+  auto update =
+      co_await trim_state_->Stage(object_no, m.written, m.trimmed, m.txn);
+  VDE_CO_RETURN_IF_ERROR(update.status());
+  if (m.crypto_cost > 0) {
+    obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
+    co_await sim::ChargeCpu{sim::ShardOf(oid), m.crypto_cost};
+  }
+  if (m.compress_cost > 0) {
+    obs::SpanScope compress_span(trace, obs::Stage::kCompress);
+    co_await sim::ChargeCpu{sim::ShardOf(oid), m.compress_cost};
+  }
+  auto io = this->io();
+  m.txn.trace = trace;
+  obs::SpanScope store_span(trace, obs::Stage::kStore);
+  VDE_CO_RETURN_IF_ERROR(
+      co_await io.Operate(oid, std::move(m.txn), SnapContext()));
+  store_span.End();
+  trim_state_->Commit(std::move(*update));
+  // Superseded or trimmed stages go (with their cached rows) so a later
+  // flush cannot resurrect old data; trimmed blocks get cleared markers so
+  // rereads zero-fill client-side, and the freshly persisted IVs replace
+  // the stale rows in the same breath — a flush or snapshot drain never
+  // leaves a row pointing at overwritten ciphertext.
+  if (m.drop_stages) {
+    uint64_t first = UINT64_MAX;
+    uint64_t end = 0;
+    for (const BlockRanges* ranges : {&m.written, &m.trimmed}) {
+      for (const auto& [block, count] : *ranges) {
+        first = std::min(first, block);
+        end = std::max(end, block + count);
+      }
+    }
+    if (first < end) writeback_->DropRange(object_no, first, end - 1);
+  }
+  for (const auto& [first, count] : m.trimmed) {
+    iv_cache_->PutCleared(object_no, first, count);
+  }
+  for (const auto& [first, rows] : m.rows) {
+    if (!rows.empty()) iv_cache_->PutRange(object_no, first, rows);
+  }
+  co_return co_await FlushPressuredJournal();
+}
+
+sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
+    std::span<const BlockRead> reads, objstore::SnapId snap,
+    obs::TraceContext* trace) {
+  // Head reads on an authenticating format carry the object's verified
+  // discard bitmap into FinishRead (the erase-channel check) and plan
+  // against the IV cache; snapshot reads carry neither (rows and bitmap
+  // describe the head, and a clone's cleared blocks keep legacy
+  // semantics).
+  const bool head = snap == objstore::kHeadSnap;
+  const core::ObjectExtent& first = reads.front().ext;
+  const core::DiscardBitmap* zeros =
+      head ? trim_state_->Lookup(first.object_no) : nullptr;
+  // Each extent plans independently (a fully cached one reads data-only),
+  // and the format decides what a block read needs for its layout
+  // (data+IV range, IV region slice, OMAP rows).
+  objstore::Transaction txn;
+  std::vector<CachedExtentRead> plans;
+  plans.reserve(reads.size());
+  for (const BlockRead& r : reads) {
+    plans.emplace_back(head ? iv_cache_.get() : nullptr, *format_, r.ext,
+                       zeros);
+    plans.back().AppendOps(txn);
+  }
+  ReadCounts counts;
+  objstore::ReadResult fetched;
+  if (!txn.ops.empty()) {
+    auto io = this->io();
+    txn.trace = trace;
+    obs::SpanScope store_span(trace, obs::Stage::kStore);
+    auto got = co_await io.OperateRead(first.oid, std::move(txn), snap);
+    store_span.End();
+    if (got.status().IsNotFound()) {
+      // Never-written object: virtual disks read zeros.
+      for (const BlockRead& r : reads) {
+        std::fill(r.out.begin(), r.out.end(), 0);
+      }
+      co_return counts;
+    }
+    if (!got.ok()) co_return got.status();
+    fetched = std::move(*got);
+  }
+  // Finish is synchronous, so the decompressed-blocks delta around the
+  // loop is exactly these extents' expansions.
+  const uint64_t expanded_before =
+      format_->compress_stats().decompressed_blocks;
+  size_t data_off = 0;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (plans.size() == 1) {
+      VDE_CO_RETURN_IF_ERROR(plans[i].Finish(fetched, reads[i].out));
+    } else {
+      // Several extents share the result: hand each its slice.
+      const size_t nbytes = plans[i].read_bytes();
+      if (data_off + nbytes > fetched.data.size()) {
+        co_return Status::IoError("short block read");
+      }
+      objstore::ReadResult slice;
+      slice.data.assign(
+          fetched.data.begin() + static_cast<long>(data_off),
+          fetched.data.begin() + static_cast<long>(data_off + nbytes));
+      slice.omap_values = fetched.omap_values;  // formats match rows by key
+      data_off += nbytes;
+      VDE_CO_RETURN_IF_ERROR(plans[i].Finish(slice, reads[i].out));
+    }
+    if (!plans[i].zero_fill()) {
+      counts.decrypted_blocks += reads[i].ext.block_count;
+    }
+  }
+  counts.expanded_blocks =
+      format_->compress_stats().decompressed_blocks - expanded_before;
+  co_return counts;
+}
+
+sim::Task<void> Image::ChargeRead(const std::string& oid, ReadCounts counts,
+                                  obs::TraceContext* trace) {
+  if (counts.decrypted_blocks > 0) {
+    obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
+    co_await sim::ChargeCpu{
+        sim::ShardOf(oid),
+        format_->CryptoCost(counts.decrypted_blocks * core::kBlockSize)};
+  }
+  if (counts.expanded_blocks > 0) {
+    obs::SpanScope compress_span(trace, obs::Stage::kCompress);
+    co_await sim::ChargeCpu{
+        sim::ShardOf(oid),
+        format_->DecompressCost(counts.expanded_blocks * core::kBlockSize)};
+  }
+}
+
+sim::Task<Status> Image::FlushPressuredJournal() {
+  if (meta_store_ != nullptr && meta_store_->JournalPressure()) {
+    co_return co_await meta_store_->FlushJournal();
+  }
+  co_return Status::Ok();
+}
+
 sim::Task<Status> Image::PersistMetadata() {
   auto io = this->io();
   co_return co_await io.WriteFull(

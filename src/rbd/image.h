@@ -19,6 +19,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -218,20 +219,90 @@ class Image {
   std::string HeaderObject() const { return "rbd_header." + name_; }
   objstore::SnapContext SnapContext() const;
 
-  // Where write paths should capture the metadata rows MakeWrite persists:
-  // `rows` when the IV cache wants them, null (skip the copy) otherwise.
-  core::IvRows* IvCapture(core::IvRows* rows) const {
-    return iv_cache_->enabled() && options_.enc.NeedsMetadata() ? rows
-                                                                : nullptr;
-  }
-
   // Per-object state priming for the datapath: warm-loads the object's
   // persisted IV rows off the metadata plane (once per object), then
   // Ensures its discard bitmap (served from the plane on a warm open,
-  // from the store otherwise). Replaces bare trim_state_->Ensure calls.
-  // Attributes its store round-trips to the request's kStore stage.
+  // from the store otherwise). Every request path primes through here;
+  // only the write-back stage-fill read (Writeback::ReadBlock) keeps a
+  // bare trim_state_->Ensure. Attributes its store round-trips to the
+  // request's kStore stage.
   sim::Task<Status> EnsureObjectState(uint64_t object_no,
                                       obs::TraceContext* trace = nullptr);
+
+  // --- The object IO steps ---
+  //
+  // Every store mutation of an object is PrepareMutation, then the
+  // format's ops built into one Mutation, then CommitMutation; every block
+  // read of an object is one ReadObject. These two steps are the only
+  // places the ciphertext, its IV/MAC and the sealed discard bitmap are
+  // put into (or taken out of) one atomic object transaction (§3.1).
+
+  // (first_block, count) runs of object-relative blocks.
+  using BlockRanges = std::vector<std::pair<uint64_t, size_t>>;
+
+  // One object mutation: the transaction the format built plus what the
+  // commit does around it.
+  struct Mutation {
+    objstore::Transaction txn;
+    BlockRanges written;  // blocks made live: their zero-legit bits clear
+    BlockRanges trimmed;  // blocks made zero-legit: their bits set
+    // CPU charged on the object's core just before the store call (after
+    // the bitmap update is staged); zero schedules nothing.
+    sim::SimTime crypto_cost = 0;
+    sim::SimTime compress_cost = 0;
+    // Drops every staged copy (and cached row) in the span written and
+    // trimmed cover: the store content supersedes them. A stage flush
+    // keeps its own stage.
+    bool drop_stages = true;
+    // Fresh IV rows by first block, captured through IvCapture.
+    std::vector<std::pair<uint64_t, core::IvRows>> rows;
+  };
+
+  // Where MakeWrite should capture the metadata rows of blocks from
+  // `first_block` on: a new rows entry of `m` when the IV cache wants
+  // them, null (skip the copy) otherwise.
+  core::IvRows* IvCapture(Mutation& m, uint64_t first_block) const;
+
+  // EnsureObjectState plus the metadata plane's dirty mark: the first
+  // store mutation of a session clears the plane's clean flag (write-
+  // through) so a crash cold-starts the next open.
+  sim::Task<Status> PrepareMutation(uint64_t object_no,
+                                    obs::TraceContext* trace);
+
+  // Appends the discard-bitmap update for m.written/m.trimmed to m.txn,
+  // charges m's CPU costs, applies m.txn to `oid` under a kStore span and
+  // commits the bitmap; then drops superseded stages, caches cleared
+  // markers for m.trimmed and the rows in m.rows, and flushes a pressured
+  // metadata journal.
+  sim::Task<Status> CommitMutation(uint64_t object_no, const std::string& oid,
+                                   Mutation m, obs::TraceContext* trace);
+
+  // One block extent of a read and where its plaintext goes.
+  struct BlockRead {
+    core::ObjectExtent ext;
+    MutByteSpan out;
+  };
+  struct ReadCounts {
+    uint64_t decrypted_blocks = 0;
+    uint64_t expanded_blocks = 0;  // of those, stored compressed
+  };
+
+  // Plans every extent (all of one object) against the IV cache and
+  // issues them as one read transaction at `snap`; head reads consult the
+  // cache and the object's discard bitmap (the caller primes it). Extents
+  // resting on resident cleared markers read zeros without a store
+  // round-trip, a never-written object zero-fills every `out`. Returns
+  // what was decrypted; the caller charges it (ChargeRead).
+  sim::Task<Result<ReadCounts>> ReadObject(std::span<const BlockRead> reads,
+                                           objstore::SnapId snap,
+                                           obs::TraceContext* trace);
+  // Decrypt (and decompress) cost of `counts` on `oid`'s core.
+  sim::Task<void> ChargeRead(const std::string& oid, ReadCounts counts,
+                             obs::TraceContext* trace);
+
+  // Commits a batch of metadata-journal rows once enough pend (write-
+  // behind, one WAL frame per batch); a no-op without a plane.
+  sim::Task<Status> FlushPressuredJournal();
 
   // Flush ordering: write-class requests take a ticket at submit time and
   // retire it on completion; a flush barrier resolves once no ticket below

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "rbd/image.h"
-#include "rbd/iv_cache.h"
 #include "sim/sync.h"
 
 namespace vde::rbd {
@@ -284,7 +283,7 @@ sim::Task<Status> ImageRequest::Execute() {
       co_return co_await ExecuteWriteOp();
     case IoKind::kDiscard:
     case IoKind::kWriteZeroes:
-      co_return co_await ExecuteDiscardOp();
+      co_return co_await ForEachChunk(&ImageRequest::DiscardChunk);
     case IoKind::kFlush:
       co_return co_await ExecuteFlushOp();
   }
@@ -338,21 +337,20 @@ void ImageRequest::ScatterTo(uint64_t buf_off, ByteSpan in) {
                  });
 }
 
+// Runs `step` on every chunk concurrently; the first error in chunk order
+// wins.
+sim::Task<Status> ImageRequest::ForEachChunk(
+    sim::Task<Status> (ImageRequest::*step)(size_t)) {
+  std::vector<sim::Task<Status>> tasks;
+  tasks.reserve(chunks_.size());
+  for (size_t i = 0; i < chunks_.size(); ++i) tasks.push_back((this->*step)(i));
+  return sim::WhenAllOk(std::move(tasks));
+}
+
 // --- Read ---
 
 sim::Task<Status> ImageRequest::ExecuteReadOp() {
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->ReadChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
+  VDE_CO_RETURN_IF_ERROR(co_await ForEachChunk(&ImageRequest::ReadChunk));
   // Client-side decryption cost over the covers that actually decrypted
   // ciphertext (partial blocks are decrypted whole even if the guest asked
   // for 512 B of them); covers served from the plaintext staging buffer
@@ -387,7 +385,6 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   }
   HoldGuard held(wb, holds_[idx]);
 
-  core::EncryptionFormat& fmt = *image_.format_;
   const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
   // Block-aligned chunks landing in one iovec segment decrypt straight
   // into the caller's buffer; otherwise go through a scratch cover.
@@ -405,76 +402,29 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   // the stage cannot change while we hold it). A cover whose every block
   // is staged needs no store read at all: the stages ARE the content —
   // the hot read-after-write path of the db workload.
-  const bool overlay = snap_ == objstore::kHeadSnap;
-  bool fully_staged = overlay;
-  if (overlay) {
-    for (size_t b = 0; fully_staged && b < chunk.cover.block_count; ++b) {
-      fully_staged = wb.Staged(chunk.cover.object_no,
-                               chunk.cover.first_block + b) != nullptr;
-    }
+  const bool head = snap_ == objstore::kHeadSnap;
+  bool fully_staged = head;
+  for (size_t b = 0; fully_staged && b < chunk.cover.block_count; ++b) {
+    fully_staged = wb.Staged(chunk.cover.object_no,
+                             chunk.cover.first_block + b) != nullptr;
   }
   if (!fully_staged) {
-    // Head reads on an authenticating format carry the object's verified
-    // discard bitmap into FinishRead (the erase-channel check); snapshot
-    // reads carry none — a clone's cleared blocks keep legacy semantics.
-    const bool head = snap_ == objstore::kHeadSnap;
-    const core::DiscardBitmap* zeros = nullptr;
     if (head && image_.trim_state_->enabled()) {
       VDE_CO_RETURN_IF_ERROR(
           co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-      zeros = image_.trim_state_->Lookup(chunk.cover.object_no);
     }
-    objstore::Transaction txn;
-    // A fully-cached extent reads data-only and decrypts with the resident
-    // IV rows; snapshot reads bypass the cache (rows describe the head).
-    CachedExtentRead plan(head ? image_.iv_cache_.get() : nullptr, fmt,
-                          chunk.cover, zeros);
-    plan.AppendOps(txn);
-    if (plan.zero_fill()) {
-      // Every block is a resident cleared marker: the extent is TRIMmed
-      // end to end and reads zeros without any store round-trip.
-      VDE_CO_RETURN_IF_ERROR(plan.Finish(objstore::ReadResult{}, out));
-    } else {
-      auto io = image_.io();
-      txn.trace = ctx();
-      obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-      auto got =
-          co_await io.OperateRead(chunk.cover.oid, std::move(txn), snap_);
-      store_span.End();
-      if (got.status().IsNotFound()) {
-        // Never-written object: virtual disks read zeros.
-        std::fill(out.begin(), out.end(), 0);
-      } else if (!got.ok()) {
-        co_return got.status();
-      } else {
-        // Finish is synchronous, so the decompressed-blocks delta around it
-        // is exactly this cover's expansions (no interleaving).
-        const uint64_t expanded_before =
-            fmt.compress_stats().decompressed_blocks;
-        VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
-        const uint64_t expanded =
-            fmt.compress_stats().decompressed_blocks - expanded_before;
-        read_decrypted_bytes_ += cover_bytes;
-        read_expanded_blocks_ += expanded;
-        // Pipelined decrypt: charge this chunk's covers on the object's
-        // core so chunks of different objects decrypt in parallel.
-        sim::Scheduler& sched = sim::Scheduler::Current();
-        if (sched.core_model_enabled()) {
-          obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-          co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                                  fmt.CryptoCost(cover_bytes)};
-          crypto_span.End();
-          if (expanded > 0) {
-            obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-            co_await sim::ChargeCpu{
-                sim::ShardOf(chunk.cover.oid),
-                fmt.DecompressCost(expanded * kBlockSize)};
-          }
-        }
-      }
+    const Image::BlockRead read{chunk.cover, out};
+    auto counts = co_await image_.ReadObject({&read, 1}, snap_, ctx());
+    VDE_CO_RETURN_IF_ERROR(counts.status());
+    read_decrypted_bytes_ += counts->decrypted_blocks * kBlockSize;
+    read_expanded_blocks_ += counts->expanded_blocks;
+    // Pipelined decrypt: charge this chunk's covers on the object's core
+    // so chunks of different objects decrypt in parallel.
+    if (sim::Scheduler::Current().core_model_enabled()) {
+      co_await image_.ChargeRead(chunk.cover.oid, *counts, ctx());
     }
   }
-  if (overlay) {
+  if (head) {
     for (size_t b = 0; b < chunk.cover.block_count; ++b) {
       if (const Bytes* staged =
               wb.Staged(chunk.cover.object_no, chunk.cover.first_block + b)) {
@@ -486,13 +436,8 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
     ScatterTo(chunk.buf_off, ByteSpan(scratch.data() + chunk.byte_off,
                                       chunk.byte_len));
   }
-  // Read-populated IV rows spill into the meta journal; commit a batch at
-  // request end once enough pend (write-behind, one WAL frame per batch).
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  // Read-populated IV rows spill into the meta journal.
+  co_return co_await image_.FlushPressuredJournal();
 }
 
 // --- Write ---
@@ -531,122 +476,45 @@ sim::Task<Status> ImageRequest::ExecuteWriteOp() {
       co_await sim::Sleep{compress_cost};
     }
   }
-
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->WriteChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
+  co_return co_await ForEachChunk(&ImageRequest::WriteChunk);
 }
 
 sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
                                              MutByteSpan head_block,
                                              MutByteSpan tail_block) {
-  struct Edge {
-    core::ObjectExtent ext;
-    MutByteSpan out;
-  };
-  std::vector<Edge> edges;
-  if (!head_block.empty()) {
-    edges.push_back({SubExtent(chunk.cover, 0, 1), head_block});
-  }
-  if (!tail_block.empty()) {
-    edges.push_back(
-        {SubExtent(chunk.cover, chunk.cover.block_count - 1, 1), tail_block});
-  }
-  if (edges.empty()) co_return Status::Ok();
-
   // Edges whose block sits in the write-back buffer read from the stage —
   // that IS the current block content, and the store copy may be stale.
   Writeback& wb = *image_.writeback_;
-  std::vector<Edge> from_store;
-  for (auto& e : edges) {
+  std::vector<Image::BlockRead> from_store;
+  auto edge = [&](size_t blk, MutByteSpan out) {
+    if (out.empty()) return;
     if (const Bytes* staged =
-            wb.Staged(chunk.cover.object_no, e.ext.first_block)) {
-      std::memcpy(e.out.data(), staged->data(), kBlockSize);
+            wb.Staged(chunk.cover.object_no, chunk.cover.first_block + blk)) {
+      std::memcpy(out.data(), staged->data(), kBlockSize);
       image_.counters_.rmw_merged++;
     } else {
-      from_store.push_back(e);
+      from_store.push_back({SubExtent(chunk.cover, blk, 1), out});
     }
-  }
+  };
+  edge(0, head_block);
+  edge(chunk.cover.block_count - 1, tail_block);
   if (from_store.empty()) co_return Status::Ok();
   image_.counters_.rmw_blocks += from_store.size();
 
-  core::EncryptionFormat& fmt = *image_.format_;
-  // RMW reads merge into the head: load + thread the discard bitmap.
-  const core::DiscardBitmap* zeros = nullptr;
+  // RMW reads merge into the head: load the discard bitmap. Both edges
+  // ride ONE read transaction, each planned against the IV cache on its
+  // own (RMW edges are the hot single-block case where even the
+  // interleaved layout profits).
   if (image_.trim_state_->enabled()) {
     VDE_CO_RETURN_IF_ERROR(
         co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-    zeros = image_.trim_state_->Lookup(chunk.cover.object_no);
   }
-  // All RMW sub-reads of this object ride ONE read transaction; each edge
-  // plans against the IV cache independently (RMW edges are the hot
-  // single-block case where even the interleaved layout profits), and the
-  // format decides what a block read needs for its layout (data+IV range,
-  // IV region slice, OMAP rows). Edges resting on cleared markers plan a
-  // zero-fill and consume nothing from the result — when EVERY edge does,
-  // the store round-trip is skipped outright.
-  objstore::Transaction txn;
-  std::vector<CachedExtentRead> plans;
-  plans.reserve(from_store.size());
-  for (const auto& e : from_store) {
-    plans.emplace_back(image_.iv_cache_.get(), fmt, e.ext, zeros);
-    plans.back().AppendOps(txn);
-  }
-  objstore::ReadResult fetched;
-  if (!txn.ops.empty()) {
-    auto io = image_.io();
-    txn.trace = ctx();
-    obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-    auto got =
-        co_await io.OperateRead(chunk.cover.oid, std::move(txn),
-                                objstore::kHeadSnap);
-    store_span.End();
-    if (got.status().IsNotFound()) co_return Status::Ok();  // reads as zeros
-    if (!got.ok()) co_return got.status();
-    fetched = std::move(*got);
-  }
-
-  size_t data_off = 0;
-  size_t decrypted_blocks = 0;
-  const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
-  for (size_t i = 0; i < from_store.size(); ++i) {
-    const size_t nbytes = plans[i].read_bytes();
-    if (data_off + nbytes > fetched.data.size()) {
-      co_return Status::IoError("short RMW read");
-    }
-    objstore::ReadResult slice;
-    slice.data.assign(
-        fetched.data.begin() + static_cast<long>(data_off),
-        fetched.data.begin() + static_cast<long>(data_off + nbytes));
-    slice.omap_values = fetched.omap_values;  // formats match rows by key
-    data_off += nbytes;
-    VDE_CO_RETURN_IF_ERROR(plans[i].Finish(slice, from_store[i].out));
-    if (!plans[i].zero_fill()) decrypted_blocks++;
-  }
-  if (decrypted_blocks > 0) {
-    // ChargeCpu degrades to Sleep with the core model off; enabled, the
-    // RMW edge decrypt serializes with the object's other crypto work.
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.CryptoCost(decrypted_blocks * kBlockSize)};
-  }
-  const uint64_t expanded =
-      fmt.compress_stats().decompressed_blocks - expanded_before;
-  if (expanded > 0) {
-    obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.DecompressCost(expanded * kBlockSize)};
-  }
+  auto counts =
+      co_await image_.ReadObject(from_store, objstore::kHeadSnap, ctx());
+  VDE_CO_RETURN_IF_ERROR(counts.status());
+  // ChargeCpu degrades to Sleep with the core model off; enabled, the RMW
+  // edge decrypt serializes with the object's other crypto work.
+  co_await image_.ChargeRead(chunk.cover.oid, *counts, ctx());
   co_return Status::Ok();
 }
 
@@ -693,79 +561,36 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
   // core before the store transaction — chunks bound for different objects
   // (striped sequential writes in particular) encrypt concurrently. With
   // the core model off, ExecuteWriteOp charged one aggregate pass already.
-  {
-    sim::Scheduler& sched = sim::Scheduler::Current();
-    if (sched.core_model_enabled()) {
-      obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-      co_await sim::ChargeCpu{
-          sim::ShardOf(chunk.cover.oid),
-          image_.format_->IoCryptoCost(
-              chunk.byte_len, PartialEdges(chunk.byte_off, chunk.byte_len,
-                                           chunk.cover.block_count))};
-      crypto_span.End();
-      const sim::SimTime compress_cost = image_.format_->CompressCost(
-          chunk.cover.block_count * size_t{kBlockSize});
-      if (compress_cost > 0) {
-        obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-        co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
-      }
+  if (sim::Scheduler::Current().core_model_enabled()) {
+    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
+    co_await sim::ChargeCpu{
+        sim::ShardOf(chunk.cover.oid),
+        image_.format_->IoCryptoCost(
+            chunk.byte_len, PartialEdges(chunk.byte_off, chunk.byte_len,
+                                         chunk.cover.block_count))};
+    crypto_span.End();
+    const sim::SimTime compress_cost = image_.format_->CompressCost(
+        chunk.cover.block_count * size_t{kBlockSize});
+    if (compress_cost > 0) {
+      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
+      co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
     }
   }
 
-  core::EncryptionFormat& fmt = *image_.format_;
-  TrimState& ts = *image_.trim_state_;
-  const uint64_t last_block =
-      chunk.cover.first_block + chunk.cover.block_count - 1;
-  const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
+  VDE_CO_RETURN_IF_ERROR(
+      co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
   const bool head_partial = chunk.byte_off % kBlockSize != 0;
   const bool tail_partial = (chunk.byte_off + chunk.byte_len) % kBlockSize != 0;
-  // Writing makes these blocks live: if any was marked zero-legit in the
-  // discard bitmap, the SAME transaction carries the updated MAC'd bitmap
-  // (steady-state overwrites of live blocks stage nothing).
-  const std::vector<std::pair<uint64_t, size_t>> written_range{
-      {chunk.cover.first_block, chunk.cover.block_count}};
-  VDE_CO_RETURN_IF_ERROR(
-      co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-  // First store mutation of the session clears the plane's clean flag
-  // (write-through) so a crash cold-starts the next open.
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-  }
-  objstore::Transaction txn;
-  core::IvRows ivs;
-  core::IvRows* const ivs_out = image_.IvCapture(&ivs);
+  // A block-aligned chunk from one iovec segment encrypts straight from
+  // the caller's buffer; otherwise the cover is assembled in scratch,
+  // partial edges merged over their current content (RMW).
+  ByteSpan plain;
   if (!head_partial && !tail_partial) {
-    // Block-aligned chunk from one iovec segment: encrypt straight from
-    // the caller's buffer, no staging copy.
-    const ByteSpan direct = ContiguousSrc(chunk.buf_off, chunk.byte_len);
-    if (!direct.empty()) {
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(chunk.cover, direct, txn, ivs_out));
-      auto update =
-          co_await ts.Stage(chunk.cover.object_no, written_range, {}, txn);
-      VDE_CO_RETURN_IF_ERROR(update.status());
-      auto io = image_.io();
-      txn.trace = ctx();
-      obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-      VDE_CO_RETURN_IF_ERROR(co_await io.Operate(
-          chunk.cover.oid, std::move(txn), image_.SnapContext()));
-      store_span.End();
-      ts.Commit(std::move(*update));
-      // Any staged blocks under this cover are fully superseded.
-      wb.DropRange(chunk.cover.object_no, chunk.cover.first_block, last_block);
-      if (ivs_out != nullptr) {
-        image_.iv_cache_->PutRange(chunk.cover.object_no,
-                                   chunk.cover.first_block, ivs);
-      }
-      if (image_.meta_store_ != nullptr &&
-          image_.meta_store_->JournalPressure()) {
-        VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-      }
-      co_return Status::Ok();
-    }
+    plain = ContiguousSrc(chunk.buf_off, chunk.byte_len);
   }
-  Bytes scratch(cover_bytes, 0);
-  if (head_partial || tail_partial) {
+  Bytes scratch;
+  if (plain.empty()) {
+    scratch.assign(chunk.cover.block_count * kBlockSize, 0);
     const size_t last = chunk.cover.block_count - 1;
     MutByteSpan head, tail;
     if (head_partial) head = MutByteSpan(scratch.data(), kBlockSize);
@@ -773,273 +598,141 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
       tail = MutByteSpan(scratch.data() + last * kBlockSize, kBlockSize);
     }
     VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(chunk, head, tail));
+    GatherFrom(chunk.buf_off,
+               MutByteSpan(scratch.data() + chunk.byte_off, chunk.byte_len));
+    plain = scratch;
   }
-  GatherFrom(chunk.buf_off,
-             MutByteSpan(scratch.data() + chunk.byte_off, chunk.byte_len));
-  // Re-encrypt only the touched blocks; data + IV metadata (and the
-  // bitmap update, when bits flip) ride one atomic per-object transaction
-  // (§3.1).
-  VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(chunk.cover, scratch, txn, ivs_out));
-  auto update =
-      co_await ts.Stage(chunk.cover.object_no, written_range, {}, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  auto io = image_.io();
-  txn.trace = ctx();
-  obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-  VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid, std::move(txn),
-                                             image_.SnapContext()));
-  store_span.End();
-  ts.Commit(std::move(*update));
-  // Staged edge content was folded in via RmwReadEdges; interior stages
-  // are overwritten outright. Either way the buffer copy is superseded.
-  wb.DropRange(chunk.cover.object_no, chunk.cover.first_block, last_block);
-  if (ivs_out != nullptr) {
-    image_.iv_cache_->PutRange(chunk.cover.object_no, chunk.cover.first_block,
-                               ivs);
-  }
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  // Data + IV metadata (and the bitmap update, when bits flip) ride one
+  // atomic per-object transaction (§3.1). Staged edge content was folded
+  // in via RmwReadEdges and interior stages are overwritten outright:
+  // every staged copy under the cover is superseded.
+  Image::Mutation m;
+  VDE_CO_RETURN_IF_ERROR(image_.format_->MakeWrite(
+      chunk.cover, plain, m.txn,
+      image_.IvCapture(m, chunk.cover.first_block)));
+  m.written.emplace_back(chunk.cover.first_block, chunk.cover.block_count);
+  co_return co_await image_.CommitMutation(
+      chunk.cover.object_no, chunk.cover.oid, std::move(m), ctx());
 }
 
 // --- Discard / WriteZeroes ---
 
-sim::Task<Status> ImageRequest::ExecuteDiscardOp() {
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->DiscardChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
-}
-
 sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
-  Writeback& wb = *image_.writeback_;
-  core::EncryptionFormat& fmt = *image_.format_;
-  auto io = image_.io();
+  const bool zeroes = kind_ == IoKind::kWriteZeroes;
   const uint64_t start = chunk.byte_off;
   const uint64_t end = chunk.byte_off + chunk.byte_len;
   // Whole blocks inside the range, as cover-relative block indices.
   const uint64_t first_full = (start + kBlockSize - 1) / kBlockSize;
   const uint64_t end_full = end / kBlockSize;
-
-  if (kind_ == IoKind::kDiscard) {
-    // TRIM granularity: round inward; a sub-block discard is a no-op (and
-    // registered no hold).
-    if (first_full >= end_full) co_return Status::Ok();
-    {
-      obs::SpanScope wb_span(ctx(), obs::Stage::kWb);
-      co_await wb.Acquire(holds_[idx]);
-    }
-    HoldGuard held(wb, holds_[idx]);
-    const auto ext =
-        SubExtent(chunk.cover, first_full, end_full - first_full);
-    // A discard of the entire object drops it outright — unless snapshots
-    // pin it (the clone machinery only runs on write-class data ops).
-    if (ext.first_block == 0 &&
-        ext.block_count == image_.blocks_per_object() &&
-        image_.snaps_.empty()) {
-      if (image_.meta_store_ != nullptr) {
-        // OnRemove bumps the object's epoch; with the plane journaling
-        // that generation it must be the REAL one — load the current
-        // record first (a reset-to-zero epoch would let an old sealed
-        // bitmap replay through the floor check).
-        VDE_CO_RETURN_IF_ERROR(
-            co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-        if (image_.meta_store_->NeedsDirtyMark()) {
-          VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-        }
-      }
-      objstore::Transaction txn;
-      objstore::OsdOp op;
-      op.type = objstore::OsdOp::Type::kRemove;
-      txn.ops.push_back(std::move(op));
-      txn.trace = ctx();
-      obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-      Status s = co_await io.Operate(chunk.cover.oid, std::move(txn),
-                                     image_.SnapContext());
-      store_span.End();
-      if (!s.ok() && !s.IsNotFound()) co_return s;
-      wb.DropRange(chunk.cover.object_no, ext.first_block,
-                   ext.first_block + ext.block_count - 1);
-      // The object (and its persisted bitmap) is gone: every block reads
-      // zeros again, and rereads can zero-fill from cleared markers.
-      image_.trim_state_->OnRemove(chunk.cover.object_no);
-      image_.iv_cache_->PutCleared(chunk.cover.object_no, 0,
-                                   image_.blocks_per_object());
-      // AFTER PutCleared: the cleared markers it spilled are the last rows
-      // this object journals, and the plane GCs them (with the sealed
-      // bitmap) at Close — only the epoch floor survives a removed object.
-      if (image_.meta_store_ != nullptr) {
-        image_.meta_store_->OnObjectRemoved(chunk.cover.object_no);
-      }
-      if (image_.meta_store_ != nullptr &&
-          image_.meta_store_->JournalPressure()) {
-        VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-      }
-      co_return Status::Ok();
-    }
-    VDE_CO_RETURN_IF_ERROR(
-        co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->NeedsDirtyMark()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-    }
-    objstore::Transaction txn;
-    fmt.MakeDiscard(ext, txn);
-    // The trimmed blocks become zero-legit: the MAC'd bitmap update rides
-    // the same atomic transaction as the trim itself.
-    const std::vector<std::pair<uint64_t, size_t>> trimmed_range{
-        {ext.first_block, ext.block_count}};
-    auto update = co_await image_.trim_state_->Stage(chunk.cover.object_no,
-                                                     {}, trimmed_range, txn);
-    VDE_CO_RETURN_IF_ERROR(update.status());
-    txn.trace = ctx();
-    obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-    VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid,
-                                               std::move(txn),
-                                               image_.SnapContext()));
-    store_span.End();
-    image_.trim_state_->Commit(std::move(*update));
-    // Trimmed blocks read zeros from now on; drop their staged copies so
-    // a later flush cannot resurrect the data, then cache cleared markers
-    // so warmed rereads of the range never reach the store.
-    wb.DropRange(chunk.cover.object_no, ext.first_block,
-                 ext.first_block + ext.block_count - 1);
-    image_.iv_cache_->PutCleared(chunk.cover.object_no, ext.first_block,
-                                 ext.block_count);
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->JournalPressure()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-    }
-    co_return Status::Ok();
-  }
-
-  // Write-zeroes: exact byte semantics. Whole blocks are cleared with kZero
-  // ops; partial edge blocks merge zeros via RMW (served from the staging
-  // buffer when the block is parked there) and are re-encrypted. All of it
-  // rides ONE per-object transaction. Only the edge blocks are buffered —
-  // the interior needs no staging at all.
+  // TRIM granularity: discard rounds inward; a sub-block discard is a
+  // no-op (and registered no hold).
+  if (!zeroes && first_full >= end_full) co_return Status::Ok();
+  Writeback& wb = *image_.writeback_;
   {
     obs::SpanScope wb_span(ctx(), obs::Stage::kWb);
     co_await wb.Acquire(holds_[idx]);
   }
   HoldGuard held(wb, holds_[idx]);
-  VDE_CO_RETURN_IF_ERROR(
-      co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
+  // A discard of the entire object drops it outright — unless snapshots
+  // pin it (the clone machinery only runs on write-class data ops).
+  if (!zeroes && chunk.cover.first_block + first_full == 0 &&
+      end_full - first_full == image_.blocks_per_object() &&
+      image_.snaps_.empty()) {
+    co_return co_await RemoveObject(chunk);
   }
-  const bool head_partial = start % kBlockSize != 0;
-  const bool tail_partial = end % kBlockSize != 0;
+  VDE_CO_RETURN_IF_ERROR(
+      co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
+
+  // Write-zeroes keeps exact byte semantics: partial edge blocks merge
+  // zeros via RMW (served from the staging buffer when the block is parked
+  // there) and are re-encrypted; only they are buffered. Whole blocks are
+  // cleared with kZero ops. All of it rides ONE per-object transaction.
+  core::EncryptionFormat& fmt = *image_.format_;
   const size_t last = chunk.cover.block_count - 1;
   Bytes head_buf, tail_buf;
-  if (head_partial) head_buf.assign(kBlockSize, 0);
-  if (tail_partial && !(head_partial && last == 0)) {
+  if (zeroes && start % kBlockSize != 0) head_buf.assign(kBlockSize, 0);
+  if (zeroes && end % kBlockSize != 0 && !(!head_buf.empty() && last == 0)) {
     tail_buf.assign(kBlockSize, 0);
   }
-  objstore::Transaction txn;
-  size_t edge_blocks = 0;
-  std::vector<std::pair<uint64_t, size_t>> edge_written;
-  core::IvRows head_ivs, tail_ivs;
   if (!head_buf.empty() || !tail_buf.empty()) {
     VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(
         chunk, MutByteSpan(head_buf), MutByteSpan(tail_buf)));
-    if (!head_buf.empty()) {
-      // The head block covers cover-relative bytes [0, kBlockSize).
-      std::fill(head_buf.begin() + static_cast<long>(start),
-                head_buf.begin() +
-                    static_cast<long>(std::min<uint64_t>(end, kBlockSize)),
-                0);
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, 0, 1),
-                                           ByteSpan(head_buf), txn,
-                                           image_.IvCapture(&head_ivs)));
-      edge_written.emplace_back(chunk.cover.first_block, 1);
-      edge_blocks++;
-    }
-    if (!tail_buf.empty()) {
-      // The tail block covers [last*kBlockSize, end of cover); the zero
-      // range reaches from its start to `end`.
-      std::fill(tail_buf.begin(),
-                tail_buf.begin() +
-                    static_cast<long>(end - last * uint64_t{kBlockSize}),
-                0);
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, last, 1),
-                                           ByteSpan(tail_buf), txn,
-                                           image_.IvCapture(&tail_ivs)));
-      edge_written.emplace_back(chunk.cover.first_block + last, 1);
-      edge_blocks++;
-    }
+  }
+  Image::Mutation m;
+  if (!head_buf.empty()) {
+    // The head block covers cover-relative bytes [0, kBlockSize).
+    std::fill(head_buf.begin() + static_cast<long>(start),
+              head_buf.begin() +
+                  static_cast<long>(std::min<uint64_t>(end, kBlockSize)),
+              0);
+    VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(
+        SubExtent(chunk.cover, 0, 1), head_buf, m.txn,
+        image_.IvCapture(m, chunk.cover.first_block)));
+    m.written.emplace_back(chunk.cover.first_block, 1);
+  }
+  if (!tail_buf.empty()) {
+    // The tail block covers [last*kBlockSize, end of cover); the zero
+    // range reaches from its start to `end`.
+    std::fill(tail_buf.begin(),
+              tail_buf.begin() +
+                  static_cast<long>(end - last * uint64_t{kBlockSize}),
+              0);
+    VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(
+        SubExtent(chunk.cover, last, 1), tail_buf, m.txn,
+        image_.IvCapture(m, chunk.cover.first_block + last)));
+    m.written.emplace_back(chunk.cover.first_block + last, 1);
   }
   if (first_full < end_full) {
     fmt.MakeDiscard(SubExtent(chunk.cover, first_full, end_full - first_full),
-                    txn);
+                    m.txn);
+    m.trimmed.emplace_back(chunk.cover.first_block + first_full,
+                           end_full - first_full);
   }
   // One bitmap update covers both motions — edges become live (written
-  // zeros), the interior becomes zero-legit (trimmed) — and rides the same
-  // atomic transaction.
-  std::vector<std::pair<uint64_t, size_t>> trimmed_range;
-  if (first_full < end_full) {
-    trimmed_range.emplace_back(chunk.cover.first_block + first_full,
-                               end_full - first_full);
+  // zeros), the interior becomes zero-legit (trimmed). Re-encrypted edges
+  // pay their crypto on the object's core.
+  if (const size_t edge_bytes = m.written.size() * kBlockSize;
+      edge_bytes > 0) {
+    m.crypto_cost = fmt.CryptoCost(edge_bytes);
+    m.compress_cost = fmt.CompressCost(edge_bytes);
   }
-  auto update = co_await image_.trim_state_->Stage(
-      chunk.cover.object_no, edge_written, trimmed_range, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  if (edge_blocks > 0) {
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.CryptoCost(edge_blocks * kBlockSize)};
-    crypto_span.End();
-    const sim::SimTime compress_cost =
-        fmt.CompressCost(edge_blocks * size_t{kBlockSize});
-    if (compress_cost > 0) {
-      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-      co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
-    }
+  co_return co_await image_.CommitMutation(
+      chunk.cover.object_no, chunk.cover.oid, std::move(m), ctx());
+}
+
+sim::Task<Status> ImageRequest::RemoveObject(const Chunk& chunk) {
+  const uint64_t object_no = chunk.cover.object_no;
+  if (image_.meta_store_ != nullptr) {
+    // OnRemove bumps the object's epoch; with the plane journaling that
+    // generation it must be the REAL one — load the current record first
+    // (a reset-to-zero epoch would let an old sealed bitmap replay through
+    // the floor check).
+    VDE_CO_RETURN_IF_ERROR(co_await image_.PrepareMutation(object_no, ctx()));
   }
+  objstore::Transaction txn;
+  objstore::OsdOp op;
+  op.type = objstore::OsdOp::Type::kRemove;
+  txn.ops.push_back(std::move(op));
   txn.trace = ctx();
+  auto io = image_.io();
   obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-  VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid, std::move(txn),
-                                             image_.SnapContext()));
+  Status s = co_await io.Operate(chunk.cover.oid, std::move(txn),
+                                 image_.SnapContext());
   store_span.End();
-  image_.trim_state_->Commit(std::move(*update));
-  // Edge stages were folded into the zeroed blocks, interior stages are
-  // cleared in the store: every staged copy under the cover is superseded
-  // (DropRange also invalidates the cleared blocks' cached IV rows — the
-  // re-encrypted edges get their fresh rows back right after, and the
-  // trimmed interior gets cleared markers).
-  wb.DropRange(chunk.cover.object_no, chunk.cover.first_block,
-               chunk.cover.first_block + chunk.cover.block_count - 1);
-  if (first_full < end_full) {
-    image_.iv_cache_->PutCleared(chunk.cover.object_no,
-                                 chunk.cover.first_block + first_full,
-                                 end_full - first_full);
+  if (!s.ok() && !s.IsNotFound()) co_return s;
+  // The object (and its persisted bitmap) is gone: every block reads zeros
+  // again, and rereads can zero-fill from cleared markers.
+  image_.writeback_->DropRange(object_no, 0, image_.blocks_per_object() - 1);
+  image_.trim_state_->OnRemove(object_no);
+  image_.iv_cache_->PutCleared(object_no, 0, image_.blocks_per_object());
+  // AFTER PutCleared: the cleared markers it spilled are the last rows
+  // this object journals, and the plane GCs them (with the sealed bitmap)
+  // at Close — only the epoch floor survives a removed object.
+  if (image_.meta_store_ != nullptr) {
+    image_.meta_store_->OnObjectRemoved(object_no);
   }
-  if (!head_ivs.empty()) {
-    image_.iv_cache_->PutRange(chunk.cover.object_no, chunk.cover.first_block,
-                               head_ivs);
-  }
-  if (!tail_ivs.empty()) {
-    image_.iv_cache_->PutRange(chunk.cover.object_no,
-                               chunk.cover.first_block + last, tail_ivs);
-  }
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  co_return co_await image_.FlushPressuredJournal();
 }
 
 // --- Flush ---

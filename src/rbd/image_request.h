@@ -75,13 +75,19 @@ class ImageRequest {
   sim::Task<Status> Execute();
   sim::Task<Status> ExecuteReadOp();
   sim::Task<Status> ExecuteWriteOp();
-  sim::Task<Status> ExecuteDiscardOp();  // kDiscard and kWriteZeroes
   sim::Task<Status> ExecuteFlushOp();
+  // Runs `step` on every chunk concurrently; returns the first error.
+  sim::Task<Status> ForEachChunk(
+      sim::Task<Status> (ImageRequest::*step)(size_t));
 
+  // Per-chunk work. Mutations go through Image::PrepareMutation and
+  // Image::CommitMutation, block reads through Image::ReadObject.
   sim::Task<Status> ReadChunk(size_t idx);
   sim::Task<Status> WriteChunk(size_t idx);
-  sim::Task<Status> DiscardChunk(size_t idx);
+  sim::Task<Status> DiscardChunk(size_t idx);  // kDiscard and kWriteZeroes
   sim::Task<Status> StageChunk(const Chunk& chunk);
+  // Whole-object discard with no snapshot pinning it: removes the object.
+  sim::Task<Status> RemoveObject(const Chunk& chunk);
 
   // Reads + decrypts the partial edge blocks of `chunk` — the cover's
   // first block into `head_block`, its last into `tail_block` (either may

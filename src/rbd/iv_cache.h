@@ -15,8 +15,9 @@
 //  - discard / write-zeroes / full-object remove invalidate through the
 //    same Writeback::DropRange call that drops superseded stages;
 //  - flush and snapshot drains re-encrypt staged blocks with fresh IVs and
-//    update their rows in the same breath (Writeback::WriteOutStage), so a
-//    barrier never leaves a stale row behind.
+//    update their rows in the same breath (Image::CommitMutation, the
+//    commit step every store mutation goes through), so a barrier never
+//    leaves a stale row behind.
 //
 // The cache is volatile, strictly optional, and bounded: LRU-by-object
 // eviction keeps at most `max_objects` objects' rows resident, a disabled

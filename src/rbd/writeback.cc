@@ -1,11 +1,9 @@
 #include "rbd/writeback.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include "rbd/image.h"
-#include "rbd/iv_cache.h"
 
 namespace vde::rbd {
 
@@ -93,40 +91,17 @@ core::ObjectExtent Writeback::BlockExtent(uint64_t object_no,
 
 sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
                                        MutByteSpan out) {
-  core::EncryptionFormat& fmt = *image_.format_;
-  const core::ObjectExtent ext = BlockExtent(object_no, block);
-  const core::DiscardBitmap* zeros = nullptr;
-  if (image_.trim_state_->enabled()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.trim_state_->Ensure(object_no));
-    zeros = image_.trim_state_->Lookup(object_no);
-  }
-  objstore::Transaction txn;
+  VDE_CO_RETURN_IF_ERROR(co_await image_.trim_state_->Ensure(object_no));
   // Single-block RMW read: the IV-cache sweet spot — every layout profits
   // from skipping the metadata fetch here, including the interleaved one
   // (and a resident cleared marker skips the store outright).
-  CachedExtentRead plan(image_.iv_cache_.get(), fmt, ext, zeros);
-  plan.AppendOps(txn);
   image_.counters_.rmw_blocks++;
-  if (plan.zero_fill()) {
-    VDE_CO_RETURN_IF_ERROR(plan.Finish(objstore::ReadResult{}, out));
-    co_return Status::Ok();
-  }
-  auto io = image_.io();
-  auto got = co_await io.OperateRead(ext.oid, std::move(txn),
-                                     objstore::kHeadSnap);
-  if (got.status().IsNotFound()) {
-    std::fill(out.begin(), out.end(), 0);  // never-written: reads zeros
-    co_return Status::Ok();
-  }
-  if (!got.ok()) co_return got.status();
-  const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
-  VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
+  const Image::BlockRead read{BlockExtent(object_no, block), out};
+  auto counts = co_await image_.ReadObject({&read, 1}, objstore::kHeadSnap,
+                                           /*trace=*/nullptr);
+  VDE_CO_RETURN_IF_ERROR(counts.status());
   // Decrypt on the object's core (plain Sleep with the core model off).
-  co_await sim::ChargeCpu{sim::ShardOf(ext.oid), fmt.CryptoCost(kBlockSize)};
-  if (fmt.compress_stats().decompressed_blocks > expanded_before) {
-    co_await sim::ChargeCpu{sim::ShardOf(ext.oid),
-                            fmt.DecompressCost(kBlockSize)};
-  }
+  co_await image_.ChargeRead(read.ext.oid, *counts, /*trace=*/nullptr);
   co_return Status::Ok();
 }
 
@@ -253,50 +228,22 @@ void Writeback::MaybePrune(uint64_t object_no) {
 
 sim::Task<Status> Writeback::WriteOutStage(uint64_t object_no, uint64_t block,
                                            const Stage& stage) {
-  core::EncryptionFormat& fmt = *image_.format_;
-  VDE_CO_RETURN_IF_ERROR(co_await image_.EnsureObjectState(object_no));
-  // Stage flushes are store mutations too: clear the plane's clean flag
-  // before the first one of the session commits.
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-  }
-  objstore::Transaction txn;
-  core::IvRows ivs;
-  core::IvRows* const ivs_out = image_.IvCapture(&ivs);
   VDE_CO_RETURN_IF_ERROR(
-      fmt.MakeWrite(BlockExtent(object_no, block), stage.data, txn, ivs_out));
-  // First flush of a fresh or trimmed block flips its zero-legit bit: the
-  // MAC'd bitmap update rides the same transaction.
-  const std::vector<std::pair<uint64_t, size_t>> written_range{{block, 1}};
-  auto update =
-      co_await image_.trim_state_->Stage(object_no, written_range, {}, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  // Flush-time encrypt charges the object's core (plain Sleep when off).
-  co_await sim::ChargeCpu{sim::ShardOf(image_.ObjectName(object_no)),
-                          fmt.CryptoCost(kBlockSize)};
-  if (const sim::SimTime compress_cost = fmt.CompressCost(kBlockSize);
-      compress_cost > 0) {
-    co_await sim::ChargeCpu{sim::ShardOf(image_.ObjectName(object_no)),
-                            compress_cost};
-  }
-  auto io = image_.io();
-  Status applied = co_await io.Operate(image_.ObjectName(object_no),
-                                       std::move(txn), image_.SnapContext());
-  // Flush and snapshot drains funnel through here: the freshly persisted
-  // IV replaces the stale cached row in the same breath, so a barrier
-  // never leaves a row pointing at overwritten ciphertext.
-  if (applied.ok()) {
-    image_.trim_state_->Commit(std::move(*update));
-    if (ivs_out != nullptr) {
-      image_.iv_cache_->PutRange(object_no, block, ivs);
-    }
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->JournalPressure()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-    }
-  }
-  co_return applied;
+      co_await image_.PrepareMutation(object_no, /*trace=*/nullptr));
+  core::EncryptionFormat& fmt = *image_.format_;
+  const core::ObjectExtent ext = BlockExtent(object_no, block);
+  // First flush of a fresh or trimmed block flips its zero-legit bit (the
+  // bitmap update rides the same transaction); the flush-time encrypt
+  // charges the object's core. The stage entry itself is the caller's.
+  Image::Mutation m;
+  VDE_CO_RETURN_IF_ERROR(
+      fmt.MakeWrite(ext, stage.data, m.txn, image_.IvCapture(m, block)));
+  m.written.emplace_back(block, 1);
+  m.drop_stages = false;
+  m.crypto_cost = fmt.CryptoCost(kBlockSize);
+  m.compress_cost = fmt.CompressCost(kBlockSize);
+  co_return co_await image_.CommitMutation(object_no, ext.oid, std::move(m),
+                                           /*trace=*/nullptr);
 }
 
 sim::Task<Status> Writeback::FlushLocked(uint64_t object_no, uint64_t block) {
@@ -327,19 +274,12 @@ sim::Task<Status> Writeback::Drain() {
       blocks.emplace_back(object_no, block);
     }
   }
-  std::vector<Status> results(blocks.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    tasks.push_back([](Writeback* self, uint64_t object_no, uint64_t block,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->FlushBlock(object_no, block);
-    }(this, blocks[i].first, blocks[i].second, &results[i]));
+  std::vector<sim::Task<Status>> tasks;
+  tasks.reserve(blocks.size());
+  for (const auto& [object_no, block] : blocks) {
+    tasks.push_back(FlushBlock(object_no, block));
   }
-  co_await sim::WhenAll(std::move(tasks));
-  for (auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
+  co_return co_await sim::WhenAllOk(std::move(tasks));
 }
 
 }  // namespace vde::rbd

@@ -151,13 +151,14 @@ class Writeback {
                          const std::list<std::unique_ptr<Hold>>& holds);
   static void Pump(ObjectState& obj);
 
-  // Reads + decrypts one block from the store (zeros for a never-written
-  // object) — the single RMW read a new stage pays.
+  // Reads + decrypts one block through Image::ReadObject (zeros for a
+  // never-written object) — the single RMW read a new stage pays.
   sim::Task<Status> ReadBlock(uint64_t object_no, uint64_t block,
                               MutByteSpan out);
-  // Encrypts and writes out `stage`'s content. The caller must hold an
-  // exclusive guard covering the block (its own, or a registered flush
-  // hold); the stage entry itself is left to the caller.
+  // Encrypts and writes out `stage`'s content through
+  // Image::CommitMutation. The caller must hold an exclusive guard
+  // covering the block (its own, or a registered flush hold); the stage
+  // entry itself is left to the caller.
   sim::Task<Status> WriteOutStage(uint64_t object_no, uint64_t block,
                                   const Stage& stage);
   core::ObjectExtent BlockExtent(uint64_t object_no, uint64_t block) const;

@@ -11,6 +11,7 @@
 
 #include "sim/scheduler.h"
 #include "sim/task.h"
+#include "util/status.h"
 
 namespace vde::sim {
 
@@ -236,6 +237,24 @@ inline Task<void> WhenAll(std::vector<Task<void>> tasks) {
     Scheduler::Current().Spawn(RunAndSignal(std::move(t), wg));
   }
   co_await wg.Wait();
+}
+
+// Spawns all tasks concurrently, waits for every one, and returns the first
+// error in task order (Ok when all succeeded).
+inline Task<Status> WhenAllOk(std::vector<Task<Status>> tasks) {
+  std::vector<Status> results(tasks.size());
+  std::vector<Task<void>> runs;
+  runs.reserve(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    runs.push_back([](Task<Status> task, Status* out) -> Task<void> {
+      *out = co_await std::move(task);
+    }(std::move(tasks[i]), &results[i]));
+  }
+  co_await WhenAll(std::move(runs));
+  for (Status& s : results) {
+    if (!s.ok()) co_return std::move(s);
+  }
+  co_return Status::Ok();
 }
 
 }  // namespace vde::sim

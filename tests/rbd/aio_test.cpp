@@ -265,25 +265,42 @@ TEST_P(AioAllLayouts, FlushOrdering) {
   });
 }
 
-// RMW writes keep data + IV metadata in ONE object transaction: a sub-block
-// overwrite parks in the write-back buffer (zero store transactions at
-// completion), and draining it applies exactly one transaction carrying
-// data + IV (the RMW read is a read-class op, not a transaction).
-TEST(AioAtomicity, RmwRidesSingleTransaction) {
-  testutil::RunSim([]() -> sim::Task<void> {
+// Every mutation path keeps data, IV metadata and the sealed discard bitmap
+// in ONE object transaction (§3.1): write-through onto a trimmed block (the
+// bitmap flips), a 3-block RMW write, a staged sub-block write (zero
+// transactions until the flush drains it), a partial discard, write-zeroes
+// with partial edges and an interior, and a whole-object remove. RMW and
+// bitmap loads are reads, not transactions; replication 1 makes one
+// mutation exactly one store transaction.
+class AioTxnAtomicity
+    : public ::testing::TestWithParam<core::EncryptionSpec> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AuthenticatedLayouts, AioTxnAtomicity,
+    ::testing::Values(Spec(core::CipherMode::kXtsRandom,
+                           core::IvLayout::kObjectEnd, core::Integrity::kHmac),
+                      Spec(core::CipherMode::kGcmRandom, core::IvLayout::kOmap),
+                      Spec(core::CipherMode::kGcmRandom,
+                           core::IvLayout::kUnaligned)),
+    SpecTestName);
+
+TEST_P(AioTxnAtomicity, EveryMutationIsOneTransaction) {
+  testutil::RunSim([spec = GetParam()]() -> sim::Task<void> {
+    constexpr uint64_t kB = core::kBlockSize;
     rados::ClusterConfig cfg = TestCluster();
     cfg.nodes = 1;
     cfg.osds_per_node = 3;
     cfg.replication = 1;
     auto cluster = co_await rados::Cluster::Create(cfg);
-    auto image = co_await Image::Create(
-        **cluster, "atomic", "pw",
-        TestImage(Spec(core::CipherMode::kXtsRandom,
-                       core::IvLayout::kObjectEnd)));
+    auto image = co_await Image::Create(**cluster, "atomic", "pw",
+                                        TestImage(spec));
     CO_ASSERT_OK(image.status());
     auto& img = **image;
     Rng rng(7);
-    CO_ASSERT_OK(co_await img.Write(0, rng.RandomBytes(4 * core::kBlockSize)));
+    Bytes model = rng.RandomBytes(2 * kObjSize);
+    CO_ASSERT_OK(co_await img.Write(0, model));
+    CO_ASSERT_OK(co_await img.Discard(3 * kB, kB));
+    std::fill(model.begin() + 3 * kB, model.begin() + 4 * kB, 0);
 
     auto txn_count = [&]() {
       uint64_t n = 0;
@@ -292,18 +309,51 @@ TEST(AioAtomicity, RmwRidesSingleTransaction) {
       }
       return n;
     };
+    auto write = [&](uint64_t off, uint64_t len) -> sim::Task<Status> {
+      const Bytes data = rng.RandomBytes(len);
+      std::copy(data.begin(), data.end(), model.begin() + off);
+      co_return co_await img.Write(off, data);
+    };
+    auto zero = [&](uint64_t off, uint64_t len) {
+      std::fill(model.begin() + off, model.begin() + off + len, 0);
+    };
 
-    const uint64_t before = txn_count();
-    CO_ASSERT_OK(co_await img.Write(100, rng.RandomBytes(512)));
+    uint64_t before = txn_count();
+    const uint64_t flips = ImageCounter(img, "trim_bitmap_updates");
+    CO_ASSERT_OK(co_await write(3 * kB, kB));
+    EXPECT_EQ(txn_count() - before, 1u) << "aligned write onto a trim";
+    EXPECT_EQ(ImageCounter(img, "trim_bitmap_updates"), flips + 1)
+        << "the write must flip the trimmed block's bit";
+
+    before = txn_count();
+    CO_ASSERT_OK(co_await write(5 * kB + 512, 2 * kB + 1024));
+    EXPECT_EQ(txn_count() - before, 1u) << "3-block RMW write";
+
+    before = txn_count();
+    CO_ASSERT_OK(co_await write(9 * kB + 100, 512));
     EXPECT_EQ(txn_count() - before, 0u)
         << "sub-block write must stage, not write through";
     CO_ASSERT_OK(co_await img.Flush());
-    EXPECT_EQ(txn_count() - before, 1u) << "RMW data+IV must be one txn";
+    EXPECT_EQ(txn_count() - before, 1u) << "staged write flushed";
 
-    const uint64_t before_discard = txn_count();
-    CO_ASSERT_OK(co_await img.Discard(core::kBlockSize, core::kBlockSize));
-    EXPECT_EQ(txn_count() - before_discard, 1u)
-        << "discard data-clear + IV-clear must be one txn";
+    before = txn_count();
+    CO_ASSERT_OK(co_await img.Discard(10 * kB, 2 * kB));
+    zero(10 * kB, 2 * kB);
+    EXPECT_EQ(txn_count() - before, 1u) << "2-block partial discard";
+
+    before = txn_count();
+    CO_ASSERT_OK(co_await img.WriteZeroes(12 * kB + 300, 3 * kB));
+    zero(12 * kB + 300, 3 * kB);
+    EXPECT_EQ(txn_count() - before, 1u) << "write-zeroes, edges + interior";
+
+    before = txn_count();
+    CO_ASSERT_OK(co_await img.Discard(kObjSize, kObjSize));
+    zero(kObjSize, kObjSize);
+    EXPECT_EQ(txn_count() - before, 1u) << "whole-object discard";
+
+    auto got = co_await img.Read(0, 2 * kObjSize);
+    CO_ASSERT_OK(got.status());
+    EXPECT_TRUE(*got == model);
   });
 }
 
