@@ -11,10 +11,11 @@
 //      no metadata, but ~3x CPU.
 //   E. Atomicity: data+IV in ONE transaction (the paper's design) vs two
 //      separate writes — quantifies what RADOS transactions buy.
+//
+// Usage: bench_ablations [--quick]
 #include <cstdio>
-#include <cstring>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 namespace {
 
@@ -30,71 +31,44 @@ core::EncryptionSpec ObjectEndSpec(core::Integrity integrity =
   return spec;
 }
 
-void AblationReplication(bool quick) {
+void AblationReplication(Bench& bench) {
   std::printf("\n--- A. Replication factor (4K random write, MB/s) ---\n");
   std::printf("%12s  %10s  %10s  %10s\n", "replicas", "LUKS2", "ObjectEnd",
               "overhead");
   for (const size_t replicas : {size_t{1}, size_t{3}}) {
     auto config = PaperCluster();
     config.replication = replicas;
-    const uint64_t ops = quick ? 256 : 1024;
-    const auto base =
-        RunPoint({}, 4096, /*is_write=*/true, 1, config, ops);
-    const auto oe =
-        RunPoint(ObjectEndSpec(), 4096, /*is_write=*/true, 1, config, ops);
+    const uint64_t ops = bench.quick() ? 256 : 1024;
+    const auto base = RunPoint(bench, {.cluster = config, .ops = ops});
+    const auto oe = RunPoint(
+        bench, {.spec = ObjectEndSpec(), .cluster = config, .ops = ops});
     std::printf("%12zu  %10.1f  %10.1f  %9.1f%%\n", replicas, base.mbps,
-                oe.mbps, (1 - oe.mbps / base.mbps) * 100);
+                oe.mbps, OverheadPct(base.mbps, oe.mbps));
   }
 }
 
-void AblationObjectSize(bool quick) {
+void AblationObjectSize(Bench& bench) {
   std::printf("\n--- B. Object size (64K random write, MB/s) ---\n");
   std::printf("%12s  %10s  %10s  %10s\n", "object size", "LUKS2", "ObjectEnd",
               "overhead");
   for (const uint64_t object_mb : {1, 4, 8}) {
     auto config = PaperCluster();
     config.store.max_object_size = (object_mb << 20) + (1ull << 20);
-    const uint64_t ops = quick ? 256 : 1024;
-    // Image object size is an image option; pass via RunPoint's spec?  The
-    // fixture hardcodes 4 MiB images; run a local variant here.
-    PointResult base, oe;
-    for (int which = 0; which < 2; ++which) {
-      sim::Scheduler sched;
-      PointResult* out = which == 0 ? &base : &oe;
-      auto body = [&, which]() -> sim::Task<void> {
-        auto cluster = co_await rados::Cluster::Create(config);
-        if (!cluster.ok()) co_return;
-        rbd::ImageOptions options;
-        options.size = 64ull << 30;
-        options.object_size = object_mb << 20;
-        options.enc = which == 0 ? core::EncryptionSpec{} : ObjectEndSpec();
-        options.enc.iv_seed = 1;
-        options.luks.pbkdf2_iterations = 10;
-        options.luks.af_stripes = 8;
-        auto image =
-            co_await rbd::Image::Create(**cluster, "abl", "pw", options);
-        if (!image.ok()) co_return;
-        workload::FioConfig fio;
-        fio.is_write = true;
-        fio.io_size = 65536;
-        fio.queue_depth = 32;
-        fio.total_ops = ops;
-        fio.working_set = 768ull << 20;
-        workload::FioRunner runner(**image, fio);
-        auto result = co_await runner.Run();
-        if (result.ok()) out->mbps = result->BandwidthMBps();
-        co_await (*cluster)->Drain();
-      };
-      sched.Spawn(body());
-      sched.Run();
-    }
+    Point p{.io_size = 65536,
+            .cluster = config,
+            .ops = bench.quick() ? 256u : 1024u,
+            .object_size = object_mb << 20,
+            .image = "abl"};
+    const auto base = RunPoint(bench, p);
+    p.spec = ObjectEndSpec();
+    const auto oe = RunPoint(bench, p);
     std::printf("%11lluM  %10.1f  %10.1f  %9.1f%%\n",
                 static_cast<unsigned long long>(object_mb), base.mbps, oe.mbps,
-                (1 - oe.mbps / base.mbps) * 100);
+                OverheadPct(base.mbps, oe.mbps));
   }
 }
 
-void AblationIntegrity(bool quick) {
+void AblationIntegrity(Bench& bench) {
   std::printf("\n--- C. Integrity cost (object-end layout, random write, "
               "MB/s) ---\n");
   std::printf("%8s  %10s  %12s  %12s  %12s\n", "IO size", "LUKS2",
@@ -102,47 +76,49 @@ void AblationIntegrity(bool quick) {
   core::EncryptionSpec gcm;
   gcm.mode = core::CipherMode::kGcmRandom;
   gcm.layout = core::IvLayout::kObjectEnd;
-  const auto sizes = quick ? std::vector<uint64_t>{4096, 1ull << 20}
-                           : std::vector<uint64_t>{4096, 65536, 1ull << 20};
+  const auto sizes = bench.quick()
+                         ? std::vector<uint64_t>{4096, 1ull << 20}
+                         : std::vector<uint64_t>{4096, 65536, 1ull << 20};
   for (const uint64_t io : sizes) {
-    const auto base = RunPoint({}, io, true);
-    const auto iv = RunPoint(ObjectEndSpec(), io, true);
-    const auto hmac = RunPoint(ObjectEndSpec(core::Integrity::kHmac), io, true);
-    const auto aead = RunPoint(gcm, io, true);
+    const auto base = RunPoint(bench, {.io_size = io});
+    const auto iv = RunPoint(bench, {.spec = ObjectEndSpec(), .io_size = io});
+    const auto hmac = RunPoint(
+        bench, {.spec = ObjectEndSpec(core::Integrity::kHmac), .io_size = io});
+    const auto aead = RunPoint(bench, {.spec = gcm, .io_size = io});
     std::printf("%8s  %10.1f  %12.1f  %12.1f  %12.1f\n",
                 HumanSize(io).c_str(), base.mbps, iv.mbps, hmac.mbps,
                 aead.mbps);
   }
 }
 
-void AblationWideBlock(bool quick) {
+void AblationWideBlock(Bench& bench) {
   std::printf("\n--- D. Wide-block mitigation (no metadata, random write, "
               "MB/s) ---\n");
   std::printf("%8s  %10s  %12s  %12s\n", "IO size", "LUKS2", "Wide-block",
               "RandomIV/OE");
   core::EncryptionSpec wide;
   wide.mode = core::CipherMode::kWideLba;
-  const auto sizes = quick ? std::vector<uint64_t>{4096, 1ull << 20}
-                           : std::vector<uint64_t>{4096, 65536, 1ull << 20};
+  const auto sizes = bench.quick()
+                         ? std::vector<uint64_t>{4096, 1ull << 20}
+                         : std::vector<uint64_t>{4096, 65536, 1ull << 20};
   for (const uint64_t io : sizes) {
-    const auto base = RunPoint({}, io, true);
-    const auto wb = RunPoint(wide, io, true);
-    const auto oe = RunPoint(ObjectEndSpec(), io, true);
+    const auto base = RunPoint(bench, {.io_size = io});
+    const auto wb = RunPoint(bench, {.spec = wide, .io_size = io});
+    const auto oe = RunPoint(bench, {.spec = ObjectEndSpec(), .io_size = io});
     std::printf("%8s  %10.1f  %12.1f  %12.1f\n", HumanSize(io).c_str(),
                 base.mbps, wb.mbps, oe.mbps);
   }
 }
 
-void AblationAtomicity() {
+void AblationAtomicity(Bench& bench) {
   std::printf("\n--- E. Transaction atomicity (4K random write, object-end) "
               "---\n");
   // Non-atomic variant: issue data and IV as two separate RADOS ops. We
   // emulate by running the object-end spec, then adding one extra bare
   // 16-byte object write per IO to model the second round trip.
-  const auto atomic = RunPoint(ObjectEndSpec(), 4096, true);
+  const auto atomic = RunPoint(bench, {.spec = ObjectEndSpec()});
   // Two round trips: approximate with half the queue depth per logical IO.
-  auto config = PaperCluster();
-  const auto base = RunPoint({}, 4096, true, 1, config);
+  const auto base = RunPoint(bench, {});
   std::printf("  one atomic txn (paper's design): %8.1f MB/s\n", atomic.mbps);
   std::printf("  baseline (no IV persistence):    %8.1f MB/s\n", base.mbps);
   std::printf("  two txns would pay a second full round trip per IO "
@@ -154,16 +130,13 @@ void AblationAtomicity() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  Bench bench("ablations", argc, argv);
   std::printf("Ablations for the HotStorage'22 virtual-disk encryption "
               "reproduction\n");
-  AblationReplication(quick);
-  AblationObjectSize(quick);
-  AblationIntegrity(quick);
-  AblationWideBlock(quick);
-  AblationAtomicity();
-  return 0;
+  AblationReplication(bench);
+  AblationObjectSize(bench);
+  AblationIntegrity(bench);
+  AblationWideBlock(bench);
+  AblationAtomicity(bench);
+  return bench.Finish();
 }

@@ -25,16 +25,16 @@
 // Usage: bench_cluster [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 // --- scaling ---
 
@@ -74,15 +74,12 @@ sim::Task<void> PrefillObjects(rados::Cluster& cluster, uint32_t objects,
   co_await wg.Wait();
 }
 
-void RunScalePoint(size_t osds_per_node, size_t workers,
-                   uint64_t reads_per_worker, uint32_t objects,
-                   ScalePoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(ScaleCluster(osds_per_node));
-    if (!cluster.ok()) co_return;
-    co_await PrefillObjects(**cluster, objects, 4096);
-    co_await (*cluster)->Drain();
+ScalePoint RunScalePoint(size_t osds_per_node, size_t workers,
+                         uint64_t reads_per_worker, uint32_t objects) {
+  ScalePoint out;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    co_await PrefillObjects(cluster, objects, 4096);
+    co_await cluster.Drain();
 
     const sim::SimTime t0 = sim::Scheduler::Current().now();
     sim::WaitGroup wg;
@@ -100,17 +97,17 @@ void RunScalePoint(size_t osds_per_node, size_t workers,
               if (!r.ok()) *failed = true;
             }
             wg->Done();
-          }(&**cluster, w, reads_per_worker, objects, &wg, &failed));
+          }(&cluster, w, reads_per_worker, objects, &wg, &failed));
     }
     co_await wg.Wait();
     const sim::SimTime elapsed = sim::Scheduler::Current().now() - t0;
-    if (failed || elapsed == 0) co_return;
-    out->iops = static_cast<double>(workers * reads_per_worker) * 1e9 /
-                static_cast<double>(elapsed);
-    out->ok = true;
+    if (failed || elapsed == 0) co_return false;
+    out.iops = static_cast<double>(workers * reads_per_worker) * 1e9 /
+               static_cast<double>(elapsed);
+    co_return true;
   };
-  sched.Spawn(body());
-  sched.Run();
+  out.ok = RunOnCluster(ScaleCluster(osds_per_node), 0, body).ok;
+  return out;
 }
 
 // --- failure + recovery ---
@@ -121,7 +118,7 @@ struct FailurePoint {
   uint64_t recovered = 0;   // background pushes + inline pulls
   uint64_t map_epoch = 0;
   double iops = 0;
-  bool pass = false;
+  bool pass = false;        // ran to completion, verify clean, recovered
 };
 
 sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
@@ -130,18 +127,12 @@ sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
   cluster.MarkOsdDown(osd);
 }
 
-void RunFailurePoint(uint64_t ops, sim::SimTime kill_at, FailurePoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(bench::PaperCluster());
-    if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    auto image = co_await rbd::Image::Create(**cluster, "kill", "pw", options);
-    if (!image.ok()) co_return;
+FailurePoint RunFailurePoint(uint64_t ops, sim::SimTime kill_at) {
+  FailurePoint out;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    auto image = co_await rbd::Image::Create(cluster, "kill", "pw",
+                                             TestImage({}, 1ull << 30));
+    if (!image.ok()) co_return false;
 
     workload::FioConfig fio;
     fio.io_size = 4096;
@@ -150,24 +141,25 @@ void RunFailurePoint(uint64_t ops, sim::SimTime kill_at, FailurePoint* out) {
     fio.working_set = 96ull << 20;  // 24 rados objects: osd.0 owns a few
     fio.verify = true;
     workload::FioRunner runner(**image, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await runner.Prefill()).ok()) co_return false;
+    co_await cluster.Drain();
 
-    sim::Scheduler::Current().Spawn(KillOsdAfter(**cluster, kill_at, 0));
+    sim::Scheduler::Current().Spawn(KillOsdAfter(cluster, kill_at, 0));
     auto result = co_await runner.Run();
-    out->run_ok = result.ok();  // a verify mismatch fails the run
-    if (result.ok()) out->iops = result->Iops();
+    out.run_ok = result.ok();  // a verify mismatch fails the run
+    if (result.ok()) out.iops = result->Iops();
 
-    co_await (*cluster)->WaitForClean();
-    out->degraded_after = (*cluster)->DegradedObjectCount();
-    const rados::RecoveryStats& rs = (*cluster)->recovery().stats();
-    out->recovered = rs.objects_pushed + rs.inline_pulls;
-    out->map_epoch = (*cluster)->placement().map().epoch();
-    co_await (*cluster)->Drain();
-    out->pass = out->run_ok && out->degraded_after == 0 && out->recovered > 0;
+    co_await cluster.WaitForClean();
+    out.degraded_after = cluster.DegradedObjectCount();
+    const rados::RecoveryStats& rs = cluster.recovery().stats();
+    out.recovered = rs.objects_pushed + rs.inline_pulls;
+    out.map_epoch = cluster.placement().map().epoch();
+    co_await cluster.Drain();
+    co_return true;
   };
-  sched.Spawn(body());
-  sched.Run();
+  out.pass = RunOnCluster(PaperCluster(), 0, body).ok && out.run_ok &&
+             out.degraded_after == 0 && out.recovered > 0;
+  return out;
 }
 
 // --- cluster-side mClock noisy neighbor ---
@@ -206,28 +198,26 @@ sim::Task<void> MeasureVictim(rados::Cluster& cluster, uint64_t ops,
   out->ok = true;
 }
 
-void RunQosScenario(bool contended, bool mclock_on, uint64_t victim_ops,
-                    QosPoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    // 3 OSDs (one per node): few enough shards to flood. The aggressor's
+QosPoint RunQosScenario(bool contended, bool mclock_on,
+                        uint64_t victim_ops) {
+  QosPoint out;
+  // 3 OSDs (one per node): few enough shards to flood. The aggressor's
     // service quantum is what bounds the victim's wait under mClock (no
     // preemption — the victim rides the next free shard), so the scenario
     // uses a cheaper write op to keep that bound well under the victim's
-    // own service time while the backlog still drowns FIFO.
-    rados::ClusterConfig config = ScaleCluster(1);
-    config.costs.write_op = 170 * sim::kUs;
-    config.qos.enabled = mclock_on;
-    config.qos.tenants.push_back(rados::TenantSpec{
-        /*id=*/1, /*reservation_iops=*/0, /*weight=*/4.0, /*limit_iops=*/0});
-    config.qos.tenants.push_back(rados::TenantSpec{
-        /*id=*/2, /*reservation_iops=*/4000, /*weight=*/1.0,
-        /*limit_iops=*/0});
-    auto cluster = co_await rados::Cluster::Create(config);
-    if (!cluster.ok()) co_return;
+  // own service time while the backlog still drowns FIFO.
+  rados::ClusterConfig config = ScaleCluster(1);
+  config.costs.write_op = 170 * sim::kUs;
+  config.qos.enabled = mclock_on;
+  config.qos.tenants.push_back(rados::TenantSpec{
+      /*id=*/1, /*reservation_iops=*/0, /*weight=*/4.0, /*limit_iops=*/0});
+  config.qos.tenants.push_back(rados::TenantSpec{
+      /*id=*/2, /*reservation_iops=*/4000, /*weight=*/1.0,
+      /*limit_iops=*/0});
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     const uint32_t objects = 512;
-    co_await PrefillObjects(**cluster, objects, 4096);
-    co_await (*cluster)->Drain();
+    co_await PrefillObjects(cluster, objects, 4096);
+    co_await cluster.Drain();
 
     bool stop = false;
     sim::WaitGroup wg;
@@ -248,17 +238,18 @@ void RunQosScenario(bool contended, bool mclock_on, uint64_t victim_ops,
                                       data);
               }
               wg->Done();
-            }(&**cluster, &stop, &wg, w));
+            }(&cluster, &stop, &wg, w));
       }
       co_await sim::Sleep{20 * sim::kMs};  // let the backlog build
     }
-    co_await MeasureVictim(**cluster, victim_ops, objects, out);
+    co_await MeasureVictim(cluster, victim_ops, objects, &out);
     stop = true;
     co_await wg.Wait();
-    co_await (*cluster)->Drain();
+    co_await cluster.Drain();
+    co_return true;
   };
-  sched.Spawn(body());
-  sched.Run();
+  out.ok = RunOnCluster(config, 0, body).ok && out.ok;
+  return out;
 }
 
 // --- disabled-path identity ---
@@ -270,16 +261,14 @@ struct IdentityPoint {
   bool ok = false;
 };
 
-void RunIdentityPoint(bool mclock_on, IdentityPoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    rados::ClusterConfig config = ScaleCluster(3);
-    config.qos.enabled = mclock_on;
-    auto cluster = co_await rados::Cluster::Create(config);
-    if (!cluster.ok()) co_return;
+IdentityPoint RunIdentityPoint(bool mclock_on) {
+  IdentityPoint out;
+  rados::ClusterConfig config = ScaleCluster(3);
+  config.qos.enabled = mclock_on;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     const uint32_t objects = 128;
-    co_await PrefillObjects(**cluster, objects, 8192);
-    co_await (*cluster)->Drain();
+    co_await PrefillObjects(cluster, objects, 8192);
+    co_await cluster.Drain();
     sim::WaitGroup wg;
     for (size_t w = 0; w < 32; ++w) {
       wg.Add(1);
@@ -299,37 +288,29 @@ void RunIdentityPoint(bool mclock_on, IdentityPoint* out) {
               }
             }
             wg->Done();
-          }(&**cluster, w, objects, &wg));
+          }(&cluster, w, objects, &wg));
     }
     co_await wg.Wait();
-    co_await (*cluster)->Drain();
-    const rados::ClusterStats& cs = (*cluster)->stats();
-    const rados::RecoveryStats& rs = (*cluster)->recovery().stats();
-    out->control_events = cs.map_refreshes + cs.eagain_redirects +
-                          cs.osd_timeouts + cs.degraded_writes +
-                          cs.skipped_replicas + rs.objects_pushed +
-                          rs.inline_pulls;
-    out->ok = true;
+    co_await cluster.Drain();
+    const rados::ClusterStats& cs = cluster.stats();
+    const rados::RecoveryStats& rs = cluster.recovery().stats();
+    out.control_events = cs.map_refreshes + cs.eagain_redirects +
+                         cs.osd_timeouts + cs.degraded_writes +
+                         cs.skipped_replicas + rs.objects_pushed +
+                         rs.inline_pulls;
+    co_return true;
   };
-  sched.Spawn(body());
-  out->end_time = sched.Run();
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
+  const RunResult run = RunOnCluster(config, 0, body);
+  out.ok = run.ok;
+  out.end_time = run.clock;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  Bench bench("cluster", argc, argv);
+  const bool quick = bench.quick();
 
   // --- scaling ---
   const size_t workers = quick ? 384 : 768;
@@ -338,19 +319,23 @@ int main(int argc, char** argv) {
   std::printf("Scaling: rand-4K object reads, %zu clients x %llu ops, "
               "3 nodes, replication 3\n",
               workers, static_cast<unsigned long long>(reads));
-  ScalePoint p9, p18, p27;
-  RunScalePoint(3, workers, reads, objects, &p9);
-  RunScalePoint(6, workers, reads, objects, &p18);
-  RunScalePoint(9, workers, reads, objects, &p27);
+  const ScalePoint p9 = RunScalePoint(3, workers, reads, objects);
+  const ScalePoint p18 = RunScalePoint(6, workers, reads, objects);
+  const ScalePoint p27 = RunScalePoint(9, workers, reads, objects);
   const double x18 = p9.iops > 0 ? p18.iops / p9.iops : 0;
   const double x27 = p9.iops > 0 ? p27.iops / p9.iops : 0;
   std::printf("  %2d OSDs: %9.0f IOPS\n  %2d OSDs: %9.0f IOPS (%.2fx)\n"
               "  %2d OSDs: %9.0f IOPS (%.2fx)\n",
               9, p9.iops, 18, p18.iops, x18, 27, p27.iops, x27);
-  const bool scaling_ok =
-      p9.ok && p18.ok && p27.ok && x18 >= 1.6 && x27 >= 2.2;
-  std::printf("scaling: %s (acceptance: 18 OSDs >= 1.6x, 27 >= 2.2x)\n\n",
-              scaling_ok ? "PASS" : "FAIL");
+  bench.Gate("scaling",
+             p9.ok && p18.ok && p27.ok && x18 >= 1.6 && x27 >= 2.2,
+             "18 OSDs >= 1.6x, 27 >= 2.2x",
+             {{"iops_9", p9.iops},
+              {"iops_18", p18.iops},
+              {"iops_27", p27.iops},
+              {"x18", x18},
+              {"x27", x27}});
+  std::printf("\n");
 
   // --- failure + recovery ---
   const uint64_t kill_ops = quick ? 512 : 1536;
@@ -359,29 +344,30 @@ int main(int argc, char** argv) {
               "%.0f ms in (%llu ops)\n",
               static_cast<double>(kill_at) / 1e6,
               static_cast<unsigned long long>(kill_ops));
-  FailurePoint fp;
-  RunFailurePoint(kill_ops, kill_at, &fp);
+  const FailurePoint fp = RunFailurePoint(kill_ops, kill_at);
   std::printf("  run %s | %0.f IOPS | recovered objects: %llu | degraded "
               "after recovery: %zu | map epoch: %llu\n",
               fp.run_ok ? "completed, verify clean" : "FAILED",
               fp.iops, static_cast<unsigned long long>(fp.recovered),
               fp.degraded_after,
               static_cast<unsigned long long>(fp.map_epoch));
-  std::printf("failure: %s (acceptance: zero verify errors, degraded back "
-              "to 0)\n\n",
-              fp.pass ? "PASS" : "FAIL");
+  bench.Gate("failure", fp.pass, "zero verify errors, degraded back to 0",
+             {{"verify_clean", fp.run_ok},
+              {"recovered", fp.recovered},
+              {"degraded_after", fp.degraded_after}});
+  std::printf("\n");
 
   // --- qos ---
   const uint64_t victim_ops = quick ? 192 : 512;
   std::printf("Cluster QoS: reserved victim (4K reads, r=4000) vs "
               "weight-4 aggressor flood on 3 OSDs (%llu victim ops)\n",
               static_cast<unsigned long long>(victim_ops));
-  QosPoint solo, contended_off, contended_on;
-  RunQosScenario(/*contended=*/false, /*mclock_on=*/true, victim_ops, &solo);
-  RunQosScenario(/*contended=*/true, /*mclock_on=*/false, victim_ops,
-                 &contended_off);
-  RunQosScenario(/*contended=*/true, /*mclock_on=*/true, victim_ops,
-                 &contended_on);
+  const QosPoint solo =
+      RunQosScenario(/*contended=*/false, /*mclock_on=*/true, victim_ops);
+  const QosPoint contended_off =
+      RunQosScenario(/*contended=*/true, /*mclock_on=*/false, victim_ops);
+  const QosPoint contended_on =
+      RunQosScenario(/*contended=*/true, /*mclock_on=*/true, victim_ops);
   const double off_ratio =
       solo.p99_us > 0 ? contended_off.p99_us / solo.p99_us : 0;
   const double on_ratio =
@@ -394,55 +380,31 @@ int main(int argc, char** argv) {
   std::printf("  %-18s | p50 %7.0f us | p99 %7.0f us (%.1fx solo)\n",
               "contended, mClock", contended_on.p50_us, contended_on.p99_us,
               on_ratio);
-  const bool qos_ok = solo.ok && contended_on.ok && on_ratio <= 1.3;
-  std::printf("qos: %s (acceptance: mClock victim p99 <= 1.3x solo)\n\n",
-              qos_ok ? "PASS" : "FAIL");
+  bench.Gate("qos", solo.ok && contended_on.ok && on_ratio <= 1.3,
+             "mClock victim p99 <= 1.3x solo",
+             {{"solo_p99_us", solo.p99_us},
+              {"fifo_p99_us", contended_off.p99_us},
+              {"mclock_p99_us", contended_on.p99_us},
+              {"mclock_ratio", on_ratio}});
+  std::printf("\n");
 
   // --- identity ---
   std::printf("Pay-to-use identity: healthy mixed workload, mClock single "
               "tenant vs qos off\n");
-  IdentityPoint plain, single;
-  RunIdentityPoint(/*mclock_on=*/false, &plain);
-  RunIdentityPoint(/*mclock_on=*/true, &single);
+  const IdentityPoint plain = RunIdentityPoint(/*mclock_on=*/false);
+  const IdentityPoint single = RunIdentityPoint(/*mclock_on=*/true);
   const bool identical =
       plain.ok && single.ok && plain.end_time == single.end_time;
+  const long long clock_delta = static_cast<long long>(single.end_time) -
+                                static_cast<long long>(plain.end_time);
   std::printf("  clock delta %lld ns %s | healthy-run control events: %llu\n",
-              static_cast<long long>(single.end_time) -
-                  static_cast<long long>(plain.end_time),
-              identical ? "(identical)" : "(OVERHEAD!)",
+              clock_delta, identical ? "(identical)" : "(OVERHEAD!)",
               static_cast<unsigned long long>(plain.control_events));
-  const bool identity_ok = identical && plain.control_events == 0 &&
-                           single.control_events == 0;
-  std::printf("identity: %s (acceptance: same sim clock, zero map/recovery "
-              "traffic when healthy)\n",
-              identity_ok ? "PASS" : "FAIL");
-
-  const bool all_ok = scaling_ok && fp.pass && qos_ok && identity_ok;
-  std::string json = "{\n";
-  json += "  \"scaling\": {\"iops_9\": " + std::to_string(p9.iops) +
-          ", \"iops_18\": " + std::to_string(p18.iops) +
-          ", \"iops_27\": " + std::to_string(p27.iops) +
-          ", \"x18\": " + std::to_string(x18) +
-          ", \"x27\": " + std::to_string(x27) +
-          ", \"pass\": " + (scaling_ok ? "true" : "false") + "},\n";
-  json += "  \"failure\": {\"verify_clean\": " +
-          std::string(fp.run_ok ? "true" : "false") +
-          ", \"recovered\": " + std::to_string(fp.recovered) +
-          ", \"degraded_after\": " + std::to_string(fp.degraded_after) +
-          ", \"pass\": " + (fp.pass ? "true" : "false") + "},\n";
-  json += "  \"qos\": {\"solo_p99_us\": " + std::to_string(solo.p99_us) +
-          ", \"fifo_p99_us\": " + std::to_string(contended_off.p99_us) +
-          ", \"mclock_p99_us\": " + std::to_string(contended_on.p99_us) +
-          ", \"mclock_ratio\": " + std::to_string(on_ratio) +
-          ", \"pass\": " + (qos_ok ? "true" : "false") + "},\n";
-  json += "  \"identity\": {\"clock_delta_ns\": " +
-          std::to_string(static_cast<long long>(single.end_time) -
-                         static_cast<long long>(plain.end_time)) +
-          ", \"control_events\": " + std::to_string(plain.control_events) +
-          ", \"pass\": " + (identity_ok ? "true" : "false") + "},\n";
-  json += "  \"pass\": " + std::string(all_ok ? "true" : "false") + "\n}\n";
-  if (WriteFile("bench-cluster.json", json)) {
-    std::printf("\nwrote bench-cluster.json\n");
-  }
-  return all_ok ? 0 : 1;
+  bench.Gate("identity",
+             identical && plain.control_events == 0 &&
+                 single.control_events == 0,
+             "same sim clock, zero map/recovery traffic when healthy",
+             {{"clock_delta_ns", clock_delta},
+              {"control_events", plain.control_events}});
+  return bench.Finish();
 }

@@ -4,19 +4,18 @@
 //
 // Usage: bench_fig3_bandwidth [--figure=3a|3b|both] [--quick]
 #include <cstdio>
-#include <cstring>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 namespace {
 
 using namespace vde;
 using namespace vde::bench;
 
-void RunFigure(bool is_write, bool quick) {
+void RunFigure(Bench& bench, bool is_write) {
   const auto specs = PaperSpecs();
   auto sizes = PaperIoSizes();
-  if (quick) {
+  if (bench.quick()) {
     sizes = {4096, 65536, 1ull << 20, 4ull << 20};
   }
 
@@ -30,7 +29,8 @@ void RunFigure(bool is_write, bool quick) {
     std::printf("%8s", HumanSize(io).c_str());
     std::fflush(stdout);
     for (const auto& s : specs) {
-      const auto point = RunPoint(s.spec, io, is_write);
+      const auto point = RunPoint(
+          bench, {.spec = s.spec, .io_size = io, .is_write = is_write});
       std::printf("  %12.1f", point.mbps);
       std::fflush(stdout);
     }
@@ -41,17 +41,12 @@ void RunFigure(bool is_write, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool do_read = true, do_write = true, quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--figure=3a") == 0) do_write = false;
-    if (std::strcmp(argv[i], "--figure=3b") == 0) do_read = false;
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  Bench bench("fig3_bandwidth", argc, argv, /*figure_flag=*/true);
   std::printf("Reproduction of HotStorage'22 \"Rethinking Block Storage "
               "Encryption with Virtual Disks\", Fig. 3\n");
   std::printf("(simulated 3-node x 9-NVMe cluster, 3x replication, 4 MiB "
               "objects, 4 KiB encryption blocks)\n");
-  if (do_read) RunFigure(/*is_write=*/false, quick);
-  if (do_write) RunFigure(/*is_write=*/true, quick);
-  return 0;
+  if (bench.figure() != "3b") RunFigure(bench, /*is_write=*/false);
+  if (bench.figure() != "3a") RunFigure(bench, /*is_write=*/true);
+  return bench.Finish();
 }

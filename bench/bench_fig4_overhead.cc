@@ -7,20 +7,16 @@
 #include <cstdio>
 #include <cstring>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace vde;
   using namespace vde::bench;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-
+  Bench bench("fig4_overhead", argc, argv);
   const auto specs = PaperSpecs();
   auto sizes = PaperIoSizes();
-  if (quick) sizes = {4096, 65536, 1ull << 20, 4ull << 20};
+  if (bench.quick()) sizes = {4096, 65536, 1ull << 20, 4ull << 20};
 
   std::printf("Reproduction of HotStorage'22 Fig. 4: write overhead vs LUKS2 "
               "baseline [%%], QD=32 (lower is better)\n");
@@ -32,13 +28,13 @@ int main(int argc, char** argv) {
 
   double object_end_min = 1e9, object_end_max = -1e9;
   for (const uint64_t io : sizes) {
-    const auto base = RunPoint(specs[0].spec, io, /*is_write=*/true);
+    const auto base = RunPoint(bench, {.spec = specs[0].spec, .io_size = io});
     std::printf("%8s", HumanSize(io).c_str());
     std::fflush(stdout);
     for (size_t i = 1; i < specs.size(); ++i) {
-      const auto point = RunPoint(specs[i].spec, io, /*is_write=*/true);
-      const double overhead =
-          base.mbps > 0 ? (1.0 - point.mbps / base.mbps) * 100.0 : 0.0;
+      const auto point =
+          RunPoint(bench, {.spec = specs[i].spec, .io_size = io});
+      const double overhead = OverheadPct(base.mbps, point.mbps);
       if (std::strcmp(specs[i].name, "Object end") == 0) {
         object_end_min = std::min(object_end_min, overhead);
         object_end_max = std::max(object_end_max, overhead);
@@ -51,5 +47,5 @@ int main(int argc, char** argv) {
   std::printf("\nObject-end overhead range: %.1f%% .. %.1f%%  "
               "(paper: 1%% .. 22%%)\n",
               object_end_min, object_end_max);
-  return 0;
+  return bench.Finish();
 }

@@ -18,13 +18,14 @@
 //
 // Usage: bench_iv_cache [--quick]
 #include <cstdio>
-#include <cstring>
+#include <vector>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 struct CachePoint {
   double p50_us = 0;
@@ -55,45 +56,30 @@ rbd::IvCacheConfig CacheDisabled() { return {}; }
 
 // One workload point on a fresh single-replica cluster (store/metadata
 // traffic maps 1:1 to client transactions).
-CachePoint RunCachePoint(const core::EncryptionSpec& spec,
+CachePoint RunCachePoint(Bench& bench, const core::EncryptionSpec& spec,
                          const rbd::IvCacheConfig& cache,
                          const workload::FioConfig& fio_template,
                          uint64_t ops) {
   CachePoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    rados::ClusterConfig cfg = bench::PaperCluster();
-    cfg.nodes = 1;
-    cfg.osds_per_node = 4;
-    cfg.replication = 1;
-    cfg.pg_count = 32;
-    auto cluster = co_await rados::Cluster::Create(cfg);
-    if (!cluster.ok()) co_return;
-
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    rbd::ImageOptions options = TestImage(spec, 1ull << 30);
     options.iv_cache = cache;
     auto image =
-        co_await rbd::Image::Create(**cluster, "ivbench", "pw", options);
-    if (!image.ok()) co_return;
+        co_await rbd::Image::Create(cluster, "ivbench", "pw", options);
+    if (!image.ok()) co_return false;
     auto& img = **image;
 
     workload::FioConfig fio = fio_template;
     fio.total_ops = ops;
     workload::FioRunner runner(img, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await runner.Prefill()).ok()) co_return false;
+    if (!(co_await img.Flush()).ok()) co_return false;
+    co_await cluster.Drain();
 
     auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!result.ok()) co_return false;
+    if (!(co_await img.Flush()).ok()) co_return false;
+    co_await cluster.Drain();
 
     point.p50_us = result->latency_ns.Percentile(50) / 1000.0;
     point.p99_us = result->latency_ns.Percentile(99) / 1000.0;
@@ -102,14 +88,12 @@ CachePoint RunCachePoint(const core::EncryptionSpec& spec,
     point.misses = m.CounterOr("image.iv_misses");
     point.meta_fetched = m.CounterOr("image.iv_meta_bytes_fetched");
     point.meta_saved = m.CounterOr("image.iv_meta_bytes_saved");
-    point.ok = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  point.end_time = sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr, "RunCachePoint failed: %s\n", spec.Name().c_str());
-  }
+  const RunResult run = RunOnCluster(SmallCluster(), 0, body);
+  bench.Require(run.ok, "RunCachePoint " + spec.Name());
+  point.ok = run.ok;
+  point.end_time = run.clock;
   return point;
 }
 
@@ -147,10 +131,11 @@ const char* SpecLabel(const core::EncryptionSpec& spec) {
 }
 
 // Returns true when the gates hold; `gated` controls whether this spec
-// participates in the exit code (unaligned is informational: its
+// participates in the verdict (unaligned is informational: its
 // multi-block reads stay on the full-fetch path by design).
 bool ReportSection(const char* workload, const core::EncryptionSpec& spec,
-                   const CachePoint& off, const CachePoint& on, bool gated) {
+                   const CachePoint& off, const CachePoint& on, bool gated,
+                   std::vector<Field>* values) {
   const double ratio =
       off.meta_fetched > 0
           ? static_cast<double>(on.meta_fetched) /
@@ -166,17 +151,21 @@ bool ReportSection(const char* workload, const core::EncryptionSpec& spec,
               static_cast<unsigned long long>(on.meta_fetched), ratio,
               static_cast<unsigned long long>(on.hits),
               static_cast<unsigned long long>(on.meta_saved), off.p50_us,
-              on.p50_us, gated ? (pass ? "PASS" : "FAIL") : "(info)");
+              on.p50_us, gated ? PassFail(pass) : "(info)");
+  values->push_back({std::string(workload) + "/" + SpecLabel(spec),
+                     {{"off_meta_bytes", off.meta_fetched},
+                      {"on_meta_bytes", on.meta_fetched},
+                      {"off_p50_us", off.p50_us},
+                      {"on_p50_us", on.p50_us},
+                      {"gated", gated}}});
   return pass;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  Bench bench("iv_cache", argc, argv);
+  const bool quick = bench.quick();
   const uint64_t reread_ops = quick ? 1024 : 4096;
   const uint64_t rmw_ops = quick ? 1024 : 4096;
 
@@ -187,7 +176,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %-11s | %10s %10s %7s | %s\n", "workload", "layout",
               "off bytes", "on bytes", "", "cache-on detail");
 
-  bool gates_ok = true;
+  bool savings_ok = true;
+  std::vector<Field> savings;
   struct Scenario {
     const char* name;
     workload::FioConfig fio;
@@ -198,12 +188,19 @@ int main(int argc, char** argv) {
   for (const Scenario& sc : scenarios) {
     for (const auto* spec : {&kObjectEnd, &kOmap, &kUnaligned}) {
       const bool gated = spec != &kUnaligned;
-      const CachePoint off = RunCachePoint(*spec, CacheOff(), sc.fio, sc.ops);
-      const CachePoint on = RunCachePoint(*spec, CacheOn(), sc.fio, sc.ops);
-      gates_ok &= ReportSection(sc.name, *spec, off, on, gated);
+      const CachePoint off =
+          RunCachePoint(bench, *spec, CacheOff(), sc.fio, sc.ops);
+      const CachePoint on =
+          RunCachePoint(bench, *spec, CacheOn(), sc.fio, sc.ops);
+      savings_ok &=
+          ReportSection(sc.name, *spec, off, on, gated, &savings);
       std::fflush(stdout);
     }
   }
+  bench.Gate("savings", savings_ok,
+             "object-end and OMAP: cache-on fetches fewer metadata bytes, "
+             "p50 within 1% of cache-off",
+             savings);
 
   // Passthrough: a disabled cache and a zero-capacity cache must issue
   // byte-identical IO — same sim clock, to the nanosecond — on a mixed
@@ -221,8 +218,9 @@ int main(int argc, char** argv) {
   const uint64_t pt_ops = quick ? 512 : 2048;
   for (const auto* spec : {&kObjectEnd, &kOmap, &kUnaligned}) {
     const CachePoint disabled =
-        RunCachePoint(*spec, CacheDisabled(), mixed, pt_ops);
-    const CachePoint zero = RunCachePoint(*spec, CacheOff(), mixed, pt_ops);
+        RunCachePoint(bench, *spec, CacheDisabled(), mixed, pt_ops);
+    const CachePoint zero =
+        RunCachePoint(bench, *spec, CacheOff(), mixed, pt_ops);
     const bool same =
         disabled.ok && zero.ok && disabled.end_time == zero.end_time;
     passthrough_ok = passthrough_ok && same;
@@ -231,8 +229,8 @@ int main(int argc, char** argv) {
                     static_cast<long long>(disabled.end_time),
                 same ? "(identical)" : "(OVERHEAD!)");
   }
-  std::printf("passthrough: %s\n", passthrough_ok ? "PASS" : "FAIL");
-  std::printf("gates: %s\n",
-              gates_ok && passthrough_ok ? "PASS" : "FAIL");
-  return gates_ok && passthrough_ok ? 0 : 1;
+  bench.Gate("passthrough", passthrough_ok,
+             "disabled and zero-capacity cache runs end on the same sim "
+             "clock");
+  return bench.Finish();
 }

@@ -24,26 +24,18 @@
 // Usage: bench_meta [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
-#include "cluster_fixture.h"
 #include "device/nvme.h"
+#include "harness.h"
+#include "util/rng.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 constexpr uint64_t kBlk = core::kBlockSize;
-
-rados::ClusterConfig MetaCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
 
 core::EncryptionSpec Spec(core::CipherMode mode, core::IvLayout layout,
                           core::Integrity integrity = core::Integrity::kNone) {
@@ -56,13 +48,7 @@ core::EncryptionSpec Spec(core::CipherMode mode, core::IvLayout layout,
 
 rbd::ImageOptions BaseImage(core::EncryptionSpec spec, uint64_t size,
                             uint64_t object_size, size_t cache_objects) {
-  rbd::ImageOptions o;
-  o.size = size;
-  o.object_size = object_size;
-  o.enc = spec;
-  o.enc.iv_seed = 1;
-  o.luks.pbkdf2_iterations = 10;
-  o.luks.af_stripes = 8;
+  rbd::ImageOptions o = TestImage(spec, size, object_size);
   o.iv_cache.enabled = true;
   o.iv_cache.max_objects = cache_objects;
   return o;
@@ -92,18 +78,14 @@ struct WarmPoint {
 // object) and closes cleanly. Session 2 rereads everything WITHOUT the
 // plane — the cold-start cost. Session 3 rereads against the warmed
 // plane device.
-WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
+WarmPoint RunWarmReopenPoint(Bench& bench, const core::EncryptionSpec& spec,
                              size_t objects) {
   constexpr uint64_t kObjSize = 1ull << 20;
   constexpr uint64_t kWrite = 256 * 1024;
   constexpr uint64_t kTrimOff = 128 * 1024;
   constexpr uint64_t kTrimLen = 64 * 1024;
   WarmPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
-    if (!cluster.ok()) co_return;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options =
         BaseImage(spec, objects * kObjSize, kObjSize, objects + 8);
@@ -112,24 +94,24 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
     Rng rng(31);
     std::vector<Bytes> expected(objects);
     {
-      auto image = co_await rbd::Image::Create(**cluster, "metabench", "pw",
+      auto image = co_await rbd::Image::Create(cluster, "metabench", "pw",
                                                options);
-      if (!image.ok()) co_return;
+      if (!image.ok()) co_return false;
       for (size_t o = 0; o < objects; ++o) {
         expected[o] = rng.RandomBytes(kWrite);
         if (!(co_await (*image)->Write(o * kObjSize, expected[o])).ok()) {
-          co_return;
+          co_return false;
         }
         if (!(co_await (*image)->Discard(o * kObjSize + kTrimOff, kTrimLen))
                  .ok()) {
-          co_return;
+          co_return false;
         }
         std::fill(expected[o].begin() + kTrimOff,
                   expected[o].begin() + kTrimOff + kTrimLen, uint8_t{0});
       }
-      if (!(co_await (*image)->Flush()).ok()) co_return;
-      co_await (*cluster)->Drain();
-      if (!(co_await (*image)->Close()).ok()) co_return;
+      if (!(co_await (*image)->Flush()).ok()) co_return false;
+      co_await cluster.Drain();
+      if (!(co_await (*image)->Close()).ok()) co_return false;
     }
 
     // A block-granular read pass over the full working set (block reads
@@ -154,42 +136,37 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
 
     bool cold_ok = false;
     {
-      auto image = co_await rbd::Image::Open(**cluster, "metabench", "pw",
+      auto image = co_await rbd::Image::Open(cluster, "metabench", "pw",
                                              {}, nullptr, {},
                                              options.iv_cache);
-      if (!image.ok()) co_return;
+      if (!image.ok()) co_return false;
       co_await reread(**image, &cold_ok);
       const obs::Metrics s = (*image)->MetricsSnapshot();
       point.cold_meta_bytes = s.CounterOr("image.iv_meta_bytes_fetched");
       point.cold_bitmap_loads = s.CounterOr("image.trim_state_loads");
-      if (!(co_await (*image)->Close()).ok()) co_return;
+      if (!(co_await (*image)->Close()).ok()) co_return false;
     }
 
     bool warm_ok = false;
     {
-      auto image = co_await rbd::Image::Open(**cluster, "metabench", "pw",
+      auto image = co_await rbd::Image::Open(cluster, "metabench", "pw",
                                              {}, nullptr, {},
                                              options.iv_cache,
                                              options.meta_store);
-      if (!image.ok()) co_return;
+      if (!image.ok()) co_return false;
       co_await reread(**image, &warm_ok);
       const obs::Metrics s = (*image)->MetricsSnapshot();
       point.warm_meta_bytes = s.CounterOr("image.iv_meta_bytes_fetched");
       point.warm_bitmap_loads = s.CounterOr("image.trim_state_loads");
       point.warm_hits = s.CounterOr("image.meta_warm_hits");
       point.recovered_rows = s.CounterOr("image.meta_recovered_rows");
-      if (!(co_await (*image)->Close()).ok()) co_return;
+      if (!(co_await (*image)->Close()).ok()) co_return false;
     }
     point.data_ok = cold_ok && warm_ok;
-    point.ok = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr, "RunWarmReopenPoint failed: %s\n",
-                 spec.Name().c_str());
-  }
+  point.ok = RunOnCluster(SmallCluster(), 0, body).ok;
+  bench.Require(point.ok, "RunWarmReopenPoint " + spec.Name());
   return point;
 }
 
@@ -200,12 +177,7 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
 bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
   constexpr uint64_t kObjSize = 64 * 1024;
   bool rejected = false;
-  bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
-    if (!cluster.ok()) co_return;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options = BaseImage(spec, 8ull << 20, kObjSize, 16);
     options.meta_store = PlaneConfig(&meta_dev);
@@ -215,52 +187,49 @@ bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
     const Bytes bitmap_key(1, uint8_t{'B'});
     std::string oid;
     {
-      auto image = co_await rbd::Image::Create(**cluster, "replay", "pw",
+      auto image = co_await rbd::Image::Create(cluster, "replay", "pw",
                                                options);
-      if (!image.ok()) co_return;
+      if (!image.ok()) co_return false;
       oid = (*image)->ObjectName(0);
       if (!(co_await (*image)->Write(0, rng.RandomBytes(2 * kBlk))).ok()) {
-        co_return;
+        co_return false;
       }
-      if (!(co_await (*image)->Flush()).ok()) co_return;
-      co_await (*cluster)->Drain();
+      if (!(co_await (*image)->Flush()).ok()) co_return false;
+      co_await cluster.Drain();
       // The attacker snapshots the sealed bitmap record of generation N.
-      for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-        objstore::ObjectStore& os = (*cluster)->osd(i).store();
+      for (size_t i = 0; i < cluster.osd_count(); ++i) {
+        objstore::ObjectStore& os = cluster.osd(i).store();
         if (!os.ObjectExists(oid)) continue;
         auto row = co_await os.PeekOmapRow(oid, bitmap_key);
-        if (!row.ok()) co_return;
+        if (!row.ok()) co_return false;
         old_record = *row;
         break;
       }
-      if (old_record.empty()) co_return;
+      if (old_record.empty()) co_return false;
       // Generation N+1: the discard bumps the epoch and reseals.
-      if (!(co_await (*image)->Discard(0, kBlk)).ok()) co_return;
-      if (!(co_await (*image)->Flush()).ok()) co_return;
-      co_await (*cluster)->Drain();
+      if (!(co_await (*image)->Discard(0, kBlk)).ok()) co_return false;
+      if (!(co_await (*image)->Flush()).ok()) co_return false;
+      co_await cluster.Drain();
       // Dropped WITHOUT Close: the reopen purges persisted bitmaps but
       // keeps the epoch floors — the path a rollback would target.
     }
-    for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-      objstore::ObjectStore& os = (*cluster)->osd(i).store();
+    for (size_t i = 0; i < cluster.osd_count(); ++i) {
+      objstore::ObjectStore& os = cluster.osd(i).store();
       if (!os.ObjectExists(oid)) continue;
       if (!(co_await os.TamperOmapRow(oid, bitmap_key, old_record)).ok()) {
-        co_return;
+        co_return false;
       }
     }
-    auto reopened = co_await rbd::Image::Open(**cluster, "replay", "pw", {},
+    auto reopened = co_await rbd::Image::Open(cluster, "replay", "pw", {},
                                               nullptr, {}, options.iv_cache,
                                               options.meta_store);
-    if (!reopened.ok()) co_return;
+    if (!reopened.ok()) co_return false;
     auto got = co_await (*reopened)->Read(kBlk, kBlk);
     rejected = got.status().code() == StatusCode::kCorruption;
     (void)co_await (*reopened)->Close();
-    ran = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  return ran && rejected;
+  return RunOnCluster(SmallCluster(), 0, body).ok && rejected;
 }
 
 // --- Gate 3: stale persisted IV rows ------------------------------------
@@ -270,52 +239,44 @@ bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
 bool RunStaleIvPoint(const core::EncryptionSpec& spec) {
   constexpr uint64_t kObjSize = 64 * 1024;
   bool rejected = false;
-  bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
-    if (!cluster.ok()) co_return;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options = BaseImage(spec, 8ull << 20, kObjSize, 16);
     options.meta_store = PlaneConfig(&meta_dev);
 
     Rng rng(33);
     {
-      auto image = co_await rbd::Image::Create(**cluster, "staleiv", "pw",
+      auto image = co_await rbd::Image::Create(cluster, "staleiv", "pw",
                                                options);
-      if (!image.ok()) co_return;
+      if (!image.ok()) co_return false;
       if (!(co_await (*image)->Write(0, rng.RandomBytes(kBlk))).ok()) {
-        co_return;
+        co_return false;
       }
-      if (!(co_await (*image)->Flush()).ok()) co_return;
-      co_await (*cluster)->Drain();
-      if (!(co_await (*image)->Close()).ok()) co_return;
+      if (!(co_await (*image)->Flush()).ok()) co_return false;
+      co_await cluster.Drain();
+      if (!(co_await (*image)->Close()).ok()) co_return false;
     }
     {
       // Plane-less session: the store moves on, the plane does not.
-      auto image = co_await rbd::Image::Open(**cluster, "staleiv", "pw");
-      if (!image.ok()) co_return;
+      auto image = co_await rbd::Image::Open(cluster, "staleiv", "pw");
+      if (!image.ok()) co_return false;
       if (!(co_await (*image)->Write(0, rng.RandomBytes(kBlk))).ok()) {
-        co_return;
+        co_return false;
       }
-      if (!(co_await (*image)->Flush()).ok()) co_return;
-      co_await (*cluster)->Drain();
-      if (!(co_await (*image)->Close()).ok()) co_return;
+      if (!(co_await (*image)->Flush()).ok()) co_return false;
+      co_await cluster.Drain();
+      if (!(co_await (*image)->Close()).ok()) co_return false;
     }
-    auto reopened = co_await rbd::Image::Open(**cluster, "staleiv", "pw", {},
+    auto reopened = co_await rbd::Image::Open(cluster, "staleiv", "pw", {},
                                               nullptr, {}, options.iv_cache,
                                               options.meta_store);
-    if (!reopened.ok()) co_return;
+    if (!reopened.ok()) co_return false;
     auto got = co_await (*reopened)->Read(0, kBlk);
     rejected = got.status().code() == StatusCode::kCorruption;
     (void)co_await (*reopened)->Close();
-    ran = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  return ran && rejected;
+  return RunOnCluster(SmallCluster(), 0, body).ok && rejected;
 }
 
 // --- Gate 4: disabled plane is a passthrough ----------------------------
@@ -333,11 +294,7 @@ PassthroughPoint RunPassthroughPoint(bool with_disabled_config,
                                      size_t objects) {
   constexpr uint64_t kObjSize = 1ull << 20;
   PassthroughPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
-    if (!cluster.ok()) co_return;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     dev::NvmeDevice meta_dev;
     const auto spec = Spec(core::CipherMode::kXtsRandom,
                            core::IvLayout::kObjectEnd,
@@ -348,45 +305,39 @@ PassthroughPoint RunPassthroughPoint(bool with_disabled_config,
       options.meta_store.enabled = false;  // disabled, device attached
       options.meta_store.device = &meta_dev;
     }
-    auto image = co_await rbd::Image::Create(**cluster, "pt", "pw", options);
-    if (!image.ok()) co_return;
+    auto image = co_await rbd::Image::Create(cluster, "pt", "pw", options);
+    if (!image.ok()) co_return false;
     Rng rng(34);
     for (size_t o = 0; o < objects; ++o) {
       if (!(co_await (*image)->Write(o * kObjSize, rng.RandomBytes(32 * 1024)))
                .ok()) {
-        co_return;
+        co_return false;
       }
     }
     for (size_t o = 0; o < objects; ++o) {
       auto got = co_await (*image)->Read(o * kObjSize, 32 * 1024);
-      if (!got.ok()) co_return;
+      if (!got.ok()) co_return false;
     }
-    if (!(co_await (*image)->Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await (*image)->Flush()).ok()) co_return false;
+    co_await cluster.Drain();
     const obs::Metrics s = (*image)->MetricsSnapshot();
     point.end_time = sim::Scheduler::Current().now();
     point.bytes_written = s.CounterOr("image.bytes_written");
     point.bytes_read = s.CounterOr("image.bytes_read");
     point.iv_meta_bytes_fetched = s.CounterOr("image.iv_meta_bytes_fetched");
     point.meta_spills = s.CounterOr("image.meta_spills");
-    if (!(co_await (*image)->Close()).ok()) co_return;
-    point.ok = true;
+    if (!(co_await (*image)->Close()).ok()) co_return false;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
+  point.ok = RunOnCluster(SmallCluster(), 0, body).ok;
   return point;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const size_t objects = quick ? 4 : 16;
-  bool gates_ok = true;
+  Bench bench("meta", argc, argv);
+  const size_t objects = bench.quick() ? 4 : 16;
 
   const core::EncryptionSpec hmac_unaligned =
       Spec(core::CipherMode::kXtsRandom, core::IvLayout::kUnaligned,
@@ -408,20 +359,23 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %10s %8s | %10s %8s | %9s | %s\n", "spec", "cold_B",
               "cold_ld", "warm_B", "warm_ld", "rows", "gate");
 
-  struct SpecRow {
-    const char* name;
-    const core::EncryptionSpec* spec;
-  };
-  const SpecRow warm_rows[] = {{"hmac/unaligned", &hmac_unaligned},
-                               {"hmac/object-end", &hmac_oe},
-                               {"hmac/omap", &hmac_omap}};
-  for (const SpecRow& row : warm_rows) {
-    const WarmPoint p = RunWarmReopenPoint(*row.spec, objects);
+  const NamedSpec warm_rows[] = {{"hmac/unaligned", hmac_unaligned},
+                                 {"hmac/object-end", hmac_oe},
+                                 {"hmac/omap", hmac_omap}};
+  bool warm_ok = true;
+  std::vector<Field> warm_values;
+  for (const NamedSpec& row : warm_rows) {
+    const WarmPoint p = RunWarmReopenPoint(bench, row.spec, objects);
     const bool cold_paid = p.cold_meta_bytes > 0 || p.cold_bitmap_loads > 0;
     const bool warm_free = p.warm_meta_bytes == 0 && p.warm_bitmap_loads == 0;
     const bool pass = p.ok && p.data_ok && cold_paid && warm_free &&
                       p.recovered_rows > 0 && p.warm_hits > 0;
-    gates_ok = gates_ok && pass;
+    warm_ok = warm_ok && pass;
+    warm_values.push_back({row.name,
+                           {{"cold_meta_bytes", p.cold_meta_bytes},
+                            {"warm_meta_bytes", p.warm_meta_bytes},
+                            {"warm_bitmap_loads", p.warm_bitmap_loads},
+                            {"recovered_rows", p.recovered_rows}}});
     std::printf("%-22s | %10llu %8llu | %10llu %8llu | %9llu | %s%s\n",
                 row.name,
                 static_cast<unsigned long long>(p.cold_meta_bytes),
@@ -429,30 +383,40 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.warm_meta_bytes),
                 static_cast<unsigned long long>(p.warm_bitmap_loads),
                 static_cast<unsigned long long>(p.recovered_rows),
-                pass ? "PASS" : "FAIL",
+                PassFail(pass),
                 pass ? "" : (p.data_ok ? " (metadata)" : " (data)"));
     std::fflush(stdout);
   }
+  bench.Gate("warm_reopen", warm_ok,
+             "every geometry reopens warm with zero metadata bytes and "
+             "bitmap loads from the store, data round-trips",
+             warm_values);
 
   std::printf("\nRollback rejection: write-generation epochs\n");
-  const SpecRow replay_rows[] = {{"hmac/omap", &hmac_omap},
-                                 {"gcm/omap", &gcm_omap}};
-  for (const SpecRow& row : replay_rows) {
-    const bool pass = RunBitmapReplayPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const NamedSpec replay_rows[] = {{"hmac/omap", hmac_omap},
+                                   {"gcm/omap", gcm_omap}};
+  bool replay_ok = true;
+  for (const NamedSpec& row : replay_rows) {
+    const bool pass = RunBitmapReplayPoint(row.spec);
+    replay_ok = replay_ok && pass;
     std::printf("  %-20s replayed stale bitmap rejected: %s\n", row.name,
-                pass ? "PASS" : "FAIL");
+                PassFail(pass));
     std::fflush(stdout);
   }
-  const SpecRow stale_rows[] = {{"hmac/object-end", &hmac_oe},
-                                {"gcm/object-end", &gcm_oe}};
-  for (const SpecRow& row : stale_rows) {
-    const bool pass = RunStaleIvPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const NamedSpec stale_rows[] = {{"hmac/object-end", hmac_oe},
+                                  {"gcm/object-end", gcm_oe}};
+  bool stale_ok = true;
+  for (const NamedSpec& row : stale_rows) {
+    const bool pass = RunStaleIvPoint(row.spec);
+    stale_ok = stale_ok && pass;
     std::printf("  %-20s stale persisted IV row rejected: %s\n", row.name,
-                pass ? "PASS" : "FAIL");
+                PassFail(pass));
     std::fflush(stdout);
   }
+  bench.Gate("rollback_bitmap", replay_ok,
+             "a replayed old discard bitmap is rejected, HMAC and GCM");
+  bench.Gate("rollback_iv", stale_ok,
+             "stale persisted IV rows fail authentication, HMAC and GCM");
 
   std::printf("\nPassthrough: disabled plane vs no plane\n");
   const PassthroughPoint base = RunPassthroughPoint(false, objects);
@@ -463,13 +427,13 @@ int main(int argc, char** argv) {
                        base.iv_meta_bytes_fetched ==
                            off.iv_meta_bytes_fetched &&
                        off.meta_spills == 0;
-  gates_ok = gates_ok && pt_pass;
-  std::printf("  sim_time %llu vs %llu ns, spills=%llu: %s\n",
+  std::printf("  sim_time %llu vs %llu ns, spills=%llu\n",
               static_cast<unsigned long long>(base.end_time),
               static_cast<unsigned long long>(off.end_time),
-              static_cast<unsigned long long>(off.meta_spills),
-              pt_pass ? "PASS" : "FAIL");
-
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+              static_cast<unsigned long long>(off.meta_spills));
+  bench.Gate("passthrough", pt_pass,
+             "a disabled plane changes neither the sim clock nor any IO "
+             "counter",
+             {{"plain_ns", base.end_time}, {"disabled_ns", off.end_time}});
+  return bench.Finish();
 }

@@ -22,7 +22,7 @@
 // uploads both.
 //
 // Usage: bench_obs [--quick]
-#include <array>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -30,33 +30,16 @@
 #include <string>
 #include <vector>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 #include "qos/scheduler.h"
 
 namespace {
 
 using namespace vde;
-
-rados::ClusterConfig SmallCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
-
-core::EncryptionSpec ObjectEnd() {
-  core::EncryptionSpec s;
-  s.mode = core::CipherMode::kXtsRandom;
-  s.layout = core::IvLayout::kObjectEnd;
-  return s;
-}
+using namespace vde::bench;
 
 struct RunOut {
-  bool ok = false;
-  sim::SimTime clock = 0;     // final sim time after the whole run drained
-  uint64_t events = 0;        // total events processed
+  RunResult run;
   workload::FioResult result;
   std::string result_json;
   std::string trace_json;
@@ -71,18 +54,10 @@ struct RunOut {
 RunOut RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
                 size_t qos_depth) {
   RunOut out;
-  sim::Scheduler sched;
-  if (cores > 0) sched.ConfigureCores(cores);
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(SmallCluster());
-    if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 4ull << 30;
-    options.enc = ObjectEnd();
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    rbd::ImageOptions options = TestImage(
+        {core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd},
+        4ull << 30);
     options.obs.enabled = obs_on;
     // Retain every completed op (prefill included) so the exactness gate
     // checks the whole population, not just a tail.
@@ -92,9 +67,8 @@ RunOut RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
       options.qos.enabled = true;
       options.qos.max_queue_depth = qos_depth;
     }
-    auto image =
-        co_await rbd::Image::Create(**cluster, "bench", "pw", options);
-    if (!image.ok()) co_return;
+    auto image = co_await rbd::Image::Create(cluster, "bench", "pw", options);
+    if (!image.ok()) co_return false;
 
     workload::FioConfig fio;
     fio.rw_mix_pct = 70;
@@ -104,13 +78,13 @@ RunOut RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
     fio.total_ops = ops;
     fio.working_set = 64ull << 20;
     workload::FioRunner runner(**image, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await runner.Prefill()).ok()) co_return false;
+    co_await cluster.Drain();
 
     auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
+    if (!result.ok()) co_return false;
     out.result = std::move(*result);
-    co_await (*cluster)->Drain();
+    co_await cluster.Drain();
 
     if (obs_on) {
       out.result_json = out.result.ToJson();
@@ -119,12 +93,9 @@ RunOut RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
       out.trace_dropped = (*image)->obs().tracer().dropped();
       out.completed = (*image)->obs().op_tracker().SlowOps();
     }
-    out.ok = true;
+    co_return true;
   };
-  sched.Spawn(body());
-  sched.Run();
-  out.clock = sched.now();
-  out.events = sched.events_processed();
+  out.run = RunOnCluster(SmallCluster(), cores, body);
   return out;
 }
 
@@ -281,23 +252,11 @@ class JsonParser {
   std::set<std::string> names_;
 };
 
-bool WriteFile(const char* path, const std::string& content) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const uint64_t ops = quick ? 160 : 512;
-  bool all_ok = true;
+  Bench bench("obs", argc, argv);
+  const uint64_t ops = bench.quick() ? 160 : 512;
 
   // Gate (a): disabled vs enabled observability — identical sim clock and
   // event count, under both the legacy timeline and the 4-core model.
@@ -305,10 +264,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ops));
   bool identity_ok = true;
   for (unsigned cores : {0u, 4u}) {
-    RunOut off = RunMixed(/*obs_on=*/false, cores, ops, /*qd=*/8,
-                          /*qos_depth=*/0);
-    RunOut on = RunMixed(/*obs_on=*/true, cores, ops, /*qd=*/8,
-                         /*qos_depth=*/0);
+    const RunResult off = RunMixed(/*obs_on=*/false, cores, ops, /*qd=*/8,
+                                   /*qos_depth=*/0).run;
+    const RunResult on = RunMixed(/*obs_on=*/true, cores, ops, /*qd=*/8,
+                                  /*qos_depth=*/0).run;
     const bool ok = off.ok && on.ok && off.clock == on.clock &&
                     off.events == on.events;
     std::printf("  cores=%u: off=%llu ns (%llu ev)  on=%llu ns (%llu ev)  %s\n",
@@ -319,17 +278,16 @@ int main(int argc, char** argv) {
                 ok ? "IDENTICAL" : "DIVERGED");
     identity_ok = identity_ok && ok;
   }
-  std::printf("gate identity: %s\n\n", identity_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && identity_ok;
+  bench.Gate("identity", identity_ok,
+             "obs off and on end on the same sim clock and event count, at "
+             "0 and 4 cores");
+  std::printf("\n");
 
   // Gates (b) + (c) share one traced run behind a depth-capped QoS
   // scheduler (depth 2 under qd 8 forces real queue waits).
   RunOut traced = RunMixed(/*obs_on=*/true, /*cores=*/0, ops, /*qd=*/8,
                            /*qos_depth=*/2);
-  if (!traced.ok) {
-    std::printf("traced run FAILED\n");
-    return 1;
-  }
+  bench.Require(traced.run.ok, "traced run");
 
   // Gate (b): per-op exclusive stage durations sum to the end-to-end
   // latency within 1% (equal by construction; 1% is the acceptance bar).
@@ -347,14 +305,17 @@ int main(int argc, char** argv) {
       violations++;
     }
   }
-  const bool exact_ok = checked > 0 && violations == 0;
-  std::printf("gate exact: %llu ops checked, %llu bit-exact, %llu beyond "
-              "1%%: %s\n\n",
+  std::printf("exact: %llu ops checked, %llu bit-exact, %llu beyond 1%%\n",
               static_cast<unsigned long long>(checked),
               static_cast<unsigned long long>(exact),
-              static_cast<unsigned long long>(violations),
-              exact_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && exact_ok;
+              static_cast<unsigned long long>(violations));
+  bench.Gate("exact", checked > 0 && violations == 0,
+             "every op's exclusive stage durations sum to its latency "
+             "within 1%",
+             {{"checked", checked},
+              {"bit_exact", exact},
+              {"violations", violations}});
+  std::printf("\n");
 
   // Gate (c): the Chrome trace parses and has >= 1 span per layer.
   JsonParser parser(traced.trace_json);
@@ -369,25 +330,15 @@ int main(int argc, char** argv) {
     std::printf("  %-7s %s\n", layer, present ? "present" : "MISSING");
     layers_ok = layers_ok && present;
   }
-  std::printf("gate layers: %s\n\n", layers_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && layers_ok;
+  bench.Gate("layers", layers_ok,
+             "the Chrome trace parses and has a span for every layer",
+             {{"spans", traced.trace_spans},
+              {"dropped", traced.trace_dropped}});
+  std::printf("\n");
 
-  // Artifacts for CI: gate verdicts + the machine-readable fio result, and
-  // the sample trace itself.
-  std::string summary = "{\"gates\":{\"identity\":";
-  summary += identity_ok ? "true" : "false";
-  summary += ",\"exact\":";
-  summary += exact_ok ? "true" : "false";
-  summary += ",\"layers\":";
-  summary += layers_ok ? "true" : "false";
-  summary += "},\"fio\":" + traced.result_json + "}\n";
-  if (!WriteFile("bench-obs.json", summary) ||
-      !WriteFile("bench-obs-trace.json", traced.trace_json)) {
-    std::printf("failed to write artifacts\n");
-    return 1;
-  }
-  std::printf("wrote bench-obs.json and bench-obs-trace.json\n");
-
-  std::printf("\nbench_obs: %s\n", all_ok ? "ALL GATES PASS" : "FAILED");
-  return all_ok ? 0 : 1;
+  // Artifacts for CI: the machine-readable fio result, and the sample
+  // trace itself.
+  bench.Attach("fio", traced.result_json);
+  bench.Artifact("bench-obs-trace.json", traced.trace_json);
+  return bench.Finish();
 }

@@ -26,37 +26,23 @@
 //
 // Usage: bench_pipeline [--quick]
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 // Small cluster, replication 1, with the commit stage inflated via the
 // shared cost model (the same struct the object store charges from).
 rados::ClusterConfig PipelineCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
+  rados::ClusterConfig cfg = SmallCluster();
   cfg.store.costs.write_op_apply_cost = 120 * sim::kUs;
   return cfg;
-}
-
-rbd::ImageOptions PipelineImage(uint64_t stripe_unit, uint64_t stripe_count) {
-  rbd::ImageOptions o;
-  o.size = 1ull << 30;
-  o.luks.pbkdf2_iterations = 10;
-  o.luks.af_stripes = 8;
-  o.stripe_unit = stripe_unit;
-  o.stripe_count = stripe_count;
-  return o;
 }
 
 struct PipePoint {
@@ -70,24 +56,21 @@ struct PipePoint {
 // One point on a fresh cluster: `images` identical tenants (1 = plain
 // FioRunner), each running `fio` with a per-tenant seed. cores == 0
 // leaves the N-core CPU model disabled (the legacy serial charge).
-PipePoint RunFioPoint(size_t cores, uint64_t stripe_unit,
+PipePoint RunFioPoint(Bench& bench, unsigned cores, uint64_t stripe_unit,
                       uint64_t stripe_count, size_t images,
                       workload::FioConfig fio) {
   PipePoint point;
-  sim::Scheduler sched;
-  if (cores > 0) sched.ConfigureCores(cores);
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(PipelineCluster());
-    if (!cluster.ok()) co_return;
-    const rbd::ImageOptions options = PipelineImage(stripe_unit, stripe_count);
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    rbd::ImageOptions options = TestImage({}, 1ull << 30);
+    options.stripe_unit = stripe_unit;
+    options.stripe_count = stripe_count;
 
     std::vector<std::shared_ptr<rbd::Image>> imgs;
     for (size_t i = 0; i < images; ++i) {
       std::string name = "pipe";
       name += std::to_string(i);
-      auto image = co_await rbd::Image::Create(**cluster, name, "pw", options);
-      if (!image.ok()) co_return;
+      auto image = co_await rbd::Image::Create(cluster, name, "pw", options);
+      if (!image.ok()) co_return false;
       imgs.push_back(std::move(*image));
     }
 
@@ -102,28 +85,24 @@ PipePoint RunFioPoint(size_t cores, uint64_t stripe_unit,
     }
     workload::MultiFioRunner multi(std::move(tenants));
     auto results = co_await multi.Run();
-    if (!results.ok()) co_return;
+    if (!results.ok()) co_return false;
     for (const workload::FioTenantResult& r : *results) {
       point.iops += r.result.Iops();
       point.ops += r.result.ops;
       point.bytes += r.result.bytes;
     }
     for (auto& img : imgs) {
-      if (!(co_await img->Flush()).ok()) co_return;
+      if (!(co_await img->Flush()).ok()) co_return false;
     }
-    co_await (*cluster)->Drain();
+    co_await cluster.Drain();
     point.end_time = sim::Scheduler::Current().now();
-    point.ok = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr,
-                 "RunFioPoint failed: cores=%zu su=%llu sc=%llu images=%zu\n",
-                 cores, static_cast<unsigned long long>(stripe_unit),
-                 static_cast<unsigned long long>(stripe_count), images);
-  }
+  point.ok = RunOnCluster(PipelineCluster(), cores, body).ok;
+  bench.Require(point.ok, "RunFioPoint cores=" + std::to_string(cores) +
+                              " su=" + std::to_string(stripe_unit) +
+                              " sc=" + std::to_string(stripe_count) +
+                              " images=" + std::to_string(images));
   return point;
 }
 
@@ -151,63 +130,64 @@ workload::FioConfig RandWriteFio(uint64_t ops) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  bool gates_ok = true;
+  Bench bench("pipeline", argc, argv);
+  const bool quick = bench.quick();
 
   // --- Gate 1: 1-core model == disabled model, exactly ------------------
   {
     const workload::FioConfig fio = SeqWriteFio(quick ? 256 : 1024, 1);
-    const PipePoint off = RunFioPoint(0, 0, 1, 1, fio);
-    const PipePoint one = RunFioPoint(1, 0, 1, 1, fio);
-    const bool pass = off.ok && one.ok && off.end_time == one.end_time &&
-                      off.ops == one.ops && off.bytes == one.bytes;
-    gates_ok = gates_ok && pass;
+    const PipePoint off = RunFioPoint(bench, 0, 0, 1, 1, fio);
+    const PipePoint one = RunFioPoint(bench, 1, 0, 1, 1, fio);
     std::printf("Clock identity (qd=1 seq 4K write, no stripe)\n");
-    std::printf("  disabled %llu ns vs 1-core %llu ns: %s\n",
+    std::printf("  disabled %llu ns vs 1-core %llu ns\n",
                 static_cast<unsigned long long>(off.end_time),
-                static_cast<unsigned long long>(one.end_time),
-                pass ? "PASS" : "FAIL");
-    std::fflush(stdout);
+                static_cast<unsigned long long>(one.end_time));
+    bench.Gate("clock_identity",
+               off.ok && one.ok && off.end_time == one.end_time &&
+                   off.ops == one.ops && off.bytes == one.bytes,
+               "the 1-core model lands on the disabled model's clock",
+               {{"disabled_ns", off.end_time}, {"one_core_ns", one.end_time}});
   }
 
   // --- Gate 2: striping beats the contiguous layout ---------------------
   {
     const workload::FioConfig fio = SeqWriteFio(quick ? 1500 : 6000, 32);
-    const PipePoint flat = RunFioPoint(4, 0, 1, 1, fio);
-    const PipePoint striped = RunFioPoint(4, 16 * 1024, 8, 1, fio);
+    const PipePoint flat = RunFioPoint(bench, 4, 0, 1, 1, fio);
+    const PipePoint striped = RunFioPoint(bench, 4, 16 * 1024, 8, 1, fio);
     const double ratio =
         flat.iops > 0 ? striped.iops / flat.iops : 0;
-    const bool pass = flat.ok && striped.ok && ratio >= 1.3;
-    gates_ok = gates_ok && pass;
     std::printf("\nStriping (4 cores, seq 4K write qd=32)\n");
     std::printf("  %-22s %10.0f iops\n", "contiguous 4M", flat.iops);
-    std::printf("  %-22s %10.0f iops  (%.2fx, need >=1.30x): %s\n",
-                "su=16K sc=8", striped.iops, ratio, pass ? "PASS" : "FAIL");
-    std::fflush(stdout);
+    std::printf("  %-22s %10.0f iops  (%.2fx, need >=1.30x)\n",
+                "su=16K sc=8", striped.iops, ratio);
+    bench.Gate("striping", flat.ok && striped.ok && ratio >= 1.3,
+               "su=16K sc=8 >= 1.30x the contiguous layout at 4 cores",
+               {{"contiguous_iops", flat.iops},
+                {"striped_iops", striped.iops},
+                {"ratio", ratio}});
   }
 
   // --- Gate 3: multi-tenant aggregate scales with cores -----------------
   {
     const workload::FioConfig fio = RandWriteFio(quick ? 700 : 2000);
-    const PipePoint c1 = RunFioPoint(1, 0, 1, 4, fio);
-    const PipePoint c2 = RunFioPoint(2, 0, 1, 4, fio);
-    const PipePoint c4 = RunFioPoint(4, 0, 1, 4, fio);
+    const PipePoint c1 = RunFioPoint(bench, 1, 0, 1, 4, fio);
+    const PipePoint c2 = RunFioPoint(bench, 2, 0, 1, 4, fio);
+    const PipePoint c4 = RunFioPoint(bench, 4, 0, 1, 4, fio);
     const double s2 = c1.iops > 0 ? c2.iops / c1.iops : 0;
     const double s4 = c1.iops > 0 ? c4.iops / c1.iops : 0;
-    const bool pass = c1.ok && c2.ok && c4.ok && s2 >= 1.7 && s4 >= 3.0;
-    gates_ok = gates_ok && pass;
     std::printf("\nCore scaling (4 tenants, rand 4K write qd=8 each)\n");
     std::printf("  %-8s %12s %8s\n", "cores", "agg_iops", "scale");
     std::printf("  %-8d %12.0f %8s\n", 1, c1.iops, "1.00x");
     std::printf("  %-8d %12.0f %7.2fx  (need >=1.70x)\n", 2, c2.iops, s2);
     std::printf("  %-8d %12.0f %7.2fx  (need >=3.00x)\n", 4, c4.iops, s4);
-    std::printf("  scaling: %s\n", pass ? "PASS" : "FAIL");
-    std::fflush(stdout);
+    bench.Gate("scaling",
+               c1.ok && c2.ok && c4.ok && s2 >= 1.7 && s4 >= 3.0,
+               "4-tenant aggregate IOPS >= 1.70x at 2 cores, >= 3.00x at 4",
+               {{"iops_1", c1.iops},
+                {"iops_2", c2.iops},
+                {"iops_4", c4.iops},
+                {"x2", s2},
+                {"x4", s4}});
   }
-
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+  return bench.Finish();
 }

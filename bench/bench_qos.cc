@@ -19,39 +19,19 @@
 //
 // Usage: bench_qos [--quick]
 #include <cstdio>
-#include <cstring>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 #include "qos/scheduler.h"
 
 namespace {
 
 using namespace vde;
-
-rados::ClusterConfig SmallCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
-
-core::EncryptionSpec ObjectEnd() {
-  core::EncryptionSpec s;
-  s.mode = core::CipherMode::kXtsRandom;
-  s.layout = core::IvLayout::kObjectEnd;
-  return s;
-}
+using namespace vde::bench;
 
 rbd::ImageOptions TenantImage(std::shared_ptr<qos::Scheduler> qos,
                               qos::QosPolicy policy) {
-  rbd::ImageOptions o;
-  o.size = 4ull << 30;
-  o.enc = ObjectEnd();
-  o.enc.iv_seed = 1;
-  o.luks.pbkdf2_iterations = 10;
-  o.luks.af_stripes = 8;
+  rbd::ImageOptions o = TestImage(
+      {core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd}, 4ull << 30);
   o.qos_scheduler = std::move(qos);
   o.qos = policy;
   return o;
@@ -87,12 +67,9 @@ constexpr double kAggressorBurstBytes = kAggressorBps / 10.0;
 
 // One full scenario on a fresh cluster. The aggressor runs as a background
 // tenant: it hammers for exactly as long as the victim measures.
-void RunScenario(Mode mode, uint64_t victim_ops, TenantPoint* victim,
-                 TenantPoint* aggressor) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(SmallCluster());
-    if (!cluster.ok()) co_return;
+void RunScenario(Bench& bench, Mode mode, uint64_t victim_ops,
+                 TenantPoint* victim, TenantPoint* aggressor) {
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
 
     std::shared_ptr<qos::Scheduler> qos;
     qos::QosPolicy victim_policy, aggressor_policy;
@@ -111,29 +88,29 @@ void RunScenario(Mode mode, uint64_t victim_ops, TenantPoint* victim,
       aggressor_policy.max_queue_depth = 4;
     }
     auto victim_img = co_await rbd::Image::Create(
-        **cluster, "victim", "pw", TenantImage(qos, victim_policy));
-    if (!victim_img.ok()) co_return;
+        cluster, "victim", "pw", TenantImage(qos, victim_policy));
+    if (!victim_img.ok()) co_return false;
 
     workload::FioConfig victim_fio = VictimFio(victim_ops);
     workload::FioRunner victim_runner(**victim_img, victim_fio);
-    if (!(co_await victim_runner.Prefill()).ok()) co_return;
-    if (!(co_await (*victim_img)->Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await victim_runner.Prefill()).ok()) co_return false;
+    if (!(co_await (*victim_img)->Flush()).ok()) co_return false;
+    co_await cluster.Drain();
 
     if (mode == Mode::kSolo) {
       auto result = co_await victim_runner.Run();
-      if (!result.ok()) co_return;
+      if (!result.ok()) co_return false;
       victim->p50_us = result->latency_ns.Percentile(50) / 1e3;
       victim->p99_us = result->latency_ns.Percentile(99) / 1e3;
       victim->iops = result->Iops();
       victim->ops = result->ops;
       victim->ok = true;
-      co_return;
+      co_return true;
     }
 
     auto aggressor_img = co_await rbd::Image::Create(
-        **cluster, "aggressor", "pw", TenantImage(qos, aggressor_policy));
-    if (!aggressor_img.ok()) co_return;
+        cluster, "aggressor", "pw", TenantImage(qos, aggressor_policy));
+    if (!aggressor_img.ok()) co_return false;
     workload::FioConfig aggressor_fio;
     aggressor_fio.is_write = true;
     aggressor_fio.io_size = 64 * 1024;
@@ -147,7 +124,7 @@ void RunScenario(Mode mode, uint64_t victim_ops, TenantPoint* victim,
          /*background=*/true},
     });
     auto results = co_await multi.Run();
-    if (!results.ok()) co_return;
+    if (!results.ok()) co_return false;
     const workload::FioResult& v = (*results)[0].result;
     const workload::FioResult& a = (*results)[1].result;
     victim->p50_us = v.latency_ns.Percentile(50) / 1e3;
@@ -162,14 +139,15 @@ void RunScenario(Mode mode, uint64_t victim_ops, TenantPoint* victim,
     aggressor->ops = a.ops;
     aggressor->throttled = a.metrics.CounterOr("image.qos_throttled");
     aggressor->ok = true;
-    if (!(co_await (*victim_img)->Flush()).ok()) co_return;
-    if (!(co_await (*aggressor_img)->Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await (*victim_img)->Flush()).ok()) co_return false;
+    if (!(co_await (*aggressor_img)->Flush()).ok()) co_return false;
+    co_await cluster.Drain();
+    co_return true;
   };
-  sched.Spawn(body());
-  sched.Run();
-  if (!victim->ok) std::fprintf(stderr, "scenario failed (mode %d)\n",
-                                static_cast<int>(mode));
+  victim->ok = RunOnCluster(SmallCluster(), 0, body).ok && victim->ok;
+  bench.Require(victim->ok,
+                "scenario (mode " + std::to_string(static_cast<int>(mode)) +
+                    ")");
 }
 
 // Passthrough check: the same single-image point with no scheduler vs an
@@ -180,17 +158,15 @@ struct PassthroughPoint {
   bool ok = false;
 };
 
-void RunPassthroughPoint(uint64_t io_size, bool is_write, bool attach,
-                         uint64_t ops, PassthroughPoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(SmallCluster());
-    if (!cluster.ok()) co_return;
+PassthroughPoint RunPassthroughPoint(uint64_t io_size, bool is_write,
+                                     bool attach, uint64_t ops) {
+  PassthroughPoint out;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
     std::shared_ptr<qos::Scheduler> qos;
     if (attach) qos = std::make_shared<qos::Scheduler>();
     auto image = co_await rbd::Image::Create(
-        **cluster, "pt", "pw", TenantImage(qos, qos::QosPolicy{}));
-    if (!image.ok()) co_return;
+        cluster, "pt", "pw", TenantImage(qos, qos::QosPolicy{}));
+    if (!image.ok()) co_return false;
     workload::FioConfig fio;
     fio.is_write = is_write;
     fio.io_size = io_size;
@@ -199,34 +175,34 @@ void RunPassthroughPoint(uint64_t io_size, bool is_write, bool attach,
     fio.working_set = 128ull << 20;
     workload::FioRunner runner(**image, fio);
     if (!is_write) {
-      if (!(co_await runner.Prefill()).ok()) co_return;
-      co_await (*cluster)->Drain();
+      if (!(co_await runner.Prefill()).ok()) co_return false;
+      co_await cluster.Drain();
     }
     auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    out->mbps = result->BandwidthMBps();
-    out->ok = true;
+    if (!result.ok()) co_return false;
+    out.mbps = result->BandwidthMBps();
+    co_return true;
   };
-  sched.Spawn(body());
-  out->end_time = sched.Run();
+  const RunResult run = RunOnCluster(SmallCluster(), 0, body);
+  out.ok = run.ok;
+  out.end_time = run.clock;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  Bench bench("qos", argc, argv);
+  const bool quick = bench.quick();
   const uint64_t victim_ops = quick ? 256 : 1024;
 
   std::printf("Noisy neighbor: victim 4K randread QD8 vs aggressor 64K "
               "write QD32, one client (%llu victim ops)\n",
               static_cast<unsigned long long>(victim_ops));
   TenantPoint solo, off_v, off_a, on_v, on_a;
-  RunScenario(Mode::kSolo, victim_ops, &solo, nullptr);
-  RunScenario(Mode::kContendedOff, victim_ops, &off_v, &off_a);
-  RunScenario(Mode::kContendedOn, victim_ops, &on_v, &on_a);
+  RunScenario(bench, Mode::kSolo, victim_ops, &solo, nullptr);
+  RunScenario(bench, Mode::kContendedOff, victim_ops, &off_v, &off_a);
+  RunScenario(bench, Mode::kContendedOn, victim_ops, &on_v, &on_a);
   std::printf("%-18s | %9s %9s %9s | %12s\n", "scenario", "p50(us)",
               "p99(us)", "iops", "aggr MB/s");
   std::printf("%-18s | %9.0f %9.0f %9.0f | %12s\n", "victim solo",
@@ -251,12 +227,17 @@ int main(int argc, char** argv) {
               "bound %.1f MB = cap x window + burst\n",
               aggressor_bytes / 1e6, window_s * 1e3, on_a.mbps,
               bound_bytes / 1e6);
-  const bool isolation_ok = solo.ok && off_v.ok && on_v.ok && on_a.ok &&
-                            isolated <= 2.0 && degraded > isolated &&
-                            aggressor_bytes <= bound_bytes;
-  std::printf("isolation: %s (acceptance: QoS-on p99 within 2x of solo, "
-              "aggressor bytes within the bound)\n\n",
-              isolation_ok ? "PASS" : "FAIL");
+  bench.Gate("isolation",
+             solo.ok && off_v.ok && on_v.ok && on_a.ok && isolated <= 2.0 &&
+                 degraded > isolated && aggressor_bytes <= bound_bytes,
+             "QoS-on p99 within 2x of solo, aggressor bytes within the "
+             "bound",
+             {{"solo_p99_us", solo.p99_us},
+              {"off_p99_us", off_v.p99_us},
+              {"on_p99_us", on_v.p99_us},
+              {"aggressor_bytes", aggressor_bytes},
+              {"bound_bytes", bound_bytes}});
+  std::printf("\n");
 
   std::printf("Passthrough overhead (disabled policy vs no scheduler, "
               "identical seeds)\n");
@@ -272,11 +253,10 @@ int main(int argc, char** argv) {
                           {"64K randread", 65536, false},
                           {"64K randwrite", 65536, true}};
   for (const Shape& s : shapes) {
-    PassthroughPoint bare, attached;
-    RunPassthroughPoint(s.io_size, s.is_write, /*attach=*/false, pt_ops,
-                        &bare);
-    RunPassthroughPoint(s.io_size, s.is_write, /*attach=*/true, pt_ops,
-                        &attached);
+    const PassthroughPoint bare =
+        RunPassthroughPoint(s.io_size, s.is_write, /*attach=*/false, pt_ops);
+    const PassthroughPoint attached =
+        RunPassthroughPoint(s.io_size, s.is_write, /*attach=*/true, pt_ops);
     const bool same =
         bare.ok && attached.ok && bare.end_time == attached.end_time;
     passthrough_ok = passthrough_ok && same;
@@ -286,6 +266,7 @@ int main(int argc, char** argv) {
                     static_cast<long long>(bare.end_time),
                 same ? "(identical)" : "(OVERHEAD!)");
   }
-  std::printf("passthrough: %s\n", passthrough_ok ? "PASS" : "FAIL");
-  return isolation_ok && passthrough_ok ? 0 : 1;
+  bench.Gate("passthrough", passthrough_ok,
+             "a disabled policy moves no sim clock on the fig3/fig4 shapes");
+  return bench.Finish();
 }

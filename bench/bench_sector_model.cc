@@ -7,19 +7,22 @@
 // next to the simulated device's actual sector counters for single-op
 // writes on a one-OSD store. Gate: every cell's theory and measurement
 // agree, and the paper's two examples hold on the object-end layout (4K:
-// 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Prints `gates: PASS/FAIL` and
-// exits non-zero on FAIL.
+// 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Exits non-zero on FAIL.
+//
+// Usage: bench_sector_model [--quick]   (one op per cell: --quick changes
+// nothing)
 #include <cstdio>
 
 #include "core/format.h"
 #include "device/nvme.h"
+#include "harness.h"
 #include "objstore/object_store.h"
-#include "sim/scheduler.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 constexpr uint64_t kSector = 4096;
 constexpr uint64_t kObjectSize = 4ull << 20;
@@ -67,16 +70,16 @@ SectorCount Theoretical(core::IvLayout layout, uint64_t io,
 }
 
 // Measured: apply one write transaction on a fresh store, count sectors.
-SectorCount Measured(const core::EncryptionSpec& spec, uint64_t io) {
+SectorCount Measured(Bench& bench, const core::EncryptionSpec& spec,
+                     uint64_t io) {
   SectorCount out{0, 0};
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+  const RunResult run = Run(0, [&]() -> sim::Task<bool> {
     auto nvme = std::make_shared<dev::NvmeDevice>();
     objstore::StoreConfig cfg;
     cfg.journal_size = 8ull << 20;
     cfg.kv_region_size = 64ull << 20;
     auto store = co_await objstore::ObjectStore::Open(nvme, cfg);
-    if (!store.ok()) co_return;
+    if (!store.ok()) co_return false;
 
     Rng rng(1);
     Bytes key = rng.RandomBytes(64);
@@ -89,25 +92,25 @@ SectorCount Measured(const core::EncryptionSpec& spec, uint64_t io) {
     objstore::Transaction txn;
     txn.oid = "obj";
     const Bytes plain = rng.RandomBytes(io);
-    if (!format->MakeWrite(ext, plain, txn).ok()) co_return;
+    if (!format->MakeWrite(ext, plain, txn).ok()) co_return false;
 
     // The final-location sector traffic (what the paper's model counts) is
     // tracked by the store's apply-path counters; journal and OMAP WAL
     // traffic are excluded by construction.
-    if (!(co_await (*store)->Apply(txn, {})).ok()) co_return;
+    if (!(co_await (*store)->Apply(txn, {})).ok()) co_return false;
     co_await (*store)->Drain();
     out.written = (*store)->stats().apply_sectors_written;
     out.rmw_read = (*store)->stats().rmw_sectors;
-  };
-  sched.Spawn(body());
-  sched.Run();
+    co_return true;
+  });
+  bench.Require(run.ok, spec.Name() + " io=" + HumanSize(io));
   return out;
 }
 
 }  // namespace
 
-int main() {
-  using namespace vde;
+int main(int argc, char** argv) {
+  Bench bench("sector_model", argc, argv);
 
   std::printf("Reproduction of HotStorage'22 SS3.3 in-text sector model:\n");
   std::printf("sectors accessed per aligned random write (data path, journal "
@@ -136,7 +139,7 @@ int main() {
     uint64_t luks_written = 0;
     for (const auto& c : cases) {
       const auto theory = Theoretical(c.spec.layout, io, /*first_block=*/1);
-      const auto meas = Measured(c.spec, io);
+      const auto meas = Measured(bench, c.spec, io);
       cells++;
       if (theory.written == meas.written && theory.rmw_read == meas.rmw_read) {
         matched++;
@@ -161,9 +164,10 @@ int main() {
   std::printf("\nPaper's examples: 4K write -> 2 sectors vs 1 baseline; "
               "32K -> 9 vs 8. ('xR' = extra RMW sector reads)\n\n");
   std::printf("cells matching theory: %zu/%zu\n", matched, cells);
-  std::printf("paper examples (object end vs LUKS2): %s\n",
-              examples_ok ? "hold" : "BROKEN");
-  const bool gates_ok = matched == cells && examples_ok;
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+  bench.Gate("cells", matched == cells,
+             "every cell's theoretical sectors match the measured ones",
+             {{"matched", matched}, {"cells", cells}});
+  bench.Gate("paper_examples", examples_ok,
+             "object end vs LUKS2: 4K writes 2 sectors vs 1, 32K 9 vs 8");
+  return bench.Finish();
 }

@@ -21,25 +21,17 @@
 // Usage: bench_trim [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <vector>
 
-#include "cluster_fixture.h"
+#include "harness.h"
 
 namespace {
 
 using namespace vde;
+using namespace vde::bench;
 
 constexpr uint64_t kBlk = core::kBlockSize;
 constexpr uint64_t kObjSize = 4ull << 20;
-
-rados::ClusterConfig TrimCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
 
 struct TrimPoint {
   uint64_t trimmed_bytes = 0;    // data bytes discarded
@@ -54,41 +46,34 @@ struct TrimPoint {
 
 // Prefill `objects` x 4 MiB objects, discard the first half of each, then
 // reread the trimmed halves.
-TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
+TrimPoint RunTrimPoint(Bench& bench, const core::EncryptionSpec& spec,
+                       size_t objects) {
   TrimPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TrimCluster());
-    if (!cluster.ok()) co_return;
-
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    rbd::ImageOptions options = TestImage(spec, 1ull << 30);
     options.iv_cache.enabled = true;
     options.iv_cache.max_objects = objects + 8;
     auto image =
-        co_await rbd::Image::Create(**cluster, "trimbench", "pw", options);
-    if (!image.ok()) co_return;
+        co_await rbd::Image::Create(cluster, "trimbench", "pw", options);
+    if (!image.ok()) co_return false;
     auto& img = **image;
 
     workload::FioConfig fio;
     fio.is_write = true;
     fio.working_set = objects * kObjSize;
     workload::FioRunner runner(img, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await runner.Prefill()).ok()) co_return false;
+    if (!(co_await img.Flush()).ok()) co_return false;
+    co_await cluster.Drain();
 
-    const uint64_t free_before = (*cluster)->TotalStoreSpace().free_bytes;
+    const uint64_t free_before = cluster.TotalStoreSpace().free_bytes;
     for (size_t o = 0; o < objects; ++o) {
-      if (!(co_await img.Discard(o * kObjSize, kObjSize / 2)).ok()) co_return;
+      if (!(co_await img.Discard(o * kObjSize, kObjSize / 2)).ok()) {
+        co_return false;
+      }
     }
-    co_await (*cluster)->Drain();
-    const objstore::StoreSpace after = (*cluster)->TotalStoreSpace();
+    co_await cluster.Drain();
+    const objstore::StoreSpace after = cluster.TotalStoreSpace();
     point.trimmed_bytes = objects * kObjSize / 2;
     point.freed_bytes = static_cast<int64_t>(after.free_bytes) -
                         static_cast<int64_t>(free_before);
@@ -100,7 +85,7 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
     bool all_zero = true;
     for (size_t o = 0; o < objects; ++o) {
       auto got = co_await img.Read(o * kObjSize, kObjSize / 2);
-      if (!got.ok()) co_return;
+      if (!got.ok()) co_return false;
       all_zero = all_zero && std::all_of(got->begin(), got->end(),
                                          [](uint8_t b) { return b == 0; });
     }
@@ -109,14 +94,10 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
     point.reread_meta_bytes = reread.CounterOr("image.iv_meta_bytes_fetched");
     point.zero_reads = reread.CounterOr("image.trim_zero_reads");
     point.reread_all_zero = all_zero;
-    point.ok = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr, "RunTrimPoint failed: %s\n", spec.Name().c_str());
-  }
+  point.ok = RunOnCluster(SmallCluster(), 0, body).ok;
+  bench.Require(point.ok, "RunTrimPoint " + spec.Name());
   return point;
 }
 
@@ -125,33 +106,22 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
 bool RunEraseChannelPoint(const core::EncryptionSpec& spec) {
   bool forged_rejected = false;
   bool trim_reads_zero = false;
-  bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TrimCluster());
-    if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 64ull << 20;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    auto image =
-        co_await rbd::Image::Create(**cluster, "erase", "pw", options);
-    if (!image.ok()) co_return;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    auto image = co_await rbd::Image::Create(cluster, "erase", "pw",
+                                             TestImage(spec, 64ull << 20));
+    if (!image.ok()) co_return false;
     auto& img = **image;
 
     Bytes data(2 * kBlk);
     for (size_t i = 0; i < data.size(); ++i) {
       data[i] = static_cast<uint8_t>(i * 131 + 7);
     }
-    if (!(co_await img.Write(0, data)).ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
+    if (!(co_await img.Write(0, data)).ok()) co_return false;
+    if (!(co_await img.Flush()).ok()) co_return false;
+    co_await cluster.Drain();
 
     // Authentic trim of block 1.
-    if (!(co_await img.Discard(kBlk, kBlk)).ok()) co_return;
+    if (!(co_await img.Discard(kBlk, kBlk)).ok()) co_return false;
     auto trimmed = co_await img.Read(kBlk, kBlk);
     trim_reads_zero =
         trimmed.ok() && std::all_of(trimmed->begin(), trimmed->end(),
@@ -160,8 +130,8 @@ bool RunEraseChannelPoint(const core::EncryptionSpec& spec) {
     // Attacker zeroes live block 0 — data AND metadata, every replica.
     const std::string oid = img.ObjectName(0);
     const size_t meta = spec.MetaPerBlock();
-    for (size_t i = 0; i < (*cluster)->osd_count(); ++i) {
-      objstore::ObjectStore& os = (*cluster)->osd(i).store();
+    for (size_t i = 0; i < cluster.osd_count(); ++i) {
+      objstore::ObjectStore& os = cluster.osd(i).store();
       if (!os.ObjectExists(oid)) continue;
       switch (spec.layout) {
         case core::IvLayout::kUnaligned:
@@ -184,22 +154,17 @@ bool RunEraseChannelPoint(const core::EncryptionSpec& spec) {
     }
     auto forged = co_await img.Read(0, kBlk);
     forged_rejected = forged.status().code() == StatusCode::kCorruption;
-    ran = true;
+    co_return true;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  return ran && forged_rejected && trim_reads_zero;
+  return RunOnCluster(SmallCluster(), 0, body).ok && forged_rejected &&
+         trim_reads_zero;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const size_t objects = quick ? 4 : 16;
+  Bench bench("trim", argc, argv);
+  const size_t objects = bench.quick() ? 4 : 16;
 
   const core::EncryptionSpec plain_oe{core::CipherMode::kXtsRandom,
                                       core::IvLayout::kObjectEnd};
@@ -223,24 +188,31 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %9s %9s | %8s %9s %7s | %s\n", "spec", "trimmed",
               "freed", "dev_rds", "meta_B", "zfills", "gate");
 
-  bool gates_ok = true;
-  struct SpecRow {
-    const char* name;
-    const core::EncryptionSpec* spec;
-  };
-  const SpecRow rows[] = {{"xts-random/object-end", &plain_oe},
-                          {"hmac/object-end", &hmac_oe},
-                          {"hmac/omap", &hmac_omap},
-                          {"gcm/object-end", &gcm_oe}};
-  for (const SpecRow& row : rows) {
-    const TrimPoint p = RunTrimPoint(*row.spec, objects);
+  bool reclaim_ok = true;
+  bool fast_ok = true;
+  std::vector<Field> reclaim_values;
+  std::vector<Field> fast_values;
+  const NamedSpec rows[] = {{"xts-random/object-end", plain_oe},
+                            {"hmac/object-end", hmac_oe},
+                            {"hmac/omap", hmac_omap},
+                            {"gcm/object-end", gcm_oe}};
+  for (const NamedSpec& row : rows) {
+    const TrimPoint p = RunTrimPoint(bench, row.spec, objects);
     const bool reclaimed =
         p.freed_bytes >= static_cast<int64_t>(p.trimmed_bytes);
     const bool fast =
         p.reread_dev_reads == 0 && p.reread_meta_bytes == 0 &&
         p.zero_reads > 0 && p.reread_all_zero;
     const bool pass = p.ok && reclaimed && fast;
-    gates_ok = gates_ok && pass;
+    reclaim_ok = reclaim_ok && p.ok && reclaimed;
+    fast_ok = fast_ok && p.ok && fast;
+    reclaim_values.push_back({row.name,
+                              {{"trimmed_bytes", p.trimmed_bytes},
+                               {"freed_bytes", p.freed_bytes}}});
+    fast_values.push_back({row.name,
+                           {{"device_reads", p.reread_dev_reads},
+                            {"meta_bytes", p.reread_meta_bytes},
+                            {"zero_reads", p.zero_reads}}});
     std::printf("%-22s | %7.1fMB %7.1fMB | %8llu %9llu %7llu | %s%s\n",
                 row.name,
                 static_cast<double>(p.trimmed_bytes) / (1 << 20),
@@ -248,27 +220,36 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.reread_dev_reads),
                 static_cast<unsigned long long>(p.reread_meta_bytes),
                 static_cast<unsigned long long>(p.zero_reads),
-                pass ? "PASS" : "FAIL",
+                PassFail(pass),
                 pass ? "" : (reclaimed ? " (fast path)" : " (reclaim)"));
     std::fflush(stdout);
   }
+  bench.Gate("reclaim", reclaim_ok,
+             "free capacity grows by at least the trimmed bytes",
+             reclaim_values);
+  bench.Gate("fast_path", fast_ok,
+             "warmed rereads of trimmed ranges read zeros with zero device "
+             "reads and zero metadata bytes",
+             fast_values);
 
   std::printf("\nErase channel: attacker-zeroed live block vs authentic "
               "trim\n");
-  const SpecRow auth_rows[] = {{"hmac/object-end", &hmac_oe},
-                               {"hmac/omap", &hmac_omap},
-                               {"hmac/unaligned", &hmac_unaligned},
-                               {"gcm/object-end", &gcm_oe},
-                               {"gcm/omap", &gcm_omap}};
-  for (const SpecRow& row : auth_rows) {
-    const bool pass = RunEraseChannelPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const NamedSpec auth_rows[] = {{"hmac/object-end", hmac_oe},
+                                 {"hmac/omap", hmac_omap},
+                                 {"hmac/unaligned", hmac_unaligned},
+                                 {"gcm/object-end", gcm_oe},
+                                 {"gcm/omap", gcm_omap}};
+  bool erase_ok = true;
+  for (const NamedSpec& row : auth_rows) {
+    const bool pass = RunEraseChannelPoint(row.spec);
+    erase_ok = erase_ok && pass;
     std::printf("  %-20s forged discard rejected, authentic reads zero: "
                 "%s\n",
-                row.name, pass ? "PASS" : "FAIL");
+                row.name, PassFail(pass));
     std::fflush(stdout);
   }
-
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+  bench.Gate("erase_channel", erase_ok,
+             "a zeroed live block fails authentication and an authentic "
+             "trim reads zeros, HMAC and GCM");
+  return bench.Finish();
 }

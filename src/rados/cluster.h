@@ -3,8 +3,8 @@
 // transactional object operations over the simulated network.
 //
 // Topology and defaults mirror the paper's testbed (§3.2): 3 nodes x 9 NVMe
-// OSDs, 3-way replication, 4 MiB objects; bandwidths calibrated in
-// bench/cluster_fixture.h.
+// OSDs, 3-way replication, 4 MiB objects; bench/harness.h holds the
+// testbed config (PaperCluster).
 //
 // Scale-out semantics (placement v2):
 //   - The monitor owns the authoritative OsdMap; the client caches a copy.
