@@ -155,37 +155,41 @@ Bytes LuksHeader::Serialize() const {
 }
 
 Result<LuksHeader> LuksHeader::Deserialize(ByteSpan data) {
+  const Status truncated = Status::Corruption("truncated luks header");
   LuksHeader header;
-  size_t off = 0;
-  auto need = [&](size_t n) { return off + n <= data.size(); };
-  if (!need(12)) return Status::Corruption("luks header too short");
-  if (LoadU32Le(data.data()) != kHeaderMagic) {
-    return Status::Corruption("bad luks magic");
+  ByteReader in(data);
+  uint32_t magic = 0, stripes = 0;
+  ByteSpan salt, digest;
+  if (!in.U32(&magic) || !in.U32(&header.params_.pbkdf2_iterations) ||
+      !in.U32(&stripes) || !in.Span(kSaltSize, &salt) ||
+      !in.Span(kDigestSize, &digest)) {
+    return truncated;
   }
-  header.params_.pbkdf2_iterations = LoadU32Le(data.data() + 4);
-  header.params_.af_stripes = LoadU32Le(data.data() + 8);
-  off = 12;
-  if (!need(kSaltSize + kDigestSize)) return Status::Corruption("luks digest");
-  header.digest_salt_.assign(data.begin() + static_cast<long>(off),
-                             data.begin() + static_cast<long>(off + kSaltSize));
-  off += kSaltSize;
-  header.digest_.assign(data.begin() + static_cast<long>(off),
-                        data.begin() + static_cast<long>(off + kDigestSize));
-  off += kDigestSize;
+  if (magic != kHeaderMagic) return Status::Corruption("bad luks magic");
+  // Zero stripes would divide by zero in AfMerge, and OpenSSL refuses a
+  // zero-iteration PBKDF2; neither is a header Format can write.
+  if (header.params_.pbkdf2_iterations == 0 || stripes == 0) {
+    return Status::Corruption("bad luks kdf parameters");
+  }
+  header.params_.af_stripes = stripes;
+  header.digest_salt_.assign(salt.begin(), salt.end());
+  header.digest_.assign(digest.begin(), digest.end());
   for (auto& slot : header.slots_) {
-    if (!need(1)) return Status::Corruption("luks slot flag");
-    slot.active = data[off++] != 0;
+    uint8_t active = 0;
+    if (!in.U8(&active)) return truncated;
+    slot.active = active != 0;
     if (!slot.active) continue;
-    if (!need(kSaltSize + 4)) return Status::Corruption("luks slot salt");
-    slot.salt.assign(data.begin() + static_cast<long>(off),
-                     data.begin() + static_cast<long>(off + kSaltSize));
-    off += kSaltSize;
-    const uint32_t wrapped_len = LoadU32Le(data.data() + off);
-    off += 4;
-    if (!need(wrapped_len)) return Status::Corruption("luks slot material");
-    slot.wrapped.assign(data.begin() + static_cast<long>(off),
-                        data.begin() + static_cast<long>(off + wrapped_len));
-    off += wrapped_len;
+    uint32_t wrapped_len = 0;
+    ByteSpan wrapped;
+    if (!in.Span(kSaltSize, &salt) || !in.U32(&wrapped_len) ||
+        !in.Span(wrapped_len, &wrapped)) {
+      return truncated;
+    }
+    if (wrapped_len != uint64_t{stripes} * kMasterKeySize) {
+      return Status::Corruption("luks slot material size");
+    }
+    slot.salt.assign(salt.begin(), salt.end());
+    slot.wrapped.assign(wrapped.begin(), wrapped.end());
   }
   return header;
 }

@@ -60,7 +60,6 @@ class NvmeDevice final : public BlockDevice {
   sim::Task<Status> ChargeWrite(uint64_t offset, size_t len);
 
   const DeviceStats& stats() const override { return stats_; }
-  void ResetStats() { stats_ = DeviceStats{}; }
 
  private:
   Status CheckAligned(uint64_t offset, size_t len) const;

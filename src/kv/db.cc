@@ -81,26 +81,30 @@ sim::Task<Status> KvStore::WriteSuperblock() {
 }
 
 sim::Task<Status> KvStore::Recover(ByteSpan super) {
-  // Validate manifest CRC: find blob length from the table count.
-  const uint64_t wal_gen = LoadU64Le(super.data() + 8);
-  const uint32_t n = LoadU32Le(super.data() + 16);
-  const size_t blob_len = 20 + static_cast<size_t>(n) * 17;
-  if (blob_len + 4 > super.size()) co_return Status::Corruption("manifest size");
-  if (Crc32c(super.subspan(0, blob_len)) != LoadU32Le(super.data() + blob_len)) {
-    co_return Status::Corruption("superblock crc");
+  // The table count sizes the CRC-covered manifest; no entry is trusted
+  // before the CRC holds.
+  ByteReader in(super);
+  ByteReader whole(super);
+  uint64_t magic = 0, wal_gen = 0;
+  uint32_t n = 0, crc = 0;
+  ByteSpan manifest;
+  if (!in.U64(&magic) || !in.U64(&wal_gen) || !in.U32(&n) ||
+      !whole.Span(20 + size_t{n} * 17, &manifest) || !whole.U32(&crc)) {
+    co_return Status::Corruption("manifest size");
   }
+  if (Crc32c(manifest) != crc) co_return Status::Corruption("superblock crc");
 
   wal_region_ = std::make_unique<dev::RegionDevice>(region_, wal_offset_,
                                                     options_.wal_size);
   wal_ = std::make_unique<Wal>(*wal_region_, wal_gen);
   mem_ = std::make_unique<MemTable>();
 
-  size_t off = 20;
   for (uint32_t i = 0; i < n; ++i) {
-    const uint8_t level = super[off];
-    const uint64_t table_off = LoadU64Le(super.data() + off + 1);
-    const uint64_t table_len = LoadU64Le(super.data() + off + 9);
-    off += 17;
+    uint8_t level = 0;
+    uint64_t table_off = 0, table_len = 0;
+    if (!in.U8(&level) || !in.U64(&table_off) || !in.U64(&table_len)) {
+      co_return Status::Corruption("manifest entry");  // inside the CRC
+    }
     auto table =
         co_await SSTable::Open(region_, data_offset_ + table_off, table_len);
     if (!table.ok()) co_return table.status();

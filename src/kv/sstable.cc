@@ -44,44 +44,41 @@ Bytes SerializeMeta(const TableMeta& meta) {
   return out;
 }
 
-Result<TableMeta> DeserializeMeta(ByteSpan in) {
+// Every index block ref must lie inside the data area [0, data_end):
+// ReadBlock sizes its buffer from the ref.
+Result<TableMeta> DeserializeMeta(ByteSpan blob, uint64_t data_end) {
+  const Status truncated = Status::Corruption("truncated table meta");
   TableMeta meta;
-  size_t off = 0;
-  auto need = [&](size_t n) { return off + n <= in.size(); };
-  if (!need(12)) return Status::Corruption("meta header");
-  meta.entries = LoadU64Le(in.data());
-  const uint32_t nblocks = LoadU32Le(in.data() + 8);
-  off = 12;
+  ByteReader in(blob);
+  uint32_t nblocks = 0;
+  if (!in.U64(&meta.entries) || !in.U32(&nblocks)) return truncated;
   for (uint32_t i = 0; i < nblocks; ++i) {
-    if (!need(2)) return Status::Corruption("meta index");
-    const uint16_t klen = LoadU16Le(in.data() + off);
-    off += 2;
-    if (!need(klen + 12u)) return Status::Corruption("meta index key");
+    uint16_t klen = 0;
+    ByteSpan key;
     TableMeta::BlockRef ref;
-    ref.last_key.assign(in.begin() + static_cast<long>(off),
-                        in.begin() + static_cast<long>(off + klen));
-    off += klen;
-    ref.offset = LoadU64Le(in.data() + off);
-    ref.length = LoadU32Le(in.data() + off + 8);
-    off += 12;
+    if (!in.U16(&klen) || !in.Span(klen, &key) || !in.U64(&ref.offset) ||
+        !in.U32(&ref.length)) {
+      return truncated;
+    }
+    if (ref.offset > data_end || ref.length > data_end - ref.offset) {
+      return Status::Corruption("table block out of range");
+    }
+    ref.last_key.assign(key.begin(), key.end());
     meta.index.push_back(std::move(ref));
   }
-  if (!need(8)) return Status::Corruption("meta bloom header");
-  meta.bloom_hashes = LoadU32Le(in.data() + off);
-  const uint32_t bloom_len = LoadU32Le(in.data() + off + 4);
-  off += 8;
-  if (!need(bloom_len)) return Status::Corruption("meta bloom");
-  meta.bloom.assign(in.begin() + static_cast<long>(off),
-                    in.begin() + static_cast<long>(off + bloom_len));
-  off += bloom_len;
+  uint32_t bloom_hashes = 0, bloom_len = 0;
+  ByteSpan bloom;
+  if (!in.U32(&bloom_hashes) || !in.U32(&bloom_len) ||
+      !in.Span(bloom_len, &bloom)) {
+    return truncated;
+  }
+  meta.bloom_hashes = bloom_hashes;
+  meta.bloom.assign(bloom.begin(), bloom.end());
   for (Bytes* key : {&meta.min_key, &meta.max_key}) {
-    if (!need(2)) return Status::Corruption("meta bounds");
-    const uint16_t klen = LoadU16Le(in.data() + off);
-    off += 2;
-    if (!need(klen)) return Status::Corruption("meta bounds key");
-    key->assign(in.begin() + static_cast<long>(off),
-                in.begin() + static_cast<long>(off + klen));
-    off += klen;
+    uint16_t klen = 0;
+    ByteSpan bytes;
+    if (!in.U16(&klen) || !in.Span(klen, &bytes)) return truncated;
+    key->assign(bytes.begin(), bytes.end());
   }
   return meta;
 }
@@ -203,7 +200,8 @@ sim::Task<Result<std::unique_ptr<SSTable>>> SSTable::Open(
   const uint64_t meta_off = LoadU64Le(footer.data() + 8);
   const uint64_t meta_len = LoadU64Le(footer.data() + 16);
   const uint32_t crc = LoadU32Le(footer.data() + 24);
-  if (meta_off + meta_len > table_length - sector) {
+  const uint64_t body = table_length - sector;
+  if (meta_off > body || meta_len > body - meta_off) {
     co_return Status::Corruption("meta out of range");
   }
   // Read the sectors covering the meta blob.
@@ -216,7 +214,7 @@ sim::Task<Result<std::unique_ptr<SSTable>>> SSTable::Open(
   }
   const ByteSpan blob(raw.data() + (meta_off - first), meta_len);
   if (Crc32c(blob) != crc) co_return Status::Corruption("meta crc");
-  auto meta = DeserializeMeta(blob);
+  auto meta = DeserializeMeta(blob, meta_off);
   if (!meta.ok()) co_return meta.status();
   co_return std::make_unique<SSTable>(device, table_offset,
                                       std::move(meta).value());
@@ -236,24 +234,24 @@ sim::Task<Result<Bytes>> SSTable::ReadBlock(const TableMeta::BlockRef& ref) {
                   raw.begin() + static_cast<long>(ref.offset - first + ref.length));
 }
 
-void SSTable::ParseBlock(ByteSpan block, std::vector<TableEntry>& out) {
-  size_t off = 0;
-  while (off + 7 <= block.size()) {
-    const uint16_t klen = LoadU16Le(block.data() + off);
-    const uint32_t vlen = LoadU32Le(block.data() + off + 2);
-    const bool tombstone = block[off + 6] != 0;
-    off += 7;
-    assert(off + klen + vlen <= block.size());
-    TableEntry e;
-    e.key.assign(block.begin() + static_cast<long>(off),
-                 block.begin() + static_cast<long>(off + klen));
-    off += klen;
-    e.value.assign(block.begin() + static_cast<long>(off),
-                   block.begin() + static_cast<long>(off + vlen));
-    off += vlen;
-    e.tombstone = tombstone;
-    out.push_back(std::move(e));
+Status SSTable::ParseBlock(ByteSpan block, std::vector<TableEntry>& out) {
+  // Data blocks carry no checksum of their own: every length is checked
+  // against the block before it is trusted.
+  ByteReader in(block);
+  while (!in.empty()) {
+    uint16_t klen = 0;
+    uint32_t vlen = 0;
+    uint8_t tombstone = 0;
+    ByteSpan key, value;
+    if (!in.U16(&klen) || !in.U32(&vlen) || !in.U8(&tombstone) ||
+        !in.Span(klen, &key) || !in.Span(vlen, &value)) {
+      return Status::Corruption("truncated table block entry");
+    }
+    out.push_back(TableEntry{Bytes(key.begin(), key.end()),
+                             Bytes(value.begin(), value.end()),
+                             tombstone != 0});
   }
+  return Status::Ok();
 }
 
 sim::Task<Result<std::optional<TableEntry>>> SSTable::Get(ByteSpan key,
@@ -276,7 +274,7 @@ sim::Task<Result<std::optional<TableEntry>>> SSTable::Get(ByteSpan key,
   auto block = co_await ReadBlock(*it);
   if (!block.ok()) co_return block.status();
   std::vector<TableEntry> entries;
-  ParseBlock(*block, entries);
+  VDE_CO_RETURN_IF_ERROR(ParseBlock(*block, entries));
   for (auto& e : entries) {
     if (Compare(e.key, key) == 0) co_return std::optional<TableEntry>{std::move(e)};
   }
@@ -300,7 +298,7 @@ sim::Task<Result<std::vector<TableEntry>>> SSTable::Scan(ByteSpan start,
     auto block = co_await ReadBlock(*it);
     if (!block.ok()) co_return block.status();
     std::vector<TableEntry> entries;
-    ParseBlock(*block, entries);
+    VDE_CO_RETURN_IF_ERROR(ParseBlock(*block, entries));
     bool past_end = false;
     for (auto& e : entries) {
       if (!start.empty() && Compare(e.key, start) < 0) continue;

@@ -105,7 +105,7 @@ class SSTable {
 
  private:
   sim::Task<Result<Bytes>> ReadBlock(const TableMeta::BlockRef& ref);
-  static void ParseBlock(ByteSpan block, std::vector<TableEntry>& out);
+  static Status ParseBlock(ByteSpan block, std::vector<TableEntry>& out);
 
   dev::BlockDevice& device_;
   uint64_t table_offset_;

@@ -74,20 +74,23 @@ sim::Task<Result<std::vector<Bytes>>> Wal::Recover() {
     Status s = co_await device_.Read(0, raw);
     if (!s.ok()) co_return s;
   }
+  // Frame: [crc u32][len u32][generation u64][payload]; the CRC covers the
+  // generation and payload. A frame that does not parse ends the log.
   std::vector<Bytes> frames;
+  ByteReader in(raw);
   uint64_t off = 0;
-  while (off + kHeaderSize <= raw.size()) {
-    const uint32_t crc = LoadU32Le(raw.data() + off);
-    const uint32_t len = LoadU32Le(raw.data() + off + 4);
+  for (;;) {
+    uint32_t crc = 0, len = 0;
+    uint64_t gen = 0;
+    ByteSpan payload;
+    if (!in.U32(&crc) || !in.U32(&len)) break;
     if (len == 0 && crc == 0) break;  // hole: end of log
-    if (off + kHeaderSize + len > raw.size()) break;
+    if (!in.U64(&gen) || !in.Span(len, &payload)) break;
     const ByteSpan body(raw.data() + off + 8, 8 + len);
     if (Crc32c(body) != crc) break;  // torn frame: end of log
-    const uint64_t gen = LoadU64Le(raw.data() + off + 8);
-    if (gen != generation_) break;  // stale frame from a previous life
-    frames.emplace_back(raw.begin() + static_cast<long>(off) + 16,
-                        raw.begin() + static_cast<long>(off) + 16 + len);
-    off += kHeaderSize + len;
+    if (gen != generation_) break;   // stale frame from a previous life
+    frames.emplace_back(payload.begin(), payload.end());
+    off = in.offset();
   }
   // Restore append state so new frames continue after the recovered ones.
   append_off_ = off;

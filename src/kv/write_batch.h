@@ -65,29 +65,24 @@ inline Bytes WriteBatch::Serialize() const {
 
 inline Result<WriteBatch> WriteBatch::Deserialize(ByteSpan data) {
   WriteBatch batch;
-  if (data.size() < 4) return Status::Corruption("batch too short");
-  const uint32_t count = LoadU32Le(data.data());
-  size_t off = 4;
+  ByteReader in(data);
+  uint32_t count = 0;
+  if (!in.U32(&count)) return Status::Corruption("batch too short");
   for (uint32_t i = 0; i < count; ++i) {
-    if (off + 9 > data.size()) return Status::Corruption("batch op header");
-    const auto type = static_cast<OpType>(data[off]);
-    if (type != OpType::kPut && type != OpType::kDelete) {
-      return Status::Corruption("batch op type");
+    uint8_t type = 0;
+    uint32_t klen = 0, vlen = 0;
+    ByteSpan key, value;
+    if (!in.U8(&type) || !in.U32(&klen) || !in.U32(&vlen) ||
+        !in.Span(klen, &key) || !in.Span(vlen, &value)) {
+      return Status::Corruption("truncated batch op");
     }
-    const uint32_t klen = LoadU32Le(data.data() + off + 1);
-    const uint32_t vlen = LoadU32Le(data.data() + off + 5);
-    off += 9;
-    if (off + klen + vlen > data.size()) {
-      return Status::Corruption("batch op payload");
-    }
-    Bytes key(data.begin() + off, data.begin() + off + klen);
-    off += klen;
-    Bytes value(data.begin() + off, data.begin() + off + vlen);
-    off += vlen;
-    if (type == OpType::kPut) {
-      batch.Put(std::move(key), std::move(value));
+    if (type == static_cast<uint8_t>(OpType::kPut)) {
+      batch.Put(Bytes(key.begin(), key.end()),
+                Bytes(value.begin(), value.end()));
+    } else if (type == static_cast<uint8_t>(OpType::kDelete)) {
+      batch.Delete(Bytes(key.begin(), key.end()));
     } else {
-      batch.Delete(std::move(key));
+      return Status::Corruption("batch op type");
     }
   }
   return batch;

@@ -61,8 +61,6 @@ class PgLog {
   // unrecoverable-object escape hatch (no surviving copy holds the head).
   void Forget(size_t osd, const std::string& oid);
 
-  size_t ObjectCount() const { return gens_.size(); }
-
  private:
   std::map<std::string, uint64_t> gens_;                 // oid -> head gen
   std::map<size_t, std::map<std::string, uint64_t>> have_;  // osd -> applied

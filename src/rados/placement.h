@@ -80,10 +80,6 @@ class OsdMap {
   // outage the set shrinks (degraded) rather than doubling up on a node.
   std::vector<size_t> ActingFor(uint32_t pg) const;
 
-  std::vector<size_t> ActingForObject(const std::string& oid) const {
-    return ActingFor(PgOf(oid));
-  }
-
  private:
   struct OsdEntry {
     size_t node = 0;

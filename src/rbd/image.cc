@@ -25,6 +25,39 @@ constexpr uint64_t kHeaderFirstRead = 64 * 1024;
 // Upper bound on a plausible header (corruption guard for the re-read).
 constexpr uint32_t kMaxHeaderLen = 64u << 20;
 
+// The layout rules shared by Create (user input, InvalidArgument) and
+// ParseImageHeader (header bytes, Corruption): returns the broken rule, or
+// nullptr. The stripe unit must be a whole number of crypto blocks and tile
+// the object exactly, so chunk boundaries inside an object stay
+// block-aligned.
+const char* LayoutError(const ImageOptions& options) {
+  if (options.size == 0 || options.object_size == 0 ||
+      options.size % core::kBlockSize != 0 ||
+      options.object_size % core::kBlockSize != 0) {
+    return "image and object size must be non-zero and block-aligned";
+  }
+  const uint64_t su = options.stripe_unit;
+  if (options.stripe_count == 0 ||
+      (su != 0 && (su % core::kBlockSize != 0 || su > options.object_size ||
+                    options.object_size % su != 0))) {
+    return "stripe unit must be a block-aligned divisor of the object size";
+  }
+  if (options.enc.compression.enabled()) {
+    // The compressed length lives in the per-block metadata record, so the
+    // codec only composes with metadata-bearing random-IV formats.
+    if (options.enc.MetaPerBlock() == 0) {
+      return "compression requires a random-IV format with per-block "
+             "metadata";
+    }
+    if (options.enc.compression.min_gain_pct >= 100) {
+      return "compression min_gain_pct must be below 100";
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 Bytes SerializeMetadata(const ImageOptions& options,
                         const core::LuksHeader& luks, bool encrypted,
                         const std::deque<std::pair<uint64_t, std::string>>&
@@ -65,68 +98,79 @@ Bytes SerializeMetadata(const ImageOptions& options,
   return out;
 }
 
-// Stripe geometry sanity shared by Create (user input) and Open (header
-// bytes): the unit must be a whole number of crypto blocks and tile the
-// object exactly, so chunk boundaries inside an object stay block-aligned.
-bool ValidStripeGeometry(const ImageOptions& options) {
-  if (options.stripe_count == 0) return false;
-  const uint64_t su = options.stripe_unit;
-  if (su == 0) return true;  // resolves to object_size
-  return su % core::kBlockSize == 0 && su <= options.object_size &&
-         options.object_size % su == 0;
+Result<ImageHeader> ParseImageHeader(ByteSpan data) {
+  ByteReader in(data);
+  uint32_t magic = 0, total_len = 0;
+  if (!in.U32(&magic) || magic != kImageMagic) {
+    return Status::Corruption("bad image header");
+  }
+  if (!in.U32(&total_len) || total_len < 12 || total_len > kMaxHeaderLen) {
+    return Status::Corruption("bad image header length");
+  }
+  if (total_len > data.size()) {
+    return Status::Corruption("truncated image header");
+  }
+  // Reads pad past the object's logical size; parse exactly the serialized
+  // bytes. The checksum trailer rejects padded (truncated) and corrupted
+  // headers before any field is trusted.
+  const ByteSpan body = data.first(total_len - 4);
+  if (LoadU32Le(data.data() + body.size()) != Crc32c(body)) {
+    return Status::Corruption("image header checksum mismatch");
+  }
+
+  const Status truncated = Status::Corruption("truncated image header");
+  in = ByteReader(body.subspan(8));
+  ImageHeader h;
+  ImageOptions& options = h.options;
+  uint8_t mode = 0, layout = 0, integrity = 0, encrypted = 0;
+  uint32_t snap_count = 0;
+  if (!in.U64(&options.size) || !in.U64(&options.object_size) ||
+      !in.U64(&options.stripe_unit) || !in.U64(&options.stripe_count) ||
+      !in.U8(&mode) || !in.U8(&layout) || !in.U8(&integrity) ||
+      !in.U8(&encrypted) || !in.U32(&snap_count)) {
+    return truncated;
+  }
+  if (mode > static_cast<uint8_t>(core::CipherMode::kWideLba) ||
+      layout > static_cast<uint8_t>(core::IvLayout::kOmap) ||
+      integrity > static_cast<uint8_t>(core::Integrity::kHmac)) {
+    return Status::Corruption("bad image header encryption spec");
+  }
+  options.enc.mode = static_cast<core::CipherMode>(mode);
+  options.enc.layout = static_cast<core::IvLayout>(layout);
+  options.enc.integrity = static_cast<core::Integrity>(integrity);
+  h.encrypted = encrypted != 0;
+  for (uint32_t i = 0; i < snap_count; ++i) {
+    uint64_t id = 0;
+    uint16_t name_len = 0;
+    std::string snap_name;
+    if (!in.U64(&id) || !in.U16(&name_len) || !in.Str(name_len, &snap_name)) {
+      return truncated;
+    }
+    h.snaps.emplace_back(id, std::move(snap_name));
+  }
+  uint32_t luks_len = 0;
+  ByteSpan luks_blob;
+  if (!in.U32(&luks_len) || !in.Span(luks_len, &luks_blob)) return truncated;
+  // Optional trailing compression spec (absent on compression-off and
+  // pre-compression headers).
+  uint8_t codec = 0;
+  if (in.U8(&codec)) {
+    if (codec == 0 || codec > static_cast<uint8_t>(core::Compression::kLz) ||
+        !in.U32(&options.enc.compression.min_gain_pct)) {
+      return Status::Corruption("bad image header compression spec");
+    }
+    options.enc.compression.codec = static_cast<core::Compression>(codec);
+  }
+  if (const char* error = LayoutError(options)) {
+    return Status::Corruption(std::string("bad image header: ") + error);
+  }
+  if (h.encrypted) {
+    auto luks = core::LuksHeader::Deserialize(luks_blob);
+    if (!luks.ok()) return luks.status();
+    h.luks = std::move(luks).value();
+  }
+  return h;
 }
-
-// Bounds-checked reader over the serialized header: every load verifies
-// the bytes exist, so a truncated or corrupt header fails cleanly instead
-// of reading past the buffer.
-class HeaderReader {
- public:
-  explicit HeaderReader(ByteSpan data) : data_(data) {}
-
-  bool U8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = data_[off_++];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (!Need(2)) return false;
-    *v = LoadU16Le(data_.data() + off_);
-    off_ += 2;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (!Need(4)) return false;
-    *v = LoadU32Le(data_.data() + off_);
-    off_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (!Need(8)) return false;
-    *v = LoadU64Le(data_.data() + off_);
-    off_ += 8;
-    return true;
-  }
-  bool Str(size_t len, std::string* v) {
-    if (!Need(len)) return false;
-    v->assign(reinterpret_cast<const char*>(data_.data() + off_), len);
-    off_ += len;
-    return true;
-  }
-  bool Span(size_t len, ByteSpan* v) {
-    if (!Need(len)) return false;
-    *v = data_.subspan(off_, len);
-    off_ += len;
-    return true;
-  }
-
- private:
-  bool Need(size_t n) const { return n <= data_.size() - off_; }
-
-  ByteSpan data_;
-  size_t off_ = 0;
-};
-
-}  // namespace
 
 Image::Image(rados::Cluster& cluster, std::string name, ImageOptions options)
     : cluster_(cluster), name_(std::move(name)), options_(std::move(options)) {
@@ -253,29 +297,10 @@ objstore::SnapContext Image::SnapContext() const {
 sim::Task<Result<std::shared_ptr<Image>>> Image::Create(
     rados::Cluster& cluster, const std::string& name,
     const std::string& passphrase, const ImageOptions& options) {
-  if (options.size % core::kBlockSize != 0 ||
-      options.object_size % core::kBlockSize != 0) {
-    co_return Status::InvalidArgument("size must be block-aligned");
-  }
   ImageOptions normalized = options;
   if (normalized.stripe_count == 0) normalized.stripe_count = 1;
-  if (!ValidStripeGeometry(normalized)) {
-    co_return Status::InvalidArgument(
-        "stripe unit must be a block-aligned divisor of the object size");
-  }
-  if (normalized.enc.compression.enabled()) {
-    // The compressed length lives in the per-block metadata record, so the
-    // codec only composes with metadata-bearing random-IV formats.
-    core::EncryptionSpec plain = normalized.enc;
-    plain.compression = {};
-    if (plain.MetaPerBlock() == 0) {
-      co_return Status::InvalidArgument(
-          "compression requires a random-IV format with per-block metadata");
-    }
-    if (normalized.enc.compression.min_gain_pct >= 100) {
-      co_return Status::InvalidArgument(
-          "compression min_gain_pct must be below 100");
-    }
+  if (const char* error = LayoutError(normalized)) {
+    co_return Status::InvalidArgument(error);
   }
   if (normalized.tenant.id != 0) cluster.SetTenantSpec(normalized.tenant);
   std::shared_ptr<Image> image(new Image(cluster, name, normalized));
@@ -312,92 +337,22 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Open(
   auto raw = co_await io.Read(header_oid, 0, kHeaderFirstRead);
   if (!raw.ok()) co_return raw.status();
   Bytes data = std::move(*raw);
-  if (data.size() < 8 || LoadU32Le(data.data()) != kImageMagic) {
-    co_return Status::Corruption("bad image header");
-  }
-  const uint32_t total_len = LoadU32Le(data.data() + 4);
-  if (total_len < 8 || total_len > kMaxHeaderLen) {
-    co_return Status::Corruption("bad image header length");
-  }
-  if (total_len > data.size()) {
+  ByteReader peek(data);
+  uint32_t magic = 0, total_len = 0;
+  if (peek.U32(&magic) && magic == kImageMagic && peek.U32(&total_len) &&
+      total_len > data.size() && total_len <= kMaxHeaderLen) {
     // Large metadata (many snapshots, big LUKS blob): read the whole
     // object instead of parsing a truncated prefix.
     auto full = co_await io.Read(header_oid, 0, total_len);
     if (!full.ok()) co_return full.status();
     data = std::move(*full);
-    if (data.size() < total_len) {
-      co_return Status::Corruption("truncated image header");
-    }
   }
-  // The store pads reads past the object's logical size; parse exactly the
-  // serialized bytes. The checksum trailer rejects padded (truncated) and
-  // corrupted headers before any field is trusted.
-  data.resize(total_len);
-  if (total_len < 12 ||
-      LoadU32Le(data.data() + total_len - 4) !=
-          Crc32c(ByteSpan(data.data(), total_len - 4))) {
-    co_return Status::Corruption("image header checksum mismatch");
-  }
-
-  const Status corrupt = Status::Corruption("truncated image header");
-  HeaderReader in(ByteSpan(data.data() + 8, data.size() - 12));
-  ImageOptions options;
-  uint8_t mode = 0, layout = 0, integrity = 0, encrypted_flag = 0;
-  uint32_t snap_count = 0;
-  if (!in.U64(&options.size) || !in.U64(&options.object_size) ||
-      !in.U64(&options.stripe_unit) || !in.U64(&options.stripe_count) ||
-      !in.U8(&mode) || !in.U8(&layout) || !in.U8(&integrity) ||
-      !in.U8(&encrypted_flag) || !in.U32(&snap_count)) {
-    co_return corrupt;
-  }
-  if (mode > static_cast<uint8_t>(core::CipherMode::kWideLba) ||
-      layout > static_cast<uint8_t>(core::IvLayout::kOmap) ||
-      integrity > static_cast<uint8_t>(core::Integrity::kHmac)) {
-    co_return Status::Corruption("bad image header encryption spec");
-  }
-  options.enc.mode = static_cast<core::CipherMode>(mode);
-  options.enc.layout = static_cast<core::IvLayout>(layout);
-  options.enc.integrity = static_cast<core::Integrity>(integrity);
-  if (options.object_size == 0 || options.size == 0 ||
-      options.object_size % core::kBlockSize != 0 ||
-      options.size % core::kBlockSize != 0 ||
-      !ValidStripeGeometry(options)) {
-    co_return Status::Corruption("bad image header geometry");
-  }
-  const bool encrypted = encrypted_flag != 0;
-  std::deque<std::pair<uint64_t, std::string>> snaps;
-  for (uint32_t i = 0; i < snap_count; ++i) {
-    uint64_t id = 0;
-    uint16_t name_len = 0;
-    std::string snap_name;
-    if (!in.U64(&id) || !in.U16(&name_len) || !in.Str(name_len, &snap_name)) {
-      co_return corrupt;
-    }
-    snaps.emplace_back(id, std::move(snap_name));
-  }
-  uint32_t luks_len = 0;
-  ByteSpan luks_blob;
-  if (!in.U32(&luks_len) || !in.Span(luks_len, &luks_blob)) {
-    co_return corrupt;
-  }
-  // Optional trailing compression spec (absent on compression-off and
-  // pre-compression headers).
-  uint8_t codec = 0;
-  if (in.U8(&codec)) {
-    if (codec == 0 || codec > static_cast<uint8_t>(core::Compression::kLz) ||
-        !in.U32(&options.enc.compression.min_gain_pct) ||
-        options.enc.compression.min_gain_pct >= 100) {
-      co_return Status::Corruption("bad image header compression spec");
-    }
-    options.enc.compression.codec = static_cast<core::Compression>(codec);
-    if (options.enc.MetaPerBlock() == 0) {
-      co_return Status::Corruption(
-          "bad image header: compression on a metadata-free format");
-    }
-  }
+  auto header = ParseImageHeader(data);
+  if (!header.ok()) co_return header.status();
 
   // Write-back, QoS, and IV-cache configuration are client-side runtime
   // policy, not persisted metadata: the caller picks them per open.
+  ImageOptions options = std::move(header->options);
   options.writeback = writeback;
   options.qos_scheduler = std::move(qos_scheduler);
   options.qos = qos;
@@ -407,13 +362,11 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Open(
   options.tenant = tenant;
   if (tenant.id != 0) cluster.SetTenantSpec(tenant);
   std::shared_ptr<Image> image(new Image(cluster, name, options));
-  image->encrypted_ = encrypted;
-  image->snaps_ = std::move(snaps);
+  image->encrypted_ = header->encrypted;
+  image->snaps_ = std::move(header->snaps);
   Bytes master_key(core::kMasterKeySize, 0);
-  if (encrypted) {
-    auto luks = core::LuksHeader::Deserialize(luks_blob);
-    if (!luks.ok()) co_return luks.status();
-    image->luks_ = std::move(luks).value();
+  if (image->encrypted_) {
+    image->luks_ = std::move(header->luks);
     auto key = image->luks_.Unlock(passphrase);
     if (!key.ok()) co_return key.status();
     master_key = std::move(key).value();

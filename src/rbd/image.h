@@ -79,6 +79,33 @@ struct ImageOptions {
   rados::TenantSpec tenant;
 };
 
+// --- The image header object ---
+//
+// [magic u32][total_len u32][size u64][object_size u64][stripe_unit u64]
+// [stripe_count u64][mode u8][layout u8][integrity u8][encrypted u8]
+// [snap_count u32] per snapshot: [id u64][name_len u16][name]
+// [luks_len u32][luks blob] optional: [codec u8][min_gain_pct u32]
+// [crc32c u32 over everything before it]
+
+// What the header object persists. Only the geometry and encryption spec
+// of `options` are set; runtime policy stays at its defaults.
+struct ImageHeader {
+  ImageOptions options;
+  bool encrypted = false;
+  core::LuksHeader luks;  // parsed only when `encrypted`
+  std::deque<std::pair<uint64_t, std::string>> snaps;  // newest first
+};
+
+Bytes SerializeMetadata(const ImageOptions& options,
+                        const core::LuksHeader& luks, bool encrypted,
+                        const std::deque<std::pair<uint64_t, std::string>>&
+                            snaps);
+
+// Parses header object bytes (a read may pad past the serialized length).
+// Untrusted input: anything truncated, out of range or breaking the layout
+// rules Create enforces is Corruption. Pure: no cluster, no IO.
+Result<ImageHeader> ParseImageHeader(ByteSpan data);
+
 class Image {
  public:
   // Creates the image: generates a master key, formats the LUKS-like

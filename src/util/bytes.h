@@ -51,4 +51,50 @@ uint64_t LoadU64Be(const uint8_t* p);
 void StoreU32Be(uint8_t* p, uint32_t v);
 void StoreU64Be(uint8_t* p, uint64_t v);
 
+// Bounds-checked little-endian cursor over untrusted bytes: the one way
+// this library parses length-prefixed data read back from storage. Every
+// read either succeeds and advances, or fails (returns false) without
+// advancing and without touching memory past the span, so a truncated or
+// corrupt length field ends the parse cleanly instead of reading past the
+// buffer.
+class ByteReader {
+ public:
+  explicit ByteReader(ByteSpan data) : data_(data) {}
+
+  bool U8(uint8_t* v) {
+    return Fixed(v, [](const uint8_t* p) { return *p; });
+  }
+  bool U16(uint16_t* v) { return Fixed(v, LoadU16Le); }
+  bool U32(uint32_t* v) { return Fixed(v, LoadU32Le); }
+  bool U64(uint64_t* v) { return Fixed(v, LoadU64Le); }
+  bool Str(size_t len, std::string* v) {
+    ByteSpan bytes;
+    if (!Span(len, &bytes)) return false;
+    v->assign(reinterpret_cast<const char*>(bytes.data()), len);
+    return true;
+  }
+  bool Span(size_t len, ByteSpan* v) {
+    if (len > data_.size() - off_) return false;
+    *v = data_.subspan(off_, len);
+    off_ += len;
+    return true;
+  }
+
+  // Bytes consumed so far, and whether any are left.
+  size_t offset() const { return off_; }
+  bool empty() const { return off_ == data_.size(); }
+
+ private:
+  template <typename T, typename Load>
+  bool Fixed(T* v, Load load) {
+    ByteSpan bytes;
+    if (!Span(sizeof(T), &bytes)) return false;
+    *v = load(bytes.data());
+    return true;
+  }
+
+  ByteSpan data_;
+  size_t off_ = 0;
+};
+
 }  // namespace vde

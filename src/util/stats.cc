@@ -159,15 +159,4 @@ std::string Histogram::ToJson() const {
   return buf;
 }
 
-void Accumulator::Add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  sum_ += v;
-  count_++;
-}
-
 }  // namespace vde

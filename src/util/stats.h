@@ -53,20 +53,4 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-// Simple running mean/min/max accumulator.
-class Accumulator {
- public:
-  void Add(double v);
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-  double min() const { return count_ ? min_ : 0; }
-  double max() const { return count_ ? max_ : 0; }
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
-
 }  // namespace vde

@@ -86,6 +86,23 @@ TEST(LuksHeader, CorruptBlobRejected) {
   EXPECT_FALSE(LuksHeader::Deserialize(corrupted).ok());
   const Bytes truncated(blob.begin(), blob.begin() + 20);
   EXPECT_FALSE(LuksHeader::Deserialize(truncated).ok());
+  // Values no Format writes and Unlock cannot survive: zero iterations
+  // (OpenSSL refuses the KDF), zero stripes (AfMerge divides by them), and
+  // slot material that is not af_stripes x key size.
+  struct Patch {
+    const char* what;
+    size_t off;
+    uint32_t value;
+  };
+  for (const Patch p : {Patch{"pbkdf2_iterations = 0", 4, 0},
+                        Patch{"af_stripes = 0", 8, 0},
+                        Patch{"af_stripes != wrapped / key size", 8, 9}}) {
+    Bytes bad = blob;
+    StoreU32Le(bad.data() + p.off, p.value);
+    EXPECT_EQ(LuksHeader::Deserialize(bad).status().code(),
+              StatusCode::kCorruption)
+        << p.what;
+  }
 }
 
 TEST(LuksHeader, SlotMaterialDoesNotLeakKey) {

@@ -211,6 +211,38 @@ TEST(KvStore, RecoversTablesAndWalAcrossGenerations) {
   });
 }
 
+// Data blocks carry no checksum of their own: an entry length overwritten
+// on the device must come back as Corruption from Get and Scan, never as a
+// read past the block.
+TEST(KvStore, CorruptTableEntryLengthIsCorruption) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    dev::NvmeDevice nvme;
+    const KvOptions options = SmallOptions();
+    {
+      auto store = co_await KvStore::Open(nvme, options);
+      CO_ASSERT_OK(store.status());
+      CO_ASSERT_OK(co_await (*store)->Put(BytesOf("key"), BytesOf("value")));
+      CO_ASSERT_OK(co_await (*store)->Flush());
+    }
+    // The first table opens the data area, after the superblock sector and
+    // the WAL. Its first entry is [klen u16][vlen u32][flags u8][key][value].
+    const uint64_t table = nvme.sector_size() + options.wal_size;
+    Bytes sector(nvme.sector_size());
+    CO_ASSERT_OK(co_await nvme.Read(table, sector));
+    CO_ASSERT_TRUE(Bytes(sector.begin() + 7, sector.begin() + 10) ==
+                   BytesOf("key"));
+    StoreU32Le(sector.data() + 2, 0x00FFFFFF);
+    CO_ASSERT_OK(co_await nvme.Write(table, sector));
+
+    auto store = co_await KvStore::Open(nvme, options);
+    CO_ASSERT_OK(store.status());
+    auto got = co_await (*store)->Get(BytesOf("key"));
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+    auto scan = co_await (*store)->Scan({}, {});
+    EXPECT_EQ(scan.status().code(), StatusCode::kCorruption);
+  });
+}
+
 TEST(KvStore, ModelCheckRandomOps) {
   // Property test: the store must agree with a std::map model under a long
   // random mixed workload crossing many flush/compaction boundaries.

@@ -363,6 +363,9 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
       size_t off;
       uint32_t value;
     };
+    // The LUKS blob follows 48 fixed bytes, the snapshot "keep" (8 + 2 + 4)
+    // and its u32 length.
+    constexpr size_t kLuksAt = 48 + 14 + 4;
     for (const Patch p : {
              Patch{"magic", 0, 0xDEADBEEF},
              Patch{"total_len tiny", 4, 5},
@@ -370,6 +373,10 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
              Patch{"object_size unaligned", 16, 12345},
              Patch{"enc spec out of range", 24, 0x77777777},
              Patch{"snap_count huge", 28, 0xFFFFFFFF},
+             // LUKS fields Unlock cannot survive: the parser rejects them.
+             Patch{"luks pbkdf2_iterations = 0", kLuksAt + 4, 0},
+             Patch{"luks af_stripes = 0", kLuksAt + 8, 0},
+             Patch{"luks af_stripes != wrapped / key size", kLuksAt + 8, 7},
          }) {
       Bytes bad = *header;
       StoreU32Le(bad.data() + p.off, p.value);
@@ -389,6 +396,25 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
     auto ok = co_await Image::Open(**cluster, "corrupt", "pw");
     CO_ASSERT_OK(ok.status());
     EXPECT_EQ((*ok)->snapshots().size(), 1u);
+  });
+}
+
+// Create applies the layout rules Open applies to header bytes, so it
+// cannot make an image that does not reopen. A zero object size would
+// reach MapOffset as a divisor on the first write.
+TEST(Image, CreateRejectsZeroSizes) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    const ImageOptions valid = TestImage(
+        Spec(core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd));
+    ImageOptions zero_object = valid;
+    zero_object.object_size = 0;
+    ImageOptions zero_size = valid;
+    zero_size.size = 0;
+    for (const ImageOptions& options : {zero_object, zero_size}) {
+      auto image = co_await Image::Create(**cluster, "zero", "pw", options);
+      EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument);
+    }
   });
 }
 

@@ -181,22 +181,5 @@ TEST(Histogram, ToJsonWellFormed) {
   EXPECT_NE(e.ToJson().find("\"count\":0"), std::string::npos);
 }
 
-TEST(Accumulator, TracksMinMeanMax) {
-  Accumulator acc;
-  acc.Add(1.0);
-  acc.Add(2.0);
-  acc.Add(6.0);
-  EXPECT_EQ(acc.count(), 3u);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 6.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-}
-
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-}
-
 }  // namespace
 }  // namespace vde
