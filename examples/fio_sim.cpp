@@ -422,7 +422,10 @@ sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
   if (args.tenant_qos) options.tenant = args.tenant;
   auto image =
       co_await rbd::Image::Create(*rig->cluster, "fio", "pw", options);
-  if (!image.ok()) co_return;
+  if (!image.ok()) {
+    std::printf("create failed: %s\n", image.status().ToString().c_str());
+    co_return;
+  }
   rig->image = std::move(*image);
 
   workload::FioConfig fio;

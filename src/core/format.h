@@ -1,8 +1,12 @@
 // EncryptionFormat: transforms block-aligned image IO into encrypted object
 // transactions — the paper's modified libRBD crypto layer (§3.1).
 //
-// A format owns the data cipher and the per-sector metadata geometry. The
-// RBD image hands it object extents; the format appends the needed ops:
+// A format owns the data cipher and one slot geometry. Block b of an object
+// occupies the data slot at b * Slot(); a random-IV spec keeps one record
+// (random IV [+ tag], or GCM nonce + tag) per block, which lives inline
+// after the block (interleaved slots), in a region at the object end, or in
+// an OMAP row. A length-preserving spec (the LUKS2 baseline) is the
+// zero-record case:
 //
 //   LUKS2 baseline      write:  [data]                 read: [data]
 //   random-IV unaligned write:  [data+IVs interleaved] read: [same range]
@@ -13,7 +17,10 @@
 // multi-op reads execute in parallel at the OSD (§3.3, read results).
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/discard_bitmap.h"
 #include "core/types.h"
@@ -45,7 +52,7 @@ using IvRows = std::vector<Bytes>;
 
 // Running totals of the compression stage (all zero with compression off).
 // Callers snapshot deltas around the synchronous MakeWrite/FinishRead calls
-// to attribute CPU charges and mirror image-level counters.
+// to attribute CPU charges.
 struct CompressStats {
   uint64_t in_bytes = 0;          // logical bytes fed to the compressor
   uint64_t stored_bytes = 0;      // ciphertext bytes kept (verbatim = 4096)
@@ -56,20 +63,21 @@ struct CompressStats {
 
 class EncryptionFormat {
  public:
-  virtual ~EncryptionFormat() = default;
-
   // Encrypts `plain` (block_count * kBlockSize bytes) and appends the write
   // ops (data + metadata) for `ext` to `txn`. When `ivs_out` is non-null,
   // the per-block metadata rows this write persists are also appended to it
-  // (empty for formats without per-sector metadata) — the feed of the
-  // client-side IV cache.
-  virtual Status MakeWrite(const ObjectExtent& ext, ByteSpan plain,
-                           objstore::Transaction& txn,
-                           IvRows* ivs_out = nullptr) = 0;
+  // (none in the zero-record case) — the feed of the client-side IV cache.
+  Status MakeWrite(const ObjectExtent& ext, ByteSpan plain,
+                   objstore::Transaction& txn, IvRows* ivs_out = nullptr);
 
-  // Appends the read ops for `ext` to `txn`.
-  virtual void MakeRead(const ObjectExtent& ext,
-                        objstore::Transaction& txn) const = 0;
+  // Appends the read ops for `ext` to `txn` and returns the bytes of kRead
+  // payload they produce. Callers batching several extents into one read
+  // transaction (e.g. the head+tail reads of an unaligned read-modify-write)
+  // split the combined result at these boundaries. With `data_only` the ops
+  // fetch only the data blocks (no records) — valid when
+  // DataOnlyReadProfitable(ext); decrypt that result with FinishReadWithIvs.
+  size_t MakeRead(const ObjectExtent& ext, objstore::Transaction& txn,
+                  bool data_only = false) const;
 
   // Whether reading only the data blocks of `ext` — the caller already
   // holds the per-block metadata, e.g. from the client-side IV cache — is
@@ -77,38 +85,22 @@ class EncryptionFormat {
   // metadata op; the interleaved layout must split into one data op per
   // block, profitable only for single-block extents (the RMW edge reads).
   // Formats without per-sector metadata have nothing to skip.
-  virtual bool DataOnlyReadProfitable(const ObjectExtent& ext) const;
-
-  // Appends read ops fetching ONLY the data blocks of `ext` (no persisted
-  // metadata). Only valid when DataOnlyReadProfitable(ext); decrypt the
-  // result with FinishReadWithIvs.
-  virtual void MakeReadDataOnly(const ObjectExtent& ext,
-                                objstore::Transaction& txn) const;
-
-  // Bytes of kRead payload the ops appended by MakeRead(ext) produce.
-  // Callers batching several extents into one read transaction (e.g. the
-  // head+tail reads of an unaligned read-modify-write) split the combined
-  // result at these boundaries.
-  virtual size_t ReadBytes(const ObjectExtent& ext) const = 0;
-
-  // Bytes of kRead payload the ops appended by MakeReadDataOnly(ext)
-  // produce: always the bare data blocks.
-  size_t DataOnlyReadBytes(const ObjectExtent& ext) const {
-    return ext.block_count * kBlockSize;
-  }
+  bool DataOnlyReadProfitable(const ObjectExtent& ext) const;
 
   // Bytes of per-sector metadata a full MakeRead(ext) fetches — what a
   // data-only read saves. Counts OMAP rows as key+value bytes.
-  virtual size_t MetaReadBytes(const ObjectExtent& ext) const;
+  size_t MetaReadBytes(const ObjectExtent& ext) const;
 
   // Decrypts (and authenticates, if configured) the transaction results
   // into `out` (block_count * kBlockSize bytes). `result.data` must hold
-  // exactly ReadBytes(ext); `result.omap_values` may hold a superset of the
-  // extent's rows (matched by block key). Blocks whose ciphertext and
-  // metadata carry the cleared marker (all zeros / absent) decrypt to
-  // plaintext zeros: virtual disks read zeros for trimmed or never-written
-  // blocks. When `ivs_out` is non-null, the fetched per-block metadata rows
-  // are appended to it (an empty row per cleared/absent block).
+  // exactly what MakeRead(ext) returned; `result.omap_values` may hold a
+  // superset of the extent's rows (matched by block key). Cleared blocks
+  // decrypt to plaintext zeros: virtual disks read zeros for trimmed or
+  // never-written blocks. A block is cleared when its record is all zeros
+  // or absent (its ciphertext must then be all zeros too) or, in the
+  // zero-record case, when its ciphertext is all zeros. When `ivs_out` is
+  // non-null, the fetched per-block metadata rows are appended to it (an
+  // empty row per cleared/absent block).
   //
   // `zeros` is the object's verified discard bitmap (AuthenticatedTrim
   // formats): a cleared-marker block whose bit is NOT set fails with
@@ -116,19 +108,19 @@ class EncryptionFormat {
   // discard. Null `zeros` keeps the legacy unauthenticated-marker
   // semantics (formats without AuthenticatedTrim, and direct format tests
   // that carry no per-object state).
-  virtual Status FinishRead(const ObjectExtent& ext,
-                            const objstore::ReadResult& result,
-                            MutByteSpan out, IvRows* ivs_out = nullptr,
-                            const DiscardBitmap* zeros = nullptr) = 0;
+  Status FinishRead(const ObjectExtent& ext,
+                    const objstore::ReadResult& result, MutByteSpan out,
+                    IvRows* ivs_out = nullptr,
+                    const DiscardBitmap* zeros = nullptr);
 
-  // Decrypts a MakeReadDataOnly result using caller-provided metadata rows
-  // (`ivs.size()` must equal `ext.block_count`; an empty row is the cleared
-  // marker). `result.data` must hold exactly DataOnlyReadBytes(ext).
+  // Decrypts a data-only MakeRead result using caller-provided metadata
+  // rows (`ivs.size()` must equal `ext.block_count`; an empty row is the
+  // cleared marker). `result.data` must hold exactly the bare data blocks.
   // `zeros` as in FinishRead.
-  virtual Status FinishReadWithIvs(const ObjectExtent& ext,
-                                   const objstore::ReadResult& result,
-                                   const IvRows& ivs, MutByteSpan out,
-                                   const DiscardBitmap* zeros = nullptr);
+  Status FinishReadWithIvs(const ObjectExtent& ext,
+                           const objstore::ReadResult& result,
+                           const IvRows& ivs, MutByteSpan out,
+                           const DiscardBitmap* zeros = nullptr);
 
   // Appends discard ops for `ext` to `txn`: the data range is released
   // with the tracked kTrim op (the store frees the backing sectors and
@@ -136,8 +128,7 @@ class EncryptionFormat {
   // per-sector metadata (random IVs, tags) is cleared in the SAME
   // transaction, so data and IV state stay consistent (§3.1) and a later
   // FinishRead sees the cleared marker and returns zeros.
-  virtual void MakeDiscard(const ObjectExtent& ext,
-                           objstore::Transaction& txn) = 0;
+  void MakeDiscard(const ObjectExtent& ext, objstore::Transaction& txn) const;
 
   // --- Authenticated discard state (HMAC/GCM formats) ---
   //
@@ -149,10 +140,13 @@ class EncryptionFormat {
   // AuthenticatedTrim() == false; the other hooks must not be called.
 
   // Whether this format maintains the MAC'd discard bitmap.
-  virtual bool AuthenticatedTrim() const { return false; }
+  bool AuthenticatedTrim() const {
+    return spec_.mode == CipherMode::kGcmRandom ||
+           spec_.integrity == Integrity::kHmac;
+  }
 
   // Serialized bitmap record size: bitmap bytes + MAC tag + epoch trailer.
-  virtual size_t BitmapRecordBytes() const { return 0; }
+  size_t BitmapRecordBytes() const;
 
   // Serializes + MACs `bitmap` for `object_no`. The MAC binds the object
   // number (a record cannot be replayed onto another object) and, when
@@ -160,22 +154,21 @@ class EncryptionFormat {
   // cannot be rolled back to an older generation without failing the
   // epoch-floor check on reload). Epoch 0 emits the legacy epoch-less
   // record — pre-epoch images stay readable, and tests can produce one.
-  virtual Bytes SealBitmap(uint64_t object_no, const DiscardBitmap& bitmap,
-                           uint64_t epoch = 0) const;
+  Bytes SealBitmap(uint64_t object_no, const DiscardBitmap& bitmap,
+                   uint64_t epoch = 0) const;
 
   // Verifies + deserializes a SealBitmap record (current or legacy
   // layout). An all-zero or MAC-mismatching record fails with Corruption.
   // `epoch_out` (may be null) receives the sealed epoch; legacy records
   // report 0.
-  virtual Status OpenBitmap(uint64_t object_no, ByteSpan raw,
-                            DiscardBitmap* out,
-                            uint64_t* epoch_out = nullptr) const;
+  Status OpenBitmap(uint64_t object_no, ByteSpan raw, DiscardBitmap* out,
+                    uint64_t* epoch_out = nullptr) const;
 
   // Appends the write op persisting `sealed` at the bitmap's home for this
   // geometry (past the IV region / stride area, or a reserved OMAP row) —
   // meant to ride the same atomic transaction as the data ops it covers.
-  virtual void MakeBitmapWrite(uint64_t object_no, Bytes sealed,
-                               objstore::Transaction& txn) const;
+  void MakeBitmapWrite(uint64_t object_no, Bytes sealed,
+                       objstore::Transaction& txn) const;
 
   // Appends the read ops fetching the bitmap record, and extracts it from
   // the result. Every geometry reads through at least one kRead op (the
@@ -183,9 +176,8 @@ class EncryptionFormat {
   // surfaces as NotFound; Ok + empty bytes therefore always means an
   // existing object whose record was wiped or zeroed — the caller must
   // treat it as corruption, never as a fresh object.
-  virtual void MakeBitmapRead(objstore::Transaction& txn) const;
-  virtual Result<Bytes> FinishBitmapRead(
-      const objstore::ReadResult& result) const;
+  void MakeBitmapRead(objstore::Transaction& txn) const;
+  Result<Bytes> FinishBitmapRead(const objstore::ReadResult& result) const;
 
   // Modeled client CPU time for one cipher pass over `bytes`: a per-call
   // setup cost plus the bytes at the mode's streaming throughput. The
@@ -194,7 +186,7 @@ class EncryptionFormat {
   // construction ~0.9 GB/s; ~2 us per call of key-schedule/tweak/EVP-ctx
   // setup, which dominates below ~1 KiB exactly as the measured small-size
   // points show).
-  virtual sim::SimTime CryptoCost(size_t bytes) const;
+  sim::SimTime CryptoCost(size_t bytes) const;
 
   // Per-block surcharge for merging a sub-block write into its covering
   // block: tweak/IV derivation plus a short-buffer cipher call. Calibrated
@@ -202,7 +194,7 @@ class EncryptionFormat {
   // NOT a whole extra block at streaming throughput (the full-block passes
   // that really happen, like the RMW edge decrypt, are charged where they
   // run).
-  virtual sim::SimTime SubBlockMergeCost() const;
+  sim::SimTime SubBlockMergeCost() const;
 
   // Modeled CPU time of an IO's cipher work: the actual payload bytes
   // stream once, and each partially-covered edge block adds the sub-block
@@ -228,15 +220,57 @@ class EncryptionFormat {
 
   const EncryptionSpec& spec() const { return spec_; }
 
- protected:
-  explicit EncryptionFormat(EncryptionSpec spec) : spec_(spec) {}
+ private:
+  friend std::unique_ptr<EncryptionFormat> MakeFormat(const EncryptionSpec&,
+                                                      ByteSpan, uint64_t);
+  EncryptionFormat(const EncryptionSpec& spec, ByteSpan master_key,
+                   uint64_t object_size);
+
+  // Bytes from one block's data slot to the next: the block, plus its
+  // record when records interleave with the data.
+  size_t Slot() const {
+    return kBlockSize + (spec_.layout == IvLayout::kUnaligned ? meta_ : 0);
+  }
+  size_t BlocksPerObject() const { return object_size_ / kBlockSize; }
+  uint64_t BitmapOffset() const;
+  // Appends the op writing (kWrite, `records` back to back), reading
+  // (kRead) or clearing (kTrim) the records of `ext` that live outside its
+  // data slots: an object-end region range or one OMAP row per block.
+  void AppendRecordOp(objstore::OsdOp::Type type, const ObjectExtent& ext,
+                      objstore::Transaction& txn, Bytes records = {}) const;
+  Status DecryptGathered(const ObjectExtent& ext,
+                         const std::vector<ByteSpan>& cts,
+                         const std::vector<ByteSpan>& records,
+                         MutByteSpan out, const DiscardBitmap* zeros);
+  size_t EncryptBlock(uint64_t lba, ByteSpan plain, MutByteSpan cipher,
+                      MutByteSpan record);
+  Status DecryptBlock(uint64_t lba, ByteSpan cipher, ByteSpan record,
+                      MutByteSpan plain);
+  void Crypt(uint64_t lba, ByteSpan iv, ByteSpan in, MutByteSpan out,
+             bool encrypt) const;
+  std::array<uint8_t, 32> RecordMac(uint64_t lba, ByteSpan header,
+                                    ByteSpan cipher, ByteSpan iv) const;
+  std::array<uint8_t, 32> BitmapMac(uint64_t object_no, ByteSpan bits,
+                                    uint64_t epoch) const;
+
   EncryptionSpec spec_;
+  uint64_t object_size_;
+  size_t meta_;  // record bytes per block; 0 for length-preserving modes
   CompressStats compress_stats_;
+  crypto::Drbg rng_;
+  std::unique_ptr<crypto::BlockCipher> iv_mask_;  // binds random IVs to LBAs
+  std::optional<crypto::XtsCipher> xts_;
+  std::optional<crypto::Essiv> essiv_;
+  std::optional<crypto::WideBlockCipher> wide_;
+  std::optional<crypto::GcmCipher> gcm_;
+  Bytes hmac_key_;
+  Bytes trim_key_;  // discard-bitmap MAC subkey (AuthenticatedTrim only)
 };
 
-// Builds the format for `spec`. `master_key` must be kMasterKeySize bytes;
-// subkeys (IV mask, HMAC, GCM, wide-block) are derived via HKDF.
-// `object_size` fixes the object-end metadata region base.
+// Builds the format for `spec`, or returns null when SpecError(spec) names a
+// broken rule. `master_key` must be kMasterKeySize bytes; subkeys (IV mask,
+// HMAC, GCM, wide-block) are derived via HKDF. `object_size` fixes the
+// object-end metadata region base.
 std::unique_ptr<EncryptionFormat> MakeFormat(const EncryptionSpec& spec,
                                              ByteSpan master_key,
                                              uint64_t object_size);

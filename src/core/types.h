@@ -65,7 +65,7 @@ struct EncryptionSpec {
   uint64_t iv_seed = 0;
   // Compress-before-encrypt stage. Only meaningful on metadata-bearing
   // random-IV formats (the per-block record is where compressed_len lives);
-  // MakeFormat rejects it elsewhere.
+  // SpecError rejects it elsewhere.
   CompressionSpec compression{};
 
   // Short human-readable id, e.g. "xts-random/object-end".
@@ -74,5 +74,12 @@ struct EncryptionSpec {
   size_t MetaPerBlock() const;
   bool NeedsMetadata() const { return MetaPerBlock() > 0; }
 };
+
+// The spec-validity rule: returns the broken rule, or null. Random-IV modes
+// need a layout to keep their per-block records in; the length-preserving
+// modes (none, LBA/ESSIV-tweaked XTS, wide-block) have no record, so they
+// take no layout, no HMAC and no codec; GCM authenticates itself and takes
+// no HMAC.
+const char* SpecError(const EncryptionSpec& spec);
 
 }  // namespace vde::core

@@ -29,7 +29,7 @@ constexpr uint32_t kMaxHeaderLen = 64u << 20;
 // ParseImageHeader (header bytes, Corruption): returns the broken rule, or
 // nullptr. The stripe unit must be a whole number of crypto blocks and tile
 // the object exactly, so chunk boundaries inside an object stay
-// block-aligned.
+// block-aligned; the encryption spec must pass core::SpecError.
 const char* LayoutError(const ImageOptions& options) {
   if (options.size == 0 || options.object_size == 0 ||
       options.size % core::kBlockSize != 0 ||
@@ -42,16 +42,10 @@ const char* LayoutError(const ImageOptions& options) {
                     options.object_size % su != 0))) {
     return "stripe unit must be a block-aligned divisor of the object size";
   }
-  if (options.enc.compression.enabled()) {
-    // The compressed length lives in the per-block metadata record, so the
-    // codec only composes with metadata-bearing random-IV formats.
-    if (options.enc.MetaPerBlock() == 0) {
-      return "compression requires a random-IV format with per-block "
-             "metadata";
-    }
-    if (options.enc.compression.min_gain_pct >= 100) {
-      return "compression min_gain_pct must be below 100";
-    }
+  if (const char* error = core::SpecError(options.enc)) return error;
+  if (options.enc.compression.enabled() &&
+      options.enc.compression.min_gain_pct >= 100) {
+    return "compression min_gain_pct must be below 100";
   }
   return nullptr;
 }

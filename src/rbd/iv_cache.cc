@@ -121,18 +121,11 @@ CachedExtentRead::CachedExtentRead(IvCache* cache,
       rows_.clear();
     }
   }
-  read_bytes_ = zero_fill_ ? 0
-              : hit_       ? fmt_.DataOnlyReadBytes(ext_)
-                           : fmt_.ReadBytes(ext_);
 }
 
-void CachedExtentRead::AppendOps(objstore::Transaction& txn) const {
+void CachedExtentRead::AppendOps(objstore::Transaction& txn) {
   if (zero_fill_) return;  // nothing to fetch
-  if (hit_) {
-    fmt_.MakeReadDataOnly(ext_, txn);
-  } else {
-    fmt_.MakeRead(ext_, txn);
-  }
+  read_bytes_ = fmt_.MakeRead(ext_, txn, /*data_only=*/hit_);
 }
 
 Status CachedExtentRead::Finish(const objstore::ReadResult& result,

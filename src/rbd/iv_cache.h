@@ -175,14 +175,14 @@ class CachedExtentRead {
 
   // Appends this extent's read ops (none on a zero-fill hit, data-only on
   // a row hit, full on a miss).
-  void AppendOps(objstore::Transaction& txn) const;
+  void AppendOps(objstore::Transaction& txn);
 
   // Every block of the extent is a resident cleared marker: no ops were
   // appended, Finish needs no transaction result.
   bool zero_fill() const { return zero_fill_; }
 
-  // Bytes of kRead payload the appended ops produce — the split boundary
-  // when several planned extents batch into one transaction.
+  // Bytes of kRead payload the ops AppendOps appended produce — the split
+  // boundary when several planned extents batch into one transaction.
   size_t read_bytes() const { return read_bytes_; }
 
   bool hit() const { return hit_; }

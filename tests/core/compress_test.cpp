@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "../testutil.h"
 #include "util/lz.h"
 #include "util/rng.h"
 
@@ -379,13 +380,12 @@ TEST(CompressedSpecTest, NameCarriesCodecSuffix) {
 
 TEST(CompressedSpecTest, LengthPreservingFormatsRejectCompression) {
   // The paper's point: a format with no per-block record has nowhere to
-  // put {codec, stored_len}, so compression cannot be expressed there.
-  for (const CipherMode mode :
-       {CipherMode::kNone, CipherMode::kXtsLba, CipherMode::kXtsEssiv,
-        CipherMode::kWideLba}) {
-    EncryptionSpec spec;
-    spec.mode = mode;
-    spec.compression.codec = Compression::kLz;
+  // put {codec, stored_len}, so compression cannot be expressed there —
+  // nor a layout or an HMAC tag. The rest of the spec-validity table rides
+  // along: random IVs need a layout, and GCM takes no HMAC. (Every valid
+  // spec builds in format_golden_test.)
+  for (const EncryptionSpec& spec : testutil::RejectedSpecs()) {
+    EXPECT_NE(SpecError(spec), nullptr) << spec.Name();
     EXPECT_EQ(MakeFormat(spec, TestKey(), kObjectSize), nullptr)
         << spec.Name();
   }

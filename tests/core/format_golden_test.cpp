@@ -269,14 +269,13 @@ TEST_P(FormatOpsGolden, OpsPinned) {
     return Shape(txn);
   };
   Transaction read;
-  fmt->MakeRead(ext, read);
+  const size_t read_bytes = fmt->MakeRead(ext, read);
   EXPECT_EQ(record(read), c.read);
-  EXPECT_EQ(fmt->ReadBytes(ext), c.read_bytes);
+  EXPECT_EQ(read_bytes, c.read_bytes);
   Transaction data_only;
   size_t data_only_bytes = 0;
   if (fmt->DataOnlyReadProfitable(ext)) {
-    fmt->MakeReadDataOnly(ext, data_only);
-    data_only_bytes = fmt->DataOnlyReadBytes(ext);
+    data_only_bytes = fmt->MakeRead(ext, data_only, /*data_only=*/true);
   }
   EXPECT_EQ(record(data_only), c.data_only);
   EXPECT_EQ(data_only_bytes, c.data_only_bytes);

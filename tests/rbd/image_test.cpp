@@ -418,6 +418,35 @@ TEST(Image, CreateRejectsZeroSizes) {
   });
 }
 
+// core::SpecError is the one spec-validity rule: Create refuses a spec that
+// breaks it, and a header carrying one parses as Corruption, so no such
+// image is written or opened.
+TEST(Image, SpecErrorRejectsCreateAndHeader) {
+  crypto::Drbg rng(5);
+  core::LuksHeader::Params params;
+  params.pbkdf2_iterations = 10;
+  params.af_stripes = 8;
+  const core::LuksHeader luks = core::LuksHeader::Format(
+      Bytes(core::kMasterKeySize, 1), "pw", params, rng);
+  const ImageOptions valid = TestImage(
+      Spec(core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd));
+  ASSERT_TRUE(ParseImageHeader(SerializeMetadata(valid, luks, true, {})).ok());
+  for (const core::EncryptionSpec& spec : testutil::RejectedSpecs()) {
+    const Result<ImageHeader> parsed =
+        ParseImageHeader(SerializeMetadata(TestImage(spec), luks, true, {}));
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << spec.Name();
+  }
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    for (const core::EncryptionSpec& spec : testutil::RejectedSpecs()) {
+      auto image =
+          co_await Image::Create(**cluster, "bad", "pw", TestImage(spec));
+      EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument)
+          << spec.Name();
+    }
+  });
+}
+
 TEST(Image, OversizedSnapshotNameRejected) {
   testutil::RunSim([]() -> sim::Task<void> {
     auto cluster = co_await rados::Cluster::Create(TestCluster());

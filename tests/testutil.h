@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "rbd/image.h"
@@ -46,6 +47,39 @@ inline uint64_t ImageCounter(const obs::Metrics& m, const std::string& name) {
 inline uint64_t ImageCounter(const rbd::Image& image,
                              const std::string& name) {
   return ImageCounter(image.MetricsSnapshot(), name);
+}
+
+// Encryption specs core::SpecError rejects, by broken rule: a random-IV
+// mode without a layout; a length-preserving mode with a layout, an HMAC
+// or a codec; GCM with an HMAC.
+inline std::vector<core::EncryptionSpec> RejectedSpecs() {
+  using core::CipherMode;
+  using core::IvLayout;
+  const auto spec = [](CipherMode mode, IvLayout layout, bool hmac,
+                       bool lz) {
+    core::EncryptionSpec s;
+    s.mode = mode;
+    s.layout = layout;
+    if (hmac) s.integrity = core::Integrity::kHmac;
+    if (lz) s.compression.codec = core::Compression::kLz;
+    return s;
+  };
+  std::vector<core::EncryptionSpec> specs = {
+      spec(CipherMode::kXtsRandom, IvLayout::kNone, false, false),
+      spec(CipherMode::kGcmRandom, IvLayout::kNone, false, false),
+      spec(CipherMode::kXtsRandom, IvLayout::kNone, true, true),
+      spec(CipherMode::kGcmRandom, IvLayout::kObjectEnd, true, false),
+      spec(CipherMode::kGcmRandom, IvLayout::kOmap, true, true),
+  };
+  for (const CipherMode mode : {CipherMode::kNone, CipherMode::kXtsLba,
+                                CipherMode::kXtsEssiv, CipherMode::kWideLba}) {
+    specs.push_back(spec(mode, IvLayout::kOmap, false, false));
+    specs.push_back(spec(mode, IvLayout::kUnaligned, false, false));
+    specs.push_back(spec(mode, IvLayout::kNone, true, false));
+    specs.push_back(spec(mode, IvLayout::kNone, false, true));
+    specs.push_back(spec(mode, IvLayout::kObjectEnd, true, true));
+  }
+  return specs;
 }
 
 }  // namespace vde::testutil
