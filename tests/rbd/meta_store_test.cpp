@@ -424,6 +424,65 @@ TEST(MetaStore, DoubleCloseIsCleanNoOp) {
   });
 }
 
+// Eight concurrent first touches of one object share one load. The first
+// session is dropped without Close, so the second opens a cold plane and
+// fetches the bitmap from the store once; it closes cleanly, and the third
+// serves the rows and the bitmap off the plane once each.
+TEST(MetaStore, ConcurrentFirstTouchesLoadOnce) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    const auto spec = Spec(core::CipherMode::kXtsRandom,
+                           core::IvLayout::kObjectEnd,
+                           core::Integrity::kHmac);
+    dev::NvmeDevice meta_dev;
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    Rng rng(74);
+    constexpr size_t kReads = 8;
+    const Bytes data = rng.RandomBytes(kReads * kBlk);
+    {
+      auto image = co_await Image::Create(**cluster, "touch", "pw",
+                                          PlaneImage(spec, &meta_dev));
+      CO_ASSERT_OK(image.status());
+      CO_ASSERT_OK(co_await (*image)->Write(0, data));
+      CO_ASSERT_OK(co_await (*image)->Flush());
+      co_await (*cluster)->Drain();
+    }
+    // One AioRead per block, all in flight before the first completes.
+    auto read_blocks = [&data](Image& img) -> sim::Task<void> {
+      std::vector<Bytes> bufs(kReads, Bytes(kBlk));
+      std::vector<CompletionPtr> done;
+      for (size_t b = 0; b < kReads; ++b) {
+        done.push_back(Completion::Create());
+        img.AioRead(MutByteSpan(bufs[b]), b * kBlk, done.back());
+      }
+      for (size_t b = 0; b < kReads; ++b) {
+        co_await done[b]->Wait();
+        CO_ASSERT_OK(done[b]->status());
+        EXPECT_TRUE(std::equal(bufs[b].begin(), bufs[b].end(),
+                               data.begin() + static_cast<long>(b * kBlk)));
+      }
+    };
+    {
+      auto cold = co_await Image::Open(**cluster, "touch", "pw", {}, nullptr,
+                                       {}, {.enabled = true},
+                                       PlaneConfig(&meta_dev));
+      CO_ASSERT_OK(cold.status());
+      co_await read_blocks(**cold);
+      EXPECT_EQ(ImageCounter(**cold, "meta_cold_resets"), 1u);
+      EXPECT_EQ(ImageCounter(**cold, "trim_state_loads"), 1u);
+      CO_ASSERT_OK(co_await (*cold)->Close());
+    }
+    auto warm = co_await Image::Open(**cluster, "touch", "pw", {}, nullptr,
+                                     {}, {.enabled = true},
+                                     PlaneConfig(&meta_dev));
+    CO_ASSERT_OK(warm.status());
+    co_await read_blocks(**warm);
+    EXPECT_EQ(ImageCounter(**warm, "meta_warm_hits"), 2u);
+    EXPECT_EQ(ImageCounter(**warm, "meta_recovered_rows"), kReads);
+    EXPECT_EQ(ImageCounter(**warm, "trim_state_loads"), 0u);
+    CO_ASSERT_OK(co_await (*warm)->Close());
+  });
+}
+
 // Disabled config and non-authenticating formats are full passthroughs:
 // identical IO behavior, identical simulated time, all meta counters 0.
 TEST(MetaStore, DisabledPlaneIsBehaviorIdenticalPassthrough) {
