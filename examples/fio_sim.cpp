@@ -492,7 +492,7 @@ sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
                 static_cast<unsigned long long>(rig->image->stripe_count()));
   }
   std::printf("  %s\n", result->Summary().c_str());
-  if (args.meta_store && rig->image->meta_store() == nullptr) {
+  if (args.meta_store && !rig->image->object_meta().has_plane()) {
     std::printf("  meta:  plane refused (needs --integrity=hmac or "
                 "--cipher=gcm)\n");
   }

@@ -169,8 +169,6 @@ Result<ImageHeader> ParseImageHeader(ByteSpan data) {
 Image::Image(rados::Cluster& cluster, std::string name, ImageOptions options)
     : cluster_(cluster), name_(std::move(name)), options_(std::move(options)) {
   writeback_ = std::make_unique<Writeback>(*this, options_.writeback);
-  iv_cache_ = std::make_unique<IvCache>(options_.iv_cache);
-  trim_state_ = std::make_unique<TrimState>(*this);
   obs_plane_ = std::make_unique<obs::Plane>(options_.obs);
   if (options_.qos_scheduler) {
     qos_tenant_ = options_.qos_scheduler->Attach(options_.qos);
@@ -198,40 +196,13 @@ void Image::ExportMetrics(obs::Metrics& root) const {
             {"wb_hits", c.wb_hits}, {"wb_stages", c.wb_stages},
             {"wb_flushes", c.wb_flushes}});
   n.Gauge("wb_staged_blocks", static_cast<double>(writeback_->staged_blocks()));
-  // IV-cache hits/misses count extents; invalidations are rows dropped
-  // stale (trimmed or superseded by an overwrite); trim_zero_reads are
-  // reads served client-side from cleared markers.
-  const IvCacheStats& iv = iv_cache_->stats();
-  const TrimStateStats& ts = trim_state_->stats();
-  counters({{"iv_hits", iv.hits}, {"iv_misses", iv.misses},
-            {"iv_evictions", iv.evictions},
-            {"iv_invalidations", iv.invalidations},
-            {"iv_meta_bytes_saved", iv.meta_bytes_saved},
-            {"iv_meta_bytes_fetched", iv.meta_bytes_fetched},
-            {"trim_zero_reads", iv.trim_hits},
-            {"trim_state_loads", ts.loads},
-            {"trim_bitmap_updates", ts.bitmap_updates}});
+  meta_->ExportMetrics(n);
   const qos::TenantStats q = options_.qos_scheduler
                                  ? options_.qos_scheduler->stats(qos_tenant_)
                                  : qos::TenantStats{};
   counters({{"qos_submitted", q.submitted}, {"qos_queued", q.queued},
             {"qos_throttled", q.throttled}, {"qos_wait_ns", q.wait_ns}});
   n.Gauge("qos_peak_queue", static_cast<double>(q.peak_queue));
-  const MetaStoreStats m =
-      meta_store_ != nullptr ? meta_store_->stats() : MetaStoreStats{};
-  const kv::KvStats kvs =
-      meta_store_ != nullptr ? meta_store_->kv_stats() : kv::KvStats{};
-  counters({{"meta_warm_hits", m.warm_hits},
-            {"meta_recovered_rows", m.recovered_rows},
-            {"meta_spills", m.spills},
-            {"meta_epoch_rejections", m.epoch_rejections},
-            {"meta_cold_resets", m.cold_resets},
-            {"meta_journal_flushes", m.journal_flushes},
-            {"meta_gc_rows", m.gc_rows},
-            {"meta_kv_wal_bytes", kvs.wal_bytes},
-            {"meta_kv_wal_commits", kvs.wal_commits},
-            {"meta_kv_flush_bytes", kvs.bytes_flushed},
-            {"meta_kv_compaction_bytes", kvs.bytes_compacted}});
   const core::CompressStats z =
       format_ != nullptr ? format_->compress_stats() : core::CompressStats{};
   counters({{"compress_in_bytes", z.in_bytes},
@@ -313,10 +284,7 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Create(
       core::MakeFormat(options.enc, master_key, options.object_size);
 
   VDE_CO_RETURN_IF_ERROR(co_await image->PersistMetadata());
-  auto meta = co_await MetaStore::Open(*image, image->options_.meta_store);
-  if (!meta.ok()) co_return meta.status();
-  image->meta_store_ = std::move(*meta);
-  image->iv_cache_->set_spill(image->meta_store_.get());
+  VDE_CO_RETURN_IF_ERROR(co_await image->OpenObjectMeta());
   co_return image;
 }
 
@@ -367,10 +335,7 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Open(
   }
   image->format_ =
       core::MakeFormat(options.enc, master_key, options.object_size);
-  auto meta = co_await MetaStore::Open(*image, image->options_.meta_store);
-  if (!meta.ok()) co_return meta.status();
-  image->meta_store_ = std::move(*meta);
-  image->iv_cache_->set_spill(image->meta_store_.get());
+  VDE_CO_RETURN_IF_ERROR(co_await image->OpenObjectMeta());
   co_return image;
 }
 
@@ -380,33 +345,26 @@ sim::Task<Status> Image::Close() {
   // Same barrier SnapCreate uses: every completed write leaves the
   // volatile write-back buffer before the plane is declared clean.
   VDE_CO_RETURN_IF_ERROR(co_await writeback_->Drain());
-  if (meta_store_ != nullptr) {
-    VDE_CO_RETURN_IF_ERROR(co_await meta_store_->Close());
-  }
-  co_return Status::Ok();
+  co_return co_await meta_->Close();
 }
 
-sim::Task<Status> Image::EnsureObjectState(uint64_t object_no,
-                                           obs::TraceContext* trace) {
-  obs::SpanScope store_span(trace, obs::Stage::kStore);
-  if (meta_store_ != nullptr) {
-    VDE_CO_RETURN_IF_ERROR(co_await meta_store_->WarmObject(object_no));
-  }
-  co_return co_await trim_state_->Ensure(object_no);
+sim::Task<Status> Image::OpenObjectMeta() {
+  meta_ = std::make_unique<ObjectMeta>(*this, *format_, options_.iv_cache);
+  co_return co_await meta_->OpenPlane(options_.meta_store);
 }
 
 // --- The object IO steps ---
 
 core::IvRows* Image::IvCapture(Mutation& m, uint64_t first_block) const {
-  if (!iv_cache_->enabled() || !options_.enc.NeedsMetadata()) return nullptr;
+  if (!meta_->records_rows() || !options_.enc.NeedsMetadata()) return nullptr;
   return &m.rows.emplace_back(first_block, core::IvRows{}).second;
 }
 
 sim::Task<Status> Image::PrepareMutation(uint64_t object_no,
                                          obs::TraceContext* trace) {
-  VDE_CO_RETURN_IF_ERROR(co_await EnsureObjectState(object_no, trace));
-  if (meta_store_ != nullptr && meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await meta_store_->MarkDirty());
+  VDE_CO_RETURN_IF_ERROR((co_await meta_->Load(object_no, trace)).status());
+  if (meta_->NeedsDirtyMark()) {
+    VDE_CO_RETURN_IF_ERROR(co_await meta_->MarkDirty());
   }
   co_return Status::Ok();
 }
@@ -418,7 +376,7 @@ sim::Task<Status> Image::CommitMutation(uint64_t object_no,
   // the SAME transaction (steady-state overwrites of live blocks stage
   // nothing).
   auto update =
-      co_await trim_state_->Stage(object_no, m.written, m.trimmed, m.txn);
+      co_await meta_->StageBitmap(object_no, m.written, m.trimmed, m.txn);
   VDE_CO_RETURN_IF_ERROR(update.status());
   if (m.crypto_cost > 0) {
     obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
@@ -434,7 +392,7 @@ sim::Task<Status> Image::CommitMutation(uint64_t object_no,
   VDE_CO_RETURN_IF_ERROR(
       co_await io.Operate(oid, std::move(m.txn), SnapContext()));
   store_span.End();
-  trim_state_->Commit(std::move(*update));
+  meta_->Commit(std::move(*update));
   // Superseded or trimmed stages go (with their cached rows) so a later
   // flush cannot resurrect old data; trimmed blocks get cleared markers so
   // rereads zero-fill client-side, and the freshly persisted IVs replace
@@ -452,12 +410,12 @@ sim::Task<Status> Image::CommitMutation(uint64_t object_no,
     if (first < end) writeback_->DropRange(object_no, first, end - 1);
   }
   for (const auto& [first, count] : m.trimmed) {
-    iv_cache_->PutCleared(object_no, first, count);
+    meta_->PutCleared(object_no, first, count);
   }
   for (const auto& [first, rows] : m.rows) {
-    if (!rows.empty()) iv_cache_->PutRange(object_no, first, rows);
+    meta_->PutRange(object_no, first, rows);
   }
-  co_return co_await FlushPressuredJournal();
+  co_return co_await meta_->FlushPressuredJournal();
 }
 
 sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
@@ -470,8 +428,12 @@ sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
   // semantics).
   const bool head = snap == objstore::kHeadSnap;
   const core::ObjectExtent& first = reads.front().ext;
-  const core::DiscardBitmap* zeros =
-      head ? trim_state_->Lookup(first.object_no) : nullptr;
+  const core::DiscardBitmap* zeros = nullptr;
+  if (head && meta_->bitmaps_enabled()) {
+    auto loaded = co_await meta_->Load(first.object_no, trace);
+    VDE_CO_RETURN_IF_ERROR(loaded.status());
+    zeros = *loaded;
+  }
   // Each extent plans independently (a fully cached one reads data-only),
   // and the format decides what a block read needs for its layout
   // (data+IV range, IV region slice, OMAP rows).
@@ -479,8 +441,7 @@ sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
   std::vector<CachedExtentRead> plans;
   plans.reserve(reads.size());
   for (const BlockRead& r : reads) {
-    plans.emplace_back(head ? iv_cache_.get() : nullptr, *format_, r.ext,
-                       zeros);
+    plans.emplace_back(head ? meta_.get() : nullptr, *format_, r.ext, zeros);
     plans.back().AppendOps(txn);
   }
   ReadCounts counts;
@@ -546,13 +507,6 @@ sim::Task<void> Image::ChargeRead(const std::string& oid, ReadCounts counts,
         sim::ShardOf(oid),
         format_->DecompressCost(counts.expanded_blocks * core::kBlockSize)};
   }
-}
-
-sim::Task<Status> Image::FlushPressuredJournal() {
-  if (meta_store_ != nullptr && meta_store_->JournalPressure()) {
-    co_return co_await meta_store_->FlushJournal();
-  }
-  co_return Status::Ok();
 }
 
 sim::Task<Status> Image::PersistMetadata() {

@@ -31,9 +31,7 @@
 #include "rados/cluster.h"
 #include "rbd/completion.h"
 #include "rbd/image_request.h"
-#include "rbd/iv_cache.h"
-#include "rbd/meta_store.h"
-#include "rbd/trim_state.h"
+#include "rbd/object_meta.h"
 #include "rbd/writeback.h"
 
 namespace vde::rbd {
@@ -202,18 +200,17 @@ class Image {
   const core::EncryptionSpec& spec() const { return options_.enc; }
   const std::string& name() const { return name_; }
   const Writeback& writeback() const { return *writeback_; }
-  const IvCache& iv_cache() const { return *iv_cache_; }
-  const TrimState& trim_state() const { return *trim_state_; }
-  // The persistent metadata plane, or null (disabled / passthrough).
-  MetaStore* meta_store() const { return meta_store_.get(); }
+  // The client-side object-metadata table: IV rows, discard bitmaps and
+  // the persistent plane.
+  ObjectMeta& object_meta() const { return *meta_; }
   // Observability plane (always present; disabled = null trace contexts).
   obs::Plane& obs() const { return *obs_plane_; }
   // Full metrics snapshot: image counters, write-back/qos/obs state, the
   // cluster's store+device totals, and the sim core model — the one
   // walkable tree replacing per-layer stats plumbing. The `image` node
-  // holds the request counters below plus the IV cache, trim state,
-  // metadata plane + KV, codec and qos-tenant counters, all zero when
-  // that component is off.
+  // holds the request counters below plus the object-metadata table's
+  // (IV rows, bitmaps, plane + KV), codec and qos-tenant counters, all
+  // zero when that component is off.
   void ExportMetrics(obs::Metrics& root) const;
   // ExportMetrics into a fresh root: the snapshots FioRunner deltas, and
   // how tests and benches read a counter ("image.writes").
@@ -237,8 +234,6 @@ class Image {
  private:
   friend class ImageRequest;
   friend class Writeback;
-  friend class TrimState;
-  friend class MetaStore;
 
   Image(rados::Cluster& cluster, std::string name, ImageOptions options);
 
@@ -246,15 +241,8 @@ class Image {
   std::string HeaderObject() const { return "rbd_header." + name_; }
   objstore::SnapContext SnapContext() const;
 
-  // Per-object state priming for the datapath: warm-loads the object's
-  // persisted IV rows off the metadata plane (once per object), then
-  // Ensures its discard bitmap (served from the plane on a warm open,
-  // from the store otherwise). Every request path primes through here;
-  // only the write-back stage-fill read (Writeback::ReadBlock) keeps a
-  // bare trim_state_->Ensure. Attributes its store round-trips to the
-  // request's kStore stage.
-  sim::Task<Status> EnsureObjectState(uint64_t object_no,
-                                      obs::TraceContext* trace = nullptr);
+  // Builds the object-metadata table over format_ and opens its plane.
+  sim::Task<Status> OpenObjectMeta();
 
   // --- The object IO steps ---
   //
@@ -286,11 +274,11 @@ class Image {
   };
 
   // Where MakeWrite should capture the metadata rows of blocks from
-  // `first_block` on: a new rows entry of `m` when the IV cache wants
-  // them, null (skip the copy) otherwise.
+  // `first_block` on: a new rows entry of `m` when the object-metadata
+  // table records rows, null (skip the copy) otherwise.
   core::IvRows* IvCapture(Mutation& m, uint64_t first_block) const;
 
-  // EnsureObjectState plus the metadata plane's dirty mark: the first
+  // Loads the object's metadata, then the plane's dirty mark: the first
   // store mutation of a session clears the plane's clean flag (write-
   // through) so a crash cold-starts the next open.
   sim::Task<Status> PrepareMutation(uint64_t object_no,
@@ -314,22 +302,18 @@ class Image {
     uint64_t expanded_blocks = 0;  // of those, stored compressed
   };
 
-  // Plans every extent (all of one object) against the IV cache and
-  // issues them as one read transaction at `snap`; head reads consult the
-  // cache and the object's discard bitmap (the caller primes it). Extents
-  // resting on resident cleared markers read zeros without a store
-  // round-trip, a never-written object zero-fills every `out`. Returns
-  // what was decrypted; the caller charges it (ChargeRead).
+  // Plans every extent (all of one object) against the IV rows and
+  // issues them as one read transaction at `snap`; head reads first Load
+  // the object's metadata and consult its rows and discard bitmap.
+  // Extents resting on resident cleared markers read zeros without a
+  // store round-trip, a never-written object zero-fills every `out`.
+  // Returns what was decrypted; the caller charges it (ChargeRead).
   sim::Task<Result<ReadCounts>> ReadObject(std::span<const BlockRead> reads,
                                            objstore::SnapId snap,
                                            obs::TraceContext* trace);
   // Decrypt (and decompress) cost of `counts` on `oid`'s core.
   sim::Task<void> ChargeRead(const std::string& oid, ReadCounts counts,
                              obs::TraceContext* trace);
-
-  // Commits a batch of metadata-journal rows once enough pend (write-
-  // behind, one WAL frame per batch); a no-op without a plane.
-  sim::Task<Status> FlushPressuredJournal();
 
   // Flush ordering: write-class requests take a ticket at submit time and
   // retire it on completion; a flush barrier resolves once no ticket below
@@ -344,9 +328,7 @@ class Image {
   ImageOptions options_;
   std::unique_ptr<core::EncryptionFormat> format_;
   std::unique_ptr<Writeback> writeback_;
-  std::unique_ptr<IvCache> iv_cache_;
-  std::unique_ptr<TrimState> trim_state_;
-  std::unique_ptr<MetaStore> meta_store_;
+  std::unique_ptr<ObjectMeta> meta_;  // built right after format_
   std::unique_ptr<obs::Plane> obs_plane_;
   core::LuksHeader luks_;
   bool encrypted_ = false;

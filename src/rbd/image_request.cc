@@ -409,10 +409,6 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
                              chunk.cover.first_block + b) != nullptr;
   }
   if (!fully_staged) {
-    if (head && image_.trim_state_->enabled()) {
-      VDE_CO_RETURN_IF_ERROR(
-          co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-    }
     const Image::BlockRead read{chunk.cover, out};
     auto counts = co_await image_.ReadObject({&read, 1}, snap_, ctx());
     VDE_CO_RETURN_IF_ERROR(counts.status());
@@ -437,7 +433,7 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
                                       chunk.byte_len));
   }
   // Read-populated IV rows spill into the meta journal.
-  co_return co_await image_.FlushPressuredJournal();
+  co_return co_await image_.meta_->FlushPressuredJournal();
 }
 
 // --- Write ---
@@ -501,14 +497,11 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
   if (from_store.empty()) co_return Status::Ok();
   image_.counters_.rmw_blocks += from_store.size();
 
-  // RMW reads merge into the head: load the discard bitmap. Both edges
-  // ride ONE read transaction, each planned against the IV cache on its
-  // own (RMW edges are the hot single-block case where even the
-  // interleaved layout profits).
-  if (image_.trim_state_->enabled()) {
-    VDE_CO_RETURN_IF_ERROR(
-        co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-  }
+  // RMW reads merge into the head, so the read step checks cleared
+  // markers against the discard bitmap. Both edges ride ONE read
+  // transaction, each planned against the IV rows on its own (RMW edges
+  // are the hot single-block case where even the interleaved layout
+  // profits).
   auto counts =
       co_await image_.ReadObject(from_store, objstore::kHeadSnap, ctx());
   VDE_CO_RETURN_IF_ERROR(counts.status());
@@ -703,7 +696,7 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
 
 sim::Task<Status> ImageRequest::RemoveObject(const Chunk& chunk) {
   const uint64_t object_no = chunk.cover.object_no;
-  if (image_.meta_store_ != nullptr) {
+  if (image_.meta_->has_plane()) {
     // OnRemove bumps the object's epoch; with the plane journaling that
     // generation it must be the REAL one — load the current record first
     // (a reset-to-zero epoch would let an old sealed bitmap replay through
@@ -724,15 +717,8 @@ sim::Task<Status> ImageRequest::RemoveObject(const Chunk& chunk) {
   // The object (and its persisted bitmap) is gone: every block reads zeros
   // again, and rereads can zero-fill from cleared markers.
   image_.writeback_->DropRange(object_no, 0, image_.blocks_per_object() - 1);
-  image_.trim_state_->OnRemove(object_no);
-  image_.iv_cache_->PutCleared(object_no, 0, image_.blocks_per_object());
-  // AFTER PutCleared: the cleared markers it spilled are the last rows
-  // this object journals, and the plane GCs them (with the sealed bitmap)
-  // at Close — only the epoch floor survives a removed object.
-  if (image_.meta_store_ != nullptr) {
-    image_.meta_store_->OnObjectRemoved(object_no);
-  }
-  co_return co_await image_.FlushPressuredJournal();
+  image_.meta_->OnRemove(object_no);
+  co_return co_await image_.meta_->FlushPressuredJournal();
 }
 
 // --- Flush ---
@@ -752,10 +738,7 @@ sim::Task<Status> ImageRequest::ExecuteFlushOp() {
   VDE_CO_RETURN_IF_ERROR(co_await image_.writeback_->Drain());
   // A flush is also the metadata plane's durability point: pending journal
   // rows commit regardless of pressure.
-  if (image_.meta_store_ != nullptr) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  co_return co_await image_.meta_->FlushJournal();
 }
 
 }  // namespace vde::rbd

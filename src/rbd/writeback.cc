@@ -91,7 +91,6 @@ core::ObjectExtent Writeback::BlockExtent(uint64_t object_no,
 
 sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
                                        MutByteSpan out) {
-  VDE_CO_RETURN_IF_ERROR(co_await image_.trim_state_->Ensure(object_no));
   // Single-block RMW read: the IV-cache sweet spot — every layout profits
   // from skipping the metadata fetch here, including the interleaved one
   // (and a resident cleared marker skips the store outright).
@@ -199,7 +198,7 @@ void Writeback::DropRange(uint64_t object_no, uint64_t first_block,
   // trimmed (discard/write-zeroes/remove): cached IV rows go stale with
   // the staged copies and ride the same invalidation. Overwrite paths put
   // their fresh rows back right after the transaction commits.
-  image_.iv_cache_->InvalidateRange(object_no, first_block, last_block);
+  image_.meta_->InvalidateRange(object_no, first_block, last_block);
   auto it = objects_.find(object_no);
   if (it == objects_.end()) return;
   auto& stages = it->second.stages;

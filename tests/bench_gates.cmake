@@ -1,6 +1,7 @@
-# Runs one gated bench with --quick in WORK_DIR and checks its verdict: exit
-# 0, and bench-<NAME>.json parses with a true top-level pass and at least
-# one gate, each carrying a boolean pass. string(JSON) needs CMake >= 3.19.
+# Runs one gated bench with --quick in WORK_DIR, keeps its output there as
+# bench-<NAME>.txt, and checks its verdict: exit 0, and bench-<NAME>.json
+# parses with a true top-level pass and at least one gate, each carrying a
+# boolean pass. string(JSON) needs CMake >= 3.19.
 #
 #   cmake -DBENCH=path/to/bench_trim -DNAME=trim -DWORK_DIR=out/trim \
 #         -P tests/bench_gates.cmake
@@ -12,6 +13,7 @@ execute_process(COMMAND ${BENCH} --quick
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE out)
+file(WRITE ${WORK_DIR}/bench-${NAME}.txt "${out}")
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} --quick ended with '${rc}', want 0:\n${out}")
 endif()

@@ -1,15 +1,17 @@
-// Tests of the client-side IV-metadata cache: hit/miss/eviction/
-// invalidation accounting, cold-vs-warm reread equivalence across the
-// three metadata geometries, correctness across the write-back barriers
-// (flush re-encrypts staged blocks with fresh IVs; the cached row must
-// follow), snapshot bypass, the PR 2 lost-update regression shape with the
-// cache enabled, and a mutating verify-mode fio through the cached path.
+// Tests of the IV rows the client-side object-metadata table caches:
+// hit/miss/eviction/invalidation accounting, cold-vs-warm reread
+// equivalence across the three metadata geometries, correctness across
+// the write-back barriers (flush re-encrypts staged blocks with fresh IVs;
+// the cached row must follow), snapshot bypass, the RMW lost-update
+// regression shape with the cache enabled, and a mutating verify-mode fio
+// through the cached path.
 #include <algorithm>
+#include <functional>
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
 #include "rbd/image.h"
-#include "rbd/iv_cache.h"
+#include "rbd/object_meta.h"
 #include "util/rng.h"
 #include "workload/fio.h"
 
@@ -80,83 +82,105 @@ class IvCacheAllLayouts
 INSTANTIATE_TEST_SUITE_P(MetadataLayouts, IvCacheAllLayouts,
                          ::testing::ValuesIn(MetadataLayouts()), SpecTestName);
 
-// --- Pure cache-structure tests (no simulation) ---
+// --- Row-cache structure tests (no IO) ---
+
+// Runs `body` against the object-metadata table of a fresh image whose IV
+// cache is enabled with `max_objects` capacity.
+void WithRows(size_t max_objects,
+              const std::function<void(ObjectMeta&)>& body) {
+  testutil::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    auto image = co_await Image::Create(
+        **cluster, "rows", "pw",
+        TestImage(MetadataLayouts().front(), true, max_objects));
+    CO_ASSERT_OK(image.status());
+    body((*image)->object_meta());
+  });
+}
 
 TEST(IvCacheUnit, TryGetRangeIsAllOrNothing) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/4});
-  cache.PutRange(1, 10, {Bytes(16, 0xAA), Bytes(16, 0xBB)});
-  core::IvRows rows;
-  EXPECT_FALSE(cache.TryGetRange(1, 10, 3, &rows));  // block 12 uncached
-  EXPECT_TRUE(rows.empty()) << "partial lookup must not copy rows";
-  EXPECT_TRUE(cache.TryGetRange(1, 10, 2, &rows));
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], Bytes(16, 0xAA));
-  EXPECT_EQ(rows[1], Bytes(16, 0xBB));
-  EXPECT_FALSE(cache.TryGetRange(2, 10, 1, &rows));  // other object
+  WithRows(4, [](ObjectMeta& cache) {
+    cache.PutRange(1, 10, {Bytes(16, 0xAA), Bytes(16, 0xBB)});
+    core::IvRows rows;
+    EXPECT_FALSE(cache.TryGetRange(1, 10, 3, &rows));  // block 12 uncached
+    EXPECT_TRUE(rows.empty()) << "partial lookup must not copy rows";
+    EXPECT_TRUE(cache.TryGetRange(1, 10, 2, &rows));
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0], Bytes(16, 0xAA));
+    EXPECT_EQ(rows[1], Bytes(16, 0xBB));
+    EXPECT_FALSE(cache.TryGetRange(2, 10, 1, &rows));  // other object
+  });
 }
 
 TEST(IvCacheUnit, PutCachesClearedRowsAsMarkersAndOverwrites) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/4});
-  cache.PutRange(1, 0, {Bytes(16, 1), Bytes{}, Bytes(16, 3)});
-  // The empty row is retained as a cleared marker (negative entry).
-  EXPECT_EQ(cache.cached_rows(), 3u);
-  core::IvRows rows;
-  ASSERT_TRUE(cache.TryGetRange(1, 0, 3, &rows));
-  EXPECT_EQ(rows[1], Bytes{});
-  cache.PutRange(1, 0, {Bytes(16, 9)});
-  EXPECT_EQ(cache.cached_rows(), 3u);  // overwrite, not a new row
-  rows.clear();
-  ASSERT_TRUE(cache.TryGetRange(1, 0, 1, &rows));
-  EXPECT_EQ(rows[0], Bytes(16, 9));
+  WithRows(4, [](ObjectMeta& cache) {
+    cache.PutRange(1, 0, {Bytes(16, 1), Bytes{}, Bytes(16, 3)});
+    // The empty row is retained as a cleared marker (negative entry).
+    EXPECT_EQ(cache.cached_rows(), 3u);
+    core::IvRows rows;
+    ASSERT_TRUE(cache.TryGetRange(1, 0, 3, &rows));
+    EXPECT_EQ(rows[1], Bytes{});
+    cache.PutRange(1, 0, {Bytes(16, 9)});
+    EXPECT_EQ(cache.cached_rows(), 3u);  // overwrite, not a new row
+    rows.clear();
+    ASSERT_TRUE(cache.TryGetRange(1, 0, 1, &rows));
+    EXPECT_EQ(rows[0], Bytes(16, 9));
+  });
 }
 
 TEST(IvCacheUnit, PutClearedInsertsMarkersRespectingCapacity) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/4});
-  cache.PutCleared(7, 4, 3);
-  EXPECT_EQ(cache.cached_rows(), 3u);
-  core::IvRows rows;
-  ASSERT_TRUE(cache.TryGetRange(7, 4, 3, &rows));
-  for (const auto& row : rows) EXPECT_TRUE(row.empty());
+  WithRows(4, [](ObjectMeta& cache) {
+    cache.PutCleared(7, 4, 3);
+    EXPECT_EQ(cache.cached_rows(), 3u);
+    core::IvRows rows;
+    ASSERT_TRUE(cache.TryGetRange(7, 4, 3, &rows));
+    for (const auto& row : rows) EXPECT_TRUE(row.empty());
+  });
   // Zero-capacity caches retain nothing, markers included.
-  IvCache zero({/*enabled=*/true, /*max_objects=*/0});
-  zero.PutCleared(7, 4, 3);
-  EXPECT_EQ(zero.cached_rows(), 0u);
+  WithRows(0, [](ObjectMeta& zero) {
+    zero.PutCleared(7, 4, 3);
+    EXPECT_EQ(zero.cached_rows(), 0u);
+  });
 }
 
 TEST(IvCacheUnit, LruEvictsLeastRecentlyTouchedObject) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/2});
-  cache.PutRange(1, 0, {Bytes(16, 1)});
-  cache.PutRange(2, 0, {Bytes(16, 2)});
-  core::IvRows rows;
-  ASSERT_TRUE(cache.TryGetRange(1, 0, 1, &rows));  // touch 1: LRU order 1,2
-  cache.PutRange(3, 0, {Bytes(16, 3)});            // evicts object 2
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.cached_objects(), 2u);
-  rows.clear();
-  EXPECT_FALSE(cache.TryGetRange(2, 0, 1, &rows));
-  EXPECT_TRUE(cache.TryGetRange(1, 0, 1, &rows));
-  EXPECT_TRUE(cache.TryGetRange(3, 0, 1, &rows));
+  WithRows(2, [](ObjectMeta& cache) {
+    cache.PutRange(1, 0, {Bytes(16, 1)});
+    cache.PutRange(2, 0, {Bytes(16, 2)});
+    core::IvRows rows;
+    ASSERT_TRUE(cache.TryGetRange(1, 0, 1, &rows));  // touch 1: LRU 1,2
+    cache.PutRange(3, 0, {Bytes(16, 3)});            // evicts object 2
+    EXPECT_EQ(cache.stats().iv_evictions, 1u);
+    EXPECT_EQ(cache.cached_objects(), 2u);
+    rows.clear();
+    EXPECT_FALSE(cache.TryGetRange(2, 0, 1, &rows));
+    EXPECT_TRUE(cache.TryGetRange(1, 0, 1, &rows));
+    EXPECT_TRUE(cache.TryGetRange(3, 0, 1, &rows));
+  });
 }
 
 TEST(IvCacheUnit, InvalidateRangeDropsRowsAndEmptyObjects) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/4});
-  cache.PutRange(1, 0, {Bytes(16, 1), Bytes(16, 2), Bytes(16, 3)});
-  cache.InvalidateRange(1, 1, 1);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.cached_rows(), 2u);
-  cache.InvalidateRange(1, 0, 2);
-  EXPECT_EQ(cache.stats().invalidations, 3u);
-  EXPECT_EQ(cache.cached_objects(), 0u);
-  cache.InvalidateRange(7, 0, 100);  // unknown object: no-op
-  EXPECT_EQ(cache.stats().invalidations, 3u);
+  WithRows(4, [](ObjectMeta& cache) {
+    cache.PutRange(1, 0, {Bytes(16, 1), Bytes(16, 2), Bytes(16, 3)});
+    cache.InvalidateRange(1, 1, 1);
+    EXPECT_EQ(cache.stats().iv_invalidations, 1u);
+    EXPECT_EQ(cache.cached_rows(), 2u);
+    cache.InvalidateRange(1, 0, 2);
+    EXPECT_EQ(cache.stats().iv_invalidations, 3u);
+    EXPECT_EQ(cache.cached_objects(), 0u);
+    cache.InvalidateRange(7, 0, 100);  // unknown object: no-op
+    EXPECT_EQ(cache.stats().iv_invalidations, 3u);
+  });
 }
 
 TEST(IvCacheUnit, ZeroCapacityRetainsNothing) {
-  IvCache cache({/*enabled=*/true, /*max_objects=*/0});
-  cache.PutRange(1, 0, {Bytes(16, 1)});
-  EXPECT_EQ(cache.cached_rows(), 0u);
-  EXPECT_EQ(cache.cached_objects(), 0u);
-  EXPECT_EQ(cache.stats().evictions, 0u);  // never inserted, never evicted
+  WithRows(0, [](ObjectMeta& cache) {
+    cache.PutRange(1, 0, {Bytes(16, 1)});
+    EXPECT_EQ(cache.cached_rows(), 0u);
+    EXPECT_EQ(cache.cached_objects(), 0u);
+    EXPECT_EQ(cache.stats().iv_evictions, 0u);  // never inserted or evicted
+  });
 }
 
 // --- End-to-end through the image datapath ---
@@ -386,7 +410,7 @@ TEST(IvCache, LruEvictionUnderManyObjects) {
     }
     const obs::Metrics stats = img.MetricsSnapshot();
     EXPECT_GT(ImageCounter(stats, "iv_evictions"), 0u);
-    EXPECT_LE(img.iv_cache().cached_objects(), 2u);
+    EXPECT_LE(img.object_meta().cached_objects(), 2u);
     for (uint64_t o = 0; o < 6; ++o) {
       auto got = co_await img.Read(o * kObjSize, kBlk);
       CO_ASSERT_OK(got.status());

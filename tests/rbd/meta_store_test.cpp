@@ -138,6 +138,86 @@ TEST_P(MetaPlaneAllGeometries, WarmReopenServesMetadataLocally) {
   });
 }
 
+// A warm reopen with the IV cache disabled loads no rows: no read could
+// use them. The bitmap still comes off the plane.
+TEST(MetaStore, WarmReopenWithCacheDisabledLoadsNoRows) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    const auto spec = Spec(core::CipherMode::kXtsRandom,
+                           core::IvLayout::kObjectEnd,
+                           core::Integrity::kHmac);
+    dev::NvmeDevice meta_dev;
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    Rng rng(75);
+    const Bytes data = rng.RandomBytes(4 * kBlk);
+    {
+      auto image = co_await Image::Create(**cluster, "nocache", "pw",
+                                          PlaneImage(spec, &meta_dev));
+      CO_ASSERT_OK(image.status());
+      CO_ASSERT_OK(co_await (*image)->Write(0, data));
+      CO_ASSERT_OK(co_await (*image)->Flush());
+      co_await (*cluster)->Drain();
+      CO_ASSERT_OK(co_await (*image)->Close());
+    }
+    auto reopened = co_await Image::Open(**cluster, "nocache", "pw", {},
+                                         nullptr, {}, IvCacheConfig{},
+                                         PlaneConfig(&meta_dev));
+    CO_ASSERT_OK(reopened.status());
+    auto& img = **reopened;
+    auto got = co_await img.Read(0, 4 * kBlk);
+    CO_ASSERT_OK(got.status());
+    EXPECT_TRUE(std::equal(got->begin(), got->end(), data.begin()));
+    EXPECT_EQ(img.object_meta().cached_rows(), 0u);
+    const obs::Metrics s = img.MetricsSnapshot();
+    EXPECT_EQ(ImageCounter(s, "meta_recovered_rows"), 0u);
+    EXPECT_EQ(ImageCounter(s, "meta_warm_hits"), 1u);
+    EXPECT_EQ(ImageCounter(s, "trim_state_loads"), 0u);
+    CO_ASSERT_OK(co_await img.Close());
+  });
+}
+
+// A session with the plane on and the IV cache off still journals the
+// rows its writes and trims supersede: the next warm session with the
+// cache on must not install the stale ones.
+TEST(MetaStore, CacheDisabledSessionKeepsPersistedRowsFresh) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    const auto spec = Spec(core::CipherMode::kXtsRandom,
+                           core::IvLayout::kObjectEnd,
+                           core::Integrity::kHmac);
+    dev::NvmeDevice meta_dev;
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    Rng rng(76);
+    {
+      auto image = co_await Image::Create(**cluster, "fresh", "pw",
+                                          PlaneImage(spec, &meta_dev));
+      CO_ASSERT_OK(image.status());
+      CO_ASSERT_OK(co_await (*image)->Write(0, rng.RandomBytes(2 * kBlk)));
+      CO_ASSERT_OK(co_await (*image)->Close());
+    }
+    const Bytes v2 = rng.RandomBytes(kBlk);
+    {
+      auto image = co_await Image::Open(**cluster, "fresh", "pw", {}, nullptr,
+                                        {}, IvCacheConfig{},
+                                        PlaneConfig(&meta_dev));
+      CO_ASSERT_OK(image.status());
+      CO_ASSERT_OK(co_await (*image)->Write(0, v2));
+      CO_ASSERT_OK(co_await (*image)->Discard(kBlk, kBlk));
+      CO_ASSERT_OK(co_await (*image)->Close());
+    }
+    auto reopened = co_await Image::Open(**cluster, "fresh", "pw", {},
+                                         nullptr, {}, {.enabled = true},
+                                         PlaneConfig(&meta_dev));
+    CO_ASSERT_OK(reopened.status());
+    auto& img = **reopened;
+    auto got = co_await img.Read(0, 2 * kBlk);
+    CO_ASSERT_OK(got.status());
+    EXPECT_TRUE(std::equal(v2.begin(), v2.end(), got->begin()));
+    EXPECT_TRUE(std::all_of(got->begin() + static_cast<long>(kBlk),
+                            got->end(), [](uint8_t v) { return v == 0; }));
+    EXPECT_GT(ImageCounter(img, "meta_recovered_rows"), 0u);
+    CO_ASSERT_OK(co_await img.Close());
+  });
+}
+
 // No Close (crash): the clean flag stays cleared, so the reopen purges
 // the persisted rows/bitmaps and degrades to a full cold start — and the
 // data still reads back correctly from the authoritative store.
@@ -553,7 +633,7 @@ TEST(MetaStore, UnauthenticatedFormatRefusesPlane) {
         &meta_dev);
     auto image = co_await Image::Create(**cluster, "noauth", "pw", o);
     CO_ASSERT_OK(image.status());
-    EXPECT_EQ((*image)->meta_store(), nullptr);
+    EXPECT_FALSE((*image)->object_meta().has_plane());
     Rng rng(29);
     CO_ASSERT_OK(co_await (*image)->Write(0, rng.RandomBytes(kBlk)));
     CO_ASSERT_OK(co_await (*image)->Flush());

@@ -173,7 +173,7 @@ TEST(ObsImage, BenchmarkRegistryPathsResolve) {
     o.tenant.id = kTenant;
     auto image = co_await Image::Create(**cluster, "pin", "pw", o);
     CO_ASSERT_OK(image.status());
-    CO_ASSERT_TRUE((*image)->meta_store() != nullptr);
+    CO_ASSERT_TRUE((*image)->object_meta().has_plane());
     CO_ASSERT_TRUE(co_await MixedRun(**image, 64));
     CO_ASSERT_OK(co_await (*image)->Flush());
     co_await (*cluster)->Drain();
