@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "obs/metrics.h"
 #include "util/lz.h"
 
 namespace vde::core {
@@ -89,6 +90,14 @@ size_t CompressLimit(const EncryptionSpec& spec) {
 }
 
 }  // namespace
+
+void CompressStats::ExportMetrics(obs::Metrics& image) const {
+  image.Counter("compress_in_bytes", in_bytes);
+  image.Counter("compress_stored_bytes", stored_bytes);
+  image.Counter("compress_blocks", compressed_blocks);
+  image.Counter("compress_verbatim_blocks", verbatim_blocks);
+  image.Counter("compress_expanded_blocks", decompressed_blocks);
+}
 
 EncryptionFormat::EncryptionFormat(const EncryptionSpec& spec,
                                    ByteSpan master_key, uint64_t object_size)

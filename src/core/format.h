@@ -34,6 +34,10 @@
 #include "sim/scheduler.h"
 #include "util/status.h"
 
+namespace vde::obs {
+class Metrics;
+}  // namespace vde::obs
+
 namespace vde::core {
 
 // A block-aligned slice of image IO that falls into one object.
@@ -59,6 +63,9 @@ struct CompressStats {
   uint64_t compressed_blocks = 0; // blocks stored under a real codec tag
   uint64_t verbatim_blocks = 0;   // blocks that failed the min-gain bar
   uint64_t decompressed_blocks = 0;  // compressed blocks expanded on read
+
+  // Registers these totals as `compress_*` under the image's node.
+  void ExportMetrics(obs::Metrics& image) const;
 };
 
 class EncryptionFormat {

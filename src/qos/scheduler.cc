@@ -68,6 +68,14 @@ size_t Scheduler::total_queued() const {
   return n;
 }
 
+void TenantStats::ExportMetrics(obs::Metrics& image) const {
+  image.Counter("qos_submitted", submitted);
+  image.Counter("qos_queued", queued);
+  image.Counter("qos_throttled", throttled);
+  image.Counter("qos_wait_ns", wait_ns);
+  image.Gauge("qos_peak_queue", static_cast<double>(peak_queue));
+}
+
 void Scheduler::ExportMetrics(obs::Metrics& node) const {
   node.Gauge("queued", static_cast<double>(total_queued()));
   node.Gauge("inflight", static_cast<double>(inflight_));

@@ -85,6 +85,10 @@ struct TenantStats {
   size_t peak_queue = 0;        // high-water queue length
   size_t inflight = 0;          // dispatched, not yet completed
   size_t peak_inflight = 0;     // high-water in-flight count
+
+  // Registers the image-level subset as `qos_*` under the image's node
+  // (the scheduler's own per-tenant node carries every field).
+  void ExportMetrics(obs::Metrics& image) const;
 };
 
 using TenantId = uint64_t;

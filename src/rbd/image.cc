@@ -183,33 +183,23 @@ Image::~Image() {
 
 void Image::ExportMetrics(obs::Metrics& root) const {
   obs::Metrics& n = root.Child("image");
-  auto counters =
-      [&n](std::initializer_list<std::pair<const char*, uint64_t>> list) {
-        for (const auto& [name, value] : list) n.Counter(name, value);
-      };
   const Counters& c = counters_;
-  counters({{"writes", c.writes}, {"reads", c.reads},
-            {"discards", c.discards}, {"flushes", c.flushes},
-            {"bytes_written", c.bytes_written}, {"bytes_read", c.bytes_read},
-            {"bytes_discarded", c.bytes_discarded},
-            {"rmw_blocks", c.rmw_blocks}, {"rmw_merged", c.rmw_merged},
-            {"wb_hits", c.wb_hits}, {"wb_stages", c.wb_stages},
-            {"wb_flushes", c.wb_flushes}});
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"writes", c.writes}, {"reads", c.reads},
+      {"discards", c.discards}, {"flushes", c.flushes},
+      {"bytes_written", c.bytes_written}, {"bytes_read", c.bytes_read},
+      {"bytes_discarded", c.bytes_discarded},
+      {"rmw_blocks", c.rmw_blocks}, {"rmw_merged", c.rmw_merged},
+      {"wb_hits", c.wb_hits}, {"wb_stages", c.wb_stages},
+      {"wb_flushes", c.wb_flushes}, {"wb_evictions", c.wb_evictions}};
+  for (const auto& [name, value] : counters) n.Counter(name, value);
   n.Gauge("wb_staged_blocks", static_cast<double>(writeback_->staged_blocks()));
   meta_->ExportMetrics(n);
-  const qos::TenantStats q = options_.qos_scheduler
-                                 ? options_.qos_scheduler->stats(qos_tenant_)
-                                 : qos::TenantStats{};
-  counters({{"qos_submitted", q.submitted}, {"qos_queued", q.queued},
-            {"qos_throttled", q.throttled}, {"qos_wait_ns", q.wait_ns}});
-  n.Gauge("qos_peak_queue", static_cast<double>(q.peak_queue));
-  const core::CompressStats z =
-      format_ != nullptr ? format_->compress_stats() : core::CompressStats{};
-  counters({{"compress_in_bytes", z.in_bytes},
-            {"compress_stored_bytes", z.stored_bytes},
-            {"compress_blocks", z.compressed_blocks},
-            {"compress_verbatim_blocks", z.verbatim_blocks},
-            {"compress_expanded_blocks", z.decompressed_blocks}});
+  (options_.qos_scheduler ? options_.qos_scheduler->stats(qos_tenant_)
+                          : qos::TenantStats{})
+      .ExportMetrics(n);
+  (format_ != nullptr ? format_->compress_stats() : core::CompressStats{})
+      .ExportMetrics(n);
 
   if (options_.qos_scheduler) {
     options_.qos_scheduler->ExportMetrics(root.Child("qos"));

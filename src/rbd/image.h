@@ -349,6 +349,7 @@ class Image {
     uint64_t wb_hits = 0;     // writes absorbed into an existing stage
     uint64_t wb_stages = 0;   // staged-block creations
     uint64_t wb_flushes = 0;  // staged-block flush transactions
+    uint64_t wb_evictions = 0;  // of those, victims of buffer pressure
   };
   Counters counters_;
   qos::TenantId qos_tenant_ = 0;  // valid while options_.qos_scheduler set

@@ -132,13 +132,25 @@ sim::Task<Status> Writeback::StageWrite(uint64_t object_no, uint64_t block,
       co_return Status::Ok();
     }
   }
-  Stage stage;
-  stage.data.assign(kBlockSize, 0);
+  // Miss. Under pressure the oldest stage makes room, and its write-out
+  // runs while this block's RMW read is in flight: two independent round
+  // trips overlap, and both finish inside this awaited write.
+  Status evicted;
+  sim::WaitGroup evicting;
+  if (Hold* victim = PickVictim()) {
+    evicting.Add();
+    sim::Scheduler::Current().Spawn(Evict(victim, evicted, evicting));
+  }
+  Stage stage{Bytes(kBlockSize, 0)};
+  Status read;
   if (bytes.size() < kBlockSize) {
     // The stage must hold the block's full logical content so merges and
     // read overlays are plain memcpys from here on.
-    VDE_CO_RETURN_IF_ERROR(co_await ReadBlock(object_no, block, stage.data));
+    read = co_await ReadBlock(object_no, block, stage.data);
   }
+  co_await evicting.Wait();
+  VDE_CO_RETURN_IF_ERROR(evicted);
+  VDE_CO_RETURN_IF_ERROR(read);
   std::memcpy(stage.data.data() + offset_in_block, bytes.data(),
               bytes.size());
   stage.window_start = sim::Scheduler::Current().now();
@@ -150,46 +162,48 @@ sim::Task<Status> Writeback::StageWrite(uint64_t object_no, uint64_t block,
   // pruning); compact before it can grow without bound.
   if (stage_fifo_.size() > 4 * config_.max_staged_blocks &&
       stage_fifo_.size() > 2 * staged_count_) {
-    std::deque<std::pair<uint64_t, uint64_t>> live;
-    for (const auto& [o, b] : stage_fifo_) {
-      if (Staged(o, b) != nullptr) live.emplace_back(o, b);
-    }
-    stage_fifo_.swap(live);
-  }
-  if (staged_count_ > config_.max_staged_blocks) {
-    // Pressure: evict the oldest staged block whose guard is free, inline,
-    // so the eviction IO is covered by this write's completion. Eviction
-    // must never WAIT for a guard — the caller already holds one, and a
-    // blocked wait here deadlocks (against the caller's own multi-block
-    // hold, or ABBA against a concurrent staging writer). If the oldest
-    // candidate is busy, skip this round; the merge window and the next
-    // barrier catch up.
-    while (!stage_fifo_.empty()) {
-      const auto [o, b] = stage_fifo_.front();
-      if (Staged(o, b) == nullptr) {
-        stage_fifo_.pop_front();  // stale entry
-        continue;
-      }
-      if (o == object_no && b == block) break;  // only our own stage left
-      Hold* hold = Register(o, b, b, /*exclusive=*/true);
-      if (!hold->granted) {
-        Release(hold);  // busy: do not wait while holding our own guard
-        break;
-      }
-      stage_fifo_.pop_front();
-      const Status flushed = co_await FlushLocked(o, b);
-      Release(hold);
-      if (!flushed.ok()) {
-        // The stage survived the failed flush; put its fifo entry back so
-        // it stays evictable (no yield between Release and here, so no
-        // other eviction pass can have re-listed it).
-        stage_fifo_.emplace_front(o, b);
-        co_return flushed;
-      }
-      break;
-    }
+    std::erase_if(stage_fifo_, [this](const auto& entry) {
+      return Staged(entry.first, entry.second) == nullptr;
+    });
   }
   co_return Status::Ok();
+}
+
+Writeback::Hold* Writeback::PickVictim() {
+  if (staged_count_ < config_.max_staged_blocks) return nullptr;
+  // The oldest live stage, under an exclusive hold registered now. Never
+  // WAIT for its guard: the caller already holds one, and a blocked wait
+  // deadlocks (against the caller's own multi-block hold, or ABBA against
+  // a concurrent staging writer). If the oldest candidate is busy, skip
+  // this round: the buffer stays one stage over until a barrier drains it.
+  while (!stage_fifo_.empty()) {
+    const auto [o, b] = stage_fifo_.front();
+    if (Staged(o, b) == nullptr) {
+      stage_fifo_.pop_front();  // stale entry
+      continue;
+    }
+    Hold* hold = Register(o, b, b, /*exclusive=*/true);
+    if (!hold->granted) {
+      Release(hold);
+      return nullptr;
+    }
+    stage_fifo_.pop_front();
+    return hold;
+  }
+  return nullptr;
+}
+
+sim::Task<void> Writeback::Evict(Hold* hold, Status& status,
+                                 sim::WaitGroup& done) {
+  const uint64_t o = hold->object_no, b = hold->first_block;
+  status = co_await FlushLocked(o, b);
+  Release(hold);
+  if (status.ok()) {
+    image_.counters_.wb_evictions++;
+  } else {
+    stage_fifo_.emplace_front(o, b);  // the stage survived: keep it evictable
+  }
+  done.Done();
 }
 
 void Writeback::DropRange(uint64_t object_no, uint64_t first_block,

@@ -23,9 +23,14 @@
 //     overlapping discard forces it. N adjacent 512 B database-style
 //     writes thus cost one RMW read and one transaction instead of N each
 //     (the paper's worst case for length-preserving-plus-metadata
-//     encryption, §3.1). Every byte of flush IO runs inside an awaited
-//     request (staging write, AioFlush, SnapCreate) — the layer spawns no
-//     detached background IO, so nothing outlives its owners.
+//     encryption, §3.1). Under pressure a staging miss evicts the oldest
+//     stage, and that write-out runs concurrently with the miss's own RMW
+//     read — a random sub-block stream, which cannot coalesce, pays one
+//     round trip per write instead of two back to back. Every byte of
+//     flush IO runs inside an awaited request (staging write, AioFlush,
+//     SnapCreate): the eviction is joined before the staging write
+//     completes, and the layer issues no detached background IO, so
+//     nothing outlives its owners.
 //
 // Semantics: a staged write is complete in the disk-write-cache sense —
 // reads of the head snapshot observe staged bytes (ImageRequest overlays
@@ -62,10 +67,11 @@ struct WritebackConfig {
   // into the retained content — bounding how long a hot block's bytes stay
   // volatile while still coalescing each window into one transaction.
   sim::SimTime flush_window = 500 * sim::kUs;
-  // Staged blocks per image before a staging write must evict (flush) the
-  // oldest stage. Eviction IO runs inside the staging write — the layer
-  // never issues detached background IO, so request completions and
-  // AioFlush cover every transaction the buffer ever makes.
+  // Staged blocks per image before a staging miss must evict (flush) the
+  // oldest stage. The eviction runs alongside the miss's RMW read and is
+  // joined before the staging write completes; the new block is staged
+  // only if both succeed. No eviction IO is detached, so request
+  // completions and AioFlush cover every transaction the buffer makes.
   size_t max_staged_blocks = 256;
 };
 
@@ -111,8 +117,10 @@ class Writeback {
 
   // Absorbs `bytes` at [offset_in_block, offset_in_block + bytes.size())
   // into the staged block, creating the stage on miss (one RMW block read
-  // unless the write covers the whole block). Caller must hold an
-  // exclusive guard covering the block.
+  // unless the write covers the whole block). A miss on a full buffer also
+  // evicts the oldest stage, concurrently with that read; if either fails,
+  // nothing is staged. Caller must hold an exclusive guard covering the
+  // block.
   sim::Task<Status> StageWrite(uint64_t object_no, uint64_t block,
                                uint64_t offset_in_block, ByteSpan bytes);
 
@@ -161,6 +169,13 @@ class Writeback {
   // entry itself is left to the caller.
   sim::Task<Status> WriteOutStage(uint64_t object_no, uint64_t block,
                                   const Stage& stage);
+  // Pressure: when the buffer is full, registers an exclusive hold over the
+  // oldest stage and returns it. nullptr when the buffer is not full or the
+  // oldest stage's guard is busy.
+  Hold* PickVictim();
+  // Flushes the victim under `hold`, releases it, stores the outcome in
+  // `status` and signals `done`.
+  sim::Task<void> Evict(Hold* hold, Status& status, sim::WaitGroup& done);
   core::ObjectExtent BlockExtent(uint64_t object_no, uint64_t block) const;
   void EraseStage(uint64_t object_no, uint64_t block);
   void MaybePrune(uint64_t object_no);

@@ -2,8 +2,9 @@
 // (concurrent sub-block writes to disjoint byte ranges of one 4 KiB block),
 // coalescing of adjacent 512 B streams into one RMW read + one transaction,
 // read-your-writes overlay, discard/write-zeroes draining, flush/snapshot
-// durability barriers, merge-window close, pressure eviction, and
-// verify-mode fio with writes and discards at queue depth >= 8.
+// durability barriers, merge-window close, pressure eviction (overlapped
+// with the evicting miss's RMW read), and verify-mode fio with writes and
+// discards at queue depth >= 8, also under constant buffer pressure.
 #include <algorithm>
 #include <gtest/gtest.h>
 
@@ -426,6 +427,100 @@ TEST(Writeback, PressureEvictionSkipsHeldBlocks) {
     CO_ASSERT_OK(got.status());
     CO_ASSERT_TRUE(*got == model);
   });
+}
+
+// A staging miss under pressure writes the victim out while its own RMW
+// read is in flight. Measured in one cluster: (a) a miss on an empty
+// buffer, (b) the Flush of one staged block, (c) a miss that evicts. Run
+// back to back, (c) would cost a + b; overlapped it costs about the
+// longer of the two.
+TEST(Writeback, PressureEvictionOverlapsRmwRead) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    ImageOptions opts = TestImage(
+        Spec(core::CipherMode::kGcmRandom, core::IvLayout::kUnaligned));
+    opts.writeback.flush_window = 100 * sim::kMs;
+    opts.writeback.max_staged_blocks = 1;
+    auto image = co_await Image::Create(**cluster, "overlap", "pw", opts);
+    CO_ASSERT_OK(image.status());
+    auto& img = **image;
+    Rng rng(52);
+    Bytes model = rng.RandomBytes(4 * kBlk);
+    CO_ASSERT_OK(co_await img.Write(0, model));
+    std::vector<Bytes> sectors;
+    for (int b = 1; b <= 3; ++b) {
+      sectors.push_back(rng.RandomBytes(512));
+      std::copy(sectors.back().begin(), sectors.back().end(),
+                model.begin() + static_cast<long>(b * kBlk + 100));
+    }
+
+    const sim::Scheduler& sched = sim::Scheduler::Current();
+    sim::SimTime start = sched.now();
+    CO_ASSERT_OK(co_await img.Write(1 * kBlk + 100, sectors[0]));
+    const sim::SimTime miss = sched.now() - start;
+    start = sched.now();
+    CO_ASSERT_OK(co_await img.Flush());
+    const sim::SimTime flush = sched.now() - start;
+    // Stages block 2: the one-block buffer is now full.
+    CO_ASSERT_OK(co_await img.Write(2 * kBlk + 100, sectors[1]));
+    start = sched.now();
+    CO_ASSERT_OK(co_await img.Write(3 * kBlk + 100, sectors[2]));
+    const sim::SimTime evicting_miss = sched.now() - start;
+
+    EXPECT_EQ(ImageCounter(img, "wb_evictions"), 1u);
+    EXPECT_GE(evicting_miss, std::max(miss, flush));
+    EXPECT_LE(evicting_miss, miss + flush - std::min(miss, flush) / 2)
+        << "miss " << miss << " ns, flush " << flush << " ns";
+    CO_ASSERT_OK(co_await img.Flush());
+    auto got = co_await img.Read(0, model.size());
+    CO_ASSERT_OK(got.status());
+    CO_ASSERT_TRUE(*got == model);
+  });
+}
+
+// Constant pressure on every layout: with four stage slots nearly every
+// staging miss evicts while its RMW read is in flight. A straddling
+// 4,608 B write stages two blocks under one hold, so its own first block
+// is often the oldest stage, and eviction must skip it rather than wait.
+// Verified reads and discards race the evictions at depth 8; after Flush
+// the buffer is empty and the store returns every byte the staged overlay
+// returned before it.
+TEST_P(WritebackAllLayouts, VerifyFioUnderPressure) {
+  for (const uint64_t io_size : {uint64_t{512}, uint64_t{4608}}) {
+    testutil::RunSim([spec = GetParam(), io_size]() -> sim::Task<void> {
+      auto cluster = co_await rados::Cluster::Create(TestCluster());
+      ImageOptions opts = TestImage(spec);
+      opts.writeback.max_staged_blocks = 4;
+      auto image = co_await Image::Create(**cluster, "pfio", "pw", opts);
+      CO_ASSERT_OK(image.status());
+      auto& img = **image;
+      workload::FioConfig cfg;
+      cfg.rw_mix_pct = 75;
+      cfg.io_size = io_size;
+      cfg.offset_align = 512;
+      cfg.discard_pct = 10;
+      cfg.total_ops = 256;
+      cfg.queue_depth = 8;
+      cfg.working_set = 1 << 20;
+      cfg.verify = true;
+      cfg.seed = 61 + io_size;
+      workload::FioRunner fio(img, cfg);
+      CO_ASSERT_OK(co_await fio.Prefill());
+      auto res = co_await fio.Run();
+      CO_ASSERT_OK(res.status());  // a verify mismatch fails the run
+      EXPECT_GT(res->read_ops, 0u);
+      EXPECT_GT(res->discards, 0u);
+      EXPECT_GT(ImageCounter(img, "wb_evictions"), 0u);
+
+      auto staged = co_await img.Read(0, cfg.working_set);
+      CO_ASSERT_OK(staged.status());
+      CO_ASSERT_OK(co_await img.Flush());
+      EXPECT_EQ(img.writeback().staged_blocks(), 0u);
+      auto stored = co_await img.Read(0, cfg.working_set);
+      CO_ASSERT_OK(stored.status());
+      CO_ASSERT_TRUE(*stored == *staged);
+    });
+  }
 }
 
 // Acceptance: verify-mode fio with writes and discards at queue depth >= 8.
