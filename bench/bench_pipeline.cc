@@ -20,17 +20,25 @@
 //     8 each scale with the core count: aggregate IOPS at 2 cores is
 //     at least 1.7x the 1-core figure, and at 4 cores at least 3.0x.
 //
+//  4. READ COMPLETION — on 4 cores, random 4 KiB reads mixed 70/30
+//     with writes at depth 32 keep their p50 within 2% of the qd=1
+//     read-only latency: a read's decrypt takes the least-busy core, so
+//     it does not queue behind other ops' commits on its object's core.
+//
 // The cluster uses a deliberately CPU-heavy objstore::CostModel
 // (commit bookkeeping raised to 120 us) so the gates measure the core
 // model, not the network or the NVMe queues.
 //
 // Usage: bench_pipeline [--quick]
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.h"
+#include "sim/sync.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -104,6 +112,56 @@ PipePoint RunFioPoint(Bench& bench, unsigned cores, uint64_t stripe_unit,
                               " sc=" + std::to_string(stripe_count) +
                               " images=" + std::to_string(images));
   return point;
+}
+
+// Exact p50 (nearest rank) of the read latencies of a closed loop of
+// `queue_depth` workers doing random 4 KiB IO over a prefilled
+// `working_set`, `write_pct`% writes, on `cores` cores.
+double ReadP50Us(Bench& bench, unsigned cores, size_t queue_depth,
+                 uint32_t write_pct, uint64_t ops, uint64_t working_set) {
+  std::vector<sim::SimTime> reads;
+  auto body = [&](rados::Cluster& cluster) -> sim::Task<bool> {
+    auto image = co_await rbd::Image::Create(
+        cluster, "mixed", "pw", TestImage({}, 1ull << 30));
+    if (!image.ok()) co_return false;
+    rbd::Image& img = **image;
+    Rng rng(3);
+    const Bytes fill = rng.RandomBytes(1 << 20);
+    for (uint64_t off = 0; off < working_set; off += fill.size()) {
+      if (!(co_await img.Write(off, fill)).ok()) co_return false;
+    }
+    const Bytes block(fill.begin(), fill.begin() + 4096);
+    uint64_t issued = 0;
+    bool ok = true;
+    auto worker = [&]() -> sim::Task<void> {
+      while (ok && issued < ops) {
+        const bool measured = issued++ >= queue_depth;  // skip the ramp
+        const uint64_t off = rng.NextBelow(working_set / 4096) * 4096;
+        const bool write = rng.NextBelow(100) < write_pct;
+        const sim::SimTime start = sim::Scheduler::Current().now();
+        if (write) {
+          ok = ok && (co_await img.Write(off, block)).ok();
+        } else {
+          ok = ok && (co_await img.Read(off, 4096)).ok();
+          if (measured) {
+            reads.push_back(sim::Scheduler::Current().now() - start);
+          }
+        }
+      }
+    };
+    std::vector<sim::Task<void>> workers;
+    for (size_t i = 0; i < queue_depth; ++i) workers.push_back(worker());
+    co_await sim::WhenAll(std::move(workers));
+    co_await cluster.Drain();
+    co_return ok;
+  };
+  const bool ok = RunOnCluster(PipelineCluster(), cores, body).ok;
+  bench.Require(ok && !reads.empty(),
+                "ReadP50Us qd=" + std::to_string(queue_depth) +
+                    " write_pct=" + std::to_string(write_pct));
+  if (reads.empty()) return 0;
+  std::sort(reads.begin(), reads.end());
+  return static_cast<double>(reads[(reads.size() - 1) / 2]) / 1e3;
 }
 
 workload::FioConfig SeqWriteFio(uint64_t ops, size_t queue_depth) {
@@ -188,6 +246,24 @@ int main(int argc, char** argv) {
                 {"iops_4", c4.iops},
                 {"x2", s2},
                 {"x4", s4}});
+  }
+  // --- Gate 4: mixed-load reads complete at the uncontended latency ---
+  {
+    constexpr uint64_t kWorkingSet = 256ull << 20;  // 64 objects
+    const double alone = ReadP50Us(bench, 4, 1, 0, quick ? 64 : 256,
+                                   kWorkingSet);
+    const double mixed = ReadP50Us(bench, 4, 32, 30, quick ? 1500 : 6000,
+                                   kWorkingSet);
+    const double ratio = alone > 0 ? mixed / alone : 0;
+    std::printf("\nRead completion (4 cores, rand 4K, 70/30 read/write)\n");
+    std::printf("  %-22s %10.1f us\n", "qd=1 read-only p50", alone);
+    std::printf("  %-22s %10.1f us  (%.3fx, need <=1.020x)\n",
+                "qd=32 mixed read p50", mixed, ratio);
+    bench.Gate("read_completion", alone > 0 && ratio <= 1.02,
+               "qd=32 mixed read p50 within 2% of the qd=1 read-only p50",
+               {{"alone_p50_us", alone},
+                {"mixed_p50_us", mixed},
+                {"ratio", ratio}});
   }
   return bench.Finish();
 }

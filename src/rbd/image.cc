@@ -368,14 +368,8 @@ sim::Task<Status> Image::CommitMutation(uint64_t object_no,
   auto update =
       co_await meta_->StageBitmap(object_no, m.written, m.trimmed, m.txn);
   VDE_CO_RETURN_IF_ERROR(update.status());
-  if (m.crypto_cost > 0) {
-    obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{sim::ShardOf(oid), m.crypto_cost};
-  }
-  if (m.compress_cost > 0) {
-    obs::SpanScope compress_span(trace, obs::Stage::kCompress);
-    co_await sim::ChargeCpu{sim::ShardOf(oid), m.compress_cost};
-  }
+  co_await ChargeStep(sim::ShardOf(oid), m.crypto_cost, m.compress_cost,
+                      trace);
   auto io = this->io();
   m.txn.trace = trace;
   obs::SpanScope store_span(trace, obs::Stage::kStore);
@@ -483,19 +477,32 @@ sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
   co_return counts;
 }
 
-sim::Task<void> Image::ChargeRead(const std::string& oid, ReadCounts counts,
+sim::Task<void> Image::ChargeRead(ReadCounts counts,
                                   obs::TraceContext* trace) {
-  if (counts.decrypted_blocks > 0) {
+  const sim::SimTime cipher =
+      counts.decrypted_blocks > 0
+          ? format_->CryptoCost(counts.decrypted_blocks * core::kBlockSize)
+          : 0;
+  co_await ChargeStep(
+      std::nullopt, cipher,
+      format_->DecompressCost(counts.expanded_blocks * core::kBlockSize),
+      trace);
+}
+
+sim::Task<void> Image::ChargeStep(std::optional<uint64_t> shard,
+                                  sim::SimTime cipher, sim::SimTime codec,
+                                  obs::TraceContext* trace) {
+  if (cipher + codec == 0) co_return;
+  sim::Scheduler& sched = sim::Scheduler::Current();
+  const sim::SimTime end = shard ? sched.ReserveCpu(*shard, cipher + codec)
+                                 : sched.ReserveAnyCpu(cipher + codec);
+  if (cipher > 0) {
     obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{
-        sim::ShardOf(oid),
-        format_->CryptoCost(counts.decrypted_blocks * core::kBlockSize)};
+    co_await sim::Sleep{end - codec - sched.now()};
   }
-  if (counts.expanded_blocks > 0) {
+  if (codec > 0) {
     obs::SpanScope compress_span(trace, obs::Stage::kCompress);
-    co_await sim::ChargeCpu{
-        sim::ShardOf(oid),
-        format_->DecompressCost(counts.expanded_blocks * core::kBlockSize)};
+    co_await sim::Sleep{end - sched.now()};
   }
 }
 

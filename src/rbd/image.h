@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -311,8 +312,17 @@ class Image {
   sim::Task<Result<ReadCounts>> ReadObject(std::span<const BlockRead> reads,
                                            objstore::SnapId snap,
                                            obs::TraceContext* trace);
-  // Decrypt (and decompress) cost of `counts` on `oid`'s core.
-  sim::Task<void> ChargeRead(const std::string& oid, ReadCounts counts,
+  // Decrypt (and decompress) cost of `counts`, on the least-busy core: a
+  // read's completion feeds no later store op, so it needs no affinity.
+  sim::Task<void> ChargeRead(ReadCounts counts, obs::TraceContext* trace);
+  // One client crypto step: `cipher` then `codec` ns in ONE core
+  // reservation, on `shard`'s core (write-side encrypt, which orders
+  // same-object transactions as they leave the client) or on the
+  // least-busy core when `shard` is empty. The task resumes at the
+  // boundary, so the kCrypto and kCompress spans keep their split; with
+  // the core model off this is Sleep{cipher} then Sleep{codec}.
+  sim::Task<void> ChargeStep(std::optional<uint64_t> shard,
+                             sim::SimTime cipher, sim::SimTime codec,
                              obs::TraceContext* trace);
 
   // Flush ordering: write-class requests take a ticket at submit time and

@@ -354,20 +354,12 @@ sim::Task<Status> ImageRequest::ExecuteReadOp() {
   // Client-side decryption cost over the covers that actually decrypted
   // ciphertext (partial blocks are decrypted whole even if the guest asked
   // for 512 B of them); covers served from the plaintext staging buffer
-  // cost nothing here. Under the core model each chunk already charged its
-  // own core inside ReadChunk, overlapping across objects.
-  if (read_decrypted_bytes_ > 0 &&
-      !sim::Scheduler::Current().core_model_enabled()) {
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::Sleep{image_.format_->CryptoCost(read_decrypted_bytes_)};
-  }
-  // Expansion of compressed blocks (only those actually stored compressed;
-  // zero with compression off, so the event stream is untouched then).
-  if (read_expanded_blocks_ > 0 &&
-      !sim::Scheduler::Current().core_model_enabled()) {
-    obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-    co_await sim::Sleep{image_.format_->DecompressCost(read_expanded_blocks_ *
-                                                       kBlockSize)};
+  // cost nothing here, and expansion covers only blocks stored compressed.
+  // Under the core model each chunk already charged a core inside
+  // ReadChunk, overlapping across objects.
+  if (!sim::Scheduler::Current().core_model_enabled()) {
+    co_await image_.ChargeRead(
+        {read_decrypted_blocks_, read_expanded_blocks_}, ctx());
   }
   co_return Status::Ok();
 }
@@ -412,12 +404,12 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
     const Image::BlockRead read{chunk.cover, out};
     auto counts = co_await image_.ReadObject({&read, 1}, snap_, ctx());
     VDE_CO_RETURN_IF_ERROR(counts.status());
-    read_decrypted_bytes_ += counts->decrypted_blocks * kBlockSize;
+    read_decrypted_blocks_ += counts->decrypted_blocks;
     read_expanded_blocks_ += counts->expanded_blocks;
-    // Pipelined decrypt: charge this chunk's covers on the object's core
-    // so chunks of different objects decrypt in parallel.
+    // Pipelined decrypt: charge this chunk's covers on the least-busy core
+    // so chunks decrypt in parallel, never behind commits.
     if (sim::Scheduler::Current().core_model_enabled()) {
-      co_await image_.ChargeRead(chunk.cover.oid, *counts, ctx());
+      co_await image_.ChargeRead(*counts, ctx());
     }
   }
   if (head) {
@@ -458,19 +450,14 @@ sim::Task<Status> ImageRequest::ExecuteWriteOp() {
       edge_blocks += PartialEdges(c.byte_off, c.byte_len,
                                   c.cover.block_count);
     }
-    if (through_bytes > 0) {
-      obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-      co_await sim::Sleep{
-          image_.format_->IoCryptoCost(through_bytes, edge_blocks)};
-    }
     // Pay-to-try compression: MakeWrite feeds every covering block through
     // the codec, shrunk or not. Zero cost (and zero events) with no codec.
-    const sim::SimTime compress_cost =
-        image_.format_->CompressCost(cover_bytes);
-    if (compress_cost > 0) {
-      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-      co_await sim::Sleep{compress_cost};
-    }
+    co_await image_.ChargeStep(
+        std::nullopt,
+        through_bytes > 0
+            ? image_.format_->IoCryptoCost(through_bytes, edge_blocks)
+            : 0,
+        image_.format_->CompressCost(cover_bytes), ctx());
   }
   co_return co_await ForEachChunk(&ImageRequest::WriteChunk);
 }
@@ -505,9 +492,9 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
   auto counts =
       co_await image_.ReadObject(from_store, objstore::kHeadSnap, ctx());
   VDE_CO_RETURN_IF_ERROR(counts.status());
-  // ChargeCpu degrades to Sleep with the core model off; enabled, the RMW
-  // edge decrypt serializes with the object's other crypto work.
-  co_await image_.ChargeRead(chunk.cover.oid, *counts, ctx());
+  // A plain Sleep with the core model off; enabled, the edge decrypt takes
+  // the least-busy core.
+  co_await image_.ChargeRead(*counts, ctx());
   co_return Status::Ok();
 }
 
@@ -555,19 +542,14 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
   // (striped sequential writes in particular) encrypt concurrently. With
   // the core model off, ExecuteWriteOp charged one aggregate pass already.
   if (sim::Scheduler::Current().core_model_enabled()) {
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{
+    co_await image_.ChargeStep(
         sim::ShardOf(chunk.cover.oid),
         image_.format_->IoCryptoCost(
             chunk.byte_len, PartialEdges(chunk.byte_off, chunk.byte_len,
-                                         chunk.cover.block_count))};
-    crypto_span.End();
-    const sim::SimTime compress_cost = image_.format_->CompressCost(
-        chunk.cover.block_count * size_t{kBlockSize});
-    if (compress_cost > 0) {
-      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-      co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
-    }
+                                         chunk.cover.block_count)),
+        image_.format_->CompressCost(chunk.cover.block_count *
+                                     size_t{kBlockSize}),
+        ctx());
   }
 
   VDE_CO_RETURN_IF_ERROR(

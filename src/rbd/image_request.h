@@ -123,7 +123,7 @@ class ImageRequest {
   CompletionPtr completion_;
   std::vector<Chunk> chunks_;
   std::vector<Writeback::Hold*> holds_;  // parallel to chunks_; may be null
-  uint64_t read_decrypted_bytes_ = 0;  // covers that really hit the cipher
+  uint64_t read_decrypted_blocks_ = 0;  // covers that really hit the cipher
   uint64_t read_expanded_blocks_ = 0;  // blocks decompressed for this read
   uint64_t write_seq_ = 0;  // flush-ordering ticket (write-class ops)
   bool seq_assigned_ = false;

@@ -99,8 +99,8 @@ sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
   auto counts = co_await image_.ReadObject({&read, 1}, objstore::kHeadSnap,
                                            /*trace=*/nullptr);
   VDE_CO_RETURN_IF_ERROR(counts.status());
-  // Decrypt on the object's core (plain Sleep with the core model off).
-  co_await image_.ChargeRead(read.ext.oid, *counts, /*trace=*/nullptr);
+  // Decrypt on the least-busy core (plain Sleep with the core model off).
+  co_await image_.ChargeRead(*counts, /*trace=*/nullptr);
   co_return Status::Ok();
 }
 
@@ -171,24 +171,25 @@ sim::Task<Status> Writeback::StageWrite(uint64_t object_no, uint64_t block,
 
 Writeback::Hold* Writeback::PickVictim() {
   if (staged_count_ < config_.max_staged_blocks) return nullptr;
-  // The oldest live stage, under an exclusive hold registered now. Never
-  // WAIT for its guard: the caller already holds one, and a blocked wait
-  // deadlocks (against the caller's own multi-block hold, or ABBA against
-  // a concurrent staging writer). If the oldest candidate is busy, skip
-  // this round: the buffer stays one stage over until a barrier drains it.
-  while (!stage_fifo_.empty()) {
-    const auto [o, b] = stage_fifo_.front();
+  // The oldest live stage whose guard is free, under an exclusive hold
+  // registered now. Never WAIT for a guard: the caller already holds one,
+  // and a blocked wait deadlocks (against the caller's own multi-block
+  // hold, or ABBA against a concurrent staging writer). Busy stages stay
+  // queued where they are, so the buffer never grows past the limit by
+  // more than the stages in-flight requests hold.
+  for (auto it = stage_fifo_.begin(); it != stage_fifo_.end();) {
+    const auto [o, b] = *it;
     if (Staged(o, b) == nullptr) {
-      stage_fifo_.pop_front();  // stale entry
+      it = stage_fifo_.erase(it);  // stale entry
       continue;
     }
     Hold* hold = Register(o, b, b, /*exclusive=*/true);
-    if (!hold->granted) {
-      Release(hold);
-      return nullptr;
+    if (hold->granted) {
+      stage_fifo_.erase(it);
+      return hold;
     }
-    stage_fifo_.pop_front();
-    return hold;
+    Release(hold);
+    ++it;
   }
   return nullptr;
 }

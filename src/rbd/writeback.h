@@ -170,8 +170,8 @@ class Writeback {
   sim::Task<Status> WriteOutStage(uint64_t object_no, uint64_t block,
                                   const Stage& stage);
   // Pressure: when the buffer is full, registers an exclusive hold over the
-  // oldest stage and returns it. nullptr when the buffer is not full or the
-  // oldest stage's guard is busy.
+  // oldest stage whose guard is free and returns it (busy stages stay
+  // queued). nullptr when the buffer is not full or every stage is busy.
   Hold* PickVictim();
   // Flushes the victim under `hold`, releases it, stores the outcome in
   // `status` and signals `done`.

@@ -50,7 +50,17 @@ void Scheduler::ConfigureCores(unsigned n) {
 
 SimTime Scheduler::ReserveCpu(uint64_t shard_key, SimTime cost) {
   if (busy_until_.empty()) return now_ + cost;  // legacy: unlimited overlap
-  const size_t core = shard_key % busy_until_.size();
+  return Reserve(shard_key % busy_until_.size(), cost);
+}
+
+SimTime Scheduler::ReserveAnyCpu(SimTime cost) {
+  if (busy_until_.empty()) return now_ + cost;
+  // min_element returns the first minimum: ties go to the lowest index.
+  const auto least = std::min_element(busy_until_.begin(), busy_until_.end());
+  return Reserve(static_cast<size_t>(least - busy_until_.begin()), cost);
+}
+
+SimTime Scheduler::Reserve(size_t core, SimTime cost) {
   const SimTime start = std::max(now_, busy_until_[core]);
   busy_until_[core] = start + cost;
   busy_ns_[core] += cost;

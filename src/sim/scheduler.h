@@ -7,16 +7,28 @@
 // events due at now() — those were pushed before the clock got here, so
 // they come first in (at, seq) order anyway.
 //
-// CPU model: by default every CPU charge (ChargeCpu) degrades to a plain
-// Sleep — the legacy "infinite cores" timeline, bit-identical to the
-// pre-core-model scheduler. ConfigureCores(N) turns on a per-core
-// busy-until model: a charge reserves time on the core its shard key maps
-// to, so two charges landing on the same core serialize while charges on
-// different cores overlap. Affinity is by shard key (object hash, rotating
-// round-robin for stage work), never by coroutine identity — tasks migrate
-// freely, only the *work* is pinned. The model is a cost model, not a
-// threading model: execution stays single-threaded and deterministic for
-// any core count.
+// CPU model: by default every CPU charge (ChargeCpu, ChargeAnyCpu)
+// degrades to a plain Sleep — the legacy "infinite cores" timeline,
+// bit-identical to the pre-core-model scheduler. ConfigureCores(N) turns
+// on a per-core busy-until model: a charge reserves time on one core, so
+// two charges landing on the same core serialize while charges on
+// different cores overlap. Affinity is by the work, never by coroutine
+// identity — tasks migrate freely:
+//
+//  - Object work is pinned: a charge keyed by ShardOf(oid) lands on that
+//    object's core, so an object's OSD commits on every replica and its
+//    client-side write encrypt queue in order. Stage work with no object
+//    (the OSD prepare stage) rotates with NextShard().
+//  - Read completion runs on any core: ChargeAnyCpu / ReserveAnyCpu take
+//    the core with the smallest busy-until (ties to the lowest index).
+//    A read's decrypt feeds no later store op, so it needs no affinity
+//    and must not queue behind other ops' commits on its object's core.
+//  - One reservation per client step: cipher plus codec (encrypt +
+//    compress, decrypt + decompress) is reserved once, contiguously; the
+//    task resumes at the boundary so the two parts trace as two spans.
+//
+// The model is a cost model, not a threading model: execution stays
+// single-threaded and deterministic for any core count.
 #pragma once
 
 #include <coroutine>
@@ -81,8 +93,13 @@ class Scheduler {
   // With the model disabled, returns now + cost (plain sleep semantics).
   SimTime ReserveCpu(uint64_t shard_key, SimTime cost);
 
-  // Rotating shard key for work with no natural affinity ("runs on any
-  // core"): deterministic round-robin over the core space.
+  // Reserves `cost` ns on the core with the smallest busy-until (ties go
+  // to the lowest index) and returns the finish time: work with no object
+  // affinity. With the model disabled, returns now + cost.
+  SimTime ReserveAnyCpu(SimTime cost);
+
+  // Rotating shard key for stage work with no natural affinity: a
+  // deterministic round-robin over the core space.
   uint64_t NextShard() { return next_shard_++; }
 
   // Accumulated busy nanoseconds per core (utilization accounting).
@@ -101,6 +118,8 @@ class Scheduler {
 
   // Runs the next event due at or before `deadline`; false when none is.
   bool RunNext(SimTime deadline);
+  // Queues `cost` ns on `core` (model enabled); returns the finish time.
+  SimTime Reserve(size_t core, SimTime cost);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
@@ -134,6 +153,19 @@ struct ChargeCpu {
   void await_suspend(std::coroutine_handle<> h) const {
     Scheduler& s = Scheduler::Current();
     s.ScheduleAt(s.ReserveCpu(shard, cost), h);
+  }
+  void await_resume() const noexcept {}
+};
+
+// Awaitable: charge `cost` ns of CPU on whichever core is least busy
+// (Scheduler::ReserveAnyCpu). With the core model disabled this is exactly
+// Sleep{cost}.
+struct ChargeAnyCpu {
+  SimTime cost;
+  bool await_ready() const noexcept { return cost == 0; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    Scheduler& s = Scheduler::Current();
+    s.ScheduleAt(s.ReserveAnyCpu(cost), h);
   }
   void await_resume() const noexcept {}
 };

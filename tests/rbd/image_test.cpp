@@ -521,5 +521,63 @@ TEST(Image, StatsAccumulate) {
   });
 }
 
+// A read's decrypt feeds no later store op, so under the 4-core model it
+// takes the least-busy core instead of its object's core. With long commit
+// work queued on object X's core (writes to another object that hashes to
+// the same core, at 2 ms of commit per replica), a read of X completes in
+// exactly the uncontended read time.
+TEST(Image, ReadDecryptDoesNotQueueBehindCommitsOnItsCore) {
+  sim::Scheduler sched;
+  sched.ConfigureCores(4);  // overrides VDE_SIM_CORES (the .mc4 shard)
+  bool finished = false;
+  auto body = [&]() -> sim::Task<void> {
+    rados::ClusterConfig cc = TestCluster();
+    cc.store.costs.write_op_apply_cost = 2 * sim::kMs;
+    auto cluster = co_await rados::Cluster::Create(cc);
+    CO_ASSERT_OK(cluster.status());
+    auto image = co_await Image::Create(
+        **cluster, "img", "pw",
+        TestImage(Spec(core::CipherMode::kXtsRandom,
+                       core::IvLayout::kObjectEnd)));
+    CO_ASSERT_OK(image.status());
+    auto& img = **image;
+    const uint64_t core_x = sim::ShardOf(img.ObjectName(0)) % 4;
+    uint64_t y = 1;
+    while (sim::ShardOf(img.ObjectName(y)) % 4 != core_x) ++y;
+    Rng rng(5);
+    const Bytes block = rng.RandomBytes(4096);
+    CO_ASSERT_OK(co_await img.Write(0, block));
+
+    auto timed_read = [&]() -> sim::Task<sim::SimTime> {
+      const sim::SimTime start = sched.now();
+      auto got = co_await img.Read(0, block.size());
+      EXPECT_TRUE(got.ok() && *got == block);
+      co_return sched.now() - start;
+    };
+    (void)co_await timed_read();  // first touch of the object's state
+    const sim::SimTime uncontended = co_await timed_read();
+
+    std::vector<CompletionPtr> writes;
+    for (uint64_t b = 0; b < 8; ++b) {
+      writes.push_back(Completion::Create());
+      img.AioWrite(block, y * img.object_size() + b * 4096, writes.back());
+    }
+    co_await sim::Sleep{sim::kMs};  // the writes' commits queue on X's core
+    const sim::SimTime contended = co_await timed_read();
+    const sim::SimTime read_done = sched.now();
+    for (const CompletionPtr& c : writes) {
+      co_await c->Wait();
+      CO_ASSERT_OK(c->status());
+    }
+    EXPECT_GT(sched.now() - read_done, 10 * sim::kMs)
+        << "the commit backlog must outlast the read";
+    EXPECT_EQ(contended, uncontended);
+    finished = true;
+  };
+  sched.Spawn(body());
+  sched.Run();
+  EXPECT_TRUE(finished);
+}
+
 }  // namespace
 }  // namespace vde::rbd

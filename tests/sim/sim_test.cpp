@@ -338,6 +338,71 @@ TEST(CoreModel, ZeroCostChargeIsFree) {
   EXPECT_EQ(sched.core_busy_ns()[0], 0u);
 }
 
+Task<void> ChargeAny(SimTime cost, std::vector<SimTime>* log) {
+  co_await ChargeAnyCpu{cost};
+  log->push_back(Scheduler::Current().now());
+}
+
+// Any-core reservations take the core with the smallest busy-until, ties
+// to the lowest index, the same way every run; busy time is accounted to
+// the core that did the work.
+TEST(CoreModel, AnyCpuTakesLeastBusyCoreLowestIndexFirst) {
+  auto run_once = []() {
+    Scheduler sched;
+    sched.ConfigureCores(3);
+    std::vector<SimTime> ends;
+    ends.push_back(sched.ReserveCpu(1, 300));   // core 1 busy to 300
+    ends.push_back(sched.ReserveAnyCpu(100));   // cores 0, 2 tie: core 0
+    ends.push_back(sched.ReserveAnyCpu(50));    // core 2 (0 < 100 < 300)
+    ends.push_back(sched.ReserveAnyCpu(100));   // core 2 (50 < 100): to 150
+    ends.push_back(sched.ReserveAnyCpu(10));    // core 0 (100 < 150): to 110
+    return std::make_pair(ends, sched.core_busy_ns());
+  };
+  const auto a = run_once();
+  EXPECT_EQ(a.first, (std::vector<SimTime>{300, 100, 50, 150, 110}));
+  EXPECT_EQ(a.second, (std::vector<SimTime>{110, 300, 150}));
+  EXPECT_EQ(run_once(), a);
+}
+
+// A read's completion does not queue behind object work pinned to one
+// core: with core 0 busy, the any-core charge finishes on a free core.
+TEST(CoreModel, AnyCpuChargeSkipsPinnedBacklog) {
+  Scheduler sched;
+  sched.ConfigureCores(2);
+  std::vector<SimTime> pinned, any;
+  sched.Spawn(Charge(0, 1000, &pinned));
+  sched.Spawn(ChargeAny(100, &any));
+  sched.Run();
+  ASSERT_EQ(any.size(), 1u);
+  EXPECT_EQ(pinned[0], 1000u);
+  EXPECT_EQ(any[0], 100u);
+  EXPECT_EQ(sched.core_busy_ns(), (std::vector<SimTime>{1000, 100}));
+}
+
+// With the model off, the any-core reservation is now + cost and the
+// awaitable is exactly Sleep: same finish times, same event count.
+TEST(CoreModel, DisabledAnyCpuChargeIsSleep) {
+  auto run = [](bool any) {
+    Scheduler sched;
+    sched.ConfigureCores(0);
+    std::vector<SimTime> log;
+    for (int i = 0; i < 3; ++i) {
+      if (any) {
+        sched.Spawn(ChargeAny(100, &log));
+      } else {
+        sched.Spawn(SleepAndRecord(100, &log));
+      }
+    }
+    sched.Run();
+    EXPECT_EQ(sched.ReserveAnyCpu(40), sched.now() + 40);
+    EXPECT_TRUE(sched.core_busy_ns().empty());
+    return std::make_pair(log, sched.events_processed());
+  };
+  const auto any = run(true);
+  EXPECT_EQ(any.first, (std::vector<SimTime>{100, 100, 100}));
+  EXPECT_EQ(any, run(false));
+}
+
 TEST(CoreModel, NextShardRotates) {
   Scheduler sched;
   const uint64_t a = sched.NextShard();
