@@ -261,8 +261,21 @@ sim::Task<void> ObjectStore::Drain() {
   co_await appliers_.Wait();
 }
 
+sim::Task<Status> ObjectStore::KvCommit(kv::WriteBatch batch,
+                                        sim::SimTime cpu_cost,
+                                        obs::TraceContext* trace) {
+  // Store-wide work with no object affinity: charged on any core, the lane
+  // never waits behind one object core's commit backlog.
+  co_await kv_lane_.Acquire();
+  sim::SemGuard lane(kv_lane_);
+  co_await sim::ChargeAnyCpu{cpu_cost};
+  obs::SpanScope kv_span(trace, obs::Stage::kDevice);
+  co_return co_await kv_->Write(std::move(batch));
+}
+
 sim::Task<Status> ObjectStore::MaybeClone(const std::string& oid, Onode& node,
-                                          const SnapContext& snapc) {
+                                          const SnapContext& snapc,
+                                          obs::TraceContext* trace) {
   if (snapc.seq == 0 || snapc.seq <= node.head_seq) co_return Status::Ok();
   const uint64_t old_seq = node.head_seq;
   node.head_seq = snapc.seq;
@@ -315,7 +328,7 @@ sim::Task<Status> ObjectStore::MaybeClone(const std::string& oid, Onode& node,
                               k.size() - head_lo.size());
       batch.Put(OmapKey(oid, clone.covers_up_to, user_key), v);
     }
-    VDE_CO_RETURN_IF_ERROR(co_await kv_->Write(std::move(batch)));
+    VDE_CO_RETURN_IF_ERROR(co_await KvCommit(std::move(batch), 0, trace));
   }
   node.clones.push_back(clone);
   stats_.clones++;
@@ -447,7 +460,8 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
     if (!rows->empty()) {
       kv::WriteBatch batch;
       for (const auto& [k, v] : *rows) batch.Delete(k);
-      VDE_CO_RETURN_IF_ERROR(co_await kv_->Write(std::move(batch)));
+      VDE_CO_RETURN_IF_ERROR(
+          co_await KvCommit(std::move(batch), 0, txn.trace));
     }
     objects_.erase(it);
     co_return Status::Ok();
@@ -475,7 +489,8 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   auto node_or = GetOrCreate(txn.oid);
   if (!node_or.ok()) co_return node_or.status();
   Onode& node = **node_or;
-  VDE_CO_RETURN_IF_ERROR(co_await MaybeClone(txn.oid, node, snapc));
+  VDE_CO_RETURN_IF_ERROR(
+      co_await MaybeClone(txn.oid, node, snapc, txn.trace));
 
   // 3. Apply ops: instant visibility, background device-cost charges.
   const uint32_t sector = device_->sector_size();
@@ -579,16 +594,12 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         for (const auto& [k, v] : op.omap_kvs) {
           batch.Put(OmapKey(txn.oid, kHeadSnap, k), v);
         }
-        // OMAP mutations funnel through the store's single kv commit lane
-        // (kv_sync_thread); per-key software cost is what makes the OMAP
-        // layout collapse at large IO sizes (Fig. 3b/4).
-        co_await kv_lane_.Acquire();
-        sim::SemGuard lane(kv_lane_);
-        co_await sim::ChargeCpu{
-            obj_shard, config_.costs.omap_key_write_cost * op.omap_kvs.size()};
-        obs::SpanScope kv_span(txn.trace, obs::Stage::kDevice);
-        VDE_CO_RETURN_IF_ERROR(co_await kv_->Write(std::move(batch)));
-        kv_span.End();
+        // Per-key software cost on the single kv lane is what makes the
+        // OMAP layout collapse at large IO sizes (Fig. 3b/4).
+        VDE_CO_RETURN_IF_ERROR(co_await KvCommit(
+            std::move(batch),
+            config_.costs.omap_key_write_cost * op.omap_kvs.size(),
+            txn.trace));
         break;
       }
       case OsdOp::Type::kRemove:

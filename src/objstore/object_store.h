@@ -76,7 +76,8 @@ struct CostModel {
   sim::SimTime unaligned_penalty = 550 * sim::kUs;
   // Per OMAP key on the store's single kv commit lane (Ceph's
   // kv_sync_thread / OMAP encode path; this is what melts the OMAP layout
-  // at large IOs where one write carries 1024 keys).
+  // at large IOs where one write carries 1024 keys). Store-wide work: it
+  // runs on the least-busy core, not on the object's.
   sim::SimTime omap_key_write_cost = 32 * sim::kUs;
 
   // Prepare-stage penalty of one data op (kTrim is metadata-only: no
@@ -237,7 +238,14 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   sim::Task<Result<ReadResult>> ExecuteReadLocked(const Transaction& txn,
                                                   SnapId snap);
   sim::Task<Status> MaybeClone(const std::string& oid, Onode& node,
-                               const SnapContext& snapc);
+                               const SnapContext& snapc,
+                               obs::TraceContext* trace);
+  // The one commit step for every store kv write (OMAP set, the remove's
+  // head-row drop, the clone's row copy): takes the kv lane, charges
+  // `cpu_cost` on the least-busy core and writes `batch` under a kDevice
+  // span. Writes outside the lane would race the kv WAL's appends.
+  sim::Task<Status> KvCommit(kv::WriteBatch batch, sim::SimTime cpu_cost,
+                             obs::TraceContext* trace);
   // Static + shared self: the spawned frame owns a reference to the store
   // (and transitively the device), decoupling background charges from the
   // caller's lifetime.
@@ -262,7 +270,9 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   std::map<std::string, Onode> objects_;
   std::map<std::string, std::unique_ptr<sim::SharedLock>> object_locks_;
   sim::WaitGroup appliers_{0};
-  sim::Semaphore kv_lane_{1};  // single kv commit thread, like BlueStore
+  // Single kv commit thread, like BlueStore's kv_sync_thread: every store
+  // kv write serializes here (KvCommit) and charges on any core.
+  sim::Semaphore kv_lane_{1};
   StoreStats stats_;
 };
 

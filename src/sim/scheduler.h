@@ -16,13 +16,15 @@
 // identity — tasks migrate freely:
 //
 //  - Object work is pinned: a charge keyed by ShardOf(oid) lands on that
-//    object's core, so an object's OSD commits on every replica and its
-//    client-side write encrypt queue in order. Stage work with no object
-//    (the OSD prepare stage) rotates with NextShard().
-//  - Read completion runs on any core: ChargeAnyCpu / ReserveAnyCpu take
-//    the core with the smallest busy-until (ties to the lowest index).
-//    A read's decrypt feeds no later store op, so it needs no affinity
-//    and must not queue behind other ops' commits on its object's core.
+//    object's core, so an object's OSD data-op commits on every replica
+//    and its client-side write encrypt queue in order. Stage work with no
+//    object (the OSD prepare stage) rotates with NextShard().
+//  - Read completion and store-wide kv work run on any core: ChargeAnyCpu
+//    / ReserveAnyCpu take the core with the smallest busy-until (ties to
+//    the lowest index). A read's decrypt feeds no later store op, and an
+//    OSD's kv commit lane (OMAP sets, remove and clone row writes) is
+//    store-wide work; neither needs object affinity, and neither must
+//    queue behind other ops' commits on its object's core.
 //  - One reservation per client step: cipher plus codec (encrypt +
 //    compress, decrypt + decompress) is reserved once, contiguously; the
 //    task resumes at the boundary so the two parts trace as two spans.

@@ -412,6 +412,126 @@ TEST(ObjectStore, WriteBeyondMaxObjectRejected) {
   });
 }
 
+// --- The kv commit lane ---
+
+Transaction OmapSetTxn(const std::string& oid, const std::string& key,
+                       const std::string& value) {
+  Transaction txn;
+  txn.oid = oid;
+  OsdOp op;
+  op.type = OsdOp::Type::kOmapSet;
+  op.omap_kvs.emplace_back(BytesOf(key), BytesOf(value));
+  txn.ops.push_back(std::move(op));
+  return txn;
+}
+
+Transaction RemoveTxn(const std::string& oid) {
+  Transaction txn;
+  txn.oid = oid;
+  OsdOp op;
+  op.type = OsdOp::Type::kRemove;
+  txn.ops.push_back(std::move(op));
+  return txn;
+}
+
+// Every store kv write serializes on the kv lane. A remove's head-row drop
+// that skipped it appended to the kv WAL while an OMAP set on another
+// object was appending, both at one offset: after a reopen from the device
+// either the removed row came back or the acknowledged row was gone,
+// depending on which frame landed second. Sweeps the remove's start across
+// the set's whole commit.
+TEST(ObjectStore, KvWritesShareTheLane) {
+  for (sim::SimTime delay = 0; delay <= 80 * sim::kUs; delay += 4 * sim::kUs) {
+    SCOPED_TRACE("remove delayed " + std::to_string(delay / sim::kUs) + " us");
+    testutil::RunSim([delay]() -> sim::Task<void> {
+      auto nvme = std::make_shared<dev::NvmeDevice>();
+      auto store = co_await ObjectStore::Open(nvme, SmallStore());
+      CO_ASSERT_OK(store.status());
+      auto& os = **store;
+      CO_ASSERT_OK(co_await os.Apply(OmapSetTxn("a", "k", "old"), {}));
+
+      Status set_status, remove_status;
+      std::vector<sim::Task<void>> tasks;
+      tasks.push_back([](ObjectStore* os, Status* out) -> sim::Task<void> {
+        *out = co_await os->Apply(OmapSetTxn("b", "k", "acked"), {});
+      }(&os, &set_status));
+      tasks.push_back([](ObjectStore* os, sim::SimTime delay,
+                         Status* out) -> sim::Task<void> {
+        co_await sim::Sleep{delay};
+        *out = co_await os->Apply(RemoveTxn("a"), {});
+      }(&os, delay, &remove_status));
+      co_await sim::WhenAll(std::move(tasks));
+      co_await os.Drain();
+      CO_ASSERT_OK(set_status);
+      CO_ASSERT_OK(remove_status);
+
+      auto reopened = co_await ObjectStore::Open(nvme, SmallStore());
+      CO_ASSERT_OK(reopened.status());
+      auto removed = co_await (*reopened)->PeekOmapRow("a", BytesOf("k"));
+      EXPECT_EQ(removed.status().code(), StatusCode::kNotFound)
+          << "the removed row came back";
+      auto acked = co_await (*reopened)->PeekOmapRow("b", BytesOf("k"));
+      EXPECT_TRUE(acked.ok() && *acked == BytesOf("acked"))
+          << "the acknowledged row was lost";
+    });
+  }
+}
+
+// The kv lane is store-wide work, so under the 4-core model its per-key
+// charge takes the least-busy core. With data commits queued on object X's
+// core (writes to objects that hash to the same core, at 2 ms of commit
+// each), an OMAP set on X finishes in exactly the uncontended time.
+TEST(ObjectStore, OmapCommitDoesNotQueueBehindItsObjectCore) {
+  sim::Scheduler sched;
+  sched.ConfigureCores(4);  // overrides VDE_SIM_CORES (the .mc4 shard)
+  bool finished = false;
+  auto body = [&]() -> sim::Task<void> {
+    StoreConfig cfg = SmallStore();
+    cfg.costs.write_op_apply_cost = 2 * sim::kMs;
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    const uint64_t core_x = sim::ShardOf("x") % 4;
+    std::vector<std::string> same_core;
+    for (int i = 0; same_core.size() < 4; ++i) {
+      const std::string oid = "y" + std::to_string(i);
+      if (sim::ShardOf(oid) % 4 == core_x) same_core.push_back(oid);
+    }
+
+    auto timed_set = [&]() -> sim::Task<sim::SimTime> {
+      const sim::SimTime start = sched.now();
+      EXPECT_TRUE((co_await os.Apply(OmapSetTxn("x", "k", "v"), {})).ok());
+      co_return sched.now() - start;
+    };
+    (void)co_await timed_set();  // creates X
+    const sim::SimTime uncontended = co_await timed_set();
+
+    Rng rng(9);
+    std::vector<sim::Task<void>> writes;
+    for (const std::string& oid : same_core) {
+      writes.push_back([](ObjectStore* os, Transaction txn) -> sim::Task<void> {
+        EXPECT_TRUE((co_await os->Apply(txn, {})).ok());
+      }(&os, WriteTxn(oid, 0, rng.RandomBytes(4096))));
+    }
+    sim::SimTime contended = 0, set_done = 0;
+    writes.push_back([](sim::SimTime* contended, sim::SimTime* set_done,
+                        auto timed_set) -> sim::Task<void> {
+      co_await sim::Sleep{sim::kMs};  // the commits queue on X's core
+      *contended = co_await timed_set();
+      *set_done = sim::Scheduler::Current().now();
+    }(&contended, &set_done, timed_set));
+    co_await sim::WhenAll(std::move(writes));
+    EXPECT_GT(sched.now() - set_done, 5 * sim::kMs)
+        << "the commit backlog must outlast the OMAP set";
+    EXPECT_EQ(contended, uncontended);
+    finished = true;
+  };
+  sched.Spawn(body());
+  sched.Run();
+  EXPECT_TRUE(finished);
+}
+
 // --- Tracked discard (kTrim) ---
 
 Transaction TrimTxn(const std::string& oid, uint64_t off, uint64_t len) {
