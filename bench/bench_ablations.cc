@@ -1,5 +1,6 @@
-// Ablations beyond the paper's evaluation — the design choices DESIGN.md
-// calls out (paper §4 asks how results generalize to other configurations):
+// Ablations beyond the paper's evaluation — the design choices behind the
+// random-IV formats (paper §4 asks how results generalize to other
+// configurations); docs/BENCH.md lists this bench with the reporting ones:
 //
 //   A. Replication factor (1x vs 3x): how much of the random-IV overhead is
 //      amplified by replication.

@@ -4,9 +4,13 @@
 // performance", and the XTS-vs-GCM gap relevant to the integrity extension.
 // The 4 KiB captures are exactly the calls a format makes per block: one
 // XTS or GCM pass, the HMAC tag over ciphertext || LBA || IV, and one
-// 16-byte IV draw. BM_Crc32c is the one non-crypto capture: the journal
-// frame checksum every replica computes per committed transaction.
+// 16-byte IV draw. Two non-crypto captures ride along: BM_Crc32c, the
+// journal frame checksum every replica computes per committed transaction,
+// and BM_LzCompress/BM_LzDecompress, the codec a compressing format runs on
+// every block before encrypting it and after decrypting it.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "crypto/chacha20.h"
 #include "crypto/gcm.h"
@@ -16,6 +20,7 @@
 #include "crypto/wideblock.h"
 #include "crypto/xts.h"
 #include "util/crc32.h"
+#include "util/lz.h"
 #include "util/rng.h"
 
 namespace {
@@ -171,6 +176,44 @@ void BM_Crc32c(benchmark::State& state) {
                           static_cast<int64_t>(size));
 }
 
+// One 4 KiB block in vdebench's 50%-compressible shape: each 512 B sector
+// opens with 256 copies of one byte, then seeded noise.
+Bytes HalfCompressibleBlock() {
+  Bytes block = BenchData(4096);
+  for (size_t s = 0; s < block.size(); s += 512) {
+    std::fill_n(block.begin() + static_cast<long>(s), 256, block[s + 256] | 1);
+  }
+  return block;
+}
+
+void BM_LzCompress(benchmark::State& state) {
+  const Bytes in = HalfCompressibleBlock();
+  Bytes out(in.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LzCompress(in, out));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(in.size()));
+}
+
+// Bytes per second counts the decoded (plaintext) side, like the sim's
+// DecompressCost.
+void BM_LzDecompress(benchmark::State& state) {
+  const Bytes in = HalfCompressibleBlock();
+  Bytes packed(in.size());
+  packed.resize(LzCompress(in, packed));
+  Bytes out(in.size());
+  if (packed.empty() || !LzDecompress(packed, out).ok() || out != in) {
+    state.SkipWithError("LZ round trip failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LzDecompress(packed, out).ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(in.size()));
+}
+
 }  // namespace
 
 BENCHMARK(BM_XtsEncrypt)->Arg(4096)->Arg(65536);
@@ -183,5 +226,7 @@ BENCHMARK(BM_HmacBlockTag);
 BENCHMARK(BM_DrbgIvGeneration);
 BENCHMARK(BM_ChaCha20)->Arg(4096);
 BENCHMARK(BM_Crc32c)->Arg(4120)->Arg(65536);
+BENCHMARK(BM_LzCompress);
+BENCHMARK(BM_LzDecompress);
 
 BENCHMARK_MAIN();

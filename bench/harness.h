@@ -217,8 +217,8 @@ RunResult RunOnCluster(const rados::ClusterConfig& config, unsigned cores,
 // ---- Shared configs ----
 
 // 3 nodes x 9 NVMe OSDs, 3x replication, 4 MiB objects, 4 KiB encryption
-// sectors — the paper's defaults. Network/OSD constants calibrated per
-// DESIGN.md §5.
+// sectors — the paper's defaults. Network and OSD costs are the
+// ClusterConfig defaults (rados/cluster.h), hand-set model constants.
 inline rados::ClusterConfig PaperCluster() {
   rados::ClusterConfig config;
   config.nodes = 3;

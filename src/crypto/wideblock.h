@@ -6,7 +6,8 @@
 // (IEEE 1619.2: EME2-AES, XCB-AES) are patent-encumbered and have no public
 // offline test vectors, so this repo provides a LION-style construction with
 // the same interface and performance class (two stream passes + one hash
-// pass over the sector). DESIGN.md documents the substitution.
+// pass over the sector). It stands in for them wherever the paper's
+// wide-block option is measured (bench_ablations, ablation D).
 //
 // Construction (3-round unbalanced Luby–Rackoff; tweak bound via HMAC):
 //   split P into L (32 bytes) and R (rest)

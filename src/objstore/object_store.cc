@@ -514,7 +514,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   };
   for (size_t op_index = 0; op_index < txn.ops.size(); ++op_index) {
     const OsdOp& op = txn.ops[op_index];
-    // Software cost of the data-op apply path (sync, per DESIGN.md §5).
+    // Software cost of the data-op apply path (sync; CostModel constants).
     if (op.type == OsdOp::Type::kWrite || op.type == OsdOp::Type::kWriteFull ||
         op.type == OsdOp::Type::kZero || op.type == OsdOp::Type::kTrim) {
       const uint64_t len =

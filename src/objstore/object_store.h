@@ -29,9 +29,11 @@
 // that store, and snapshot clones copy their data.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
-// AND its OMAP rows (random IVs stored via OMAP must remain readable for
-// old snapshots; object-end IVs travel with the data for free — see
-// DESIGN.md for why that asymmetry matters).
+// AND its OMAP rows: random IVs stored via OMAP must remain readable for
+// old snapshots, while inline and object-end IVs live in the object's bytes
+// and travel with the data copy for free. A clone without its rows would
+// pair old ciphertext with the head's IVs: garbage, or an authentication
+// failure under HMAC or GCM.
 #pragma once
 
 #include <map>
@@ -52,7 +54,9 @@
 
 namespace vde::objstore {
 
-// Store-side software cost model (calibration constants, DESIGN.md §5).
+// Store-side software cost model. The values are hand-set model
+// constants, not derived from a host measurement yet (ROADMAP item 9);
+// docs/BENCH.md lists the measured host costs they are meant to track.
 // One named struct consumed by both the apply path and the bench fixtures
 // — the constants used to live loose in StoreConfig.
 //

@@ -61,7 +61,7 @@ sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
   {
     // Bounce stale-routed ops before spending a shard: the authoritative
     // map names the primary; a mismatch means the client's map is old.
-    const std::vector<size_t> routed = cluster.placement().OsdsForPg(pg);
+    const std::vector<size_t>& routed = cluster.placement().OsdsForPg(pg);
     if (!cluster.IsOsdUp(id_) || routed.empty() || routed[0] != id_) {
       co_return Status::Busy("EAGAIN: not primary");
     }
@@ -170,7 +170,7 @@ sim::Task<Result<objstore::ReadResult>> Osd::HandleRead(
     objstore::SnapId snap) {
   const uint32_t pg = cluster.placement().PgOf(txn.oid);
   {
-    const std::vector<size_t> routed = cluster.placement().OsdsForPg(pg);
+    const std::vector<size_t>& routed = cluster.placement().OsdsForPg(pg);
     if (!cluster.IsOsdUp(id_) || routed.empty() || routed[0] != id_) {
       co_return Status::Busy("EAGAIN: not primary");
     }
@@ -193,7 +193,7 @@ sim::Task<Result<objstore::ReadResult>> Osd::HandleRead(
 sim::Task<Result<size_t>> IoCtx::PickPrimary(uint32_t pg, size_t attempt) {
   const auto& config = cluster_->config();
   for (; attempt <= config.max_op_retries; ++attempt) {
-    const std::vector<size_t> acting = cluster_->client_map().ActingFor(pg);
+    const std::vector<size_t>& acting = cluster_->client_map().ActingFor(pg);
     if (!acting.empty() && cluster_->IsOsdUp(acting[0])) co_return acting[0];
     // The cached map points at a dead primary (or no primary at all): the
     // client pays a connect timeout, fetches a fresh map, and retries.

@@ -60,7 +60,8 @@ struct OsdQosConfig {
 };
 
 // Software costs of the OSD op pipeline (queue, decode, PG lock, commit
-// bookkeeping). Values are calibration constants — see DESIGN.md §5.
+// bookkeeping). Hand-set model constants, like objstore::CostModel: none is
+// derived from a host measurement yet (ROADMAP item 9).
 struct OsdCostModel {
   sim::SimTime read_op = 420 * sim::kUs;
   sim::SimTime write_op = 340 * sim::kUs;

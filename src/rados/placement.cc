@@ -44,14 +44,14 @@ void OsdMap::MarkDown(size_t osd) {
   assert(osd < osds_.size());
   if (!osds_[osd].up) return;
   osds_[osd].up = false;
-  epoch_++;
+  Changed();
 }
 
 void OsdMap::MarkUp(size_t osd) {
   assert(osd < osds_.size());
   if (osds_[osd].up) return;
   osds_[osd].up = true;
-  epoch_++;
+  Changed();
 }
 
 void OsdMap::SetWeight(size_t osd, double weight) {
@@ -59,7 +59,7 @@ void OsdMap::SetWeight(size_t osd, double weight) {
   assert(weight >= 0);
   if (osds_[osd].weight == weight) return;
   osds_[osd].weight = weight;
-  epoch_++;
+  Changed();
 }
 
 size_t OsdMap::AddOsd(size_t node) {
@@ -67,15 +67,31 @@ size_t OsdMap::AddOsd(size_t node) {
   const size_t id = osds_.size();
   nodes_[node].push_back(id);
   osds_.push_back(OsdEntry{node, next_key_[node]++, true, 1.0});
-  epoch_++;
+  Changed();
   return id;
+}
+
+void OsdMap::Changed() {
+  epoch_++;
+  acting_.clear();
 }
 
 uint32_t OsdMap::PgOf(const std::string& oid) const {
   return static_cast<uint32_t>(HashName(oid) % pg_count_);
 }
 
-std::vector<size_t> OsdMap::ActingFor(uint32_t pg) const {
+const std::vector<size_t>& OsdMap::ActingFor(uint32_t pg) const {
+  assert(pg < pg_count_);
+  if (acting_.empty()) acting_.resize(pg_count_);
+  CachedActing& cached = acting_[pg];
+  if (!cached.valid) {
+    cached.osds = ComputeActing(pg);
+    cached.valid = true;
+  }
+  return cached.osds;
+}
+
+std::vector<size_t> OsdMap::ComputeActing(uint32_t pg) const {
   // Rendezvous hashing over nodes that still have an up OSD: highest score
   // wins. The score is a pure function of (pg, node), so node ranks never
   // move when OSDs change state — only eligibility does.

@@ -78,7 +78,9 @@ class OsdMap {
   // Acting set for a PG: up to `replication` up OSDs on distinct nodes,
   // primary first. Nodes with no up OSD are skipped, so during a whole-node
   // outage the set shrinks (degraded) rather than doubling up on a node.
-  std::vector<size_t> ActingFor(uint32_t pg) const;
+  // Computed once per PG and map version: the reference stays valid until
+  // the next mutation of this map, so a caller that suspends copies it.
+  const std::vector<size_t>& ActingFor(uint32_t pg) const;
 
  private:
   struct OsdEntry {
@@ -88,12 +90,24 @@ class OsdMap {
     double weight = 1.0;
   };
 
+  struct CachedActing {
+    bool valid = false;
+    std::vector<size_t> osds;
+  };
+
+  // The rendezvous computation behind ActingFor.
+  std::vector<size_t> ComputeActing(uint32_t pg) const;
+  // Every mutation that changes the map: bumps the epoch and drops the
+  // cached acting sets.
+  void Changed();
+
   std::vector<OsdEntry> osds_;               // index = global id
   std::vector<std::vector<size_t>> nodes_;   // node -> global ids, key order
   std::vector<uint64_t> next_key_;           // per-node key allocator
   uint32_t pg_count_ = 128;
   size_t replication_ = 3;
   uint64_t epoch_ = 1;
+  mutable std::vector<CachedActing> acting_;  // by PG, filled on first use
 };
 
 // Thin wrapper owning the authoritative OsdMap; keeps the v1 call surface
@@ -104,12 +118,13 @@ class Placement {
 
   uint32_t PgOf(const std::string& oid) const { return map_.PgOf(oid); }
 
-  // Acting set for a PG, primary first (up OSDs only).
-  std::vector<size_t> OsdsForPg(uint32_t pg) const {
+  // Acting set for a PG, primary first (up OSDs only); valid until the
+  // next map mutation, like OsdMap::ActingFor.
+  const std::vector<size_t>& OsdsForPg(uint32_t pg) const {
     return map_.ActingFor(pg);
   }
 
-  std::vector<size_t> OsdsFor(const std::string& oid) const {
+  const std::vector<size_t>& OsdsFor(const std::string& oid) const {
     return OsdsForPg(PgOf(oid));
   }
 

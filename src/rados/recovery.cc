@@ -42,7 +42,7 @@ bool RecoveryManager::NextWork(uint32_t* pg, size_t* target,
     for (uint32_t p = 0; p < map.pg_count(); ++p) {
       const PgLog& log = cluster_.pg_log(p);
       if (log.MissingCount() == 0) continue;
-      const std::vector<size_t> acting = map.ActingFor(p);
+      const std::vector<size_t>& acting = map.ActingFor(p);
       for (size_t r = 0; r < acting.size(); ++r) {
         if ((pass == 0) != (r == 0)) continue;
         const size_t member = acting[r];

@@ -1,5 +1,6 @@
 #include "util/lz.h"
 
+#include <bit>
 #include <cstring>
 
 namespace vde {
@@ -10,10 +11,57 @@ constexpr size_t kMaxOffset = 65535;
 constexpr size_t kHashBits = 12;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 
-inline uint32_t Hash4(const uint8_t* p) {
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline uint32_t Hash4(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of a[0, limit) and b[0, limit), compared 8
+// bytes at a time: the first differing byte is the lowest set byte of the
+// XOR on a little-endian load, the highest on a big-endian one.
+inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) len++;
+  return len;
+}
+
+// Copies a match of `len` bytes from `off` bytes back, writing exactly
+// to[0, len). Offset 1 is a run of one byte; from offset 8 up every 8-byte
+// chunk reads bytes already written; offsets 2-7 overlap within a chunk,
+// so they replicate byte by byte.
+inline void CopyMatch(uint8_t* to, size_t off, size_t len) {
+  const uint8_t* from = to - off;
+  if (off == 1) {
+    std::memset(to, *from, len);
+  } else if (off >= 8) {
+    size_t k = 0;
+    for (; k + 8 <= len; k += 8) std::memcpy(to + k, from + k, 8);
+    std::memcpy(to + k, from + k, len - k);
+  } else {
+    for (size_t k = 0; k < len; ++k) to[k] = from[k];
+  }
 }
 
 // Emits one token + extension bytes for `value` with the LZ4 convention:
@@ -68,18 +116,20 @@ size_t LzCompress(ByteSpan in, MutByteSpan out) {
   };
 
   while (i + kMinMatch <= n) {
-    const uint32_t h = Hash4(src + i);
+    const uint32_t word = Load32(src + i);
+    const uint32_t h = Hash4(word);
     const size_t cand = table[h];  // position + 1
     table[h] = static_cast<uint16_t>(i + 1);
-    if (cand != 0 && std::memcmp(src + cand - 1, src + i, kMinMatch) == 0) {
+    if (cand != 0 && Load32(src + cand - 1) == word) {
       const size_t match_pos = cand - 1;
-      size_t len = kMinMatch;
-      while (i + len < n && src[match_pos + len] == src[i + len]) len++;
+      const size_t len =
+          kMinMatch + CommonPrefix(src + match_pos + kMinMatch,
+                                   src + i + kMinMatch, n - i - kMinMatch);
       if (!emit(i, len, i - match_pos)) return 0;
       i += len;
       anchor = i;
       // Re-seed the table at the match tail so adjacent runs keep matching.
-      if (i + kMinMatch <= n) table[Hash4(src + i - 1)] =
+      if (i + kMinMatch <= n) table[Hash4(Load32(src + i - 1))] =
           static_cast<uint16_t>(i);
     } else {
       i++;
@@ -137,10 +187,7 @@ Status LzDecompress(ByteSpan in, MutByteSpan out) {
     if (o + ml > out.size()) {
       return Status::Corruption("lz: output overflow (match)");
     }
-    // Byte-wise copy: overlapping matches (off < ml) replicate runs.
-    const uint8_t* from = out.data() + o - off;
-    uint8_t* to = out.data() + o;
-    for (size_t k = 0; k < ml; ++k) to[k] = from[k];
+    CopyMatch(out.data() + o, off, ml);
     o += ml;
   }
   if (o != out.size()) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "rados/placement.h"
+#include "util/rng.h"
 
 namespace vde::rados {
 namespace {
@@ -210,6 +211,60 @@ TEST(PlacementV2, DownThenUpRestoresOriginalLayout) {
   map.MarkUp(11);
   for (uint32_t pg = 0; pg < map.pg_count(); ++pg) {
     EXPECT_EQ(map.ActingFor(pg), before[pg]) << "pg " << pg;
+  }
+}
+
+// ActingFor caches each PG's acting set per map version. Over random
+// sequences of down, up, weight and add, a map queried after every step
+// (its cache refilled and dropped again and again) must agree with a map
+// that replays the same steps and computes every PG cold. A copy taken
+// mid-sequence, as a client caches the monitor's map, keeps its own
+// version's answers while the original moves on.
+TEST(PlacementV2, CachedActingSetsMatchColdRecompute) {
+  struct Step {
+    int kind;  // 0 down, 1 up, 2 weight, 3 add
+    size_t osd;
+    double weight;
+    void ApplyTo(OsdMap& map) const {
+      switch (kind) {
+        case 0: map.MarkDown(osd); break;
+        case 1: map.MarkUp(osd); break;
+        case 2: map.SetWeight(osd, weight); break;
+        default: map.AddOsd(osd % map.node_count()); break;
+      }
+    }
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    OsdMap warm(Config());
+    std::vector<Step> steps;
+    OsdMap snapshot = warm;
+    std::vector<std::vector<size_t>> snapshot_sets;
+    for (int step = 0; step < 120; ++step) {
+      // Every 40th step may also add an OSD.
+      const Step next{static_cast<int>(rng.NextBelow(step % 40 == 39 ? 4 : 3)),
+                      rng.NextBelow(warm.osd_count()),
+                      0.5 * static_cast<double>(rng.NextBelow(5))};
+      next.ApplyTo(warm);
+      steps.push_back(next);
+      OsdMap cold(Config());
+      for (const Step& s : steps) s.ApplyTo(cold);
+      ASSERT_EQ(cold.epoch(), warm.epoch());
+      for (uint32_t pg = 0; pg < warm.pg_count(); ++pg) {
+        ASSERT_EQ(warm.ActingFor(pg), cold.ActingFor(pg))
+            << "seed " << seed << " step " << step << " pg " << pg;
+      }
+      if (step == 60) {
+        snapshot = warm;
+        snapshot_sets.clear();
+        for (uint32_t pg = 0; pg < warm.pg_count(); ++pg) {
+          snapshot_sets.push_back(warm.ActingFor(pg));
+        }
+      }
+    }
+    for (uint32_t pg = 0; pg < snapshot.pg_count(); ++pg) {
+      EXPECT_EQ(snapshot.ActingFor(pg), snapshot_sets[pg]) << "pg " << pg;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 // (-DVDE_SANITIZE=ON), which runs this suite under ctest label `fuzz`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "../testutil.h"
@@ -224,6 +225,79 @@ TEST(ParserFuzz, Wal) {
   });
 }
 
+// One literal run, one match of `length` bytes from `offset` back, then an
+// empty final record: the match's last byte is the block's last byte.
+Bytes OneMatchStream(ByteSpan literals, size_t offset, size_t length) {
+  Bytes s;
+  auto put_length = [&s](size_t v) {
+    for (; v >= 255; v -= 255) s.push_back(255);
+    s.push_back(static_cast<uint8_t>(v));
+  };
+  const size_t lit = literals.size();
+  const size_t ml = length - 4;
+  s.push_back(static_cast<uint8_t>(std::min<size_t>(lit, 15) << 4 |
+                                   std::min<size_t>(ml, 15)));
+  if (lit >= 15) put_length(lit - 15);
+  s.insert(s.end(), literals.begin(), literals.end());
+  s.push_back(static_cast<uint8_t>(offset & 0xff));
+  s.push_back(static_cast<uint8_t>(offset >> 8));
+  if (ml >= 15) put_length(ml - 15);
+  s.push_back(0);
+  return s;
+}
+
+// Streams at the decoder's copy boundaries, for ParserFuzz.LzStream. Every
+// `out` is its own heap buffer of the exact size, so under the sanitizer
+// build a match copy that writes one byte past `out` faults here.
+//  - a match ending exactly at out.size();
+//  - offsets 1-7, whose matches overlap their own output, with long
+//    lengths; and offsets 8-17 around the 8-byte copy step;
+//  - `out` one byte short (must fail without writing past it) and one
+//    byte long (must fail as a short stream).
+void CheckLzCopyBoundaries() {
+  Rng rng(16);
+  for (size_t offset = 1; offset <= 17; ++offset) {
+    for (size_t length : {4, 5, 7, 8, 9, 15, 16, 17, 18, 19, 23, 24, 25, 31,
+                          64, 255, 270, 1000, 4000}) {
+      const Bytes literals = rng.RandomBytes(offset + rng.NextBelow(9));
+      const Bytes stream = OneMatchStream(literals, offset, length);
+      Bytes want = literals;
+      for (size_t k = 0; k < length; ++k) {
+        want.push_back(want[want.size() - offset]);
+      }
+      Bytes out(want.size());
+      ASSERT_TRUE(LzDecompress(stream, out).ok()) << offset << "/" << length;
+      ASSERT_EQ(out, want) << offset << "/" << length;
+      Bytes short_out(want.size() - 1);
+      EXPECT_FALSE(LzDecompress(stream, short_out).ok());
+      Bytes long_out(want.size() + 1);
+      EXPECT_FALSE(LzDecompress(stream, long_out).ok());
+    }
+  }
+  // Compressor-made streams whose last record is a match: periodic data
+  // with periods 1-7, so every match overlaps, ending on the last byte.
+  for (size_t period = 1; period <= 7; ++period) {
+    for (size_t n : {size_t{12}, size_t{100}, size_t{4096}}) {
+      const Bytes seed = rng.RandomBytes(period);
+      Bytes plain(n);
+      for (size_t i = 0; i < n; ++i) plain[i] = seed[i % period];
+      Bytes packed(n + 16);
+      packed.resize(LzCompress(plain, packed));
+      ASSERT_GT(packed.size(), 0u);
+      ASSERT_EQ(packed.back(), 0u) << "stream must end on a match";
+      Bytes out(n);
+      ASSERT_TRUE(LzDecompress(packed, out).ok());
+      EXPECT_EQ(out, plain);
+      Bytes short_out(n - 1);
+      EXPECT_FALSE(LzDecompress(packed, short_out).ok());
+      for (int i = 0; i < kMutations / 20; ++i) {
+        Bytes mutated_out(n);
+        (void)LzDecompress(Mutate(rng, packed), mutated_out).ok();
+      }
+    }
+  }
+}
+
 TEST(ParserFuzz, LzStream) {
   Rng rng(6);
   Bytes plain(core::kBlockSize);
@@ -239,6 +313,7 @@ TEST(ParserFuzz, LzStream) {
   for (int i = 0; i < kMutations; ++i) {
     (void)LzDecompress(Mutate(rng, packed), out).ok();
   }
+  CheckLzCopyBoundaries();
 }
 
 // An in-memory object and its OMAP: applies a format's write ops and serves
