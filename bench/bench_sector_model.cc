@@ -7,7 +7,11 @@
 // next to the simulated device's actual sector counters for single-op
 // writes on a one-OSD store. Gate: every cell's theory and measurement
 // agree, and the paper's two examples hold on the object-end layout (4K:
-// 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Exits non-zero on FAIL.
+// 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Every cell runs on a cold store,
+// so its partial IV sectors are read before they are rewritten. A warm gate
+// adds a second object-end 4K write into the IV sector the first one
+// wrote: the store's sector cache still holds it, so that write costs the
+// paper's two sectors with no read. Exits non-zero on FAIL.
 //
 // Usage: bench_sector_model [--quick]   (one op per cell: --quick changes
 // nothing)
@@ -30,6 +34,7 @@ constexpr uint64_t kObjectSize = 4ull << 20;
 struct SectorCount {
   uint64_t written;
   uint64_t rmw_read;
+  uint64_t device_read = 0;  // every sector the device read (measured only)
 };
 
 // Sectors spanned by the byte range [start, start+len) plus the RMW reads
@@ -69,9 +74,12 @@ SectorCount Theoretical(core::IvLayout layout, uint64_t io,
   return {0, 0};
 }
 
-// Measured: apply one write transaction on a fresh store, count sectors.
+// Measured: apply one write transaction of `io` bytes at in-object block 1
+// on a fresh store and count its sectors. `warm` first writes block 2,
+// whose IV record shares block 1's IV sector, and counts only the second
+// write.
 SectorCount Measured(Bench& bench, const core::EncryptionSpec& spec,
-                     uint64_t io) {
+                     uint64_t io, bool warm = false) {
   SectorCount out{0, 0};
   const RunResult run = Run(0, [&]() -> sim::Task<bool> {
     auto nvme = std::make_shared<dev::NvmeDevice>();
@@ -84,23 +92,31 @@ SectorCount Measured(Bench& bench, const core::EncryptionSpec& spec,
     Rng rng(1);
     Bytes key = rng.RandomBytes(64);
     auto format = core::MakeFormat(spec, key, kObjectSize);
-    core::ObjectExtent ext;
-    ext.oid = "obj";
-    ext.first_block = 1;  // unaligned stride offsets show up at block >= 1
-    ext.block_count = io / kSector;
-    ext.image_block = 1;
-    objstore::Transaction txn;
-    txn.oid = "obj";
-    const Bytes plain = rng.RandomBytes(io);
-    if (!format->MakeWrite(ext, plain, txn).ok()) co_return false;
-
     // The final-location sector traffic (what the paper's model counts) is
     // tracked by the store's apply-path counters; journal and OMAP WAL
     // traffic are excluded by construction.
-    if (!(co_await (*store)->Apply(txn, {})).ok()) co_return false;
-    co_await (*store)->Drain();
-    out.written = (*store)->stats().apply_sectors_written;
-    out.rmw_read = (*store)->stats().rmw_sectors;
+    const auto write_at = [&](uint64_t block) -> sim::Task<bool> {
+      core::ObjectExtent ext;
+      ext.oid = "obj";
+      ext.first_block = block;  // unaligned stride offsets show at >= 1
+      ext.block_count = io / kSector;
+      ext.image_block = block;
+      objstore::Transaction txn;
+      txn.oid = "obj";
+      const Bytes plain = rng.RandomBytes(io);
+      if (!format->MakeWrite(ext, plain, txn).ok()) co_return false;
+      if (!(co_await (*store)->Apply(txn, {})).ok()) co_return false;
+      co_await (*store)->Drain();
+      co_return true;
+    };
+    if (warm && !co_await write_at(2)) co_return false;
+    const objstore::StoreStats before = (*store)->stats();
+    const uint64_t read_before = nvme->stats().sectors_read;
+    if (!co_await write_at(1)) co_return false;
+    out.written = (*store)->stats().apply_sectors_written -
+                  before.apply_sectors_written;
+    out.rmw_read = (*store)->stats().rmw_sectors - before.rmw_sectors;
+    out.device_read = nvme->stats().sectors_read - read_before;
     co_return true;
   });
   bench.Require(run.ok, spec.Name() + " io=" + HumanSize(io));
@@ -169,5 +185,16 @@ int main(int argc, char** argv) {
              {{"matched", matched}, {"cells", cells}});
   bench.Gate("paper_examples", examples_ok,
              "object end vs LUKS2: 4K writes 2 sectors vs 1, 32K 9 vs 8");
+
+  const SectorCount warm =
+      Measured(bench, cases[2].spec, kSector, /*warm=*/true);
+  std::printf("Object end, 4K write into a cached IV sector: %llu written "
+              "+ %llu read\n",
+              static_cast<unsigned long long>(warm.written),
+              static_cast<unsigned long long>(warm.device_read));
+  bench.Gate("warm_object_end", warm.written == 2 && warm.device_read == 0,
+             "a second object-end 4K write into a written IV sector: 2 "
+             "sectors, 0 read",
+             {{"written", warm.written}, {"read", warm.device_read}});
   return bench.Finish();
 }

@@ -233,6 +233,7 @@ sim::Task<Status> KvStore::Flush() {
   stats_.bytes_flushed += slot->length;
   l0_.insert(l0_.begin(), std::move(slot).value());
   mem_ = std::make_unique<MemTable>();
+  co_await wal_->Idle();
   wal_->Reset(wal_->generation() + 1);
   VDE_CO_RETURN_IF_ERROR(co_await WriteSuperblock());
   if (l0_.size() >= options_.l0_compaction_trigger) {

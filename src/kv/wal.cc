@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <memory>
 
 #include "util/crc32.h"
 
@@ -13,6 +12,7 @@ Wal::Wal(dev::BlockDevice& device, uint64_t generation)
 
 void Wal::Reset(uint64_t new_generation) {
   assert(new_generation > generation_);
+  assert(open_ == nullptr && writing_ == nullptr);
   generation_ = new_generation;
   append_off_ = 0;
   std::fill(tail_.begin(), tail_.end(), 0);
@@ -32,41 +32,91 @@ sim::Task<Status> Wal::Append(size_t payload_size,
     co_return Status::OutOfSpace("wal full");
   }
 
-  const uint64_t start = append_off_;
-  const uint64_t end = start + frame_size;
-  const uint64_t first_sector = start / sector;
-  const uint64_t last_sector = (end + sector - 1) / sector;
-  const size_t head = start - first_sector * sector;
-  const size_t run = (last_sector - first_sector) * sector;
-
-  // Compose the contiguous sector run [first_sector, last_sector): the
-  // already-written bytes of the first (partial) sector, the frame built in
-  // place after them, and zeros after it. Only those zeros are filled; the
-  // frame overwrites the rest.
-  auto io = std::make_unique_for_overwrite<uint8_t[]>(run);
-  std::memcpy(io.get(), tail_.data(), head);
-  uint8_t* frame = io.get() + head;
+  // Reserve the frame's offset and build it into the open batch before the
+  // first suspension: a concurrent append can neither take the same offset
+  // nor see a half-built frame.
+  if (open_ == nullptr) {
+    open_ = std::make_shared<Batch>();
+    open_->start = append_off_;
+    const size_t head = append_off_ % sector;
+    // Room for a lone append's whole sector run: it never regrows.
+    open_->run.reserve((head + frame_size + sector - 1) / sector * sector);
+    open_->run.resize(head);
+  }
+  const std::shared_ptr<Batch> batch = open_;
+  const size_t at = batch->run.size();
+  batch->run.resize(at + frame_size);
+  uint8_t* frame = batch->run.data() + at;
   StoreU32Le(frame + 4, static_cast<uint32_t>(payload_size));
   StoreU64Le(frame + 8, generation_);
   write(MutByteSpan(frame + kHeaderSize, payload_size));
   StoreU32Le(frame, Crc32c(ByteSpan(frame + 8, 8 + payload_size)));
-  std::memset(frame + frame_size, 0, run - head - frame_size);
+  append_off_ += frame_size;
 
-  VDE_CO_RETURN_IF_ERROR(
-      co_await device_.Write(first_sector * sector, ByteSpan(io.get(), run)));
-
-  // Remember the new tail sector content for the next append; a fresh
-  // sector starts from zeros.
-  if (end % sector == 0) {
-    std::fill(tail_.begin(), tail_.end(), 0);
-  } else {
-    std::memcpy(tail_.data(), io.get() + run - sector, sector);
+  // Lead the batch if no write is in flight, else wait that write out: its
+  // completion wakes this batch, and the first member to run writes it.
+  while (!batch->done.fired()) {
+    if (writing_ == nullptr) {
+      assert(open_ == batch);
+      co_await WriteOpenBatch();
+    } else {
+      const std::shared_ptr<Batch> in_flight = writing_;
+      co_await in_flight->done.Wait();
+    }
   }
-  append_off_ = end;
-  co_return Status::Ok();
+  co_return batch->status;
+}
+
+sim::Task<void> Wal::WriteOpenBatch() {
+  const uint32_t sector = device_.sector_size();
+  const std::shared_ptr<Batch> batch = std::move(open_);
+  writing_ = batch;
+  // Compose the contiguous sector run: the already-written bytes of the
+  // first (partial) sector, the batch's frames, and zeros after them.
+  Bytes& run = batch->run;
+  const uint64_t first = batch->start / sector * sector;
+  std::memcpy(run.data(), tail_.data(), batch->start - first);
+  const size_t used = run.size();
+  run.resize((used + sector - 1) / sector * sector, 0);
+
+  const Status s = co_await device_.Write(first, run);
+  if (s.ok()) {
+    // Remember the new tail sector content for the next batch; a fresh
+    // sector starts from zeros.
+    if (used % sector == 0) {
+      std::fill(tail_.begin(), tail_.end(), 0);
+    } else {
+      std::memcpy(tail_.data(), run.data() + run.size() - sector, sector);
+    }
+  } else {
+    // Recovery stops at the hole this write leaves, so the frames queued
+    // behind it fail too and the log resumes where the batch began.
+    if (open_ != nullptr) {
+      Finish(*open_, s);
+      open_.reset();
+    }
+    append_off_ = batch->start;
+  }
+  writing_.reset();
+  Finish(*batch, s);
+}
+
+void Wal::Finish(Batch& batch, Status status) {
+  batch.status = std::move(status);
+  Bytes().swap(batch.run);  // a batch buffer never outlives its write
+  batch.done.Fire();
+}
+
+sim::Task<void> Wal::Idle() {
+  while (writing_ != nullptr || open_ != nullptr) {
+    const std::shared_ptr<Batch> batch =
+        writing_ != nullptr ? writing_ : open_;
+    co_await batch->done.Wait();
+  }
 }
 
 sim::Task<Result<std::vector<Bytes>>> Wal::Recover() {
+  assert(open_ == nullptr && writing_ == nullptr);
   const uint32_t sector = device_.sector_size();
   // Read the whole region once (sequential, cheap on flash).
   Bytes raw(capacity());

@@ -81,7 +81,9 @@ bool IsWriteClass(OsdOp::Type t) {
 
 ObjectStore::ObjectStore(std::shared_ptr<dev::NvmeDevice> device,
                          StoreConfig config)
-    : device_(std::move(device)), config_(config) {}
+    : device_(std::move(device)),
+      config_(config),
+      sector_cache_(config.sector_cache_tags) {}
 
 sim::Task<Result<std::shared_ptr<ObjectStore>>> ObjectStore::Open(
     std::shared_ptr<dev::NvmeDevice> device, StoreConfig config) {
@@ -164,7 +166,7 @@ sim::Task<Status> ObjectStore::TamperOmapRow(const std::string& oid,
                                              ByteSpan key, Bytes value) {
   kv::WriteBatch batch;
   batch.Put(OmapKey(oid, kHeadSnap, key), std::move(value));
-  co_return co_await kv_->Write(std::move(batch));
+  co_return co_await KvCommit(std::move(batch), 0, nullptr);
 }
 
 Result<Bytes> ObjectStore::PeekObjectData(const std::string& oid,
@@ -222,22 +224,51 @@ Bytes ObjectStore::OmapKey(const std::string& oid, SnapId snap,
   return key;
 }
 
+void ObjectStore::SpawnApplyCharge(uint64_t abs_offset, uint64_t length) {
+  // A partial head sector, and a partial tail sector other than the head,
+  // need a read-modify-write; the read is free when the cache holds the
+  // sector. Probe both edges before caching either, so one write never
+  // hits on its own edge.
+  const uint32_t sector = device_->sector_size();
+  const uint64_t end = abs_offset + length;
+  const uint64_t head = abs_offset / sector;
+  const uint64_t tail = end / sector;
+  const bool head_partial = abs_offset % sector != 0;
+  const bool tail_partial = end % sector != 0;
+  const auto needs_read = [&](uint64_t s) {
+    if (sector_cache_.Lookup(s)) {
+      stats_.sector_cache_hits++;
+      return false;
+    }
+    stats_.rmw_sectors++;
+    return true;
+  };
+  const bool read_head = head_partial && needs_read(head);
+  const bool read_tail = tail_partial && tail != head && needs_read(tail);
+  if (head_partial) sector_cache_.Insert(head);
+  if (tail_partial) sector_cache_.Insert(tail);
+  appliers_.Add(1);
+  sim::Scheduler::Current().Spawn(ChargeApply(
+      shared_from_this(), abs_offset, length, read_head, read_tail));
+}
+
+void ObjectStore::DropCachedSectors(uint64_t abs_offset, uint64_t length) {
+  const uint32_t sector = device_->sector_size();
+  sector_cache_.Drop(abs_offset / sector,
+                     (abs_offset + length + sector - 1) / sector);
+}
+
 sim::Task<void> ObjectStore::ChargeApply(std::shared_ptr<ObjectStore> self,
-                                         uint64_t abs_offset,
-                                         uint64_t length) {
-  // Final-location write of the sectors covering [abs_offset, +length).
-  // Partial head/tail sectors require a read-modify-write.
+                                         uint64_t abs_offset, uint64_t length,
+                                         bool read_head, bool read_tail) {
+  // Final-location write of the sectors covering [abs_offset, +length),
+  // after the RMW reads of its uncached partial head/tail sectors.
   const uint32_t sector = self->device_->sector_size();
   const uint64_t first = abs_offset / sector * sector;
   const uint64_t last = (abs_offset + length + sector - 1) / sector * sector;
-  if (abs_offset % sector != 0) {
-    self->stats_.rmw_sectors++;
-    (void)co_await self->device_->ChargeRead(first, sector);
-  }
-  const uint64_t tail_sector = (abs_offset + length) / sector * sector;
-  if ((abs_offset + length) % sector != 0 && tail_sector != first) {
-    self->stats_.rmw_sectors++;
-    (void)co_await self->device_->ChargeRead(tail_sector, sector);
+  if (read_head) (void)co_await self->device_->ChargeRead(first, sector);
+  if (read_tail) {
+    (void)co_await self->device_->ChargeRead(last - sector, sector);
   }
   (void)co_await self->device_->ChargeWrite(first, last - first);
   self->stats_.apply_sectors_written += (last - first) / sector;
@@ -370,12 +401,21 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
   obs::SpanScope journal_span(txn.trace, obs::Stage::kDevice);
   auto frame = journal_unapplied_.insert(journal_->bytes_used());
   Status js = co_await journal_->Append(record.size, write_record);
-  if (js.code() == StatusCode::kOutOfSpace) {
-    // Checkpoint: applied state is durable by construction once the
-    // background charges drain, so the journal can restart.
+  // Checkpoint when full: applied state is durable by construction once the
+  // background charges drain, so the journal can restart once no frame is
+  // queued for the full generation. Of several appends that found it full,
+  // the first to resume resets it and the rest retry in the fresh one; a
+  // frame that does not fit a fresh journal fails.
+  bool reset = false;
+  while (js.code() == StatusCode::kOutOfSpace && !reset) {
+    const uint64_t full_generation = journal_->generation();
     co_await Drain();
-    journal_->Reset(journal_->generation() + 1);
-    journal_released_ = 0;
+    co_await journal_->Idle();
+    reset = journal_->generation() == full_generation;
+    if (reset) {
+      journal_->Reset(full_generation + 1);
+      journal_released_ = 0;
+    }
     journal_unapplied_.erase(frame);
     frame = journal_unapplied_.insert(journal_->bytes_used());
     js = co_await journal_->Append(record.size, write_record);
@@ -450,6 +490,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
     // Scrub the extent before recycling it: a later tenant of this
     // allocation must never read the removed object's (cipher)text.
     device_->PokeTrim(data_base_ + it->second.base, config_.max_object_size);
+    DropCachedSectors(data_base_ + it->second.base, config_.max_object_size);
     alloc_->Free(it->second.base, config_.max_object_size);
     // Drop head OMAP rows (clone namespaces survive for snapshot reads).
     const Bytes lo = OmapKey(txn.oid, kHeadSnap, {});
@@ -543,10 +584,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         IntervalMapRemove(node.trimmed, op.offset, op.data.size());
         poke_payload(op_index, data_base_ + node.base + op.offset, op.data);
         node.size = std::max(node.size, op.offset + op.data.size());
-        appliers_.Add(1);
-        sim::Scheduler::Current().Spawn(ChargeApply(
-            shared_from_this(), data_base_ + node.base + op.offset,
-            op.data.size()));
+        SpawnApplyCharge(data_base_ + node.base + op.offset, op.data.size());
         break;
       }
       case OsdOp::Type::kWriteFull: {
@@ -557,10 +595,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         node.trimmed.clear();
         poke_payload(op_index, data_base_ + node.base, op.data);
         node.size = op.data.size();
-        appliers_.Add(1);
-        sim::Scheduler::Current().Spawn(
-            ChargeApply(shared_from_this(), data_base_ + node.base,
-                        op.data.size()));
+        SpawnApplyCharge(data_base_ + node.base, op.data.size());
         break;
       }
       case OsdOp::Type::kZero: {
@@ -572,6 +607,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         // metadata-only — no final-location device write to charge (the
         // per-op software cost above still applies).
         device_->PokeTrim(data_base_ + node.base + op.offset, op.length);
+        DropCachedSectors(data_base_ + node.base + op.offset, op.length);
         break;
       }
       case OsdOp::Type::kTrim: {
@@ -583,6 +619,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         // pages, and fully covered sectors return to the allocator — TRIM
         // actually grows free capacity instead of writing a zero pattern.
         device_->PokeTrim(data_base_ + node.base + op.offset, op.length);
+        DropCachedSectors(data_base_ + node.base + op.offset, op.length);
         stats_.bytes_trimmed += IntervalMapAdd(node.trimmed, op.offset,
                                                op.length);
         alloc_->Punch(node.base + op.offset, op.length);

@@ -10,7 +10,9 @@
 //      go through the LSM store synchronously (they ARE the OMAP cost).
 //   3. A background applier charges the final-location device IO, including
 //      read-modify-write of partial head/tail sectors — the cost the paper's
-//      "unaligned" layout keeps paying.
+//      "unaligned" layout keeps paying. A partial sector the store wrote
+//      recently is still in its sector cache (objstore/sector_cache.h) and
+//      costs no device read.
 // The store applies from memory and never replays its journal, so a frame
 // is dead once its transaction is applied: the journal below the oldest
 // unapplied frame holds no memory (released without simulated time), and a
@@ -48,6 +50,7 @@
 #include "device/region.h"
 #include "kv/db.h"
 #include "kv/wal.h"
+#include "objstore/sector_cache.h"
 #include "objstore/types.h"
 #include "sim/sync.h"
 #include "util/interval_map.h"
@@ -118,6 +121,9 @@ struct StoreConfig {
   // sector (4 KiB) granularity a tail punch inside one block can never
   // cover a whole allocation unit.
   uint32_t alloc_unit = 0;
+  // Tags in the partial-sector cache (objstore/sector_cache.h); 0 turns it
+  // off, and every partial head or tail sector then costs a device read.
+  size_t sector_cache_tags = 4096;
   kv::KvOptions kv;
   CostModel costs;
 };
@@ -125,7 +131,8 @@ struct StoreConfig {
 struct StoreStats {
   uint64_t transactions = 0;
   uint64_t journal_bytes = 0;
-  uint64_t rmw_sectors = 0;   // partial-sector read-modify-writes
+  uint64_t rmw_sectors = 0;   // partial-sector RMW device reads (misses)
+  uint64_t sector_cache_hits = 0;  // partial-sector RMWs served from cache
   uint64_t apply_sectors_written = 0;  // final-location data-path sectors
   uint64_t clones = 0;
   uint64_t objects_created = 0;
@@ -245,16 +252,24 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
                                const SnapContext& snapc,
                                obs::TraceContext* trace);
   // The one commit step for every store kv write (OMAP set, the remove's
-  // head-row drop, the clone's row copy): takes the kv lane, charges
-  // `cpu_cost` on the least-busy core and writes `batch` under a kDevice
-  // span. Writes outside the lane would race the kv WAL's appends.
+  // head-row drop, the clone's row copy, a tampered row): takes the kv
+  // lane, charges `cpu_cost` on the least-busy core and writes `batch`
+  // under a kDevice span. The WAL orders concurrent appends by itself, but
+  // a memtable flush mid-write would drop the other write's rows, so the
+  // kv store keeps one writer.
   sim::Task<Status> KvCommit(kv::WriteBatch batch, sim::SimTime cpu_cost,
                              obs::TraceContext* trace);
+  // Spawns the background charge of a data write to [abs_offset, +length):
+  // each partial head or tail sector the sector cache misses is read first.
+  void SpawnApplyCharge(uint64_t abs_offset, uint64_t length);
+  // Forgets cached sectors of the data range [abs_offset, +length).
+  void DropCachedSectors(uint64_t abs_offset, uint64_t length);
   // Static + shared self: the spawned frame owns a reference to the store
   // (and transitively the device), decoupling background charges from the
   // caller's lifetime.
   static sim::Task<void> ChargeApply(std::shared_ptr<ObjectStore> self,
-                                     uint64_t abs_offset, uint64_t length);
+                                     uint64_t abs_offset, uint64_t length,
+                                     bool read_head, bool read_tail);
   static sim::Task<void> ChargeExtent(std::shared_ptr<ObjectStore> self,
                                       bool is_write, uint64_t abs_offset,
                                       uint64_t length);
@@ -271,6 +286,7 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   uint64_t journal_released_ = 0;  // journal bytes below hold no memory
   std::unique_ptr<kv::KvStore> kv_;
   std::unique_ptr<dev::ExtentAllocator> alloc_;
+  SectorCache sector_cache_;
   std::map<std::string, Onode> objects_;
   std::map<std::string, std::unique_ptr<sim::SharedLock>> object_locks_;
   sim::WaitGroup appliers_{0};

@@ -403,6 +403,7 @@ objstore::StoreStats Cluster::TotalStoreStats() const {
     total.transactions += s.transactions;
     total.journal_bytes += s.journal_bytes;
     total.rmw_sectors += s.rmw_sectors;
+    total.sector_cache_hits += s.sector_cache_hits;
     total.apply_sectors_written += s.apply_sectors_written;
     total.clones += s.clones;
     total.objects_created += s.objects_created;
@@ -447,6 +448,7 @@ void ExportStoreStats(obs::Metrics& store, const objstore::StoreStats& ss) {
   store.Counter("transactions", ss.transactions);
   store.Counter("journal_bytes", ss.journal_bytes);
   store.Counter("rmw_sectors", ss.rmw_sectors);
+  store.Counter("sector_cache_hits", ss.sector_cache_hits);
   store.Counter("apply_sectors_written", ss.apply_sectors_written);
   store.Counter("clones", ss.clones);
   store.Counter("objects_created", ss.objects_created);

@@ -705,5 +705,223 @@ TEST(ObjectStoreTrim, TamperedDataBypassesTrimBookkeeping) {
   });
 }
 
+// --- Partial-sector cache ---
+
+// Object-end's IV record of in-object block `block`: 16 B in the metadata
+// region past the 4 MiB of data. Records of blocks 1..255 share the
+// region's first sector with a partial head (block 0 starts it aligned).
+Transaction RecordTxn(const std::string& oid, uint64_t block, Rng& rng) {
+  return WriteTxn(oid, (4ull << 20) + block * 16, rng.RandomBytes(16));
+}
+
+TEST(SectorCache, EvictsLeastRecentOfItsSetAndDropsRanges) {
+  SectorCache cache(4);  // one 4-way set: every sector maps to it
+  for (uint64_t s = 1; s <= 4; ++s) cache.Insert(s);
+  EXPECT_TRUE(cache.Lookup(1));  // now the most recent
+  cache.Insert(5);               // evicts 2, the least recent
+  EXPECT_FALSE(cache.Lookup(2));
+  for (uint64_t s : {1, 3, 4, 5}) EXPECT_TRUE(cache.Lookup(s)) << s;
+  cache.Drop(3, 5);
+  EXPECT_FALSE(cache.Lookup(3));
+  EXPECT_FALSE(cache.Lookup(4));
+  EXPECT_TRUE(cache.Lookup(5));
+  cache.Drop(0, 1000);
+  EXPECT_FALSE(cache.Lookup(1));
+  EXPECT_FALSE(cache.Lookup(5));
+
+  cache.Insert(uint64_t{1} << 32);  // past a 32-bit tag: never cached
+  EXPECT_FALSE(cache.Lookup(uint64_t{1} << 32));
+  EXPECT_FALSE(cache.Lookup(0));
+
+  SectorCache off(0);
+  off.Insert(7);
+  EXPECT_FALSE(off.Lookup(7));
+  off.Drop(0, 10);
+}
+
+// A second record write into the sector the first one left partial is a
+// cache hit: no device read, one more sector_cache_hits.
+TEST(ObjectStore, CachedRecordSectorNeedsNoDeviceRead) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(20);
+    CO_ASSERT_OK(co_await os.Apply(RecordTxn("o", 1, rng), {}));
+    co_await os.Drain();
+    EXPECT_EQ(os.stats().rmw_sectors, 1u) << "a cold sector is read";
+    EXPECT_EQ(os.stats().sector_cache_hits, 0u);
+    const auto before = nvme->stats();
+    CO_ASSERT_OK(co_await os.Apply(RecordTxn("o", 2, rng), {}));
+    co_await os.Drain();
+    EXPECT_EQ(os.stats().rmw_sectors, 1u);
+    EXPECT_EQ(os.stats().sector_cache_hits, 1u);
+    EXPECT_EQ(nvme->stats().sectors_read, before.sectors_read);
+    EXPECT_EQ(nvme->stats().sectors_written - before.sectors_written, 2u)
+        << "one journal sector and the record sector";
+  });
+}
+
+// kTrim, kZero and kRemove drop the range's tags: the next partial write
+// into the sector reads it from the device again.
+TEST(ObjectStore, TrimZeroAndRemoveDropCachedSectors) {
+  Transaction zero = TrimTxn("o", 4ull << 20, 4096);
+  zero.ops[0].type = OsdOp::Type::kZero;
+  const std::pair<const char*, Transaction> drops[] = {
+      {"trim", TrimTxn("o", 4ull << 20, 4096)},
+      {"zero", zero},
+      {"remove", RemoveTxn("o")}};
+  for (const auto& [name, drop] : drops) {
+    SCOPED_TRACE(name);
+    testutil::RunSim([&drop]() -> sim::Task<void> {
+      auto nvme = std::make_shared<dev::NvmeDevice>();
+      auto store = co_await ObjectStore::Open(nvme, SmallStore());
+      CO_ASSERT_OK(store.status());
+      auto& os = **store;
+      Rng rng(21);
+      CO_ASSERT_OK(co_await os.Apply(RecordTxn("o", 1, rng), {}));
+      CO_ASSERT_OK(co_await os.Apply(drop, {}));
+      CO_ASSERT_OK(co_await os.Apply(RecordTxn("o", 2, rng), {}));
+      co_await os.Drain();
+      EXPECT_EQ(os.stats().rmw_sectors, 2u);
+      EXPECT_EQ(os.stats().sector_cache_hits, 0u);
+    });
+  }
+}
+
+// Record writes and unaligned-stride writes, one at a time, then drained.
+struct EdgeRun {
+  dev::DeviceStats device;
+  StoreStats store;
+  sim::SimTime now = 0;
+  bool finished = false;
+};
+
+EdgeRun RunEdgeWrites(size_t sector_cache_tags) {
+  sim::Scheduler sched;
+  sched.ConfigureCores(0);  // overrides VDE_SIM_CORES: the clock is pinned
+  EdgeRun out;
+  auto body = [&]() -> sim::Task<void> {
+    StoreConfig cfg = SmallStore();
+    cfg.sector_cache_tags = sector_cache_tags;
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(22);
+    for (int round = 0; round < 2; ++round) {
+      for (uint64_t b = 1; b <= 8; ++b) {
+        CO_ASSERT_OK(co_await os.Apply(RecordTxn("e", b, rng), {}));
+        CO_ASSERT_OK(co_await os.Apply(
+            WriteTxn("u", b * 4112, rng.RandomBytes(4112)), {}));
+      }
+    }
+    co_await os.Drain();
+    out.device = nvme->stats();
+    out.store = os.stats();
+    out.now = sched.now();
+    out.finished = true;
+  };
+  sched.Spawn(body());
+  sched.Run();
+  EXPECT_TRUE(out.finished);
+  return out;
+}
+
+// With no tags the store charges every partial edge as a device read:
+// device counters and the sim clock are the values recorded before the
+// cache existed (16 record heads and 16 head+tail pairs: 48 RMW reads, and
+// one superblock read at open). With the cache, the same edges split into
+// hits and misses, the writes stay, and the reads fall.
+TEST(ObjectStore, SectorCacheOffKeepsUncachedCharges) {
+  const EdgeRun off = RunEdgeWrites(0);
+  EXPECT_EQ(off.store.rmw_sectors, 48u);
+  EXPECT_EQ(off.store.sector_cache_hits, 0u);
+  EXPECT_EQ(off.device.read_ops, 49u);
+  EXPECT_EQ(off.device.sectors_read, 49u);
+  EXPECT_EQ(off.device.write_ops, 65u);
+  EXPECT_EQ(off.device.sectors_written, 97u);
+  EXPECT_EQ(off.now, 11734837u);
+
+  const EdgeRun on = RunEdgeWrites(4096);
+  EXPECT_EQ(on.store.rmw_sectors + on.store.sector_cache_hits,
+            off.store.rmw_sectors);
+  EXPECT_GT(on.store.sector_cache_hits, 0u);
+  EXPECT_EQ(on.device.sectors_read,
+            off.device.sectors_read - on.store.sector_cache_hits);
+  EXPECT_EQ(on.device.sectors_written, off.device.sectors_written);
+  EXPECT_LE(on.now, off.now);
+}
+
+// More appends than the journal holds, all in flight at once: the appends
+// that find it full checkpoint while others are still queued or being
+// written. The journal resets only once idle, once per wrap, and every
+// transaction commits with its data intact.
+TEST(ObjectStore, JournalWrapWithAppendsInFlight) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    StoreConfig cfg = SmallStore();
+    cfg.journal_size = 1ull << 20;
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(23);
+    constexpr int kTxns = 24;  // ~2.4 journals of 100 KiB frames
+    std::vector<Bytes> payloads;
+    std::vector<Status> results(kTxns);
+    std::vector<sim::Task<void>> tasks;
+    for (int i = 0; i < kTxns; ++i) {
+      payloads.push_back(rng.RandomBytes(100 * 1024));
+      tasks.push_back([](ObjectStore* os, Transaction txn,
+                         Status* out) -> sim::Task<void> {
+        *out = co_await os->Apply(txn, {});
+      }(&os, WriteTxn("w" + std::to_string(i), 0, payloads.back()),
+                        &results[i]));
+    }
+    co_await sim::WhenAll(std::move(tasks));
+    for (const Status& s : results) CO_ASSERT_OK(s);
+    EXPECT_EQ(os.stats().transactions, static_cast<uint64_t>(kTxns));
+    for (int i = 0; i < kTxns; ++i) {
+      auto got = co_await os.ExecuteRead(
+          ReadTxn("w" + std::to_string(i), 0, payloads[i].size()), kHeadSnap);
+      CO_ASSERT_OK(got.status());
+      EXPECT_EQ(got->data, payloads[i]) << i;
+    }
+  });
+}
+
+// A tampered OMAP row commits on the kv lane like every other store kv
+// write: started while an OMAP set holds the lane, it completes after it.
+TEST(ObjectStore, TamperedRowQueuesOnTheKvLane) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    CO_ASSERT_OK(co_await os.Apply(OmapSetTxn("a", "k", "old"), {}));
+    sim::SimTime set_done = 0, tamper_done = 0;
+    std::vector<sim::Task<void>> tasks;
+    tasks.push_back([](ObjectStore* os, sim::SimTime* done) -> sim::Task<void> {
+      EXPECT_TRUE((co_await os->Apply(OmapSetTxn("b", "k", "v"), {})).ok());
+      *done = sim::Scheduler::Current().now();
+    }(&os, &set_done));
+    tasks.push_back([](ObjectStore* os, sim::SimTime* done) -> sim::Task<void> {
+      // The set journals (~20 us), then holds the lane for its 32 us
+      // per-key charge and its kv WAL write.
+      co_await sim::Sleep{30 * sim::kUs};
+      EXPECT_TRUE(
+          (co_await os->TamperOmapRow("a", BytesOf("k"), BytesOf("evil")))
+              .ok());
+      *done = sim::Scheduler::Current().now();
+    }(&os, &tamper_done));
+    co_await sim::WhenAll(std::move(tasks));
+    EXPECT_GT(tamper_done, set_done);
+    auto row = co_await os.PeekOmapRow("a", BytesOf("k"));
+    CO_ASSERT_OK(row.status());
+    EXPECT_EQ(*row, BytesOf("evil"));
+  });
+}
+
 }  // namespace
 }  // namespace vde::objstore

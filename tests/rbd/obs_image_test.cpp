@@ -194,7 +194,8 @@ TEST(ObsImage, BenchmarkRegistryPathsResolve) {
     EXPECT_GT(m.CounterOr("image.compress_in_bytes"), 0u);
     for (const char* c :
          {"cluster.store.transactions", "cluster.store.journal_bytes",
-          "cluster.store.rmw_sectors", "cluster.device.bytes_read",
+          "cluster.store.rmw_sectors", "cluster.store.sector_cache_hits",
+          "cluster.device.bytes_read",
           "cluster.device.bytes_written", "cluster.device.read_ops",
           "cluster.device.write_ops", "cluster.mon.degraded_writes",
           "cluster.mon.osd_timeouts", "cluster.mon.map_refreshes",
