@@ -8,14 +8,19 @@
 // writes on a one-OSD store. Gate: every cell's theory and measurement
 // agree, and the paper's two examples hold on the object-end layout (4K:
 // 2 sectors vs 1 for LUKS2; 32K: 9 vs 8). Every cell runs on a cold store,
-// so its partial IV sectors are read before they are rewritten. A warm gate
-// adds a second object-end 4K write into the IV sector the first one
-// wrote: the store's sector cache still holds it, so that write costs the
-// paper's two sectors with no read. Exits non-zero on FAIL.
+// so its partial IV sectors are read before they are rewritten. Two warm
+// gates count a write whose partial sectors the store's sector cache still
+// holds: a second object-end 4K write into the IV sector the first one
+// wrote costs the paper's two sectors with no read, and so does a
+// compressed unaligned rewrite of a slot whose tail the first write
+// trimmed (the trim covers no whole sector, so it keeps the slot's edge
+// tags). Exits non-zero on FAIL.
 //
 // Usage: bench_sector_model [--quick]   (one op per cell: --quick changes
 // nothing)
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "core/format.h"
 #include "device/nvme.h"
@@ -38,14 +43,15 @@ struct SectorCount {
 };
 
 // Sectors spanned by the byte range [start, start+len) plus the RMW reads
-// its partial head/tail sectors require.
+// its partial head/tail sectors require (one when both are one sector).
 SectorCount SpanCost(uint64_t start, uint64_t len) {
   const uint64_t first = start / kSector;
   const uint64_t last = (start + len + kSector - 1) / kSector;
-  uint64_t rmw = 0;
-  if (start % kSector != 0) rmw++;
+  const bool head_partial = start % kSector != 0;
+  const bool tail_partial = (start + len) % kSector != 0;
   const uint64_t tail = (start + len) / kSector;
-  if ((start + len) % kSector != 0 && tail != first) rmw++;
+  uint64_t rmw = head_partial ? 1 : 0;
+  if (tail_partial && !(head_partial && tail == first)) rmw++;
   return {last - first, rmw};
 }
 
@@ -75,11 +81,13 @@ SectorCount Theoretical(core::IvLayout layout, uint64_t io,
 }
 
 // Measured: apply one write transaction of `io` bytes at in-object block 1
-// on a fresh store and count its sectors. `warm` first writes block 2,
-// whose IV record shares block 1's IV sector, and counts only the second
-// write.
+// on a fresh store and count its sectors. `warm_block`, when set, is
+// written first, and only the second write is counted. A compressing spec
+// writes compressible blocks (1 KiB of random bytes, zeros after), so each
+// slot's tail is trimmed.
 SectorCount Measured(Bench& bench, const core::EncryptionSpec& spec,
-                     uint64_t io, bool warm = false) {
+                     uint64_t io,
+                     std::optional<uint64_t> warm_block = std::nullopt) {
   SectorCount out{0, 0};
   const RunResult run = Run(0, [&]() -> sim::Task<bool> {
     auto nvme = std::make_shared<dev::NvmeDevice>();
@@ -103,13 +111,19 @@ SectorCount Measured(Bench& bench, const core::EncryptionSpec& spec,
       ext.image_block = block;
       objstore::Transaction txn;
       txn.oid = "obj";
-      const Bytes plain = rng.RandomBytes(io);
+      Bytes plain = rng.RandomBytes(io);
+      if (spec.compression.enabled()) {
+        for (size_t b = 0; b < plain.size(); b += kSector) {
+          std::fill_n(plain.begin() + static_cast<long>(b + 1024),
+                      kSector - 1024, 0);
+        }
+      }
       if (!format->MakeWrite(ext, plain, txn).ok()) co_return false;
       if (!(co_await (*store)->Apply(txn, {})).ok()) co_return false;
       co_await (*store)->Drain();
       co_return true;
     };
-    if (warm && !co_await write_at(2)) co_return false;
+    if (warm_block && !co_await write_at(*warm_block)) co_return false;
     const objstore::StoreStats before = (*store)->stats();
     const uint64_t read_before = nvme->stats().sectors_read;
     if (!co_await write_at(1)) co_return false;
@@ -186,8 +200,9 @@ int main(int argc, char** argv) {
   bench.Gate("paper_examples", examples_ok,
              "object end vs LUKS2: 4K writes 2 sectors vs 1, 32K 9 vs 8");
 
+  // Block 2's IV record shares block 1's IV sector.
   const SectorCount warm =
-      Measured(bench, cases[2].spec, kSector, /*warm=*/true);
+      Measured(bench, cases[2].spec, kSector, /*warm_block=*/2);
   std::printf("Object end, 4K write into a cached IV sector: %llu written "
               "+ %llu read\n",
               static_cast<unsigned long long>(warm.written),
@@ -196,5 +211,23 @@ int main(int argc, char** argv) {
              "a second object-end 4K write into a written IV sector: 2 "
              "sectors, 0 read",
              {{"written", warm.written}, {"read", warm.device_read}});
+
+  core::EncryptionSpec lz{core::CipherMode::kGcmRandom,
+                          core::IvLayout::kUnaligned};
+  lz.compression.codec = core::Compression::kLz;
+  const uint64_t slot = kSector + lz.MetaPerBlock();
+  const uint64_t slot_sectors = SpanCost(slot, slot).written;
+  const SectorCount rewrite = Measured(bench, lz, kSector, /*warm_block=*/1);
+  std::printf("Unaligned+LZ, rewrite of a tail-trimmed slot: %llu written "
+              "+ %llu read\n",
+              static_cast<unsigned long long>(rewrite.written),
+              static_cast<unsigned long long>(rewrite.device_read));
+  bench.Gate("warm_unaligned_lz",
+             rewrite.written == slot_sectors && rewrite.device_read == 0,
+             "a compressed unaligned rewrite of a slot whose tail was "
+             "trimmed: the slot's sectors, 0 read",
+             {{"written", rewrite.written},
+              {"slot_sectors", slot_sectors},
+              {"read", rewrite.device_read}});
   return bench.Finish();
 }

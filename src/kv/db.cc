@@ -163,12 +163,22 @@ void KvStore::ApplyToMemtable(const WriteBatch& batch) {
 sim::Task<Status> KvStore::Write(WriteBatch batch) {
   if (batch.empty()) co_return Status::Ok();
   const Bytes frame = batch.Serialize();
+  // The frame and its rows land in one WAL generation and one memtable: a
+  // flush waits for this write, and this write waits for a flush under way.
+  co_await flush_gate_.AcquireShared();
   Status s = co_await wal_->Append(frame);
   if (s.code() == StatusCode::kOutOfSpace) {
+    flush_gate_.ReleaseShared();
     VDE_CO_RETURN_IF_ERROR(co_await Flush());
+    co_await flush_gate_.AcquireShared();
     s = co_await wal_->Append(frame);
   }
-  VDE_CO_RETURN_IF_ERROR(s);
+  if (!s.ok()) {
+    flush_gate_.ReleaseShared();
+    co_return s;
+  }
+  ApplyToMemtable(batch);
+  flush_gate_.ReleaseShared();
   stats_.wal_bytes += frame.size();
   stats_.wal_commits++;
   stats_.batches++;
@@ -179,7 +189,6 @@ sim::Task<Status> KvStore::Write(WriteBatch batch) {
       stats_.deletes++;
     }
   }
-  ApplyToMemtable(batch);
   // Modeled per-key CPU cost (RocksDB insert path).
   co_await sim::Sleep{options_.cpu_per_key * batch.size()};
   co_return co_await MaybeFlush();
@@ -197,12 +206,19 @@ sim::Task<Status> KvStore::Delete(Bytes key) {
   co_return co_await Write(std::move(b));
 }
 
+bool KvStore::FlushDue() const {
+  return mem_->bytes() >= options_.memtable_limit ||
+         wal_->fill_fraction() > 0.9;
+}
+
 sim::Task<Status> KvStore::MaybeFlush() {
-  if (mem_->bytes() >= options_.memtable_limit ||
-      wal_->fill_fraction() > 0.9) {
-    co_return co_await Flush();
-  }
-  co_return Status::Ok();
+  if (!FlushDue()) co_return Status::Ok();
+  co_await flush_gate_.AcquireExclusive();
+  // A flush that ran while this one waited may have emptied the memtable.
+  Status s = Status::Ok();
+  if (FlushDue()) s = co_await FlushLocked();
+  flush_gate_.ReleaseExclusive();
+  co_return s;
 }
 
 sim::Task<Result<KvStore::TableSlot>> KvStore::WriteTable(
@@ -222,6 +238,13 @@ sim::Task<Result<KvStore::TableSlot>> KvStore::WriteTable(
 }
 
 sim::Task<Status> KvStore::Flush() {
+  co_await flush_gate_.AcquireExclusive();
+  Status s = co_await FlushLocked();
+  flush_gate_.ReleaseExclusive();
+  co_return s;
+}
+
+sim::Task<Status> KvStore::FlushLocked() {
   if (mem_->empty()) co_return Status::Ok();
   SSTableBuilder builder(options_);
   for (const auto& entry : mem_->ScanAll()) {

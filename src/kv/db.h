@@ -25,6 +25,7 @@
 #include "kv/sstable.h"
 #include "kv/wal.h"
 #include "kv/write_batch.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "util/status.h"
 
@@ -80,7 +81,11 @@ class KvStore {
   sim::Task<Status> Init();
   sim::Task<Status> Recover(ByteSpan superblock);
   sim::Task<Status> WriteSuperblock();
+  bool FlushDue() const;
   sim::Task<Status> MaybeFlush();
+  // Flush with flush_gate_ held exclusive: no write is between its WAL
+  // append and its memtable insert.
+  sim::Task<Status> FlushLocked();
   sim::Task<Status> Compact();
   sim::Task<Result<TableSlot>> WriteTable(SSTableBuilder& builder);
 
@@ -98,6 +103,10 @@ class KvStore {
   std::unique_ptr<SSTable> l1_;
   uint64_t l1_offset_ = 0;
   uint64_t l1_length_ = 0;
+  // Writes hold it shared from WAL append to memtable insert, flushes
+  // exclusive: a flush never swaps out a memtable, or resets a WAL
+  // generation, that a write in flight still lands in.
+  sim::SharedLock flush_gate_;
   KvStats stats_;
 };
 

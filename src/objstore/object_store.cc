@@ -2,82 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
+#include "objstore/txn_record.h"
 #include "obs/trace.h"
 
 namespace vde::objstore {
-
-namespace {
-
-// Journal record: full transaction serialization (metadata + payload). The
-// journal append is the commit point; its size drives the commit cost.
-// `out` either counts the bytes (CountSink) or writes them (WriteSink), so
-// the record layout is written down once.
-template <typename Sink>
-void EncodeTxn(const Transaction& txn, const SnapContext& snapc, Sink& out) {
-  out.Le(static_cast<uint32_t>(txn.oid.size()));
-  out.Put(ByteSpan(reinterpret_cast<const uint8_t*>(txn.oid.data()),
-                   txn.oid.size()));
-  out.Le(snapc.seq);
-  out.Le(static_cast<uint32_t>(txn.ops.size()));
-  for (const auto& op : txn.ops) {
-    out.Le(static_cast<uint8_t>(op.type));
-    out.Le(op.offset);
-    out.Le(op.length);
-    out.Le(static_cast<uint32_t>(op.data.size()));
-    out.Put(op.data);
-    out.Le(static_cast<uint32_t>(op.omap_kvs.size()));
-    for (const auto& [k, v] : op.omap_kvs) {
-      out.Le(static_cast<uint16_t>(k.size()));
-      out.Put(k);
-      out.Le(static_cast<uint32_t>(v.size()));
-      out.Put(v);
-    }
-  }
-}
-
-struct CountSink {
-  size_t size = 0;
-  template <typename T>
-  void Le(T) {
-    size += sizeof(T);
-  }
-  void Put(ByteSpan b) { size += b.size(); }
-};
-
-struct WriteSink {
-  uint8_t* at;
-  template <typename T>
-  void Le(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      *at++ = static_cast<uint8_t>(static_cast<uint64_t>(v) >> (8 * i));
-    }
-  }
-  void Put(ByteSpan b) {
-    if (!b.empty()) std::memcpy(at, b.data(), b.size());
-    at += b.size();
-  }
-};
-
-bool IsWriteClass(OsdOp::Type t) {
-  switch (t) {
-    case OsdOp::Type::kWrite:
-    case OsdOp::Type::kWriteFull:
-    case OsdOp::Type::kZero:
-    case OsdOp::Type::kTrim:
-    case OsdOp::Type::kOmapSet:
-    case OsdOp::Type::kCreate:
-    case OsdOp::Type::kRemove:
-      return true;
-    case OsdOp::Type::kRead:
-    case OsdOp::Type::kOmapGetRange:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
 
 ObjectStore::ObjectStore(std::shared_ptr<dev::NvmeDevice> device,
                          StoreConfig config)
@@ -136,6 +65,13 @@ uint64_t ObjectStore::TrimmedBytes(const std::string& oid) const {
   uint64_t total = 0;
   for (const auto& [off, len] : it->second.trimmed) total += len;
   return total;
+}
+
+std::vector<IntervalMap::Interval> ObjectStore::TrimmedRanges(
+    const std::string& oid) const {
+  const auto it = objects_.find(oid);
+  if (it == objects_.end()) return {};
+  return {it->second.trimmed.begin(), it->second.trimmed.end()};
 }
 
 StoreSpace ObjectStore::space() const {
@@ -225,10 +161,10 @@ Bytes ObjectStore::OmapKey(const std::string& oid, SnapId snap,
 }
 
 void ObjectStore::SpawnApplyCharge(uint64_t abs_offset, uint64_t length) {
-  // A partial head sector, and a partial tail sector other than the head,
-  // need a read-modify-write; the read is free when the cache holds the
-  // sector. Probe both edges before caching either, so one write never
-  // hits on its own edge.
+  // A partial head sector, and a partial tail sector unless the partial
+  // head already is that sector, need a read-modify-write; the read is free
+  // when the cache holds the sector. Probe both edges before caching
+  // either, so one write never hits on its own edge.
   const uint32_t sector = device_->sector_size();
   const uint64_t end = abs_offset + length;
   const uint64_t head = abs_offset / sector;
@@ -244,18 +180,27 @@ void ObjectStore::SpawnApplyCharge(uint64_t abs_offset, uint64_t length) {
     return true;
   };
   const bool read_head = head_partial && needs_read(head);
-  const bool read_tail = tail_partial && tail != head && needs_read(tail);
-  if (head_partial) sector_cache_.Insert(head);
-  if (tail_partial) sector_cache_.Insert(tail);
+  const bool read_tail =
+      tail_partial && !(head_partial && tail == head) && needs_read(tail);
+  CachePartialSectors(abs_offset, length);
   appliers_.Add(1);
   sim::Scheduler::Current().Spawn(ChargeApply(
       shared_from_this(), abs_offset, length, read_head, read_tail));
 }
 
-void ObjectStore::DropCachedSectors(uint64_t abs_offset, uint64_t length) {
+void ObjectStore::CachePartialSectors(uint64_t abs_offset, uint64_t length) {
   const uint32_t sector = device_->sector_size();
-  sector_cache_.Drop(abs_offset / sector,
-                     (abs_offset + length + sector - 1) / sector);
+  const uint64_t end = abs_offset + length;
+  if (abs_offset % sector != 0) sector_cache_.Insert(abs_offset / sector);
+  if (end % sector != 0) sector_cache_.Insert(end / sector);
+}
+
+void ObjectStore::DropCachedSectors(uint64_t abs_offset, uint64_t length) {
+  // Only sectors the range covers whole: a partly discarded sector keeps
+  // its other bytes, and the discarded ones are known to read as zeros.
+  const uint32_t sector = device_->sector_size();
+  sector_cache_.Drop((abs_offset + sector - 1) / sector,
+                     (abs_offset + length) / sector);
 }
 
 sim::Task<void> ObjectStore::ChargeApply(std::shared_ptr<ObjectStore> self,
@@ -388,19 +333,15 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
       co_return Status::InvalidArgument("read op in write transaction");
     }
   }
-  // 1. Commit point: journal the whole transaction. Journaling pipelines
-  // across transactions (like the OSD's journal/WAL stage); only the apply
-  // stage below is ordered per object.
-  CountSink record;
-  EncodeTxn(txn, snapc, record);
-  const auto write_record = [&txn, &snapc](MutByteSpan out) {
-    WriteSink sink{out.data()};
-    EncodeTxn(txn, snapc, sink);
-    assert(sink.at == out.data() + out.size());
-  };
+  // 1. Commit point: journal the transaction (objstore/txn_record.h; the
+  // payload bytes a later discard of the same transaction covers are left
+  // out). Journaling pipelines across transactions (like the OSD's
+  // journal/WAL stage); only the apply stage below is ordered per object.
+  const TxnRecord record(txn, snapc);
+  const auto write_record = [&record](MutByteSpan out) { record.Write(out); };
   obs::SpanScope journal_span(txn.trace, obs::Stage::kDevice);
   auto frame = journal_unapplied_.insert(journal_->bytes_used());
-  Status js = co_await journal_->Append(record.size, write_record);
+  Status js = co_await journal_->Append(record.size(), write_record);
   // Checkpoint when full: applied state is durable by construction once the
   // background charges drain, so the journal can restart once no frame is
   // queued for the full generation. Of several appends that found it full,
@@ -418,7 +359,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
     }
     journal_unapplied_.erase(frame);
     frame = journal_unapplied_.insert(journal_->bytes_used());
-    js = co_await journal_->Append(record.size, write_record);
+    js = co_await journal_->Append(record.size(), write_record);
   }
   journal_span.End();
   if (!js.ok()) {
@@ -426,7 +367,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
     co_return js;
   }
   stats_.transactions++;
-  stats_.journal_bytes += record.size;
+  stats_.journal_bytes += record.size();
 
   // Pipelined apply (core model on): the prepare stage — payload staging
   // penalties for sub-sector and unaligned ops — runs BEFORE the
@@ -735,6 +676,10 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
         out->status = co_await self->device_->Read(first, covered);
         dev_span.End();
         if (out->status.ok()) {
+          // Buffered: the partial edge sectors just read stay known, so a
+          // write that follows (the client's read-modify-write) need not
+          // read them again.
+          self->CachePartialSectors(abs, op->length);
           out->data.assign(
               covered.begin() + static_cast<long>(abs - first),
               covered.begin() + static_cast<long>(abs - first + op->length));

@@ -3,16 +3,18 @@
 // Device layout: [txn journal | OMAP KV store | object data extents].
 //
 // Commit protocol (models Ceph's WAL-then-apply):
-//   1. The whole transaction (metadata + payload) is appended to the journal
-//      — ONE contiguous device write, serialized straight into the journal's
-//      sector buffer; this is the commit point.
+//   1. The transaction (metadata + payload) is appended to the journal —
+//      ONE contiguous device write, serialized straight into the journal's
+//      sector buffer; this is the commit point. Payload bytes a later
+//      kTrim/kZero of the same transaction discards are recorded as holes
+//      (objstore/txn_record.h).
 //   2. State becomes visible immediately (data plane is RAM); OMAP mutations
 //      go through the LSM store synchronously (they ARE the OMAP cost).
 //   3. A background applier charges the final-location device IO, including
 //      read-modify-write of partial head/tail sectors — the cost the paper's
 //      "unaligned" layout keeps paying. A partial sector the store wrote
-//      recently is still in its sector cache (objstore/sector_cache.h) and
-//      costs no device read.
+//      or read recently is still in its sector cache
+//      (objstore/sector_cache.h) and costs no device read.
 // The store applies from memory and never replays its journal, so a frame
 // is dead once its transaction is applied: the journal below the oldest
 // unapplied frame holds no memory (released without simulated time), and a
@@ -177,6 +179,9 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   size_t CloneCount(const std::string& oid) const;
   // Bytes of `oid` currently in the trimmed-extent map (tests/benches).
   uint64_t TrimmedBytes(const std::string& oid) const;
+  // The map's (offset, length) ranges, in order (tests).
+  std::vector<IntervalMap::Interval> TrimmedRanges(
+      const std::string& oid) const;
 
   // Capacity gauges for the object-data allocator.
   StoreSpace space() const;
@@ -254,15 +259,18 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   // The one commit step for every store kv write (OMAP set, the remove's
   // head-row drop, the clone's row copy, a tampered row): takes the kv
   // lane, charges `cpu_cost` on the least-busy core and writes `batch`
-  // under a kDevice span. The WAL orders concurrent appends by itself, but
-  // a memtable flush mid-write would drop the other write's rows, so the
-  // kv store keeps one writer.
+  // under a kDevice span. The kv store takes concurrent writers (a flush
+  // waits for the writes in flight); the lane is the model of BlueStore's
+  // single kv_sync_thread, so the OMAP layout's per-key cost queues here.
   sim::Task<Status> KvCommit(kv::WriteBatch batch, sim::SimTime cpu_cost,
                              obs::TraceContext* trace);
   // Spawns the background charge of a data write to [abs_offset, +length):
   // each partial head or tail sector the sector cache misses is read first.
   void SpawnApplyCharge(uint64_t abs_offset, uint64_t length);
-  // Forgets cached sectors of the data range [abs_offset, +length).
+  // Caches the sectors [abs_offset, +length) covers partially (its edges).
+  void CachePartialSectors(uint64_t abs_offset, uint64_t length);
+  // Forgets the cached sectors a discard of [abs_offset, +length) covers
+  // whole.
   void DropCachedSectors(uint64_t abs_offset, uint64_t length);
   // Static + shared self: the spawned frame owns a reference to the store
   // (and transitively the device), decoupling background charges from the

@@ -1,7 +1,13 @@
-// Tags of the partial sectors a store wrote recently: its model of
+// Tags of the partial sectors a store wrote or read recently: its model of
 // BlueStore's buffer cache. The store still holds such a sector's bytes, so
 // the read-modify-write of a later partial write into it needs no device
-// read. Only tags are kept (the data plane is RAM); the table is fixed-size
+// read. A write tags its partial head and tail sectors, and so does a
+// device read (the client's read before its read-modify-write warms the
+// write that follows). A discard (kTrim, kZero, kRemove) drops only the
+// sectors it covers whole: a partly discarded sector keeps its other bytes
+// and reads zeros in the discarded ones, so its contents stay known, as
+// BlueStore's BufferSpace::discard keeps the rest of a partly discarded
+// buffer. Only tags are kept (the data plane is RAM); the table is fixed-size
 // and allocation-free after construction: 4-way set-associative, LRU within
 // a set. A tag is a 32-bit sector number (4 KiB sectors: devices up to
 // 16 TiB); a sector past that is never cached. A table of 0 tags caches

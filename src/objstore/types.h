@@ -58,6 +58,24 @@ struct OsdOp {
   size_t omap_max = 0;  // 0 = unlimited
 };
 
+// Ops a write transaction may carry (the journal records only these).
+inline bool IsWriteClass(OsdOp::Type t) {
+  switch (t) {
+    case OsdOp::Type::kWrite:
+    case OsdOp::Type::kWriteFull:
+    case OsdOp::Type::kZero:
+    case OsdOp::Type::kTrim:
+    case OsdOp::Type::kOmapSet:
+    case OsdOp::Type::kCreate:
+    case OsdOp::Type::kRemove:
+      return true;
+    case OsdOp::Type::kRead:
+    case OsdOp::Type::kOmapGetRange:
+      return false;
+  }
+  return false;
+}
+
 // A single-object atomic mutation (RADOS transactions are per-object).
 struct Transaction {
   std::string oid;

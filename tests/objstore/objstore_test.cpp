@@ -790,6 +790,90 @@ TEST(ObjectStore, TrimZeroAndRemoveDropCachedSectors) {
   }
 }
 
+// A sub-sector write that starts on a sector boundary still keeps the
+// rest of its sector: object-end's block-0 IV record (16 B at 4 MiB) and a
+// 100 B write at 4096 each read their one sector on a cold store.
+TEST(ObjectStore, SubSectorWriteFromASectorStartReadsItsSector) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(24);
+    CO_ASSERT_OK(co_await os.Apply(RecordTxn("o", 0, rng), {}));
+    CO_ASSERT_OK(
+        co_await os.Apply(WriteTxn("o", 4096, rng.RandomBytes(100)), {}));
+    co_await os.Drain();
+    EXPECT_EQ(os.stats().rmw_sectors, 2u);
+    EXPECT_EQ(os.stats().sector_cache_hits, 0u);
+  });
+}
+
+// The compressed unaligned layout's slot of in-object block `block`,
+// written whole, with the tail past `stored` ciphertext bytes trimmed in
+// the same transaction (core::EncryptionFormat::MakeWrite's shape). GCM
+// with LZ keeps a 31 B record after each block, so slots are 4127 B apart
+// and both edge sectors of a slot are partial.
+constexpr uint64_t kLzSlot = 4096 + 31;
+
+Transaction SlotTxn(const std::string& oid, uint64_t block, size_t stored,
+                    Rng& rng) {
+  Transaction txn = WriteTxn(oid, block * kLzSlot, rng.RandomBytes(kLzSlot));
+  OsdOp trim;
+  trim.type = OsdOp::Type::kTrim;
+  trim.offset = block * kLzSlot + stored;
+  trim.length = 4096 - stored;
+  txn.ops.push_back(trim);
+  return txn;
+}
+
+// A tail trim covers no whole sector of the slot, so it keeps the edge
+// tags its own write cached: rewriting the slot reads nothing.
+TEST(ObjectStore, SlotTailTrimKeepsTheEdgeTags) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(25);
+    CO_ASSERT_OK(co_await os.Apply(SlotTxn("o", 1, 900, rng), {}));
+    co_await os.Drain();
+    const StoreStats stats = os.stats();
+    const uint64_t read = nvme->stats().sectors_read;
+    CO_ASSERT_OK(co_await os.Apply(SlotTxn("o", 1, 1500, rng), {}));
+    co_await os.Drain();
+    EXPECT_EQ(os.stats().rmw_sectors, stats.rmw_sectors);
+    EXPECT_EQ(os.stats().sector_cache_hits - stats.sector_cache_hits, 2u);
+    EXPECT_EQ(nvme->stats().sectors_read, read);
+  });
+}
+
+// A device read tags the partial edge sectors it loaded: a slot read (its
+// 4 KiB of data, as the client reads before a sub-block write) and then
+// rewritten reads nothing more.
+TEST(ObjectStore, ReadCachesItsPartialEdgeSectors) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    Rng rng(26);
+    Transaction create;
+    create.oid = "o";
+    create.ops.emplace_back().type = OsdOp::Type::kCreate;
+    CO_ASSERT_OK(co_await os.Apply(create, {}));
+    CO_ASSERT_OK(
+        (co_await os.ExecuteRead(ReadTxn("o", kLzSlot, 4096), kHeadSnap))
+            .status());
+    const uint64_t read = nvme->stats().sectors_read;
+    CO_ASSERT_OK(co_await os.Apply(SlotTxn("o", 1, 700, rng), {}));
+    co_await os.Drain();
+    EXPECT_EQ(os.stats().rmw_sectors, 0u);
+    EXPECT_EQ(os.stats().sector_cache_hits, 2u);
+    EXPECT_EQ(nvme->stats().sectors_read, read);
+  });
+}
+
 // Record writes and unaligned-stride writes, one at a time, then drained.
 struct EdgeRun {
   dev::DeviceStats device;

@@ -1,10 +1,11 @@
 // Seeded mutation loops over the parsers of untrusted bytes: the image
-// header, LUKS key slots, SSTables, write batches, the KV WAL, the LZ stream
-// and the per-block metadata record with its discard bitmap. Each loop
-// checks that the valid input still parses, then feeds it bit flips, byte
-// overwrites, truncations and extensions: every mutation must come back as
-// OK or an error Status. A read past a buffer fails the sanitizer build
-// (-DVDE_SANITIZE=ON), which runs this suite under ctest label `fuzz`.
+// header, LUKS key slots, SSTables, write batches, the KV WAL, the object
+// store's journal records, the LZ stream and the per-block metadata record
+// with its discard bitmap. Each loop checks that the valid input still
+// parses, then feeds it bit flips, byte overwrites, truncations and
+// extensions: every mutation must come back as OK or an error Status. A
+// read past a buffer fails the sanitizer build (-DVDE_SANITIZE=ON), which
+// runs this suite under ctest label `fuzz`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 #include "kv/sstable.h"
 #include "kv/wal.h"
 #include "kv/write_batch.h"
+#include "objstore/object_store.h"
+#include "objstore/txn_record.h"
 #include "rbd/image.h"
 #include "util/crc32.h"
 #include "util/lz.h"
@@ -181,6 +184,44 @@ TEST(ParserFuzz, WriteBatch) {
   EXPECT_EQ(parsed->size(), 12u);
   for (int i = 0; i < kMutations; ++i) {
     (void)kv::WriteBatch::Deserialize(Mutate(rng, wire)).ok();
+  }
+}
+
+// A journal record with every op kind, holes in two payloads (a slot-tail
+// trim and a zero) and OMAP rows: mutated, and random bytes, each decode or
+// come back as Corruption.
+TEST(ParserFuzz, TxnRecord) {
+  using objstore::OsdOp;
+  Rng rng(8);
+  objstore::Transaction txn;
+  txn.oid = "rbd_data.7";
+  const auto op = [&txn](OsdOp::Type type, uint64_t offset, uint64_t length,
+                         Bytes data) {
+    OsdOp& o = txn.ops.emplace_back();
+    o.type = type;
+    o.offset = offset;
+    o.length = length;
+    o.data = std::move(data);
+    return &o;
+  };
+  op(OsdOp::Type::kCreate, 0, 0, {});
+  op(OsdOp::Type::kWrite, 4127, 4127, rng.RandomBytes(4127));
+  op(OsdOp::Type::kWriteFull, 0, 0, rng.RandomBytes(200));
+  op(OsdOp::Type::kTrim, 4127 + 900, 4096 - 900, {});
+  op(OsdOp::Type::kZero, 150, 20, {});
+  OsdOp* omap = op(OsdOp::Type::kOmapSet, 0, 0, {});
+  omap->omap_kvs.emplace_back(BytesOf("iv.1"), rng.RandomBytes(28));
+  omap->omap_kvs.emplace_back(BytesOf("iv.2"), Bytes{});
+  const Bytes record = objstore::EncodeTxn(txn, {5, {}});
+  constexpr uint64_t kMaxObject = objstore::StoreConfig{}.max_object_size;
+  auto parsed = objstore::DecodeTxn(record, kMaxObject);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->txn.ops.size(), txn.ops.size());
+  EXPECT_EQ(objstore::EncodeTxn(parsed->txn, parsed->snapc), record);
+  for (int i = 0; i < kMutations; ++i) {
+    (void)objstore::DecodeTxn(Mutate(rng, record), kMaxObject).ok();
+    (void)objstore::DecodeTxn(rng.RandomBytes(rng.NextBelow(128)), kMaxObject)
+        .ok();
   }
 }
 
