@@ -34,11 +34,49 @@ sim::Task<Status> Osd::Start() {
   co_return Status::Ok();
 }
 
-sim::Task<void> Osd::AdmitOp(uint64_t tenant, sim::SimTime software_cost) {
-  if (!config_.qos.enabled) tenant = 0;
+namespace {
+
+// The per-op software-cost rule: a base cost plus one increment per op
+// beyond the first.
+sim::SimTime OpCost(sim::SimTime base, sim::SimTime per_extra,
+                    const objstore::Transaction& txn) {
+  return base + per_extra * (txn.ops.empty() ? 0 : txn.ops.size() - 1);
+}
+
+bool IsBusy(const Status& s) { return s.code() == StatusCode::kBusy; }
+
+template <typename T>
+bool IsBusy(const Result<T>& r) {
+  return !r.ok() && IsBusy(r.status());
+}
+
+}  // namespace
+
+sim::Task<Status> Osd::AdmitPrimaryOp(Cluster& cluster, uint32_t pg,
+                                      const objstore::Transaction& txn,
+                                      sim::SimTime software_cost) {
+  // Bounce stale-routed ops before spending a shard: the authoritative
+  // map names the primary; a mismatch means the client's map is old.
+  const std::vector<size_t>& routed = cluster.placement().OsdsForPg(pg);
+  if (!cluster.IsOsdUp(id_) || routed.empty() || routed[0] != id_) {
+    co_return Status::Busy("EAGAIN: not primary");
+  }
+
+  // Software cost under an op shard (mClock-ordered when enabled).
+  const uint64_t tenant = config_.qos.enabled ? txn.tenant : 0;
   co_await qos_.Acquire(tenant);
   co_await sim::Sleep{software_cost};
   qos_.Release(tenant);
+
+  // A primary that is itself missing this object (it took over the PG
+  // mid-backfill) pulls the head from a survivor before serving: a read
+  // would see zeros, a sub-object write would resurrect them.
+  if (cluster.pg_log(pg).IsMissing(id_, txn.oid)) {
+    obs::SpanScope pull_span(txn.trace, obs::Stage::kRecovery);
+    co_await cluster.recovery().RecoverObject(pg, id_, txn.oid,
+                                              /*inline_pull=*/true);
+  }
+  co_return Status::Ok();
 }
 
 sim::Task<Status> Osd::HandleReplicaWrite(const objstore::Transaction& txn,
@@ -48,143 +86,99 @@ sim::Task<Status> Osd::HandleReplicaWrite(const objstore::Transaction& txn,
   // contention; also removes any chance of cross-OSD shard deadlock).
   // They bypass mClock too — the client op already paid its tenant's dues
   // at the primary, and Ceph likewise schedules sub-ops ahead of new work.
-  co_await sim::Sleep{config_.costs.replica_op +
-                      config_.costs.per_extra_op *
-                          (txn.ops.empty() ? 0 : txn.ops.size() - 1)};
+  co_await sim::Sleep{
+      OpCost(config_.costs.replica_op, config_.costs.per_extra_op, txn)};
   co_return co_await store_->Apply(txn, snapc, share);
+}
+
+// One primary write past admission: what its local apply and its replica
+// sub-ops share.
+struct Osd::PrimaryWrite {
+  Cluster& cluster;
+  uint32_t pg;
+  uint64_t gen;
+  const objstore::Transaction& txn;
+  const objstore::SnapContext& snapc;
+  // Every participant stores the same payload, so they share its pages
+  // (host memory only; see objstore::PageShare).
+  objstore::PageShare share;
+};
+
+sim::Task<Status> Osd::ApplyLocal(PrimaryWrite& w) {
+  Status s = co_await store_->Apply(w.txn, w.snapc, &w.share);
+  if (s.ok()) w.cluster.pg_log(w.pg).NoteHave(id_, w.txn.oid, w.gen);
+  co_return s;
+}
+
+sim::Task<Status> Osd::Replicate(PrimaryWrite& w, size_t replica_id) {
+  obs::SpanScope span(w.txn.trace, obs::Stage::kReplicate);
+  Cluster& cluster = w.cluster;
+  if (!cluster.IsOsdUp(replica_id)) {
+    // Member died between election and fan-out: the write commits on the
+    // survivors; peering already logged the divergence.
+    cluster.stats().skipped_replicas++;
+    co_return Status::Ok();
+  }
+  Osd& replica = cluster.osd(replica_id);
+  // Ship the sub-op over the cluster network.
+  co_await net::Send(cluster.node_nic(node_), cluster.node_nic(replica.node()),
+                     cluster.config().request_header_bytes +
+                         w.txn.PayloadBytes());
+  Status s = co_await replica.HandleReplicaWrite(w.txn, w.snapc, &w.share);
+  // Commit ack back to the primary.
+  co_await net::Send(cluster.node_nic(replica.node()), cluster.node_nic(node_),
+                     cluster.config().response_header_bytes);
+  if (s.ok()) cluster.pg_log(w.pg).NoteHave(replica_id, w.txn.oid, w.gen);
+  co_return s;
 }
 
 sim::Task<Status> Osd::HandlePrimaryWrite(Cluster& cluster,
                                           const objstore::Transaction& txn,
                                           const objstore::SnapContext& snapc) {
   const uint32_t pg = cluster.placement().PgOf(txn.oid);
-  {
-    // Bounce stale-routed ops before spending a shard: the authoritative
-    // map names the primary; a mismatch means the client's map is old.
-    const std::vector<size_t>& routed = cluster.placement().OsdsForPg(pg);
-    if (!cluster.IsOsdUp(id_) || routed.empty() || routed[0] != id_) {
-      co_return Status::Busy("EAGAIN: not primary");
-    }
-  }
-
-  // Primary software cost under an op shard (mClock-ordered when enabled).
-  co_await AdmitOp(txn.tenant,
-                   config_.costs.write_op +
-                       config_.costs.per_extra_op *
-                           (txn.ops.empty() ? 0 : txn.ops.size() - 1));
-
-  PgLog& log = cluster.pg_log(pg);
-  // A primary that is itself missing this object (it took over the PG
-  // mid-backfill) pulls the head from a survivor before overwriting state
-  // it never had — otherwise a sub-object write would resurrect zeros.
-  if (log.IsMissing(id_, txn.oid)) {
-    obs::SpanScope pull_span(txn.trace, obs::Stage::kRecovery);
-    co_await cluster.recovery().RecoverObject(pg, id_, txn.oid,
-                                              /*inline_pull=*/true);
-  }
+  Status admitted = co_await AdmitPrimaryOp(
+      cluster, pg, txn,
+      OpCost(config_.costs.write_op, config_.costs.per_extra_op, txn));
+  if (!admitted.ok()) co_return admitted;
 
   // The acting set is re-read after admission: a map change while this op
   // queued must not resurrect a downed member.
   const std::vector<size_t> acting = cluster.placement().OsdsForPg(pg);
-  const uint64_t gen = log.NoteWrite(txn.oid);
+  PgLog& log = cluster.pg_log(pg);
+  PrimaryWrite w{cluster, pg, log.NoteWrite(txn.oid), txn, snapc, {}};
 
-  // Replica targets: surviving acting members that are not already missing
-  // this object. A member missing it stays missing — the generation bump
-  // above keeps the divergence in the log for recovery to settle.
-  std::vector<size_t> targets;
-  targets.reserve(acting.size());
+  // Local apply and replica fan-out proceed concurrently; the op commits
+  // when the slowest surviving participant commits (primary-copy
+  // replication). Replica targets are the surviving acting members not
+  // already missing this object: a member missing it stays missing — the
+  // generation bump above keeps the divergence in the log for recovery.
+  std::vector<sim::Task<Status>> waves;
+  waves.reserve(acting.size());
+  waves.push_back(ApplyLocal(w));
   for (size_t r = 1; r < acting.size(); ++r) {
     if (log.IsMissing(acting[r], txn.oid)) {
       cluster.stats().skipped_replicas++;
       continue;
     }
-    targets.push_back(acting[r]);
+    waves.push_back(Replicate(w, acting[r]));
   }
   // Degraded = committing on fewer copies than the replication factor,
   // whether the acting set shrank (whole node down) or a member is still
   // owed the object by recovery.
-  if (1 + targets.size() < cluster.config().replication) {
+  if (waves.size() < cluster.config().replication) {
     cluster.stats().degraded_writes++;
   }
-
-  // Local apply and replica fan-out proceed concurrently; the op commits
-  // when the slowest surviving participant commits (primary-copy
-  // replication). Every participant stores the same payload, so they share
-  // its pages (host memory only; see objstore::PageShare).
-  objstore::PageShare share;
-  std::vector<Status> results(1 + targets.size(), Status::Ok());
-  std::vector<sim::Task<void>> waves;
-  waves.push_back([](Osd* self, Cluster* cluster, uint32_t pg_id,
-                     uint64_t write_gen, const objstore::Transaction* txn,
-                     const objstore::SnapContext* snapc,
-                     objstore::PageShare* share,
-                     Status* out) -> sim::Task<void> {
-    *out = co_await self->store_->Apply(*txn, *snapc, share);
-    if (out->ok()) {
-      cluster->pg_log(pg_id).NoteHave(self->id(), txn->oid, write_gen);
-    }
-  }(this, &cluster, pg, gen, &txn, &snapc, &share, &results[0]));
-
-  const size_t payload = txn.PayloadBytes();
-  for (size_t r = 0; r < targets.size(); ++r) {
-    waves.push_back([](Cluster* cluster, Osd* primary, size_t replica_id,
-                       uint32_t pg_id, uint64_t write_gen, size_t payload,
-                       const objstore::Transaction* txn,
-                       const objstore::SnapContext* snapc,
-                       objstore::PageShare* share,
-                       Status* out) -> sim::Task<void> {
-      obs::SpanScope span(txn->trace, obs::Stage::kReplicate);
-      if (!cluster->IsOsdUp(replica_id)) {
-        // Member died between election and fan-out: the write commits on
-        // the survivors; peering already logged the divergence.
-        cluster->stats().skipped_replicas++;
-        *out = Status::Ok();
-        co_return;
-      }
-      Osd& replica = cluster->osd(replica_id);
-      // Ship the sub-op over the cluster network.
-      co_await net::Send(cluster->node_nic(primary->node()),
-                         cluster->node_nic(replica.node()),
-                         cluster->config().request_header_bytes + payload);
-      *out = co_await replica.HandleReplicaWrite(*txn, *snapc, share);
-      // Commit ack back to the primary.
-      co_await net::Send(cluster->node_nic(replica.node()),
-                         cluster->node_nic(primary->node()),
-                         cluster->config().response_header_bytes);
-      if (out->ok()) {
-        cluster->pg_log(pg_id).NoteHave(replica_id, txn->oid, write_gen);
-      }
-    }(&cluster, this, targets[r], pg, gen, payload, &txn, &snapc, &share,
-                     &results[1 + r]));
-  }
-  co_await sim::WhenAll(std::move(waves));
-
-  for (const Status& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
+  co_return co_await sim::WhenAllOk(std::move(waves));
 }
 
 sim::Task<Result<objstore::ReadResult>> Osd::HandleRead(
     Cluster& cluster, const objstore::Transaction& txn,
     objstore::SnapId snap) {
   const uint32_t pg = cluster.placement().PgOf(txn.oid);
-  {
-    const std::vector<size_t>& routed = cluster.placement().OsdsForPg(pg);
-    if (!cluster.IsOsdUp(id_) || routed.empty() || routed[0] != id_) {
-      co_return Status::Busy("EAGAIN: not primary");
-    }
-  }
-  co_await AdmitOp(txn.tenant,
-                   config_.costs.read_op +
-                       config_.costs.per_extra_op_read *
-                           (txn.ops.empty() ? 0 : txn.ops.size() - 1));
-  PgLog& log = cluster.pg_log(pg);
-  if (log.IsMissing(id_, txn.oid)) {
-    obs::SpanScope pull_span(txn.trace, obs::Stage::kRecovery);
-    co_await cluster.recovery().RecoverObject(pg, id_, txn.oid,
-                                              /*inline_pull=*/true);
-  }
+  Status admitted = co_await AdmitPrimaryOp(
+      cluster, pg, txn,
+      OpCost(config_.costs.read_op, config_.costs.per_extra_op_read, txn));
+  if (!admitted.ok()) co_return admitted;
   co_return co_await store_->ExecuteRead(txn, snap);
 }
 
@@ -205,9 +199,10 @@ sim::Task<Result<size_t>> IoCtx::PickPrimary(uint32_t pg, size_t attempt) {
   co_return Status::IoError("no reachable primary for pg");
 }
 
-sim::Task<Status> IoCtx::Operate(const std::string& oid,
-                                 objstore::Transaction txn,
-                                 const objstore::SnapContext& snapc) {
+template <typename Reply, typename Handle, typename ReplyBytes>
+sim::Task<Reply> IoCtx::Route(const std::string& oid,
+                              objstore::Transaction txn, size_t request_bytes,
+                              Handle handle, ReplyBytes reply_bytes) {
   txn.oid = oid;
   txn.tenant = tenant_;
   const auto& config = cluster_->config();
@@ -220,59 +215,51 @@ sim::Task<Status> IoCtx::Operate(const std::string& oid,
     Osd& primary = cluster_->osd(*primary_id);
     const uint64_t seen = cluster_->client_map().epoch();
 
-    // Client -> primary: headers + payload.
+    // Client -> primary: headers + request payload.
     co_await net::Send(cluster_->client_nic(),
                        cluster_->node_nic(primary.node()),
-                       config.request_header_bytes + txn.PayloadBytes());
-    Status result = co_await primary.HandlePrimaryWrite(*cluster_, txn, snapc);
-    // Primary -> client: ack (or the EAGAIN bounce).
+                       config.request_header_bytes + request_bytes);
+    Reply reply = co_await handle(primary, txn);
+    // Primary -> client: headers + reply payload (or the EAGAIN bounce).
     co_await net::Send(cluster_->node_nic(primary.node()),
-                       cluster_->client_nic(), config.response_header_bytes);
-    if (result.code() == StatusCode::kBusy &&
-        attempt < config.max_op_retries) {
+                       cluster_->client_nic(),
+                       config.response_header_bytes + reply_bytes(reply));
+    if (IsBusy(reply) && attempt < config.max_op_retries) {
       cluster_->stats().eagain_redirects++;
       co_await cluster_->RefreshClientMap(seen);
       continue;
     }
-    co_return result;
+    co_return reply;
   }
+}
+
+sim::Task<Status> IoCtx::Operate(const std::string& oid,
+                                 objstore::Transaction txn,
+                                 const objstore::SnapContext& snapc) {
+  const size_t payload = txn.PayloadBytes();
+  return Route<Status>(
+      oid, std::move(txn), payload,
+      [this, &snapc](Osd& primary, const objstore::Transaction& t) {
+        return primary.HandlePrimaryWrite(*cluster_, t, snapc);
+      },
+      [](const Status&) { return size_t{0}; });
 }
 
 sim::Task<Result<objstore::ReadResult>> IoCtx::OperateRead(
     const std::string& oid, objstore::Transaction txn, objstore::SnapId snap) {
-  txn.oid = oid;
-  txn.tenant = tenant_;
-  const auto& config = cluster_->config();
-  co_await sim::Sleep{config.client_op_cost};
-  const uint32_t pg = cluster_->client_map().PgOf(oid);
-
-  for (size_t attempt = 0;; ++attempt) {
-    auto primary_id = co_await PickPrimary(pg, attempt);
-    if (!primary_id.ok()) co_return primary_id.status();
-    Osd& primary = cluster_->osd(*primary_id);
-    const uint64_t seen = cluster_->client_map().epoch();
-
-    co_await net::Send(cluster_->client_nic(),
-                       cluster_->node_nic(primary.node()),
-                       config.request_header_bytes);
-    auto result = co_await primary.HandleRead(*cluster_, txn, snap);
-    size_t payload = config.response_header_bytes;
-    if (result.ok()) {
-      payload += result->data.size();
-      for (const auto& [k, v] : result->omap_values) {
-        payload += k.size() + v.size();
-      }
-    }
-    co_await net::Send(cluster_->node_nic(primary.node()),
-                       cluster_->client_nic(), payload);
-    if (!result.ok() && result.status().code() == StatusCode::kBusy &&
-        attempt < config.max_op_retries) {
-      cluster_->stats().eagain_redirects++;
-      co_await cluster_->RefreshClientMap(seen);
-      continue;
-    }
-    co_return result;
-  }
+  return Route<Result<objstore::ReadResult>>(
+      oid, std::move(txn), 0,
+      [this, snap](Osd& primary, const objstore::Transaction& t) {
+        return primary.HandleRead(*cluster_, t, snap);
+      },
+      [](const Result<objstore::ReadResult>& r) {
+        size_t bytes = 0;
+        if (r.ok()) {
+          bytes += r->data.size();
+          for (const auto& [k, v] : r->omap_values) bytes += k.size() + v.size();
+        }
+        return bytes;
+      });
 }
 
 sim::Task<Status> IoCtx::WriteFull(const std::string& oid, Bytes data) {

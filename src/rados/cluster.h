@@ -147,9 +147,22 @@ class Osd {
       objstore::SnapId snap);
 
  private:
-  // Holds an op shard for `software_cost`, admitted as `tenant` when qos
-  // is enabled and as tenant 0 otherwise.
-  sim::Task<void> AdmitOp(uint64_t tenant, sim::SimTime software_cost);
+  struct PrimaryWrite;
+
+  // The admission step every primary op (write or read) takes on arrival:
+  // bounces a stale-routed op with kBusy (EAGAIN) before it spends a
+  // shard; holds an op shard for `software_cost`, admitted as the op's
+  // tenant when qos is enabled and as tenant 0 otherwise; then, when this
+  // OSD is itself missing the object, pulls its head inline under a
+  // kRecovery span. Ok means the op may execute.
+  sim::Task<Status> AdmitPrimaryOp(Cluster& cluster, uint32_t pg,
+                                   const objstore::Transaction& txn,
+                                   sim::SimTime software_cost);
+  // A primary write's two kinds of participant: the local apply and one
+  // replica sub-op (cluster network round-trip plus the replica's apply).
+  // Each records the write's generation for its OSD once it commits.
+  sim::Task<Status> ApplyLocal(PrimaryWrite& w);
+  sim::Task<Status> Replicate(PrimaryWrite& w, size_t replica_id);
 
   size_t id_;
   size_t node_;
@@ -184,10 +197,20 @@ class IoCtx {
                                 objstore::SnapId snap = objstore::kHeadSnap);
 
  private:
-  // Primary election per the client's cached map. Returns the primary's id
-  // or, after paying the connect timeout for a dead primary in a stale map
-  // and refreshing, asks the caller to retry (returns false).
+  // Primary election per the client's cached map. Returns the primary's id,
+  // paying the connect timeout and a map refresh for each dead primary the
+  // cached map names; an error once the retries are used up.
   sim::Task<Result<size_t>> PickPrimary(uint32_t pg, size_t attempt);
+
+  // The routed-op step behind Operate and OperateRead: the client's
+  // software cost, the PG lookup in the cached map, primary election, the
+  // request (`request_bytes` of payload past the header) to the primary,
+  // `handle(primary, txn)` there, and the reply (`reply_bytes(reply)` past
+  // the header) back. An EAGAIN bounce refreshes the map and retries.
+  template <typename Reply, typename Handle, typename ReplyBytes>
+  sim::Task<Reply> Route(const std::string& oid, objstore::Transaction txn,
+                         size_t request_bytes, Handle handle,
+                         ReplyBytes reply_bytes);
 
   Cluster* cluster_;
   uint64_t tenant_ = 0;

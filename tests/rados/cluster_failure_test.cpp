@@ -368,6 +368,7 @@ TEST(ClusterQos, ImageOpsCarryTenantTag) {
 // the next one (+20 us, +342 events).
 TEST(ClusterQos, SaturatedShardsWithQosOffKeepTheSemaphoreClock) {
   sim::Scheduler sched;
+  sched.ConfigureCores(0);  // overrides VDE_SIM_CORES: the clock is pinned
   bool finished = false;
   sched.Spawn([](bool* done) -> sim::Task<void> {
     ClusterConfig config = SmallCluster();
