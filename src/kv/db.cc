@@ -60,19 +60,17 @@ sim::Task<Status> KvStore::WriteSuperblock() {
   Bytes blob;
   AppendU64Le(blob, kSuperMagic);
   AppendU64Le(blob, wal_->generation());
+  const Tables& tables = *tables_;
   const uint32_t n =
-      static_cast<uint32_t>(l0_.size()) + (l1_ ? 1u : 0u);
+      static_cast<uint32_t>(tables.l0.size()) + (tables.l1 ? 1u : 0u);
   AppendU32Le(blob, n);
-  for (const auto& slot : l0_) {
-    AppendU8(blob, 0);
-    AppendU64Le(blob, slot.offset);
-    AppendU64Le(blob, slot.length);
-  }
-  if (l1_) {
-    AppendU8(blob, 1);
-    AppendU64Le(blob, l1_offset_);
-    AppendU64Le(blob, l1_length_);
-  }
+  const auto entry = [&blob](uint8_t level, const Table& t) {
+    AppendU8(blob, level);
+    AppendU64Le(blob, t.offset);
+    AppendU64Le(blob, t.length);
+  };
+  for (const auto& t : tables.l0) entry(0, *t);
+  if (tables.l1) entry(1, *tables.l1);
   AppendU32Le(blob, Crc32c(blob));
   assert(blob.size() <= region_.sector_size() &&
          "manifest exceeds superblock sector");
@@ -99,30 +97,34 @@ sim::Task<Status> KvStore::Recover(ByteSpan super) {
   wal_ = std::make_unique<Wal>(*wal_region_, wal_gen);
   mem_ = std::make_unique<MemTable>();
 
-  for (uint32_t i = 0; i < n; ++i) {
+  // The manifest entries; a later L1 entry supersedes an earlier one.
+  struct Entry {
     uint8_t level = 0;
-    uint64_t table_off = 0, table_len = 0;
-    if (!in.U8(&level) || !in.U64(&table_off) || !in.U64(&table_len)) {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+  std::vector<Entry> entries(n);
+  size_t l1_index = n;
+  for (uint32_t i = 0; i < n; ++i) {
+    Entry& e = entries[i];
+    if (!in.U8(&e.level) || !in.U64(&e.offset) || !in.U64(&e.length)) {
       co_return Status::Corruption("manifest entry");  // inside the CRC
     }
-    auto table =
-        co_await SSTable::Open(region_, data_offset_ + table_off, table_len);
-    if (!table.ok()) co_return table.status();
-    if (level == 0) {
-      l0_.push_back(
-          TableSlot{std::move(table).value(), table_off, table_len});
-    } else {
-      l1_ = std::move(table).value();
-      l1_offset_ = table_off;
-      l1_length_ = table_len;
-    }
+    if (e.level != 0) l1_index = i;
   }
+  const auto live_entry = [&](size_t i) {
+    return entries[i].level == 0 || i == l1_index;
+  };
   // Rebuild the allocator: mark live table extents as used by consuming the
-  // whole space, then freeing the gaps between (sorted) live extents.
+  // whole space, then freeing the gaps between (sorted) live extents. The
+  // tables opened below own their extents from here on.
   {
     std::vector<std::pair<uint64_t, uint64_t>> live;
-    for (const auto& slot : l0_) live.emplace_back(slot.offset, slot.length);
-    if (l1_) live.emplace_back(l1_offset_, l1_length_);
+    for (size_t i = 0; i < n; ++i) {
+      if (live_entry(i)) {
+        live.emplace_back(entries[i].offset, entries[i].length);
+      }
+    }
     std::sort(live.begin(), live.end());
     const uint64_t total = region_.capacity_bytes() - data_offset_;
     alloc_ = std::make_unique<dev::ExtentAllocator>(total,
@@ -138,6 +140,22 @@ sim::Task<Status> KvStore::Recover(ByteSpan super) {
     if (total > 0) (void)alloc_->Allocate(total);  // consume everything
     for (const auto& [o, l] : gaps) alloc_->Free(o, l);
   }
+  auto tables = std::make_shared<Tables>();
+  for (size_t i = 0; i < n; ++i) {
+    if (!live_entry(i)) continue;
+    const Entry& e = entries[i];
+    auto sst = co_await SSTable::Open(region_, data_offset_ + e.offset,
+                                      e.length);
+    if (!sst.ok()) co_return sst.status();
+    auto t = std::make_shared<Table>(std::move(sst).value(), e.offset,
+                                     e.length, *alloc_);
+    if (e.level == 0) {
+      tables->l0.push_back(std::move(t));
+    } else {
+      tables->l1 = std::move(t);
+    }
+  }
+  tables_ = std::move(tables);
 
   // Replay the WAL into the memtable.
   auto frames = co_await wal_->Recover();
@@ -221,7 +239,7 @@ sim::Task<Status> KvStore::MaybeFlush() {
   co_return s;
 }
 
-sim::Task<Result<KvStore::TableSlot>> KvStore::WriteTable(
+sim::Task<Result<std::shared_ptr<KvStore::Table>>> KvStore::WriteTable(
     SSTableBuilder& builder) {
   auto built = builder.Finish(region_.sector_size());
   auto extent = alloc_->Allocate(built.image.size());
@@ -231,10 +249,10 @@ sim::Task<Result<KvStore::TableSlot>> KvStore::WriteTable(
     Status s = co_await region_.Write(data_offset_ + offset, built.image);
     if (!s.ok()) co_return s;
   }
-  co_return TableSlot{
+  co_return std::make_shared<Table>(
       std::make_unique<SSTable>(region_, data_offset_ + offset,
                                 std::move(built.meta)),
-      offset, built.image.size()};
+      offset, built.image.size(), *alloc_);
 }
 
 sim::Task<Status> KvStore::Flush() {
@@ -250,16 +268,21 @@ sim::Task<Status> KvStore::FlushLocked() {
   for (const auto& entry : mem_->ScanAll()) {
     builder.Add(entry.key, entry.value->value, entry.value->tombstone);
   }
-  auto slot = co_await WriteTable(builder);
-  if (!slot.ok()) co_return slot.status();
+  auto table = co_await WriteTable(builder);
+  if (!table.ok()) co_return table.status();
   stats_.flushes++;
-  stats_.bytes_flushed += slot->length;
-  l0_.insert(l0_.begin(), std::move(slot).value());
+  stats_.bytes_flushed += (*table)->length;
+  auto next = std::make_shared<Tables>();
+  next->l0.reserve(tables_->l0.size() + 1);
+  next->l0.push_back(std::move(table).value());
+  next->l0.insert(next->l0.end(), tables_->l0.begin(), tables_->l0.end());
+  next->l1 = tables_->l1;
+  tables_ = std::move(next);
   mem_ = std::make_unique<MemTable>();
   co_await wal_->Idle();
   wal_->Reset(wal_->generation() + 1);
   VDE_CO_RETURN_IF_ERROR(co_await WriteSuperblock());
-  if (l0_.size() >= options_.l0_compaction_trigger) {
+  if (tables_->l0.size() >= options_.l0_compaction_trigger) {
     co_return co_await Compact();
   }
   co_return Status::Ok();
@@ -267,48 +290,49 @@ sim::Task<Status> KvStore::FlushLocked() {
 
 sim::Task<Status> KvStore::Compact() {
   // Full merge: newest source wins; tombstones drop out at the bottom.
-  std::map<Bytes, TableEntry> merged;
+  auto merged = std::make_shared<std::map<Bytes, TableEntry>>();
   auto absorb = [&merged](std::vector<TableEntry> entries) {
     for (auto& e : entries) {
-      merged.try_emplace(e.key, std::move(e));  // keep newest
+      merged->try_emplace(e.key, std::move(e));  // keep newest
     }
   };
-  for (auto& slot : l0_) {
-    auto entries = co_await slot.table->Scan({}, {});
+  std::shared_ptr<const Tables> old = tables_;
+  for (const auto& t : old->l0) {
+    auto entries = co_await t->sst->Scan({}, {});
     if (!entries.ok()) co_return entries.status();
     absorb(std::move(entries).value());
   }
-  if (l1_) {
-    auto entries = co_await l1_->Scan({}, {});
+  if (old->l1) {
+    auto entries = co_await old->l1->sst->Scan({}, {});
     if (!entries.ok()) co_return entries.status();
     absorb(std::move(entries).value());
   }
 
   SSTableBuilder builder(options_);
   uint64_t kept = 0;
-  for (const auto& [key, entry] : merged) {
+  for (const auto& [key, entry] : *merged) {
     if (entry.tombstone) continue;  // bottom level: drop tombstones
     builder.Add(key, entry.value, false);
     kept++;
   }
 
-  // Free old extents first so the new table can reuse the space.
-  std::vector<std::pair<uint64_t, uint64_t>> old_extents;
-  for (const auto& slot : l0_) old_extents.emplace_back(slot.offset, slot.length);
-  if (l1_) old_extents.emplace_back(l1_offset_, l1_length_);
-  l0_.clear();
-  l1_.reset();
-  for (const auto& [o, l] : old_extents) alloc_->Free(o, l);
+  // Drop the old tables first so the new table can reuse their space (a
+  // read still on them keeps their extents until it finishes). Reads that
+  // start before L1 lands find the merged rows in memory.
+  auto compacting = std::make_shared<Tables>();
+  compacting->compacting = std::move(merged);
+  tables_ = std::move(compacting);
+  old.reset();
 
   if (kept > 0) {
-    auto slot = co_await WriteTable(builder);
-    if (!slot.ok()) co_return slot.status();
-    stats_.bytes_compacted += slot->length;
-    l1_ = std::move(slot->table);
-    l1_offset_ = slot->offset;
-    l1_length_ = slot->length;
+    auto table = co_await WriteTable(builder);
+    if (!table.ok()) co_return table.status();
+    stats_.bytes_compacted += (*table)->length;
+    auto next = std::make_shared<Tables>();
+    next->l1 = std::move(table).value();
+    tables_ = std::move(next);
   } else {
-    l1_offset_ = l1_length_ = 0;
+    tables_ = std::make_shared<const Tables>();
   }
   stats_.compactions++;
   co_return co_await WriteSuperblock();
@@ -321,19 +345,26 @@ sim::Task<Result<std::optional<Bytes>>> KvStore::Get(Bytes key) {
     if (v->tombstone) co_return std::optional<Bytes>{};
     co_return std::optional<Bytes>{v->value};
   }
-  for (auto& slot : l0_) {
-    auto found = co_await slot.table->Get(key, &stats_);
+  const std::shared_ptr<const Tables> pinned = tables_;
+  for (const auto& t : pinned->l0) {
+    auto found = co_await t->sst->Get(key, &stats_);
     if (!found.ok()) co_return found.status();
     if (found->has_value()) {
       if ((*found)->tombstone) co_return std::optional<Bytes>{};
       co_return std::optional<Bytes>{std::move((*found)->value)};
     }
   }
-  if (l1_) {
-    auto found = co_await l1_->Get(key, &stats_);
+  if (pinned->l1) {
+    auto found = co_await pinned->l1->sst->Get(key, &stats_);
     if (!found.ok()) co_return found.status();
     if (found->has_value() && !(*found)->tombstone) {
       co_return std::optional<Bytes>{std::move((*found)->value)};
+    }
+  }
+  if (pinned->compacting) {
+    auto it = pinned->compacting->find(key);
+    if (it != pinned->compacting->end() && !it->second.tombstone) {
+      co_return std::optional<Bytes>{it->second.value};
     }
   }
   co_return std::optional<Bytes>{};
@@ -351,15 +382,23 @@ sim::Task<Result<std::vector<std::pair<Bytes, Bytes>>>> KvStore::Scan(
     e.tombstone = entry.value->tombstone;
     merged.try_emplace(e.key, std::move(e));
   }
-  for (auto& slot : l0_) {
-    auto entries = co_await slot.table->Scan(start, end);
+  const std::shared_ptr<const Tables> pinned = tables_;
+  for (const auto& t : pinned->l0) {
+    auto entries = co_await t->sst->Scan(start, end);
     if (!entries.ok()) co_return entries.status();
     for (auto& e : *entries) merged.try_emplace(e.key, std::move(e));
   }
-  if (l1_) {
-    auto entries = co_await l1_->Scan(start, end);
+  if (pinned->l1) {
+    auto entries = co_await pinned->l1->sst->Scan(start, end);
     if (!entries.ok()) co_return entries.status();
     for (auto& e : *entries) merged.try_emplace(e.key, std::move(e));
+  }
+  if (pinned->compacting) {
+    for (auto it = pinned->compacting->lower_bound(start);
+         it != pinned->compacting->end() && (end.empty() || it->first < end);
+         ++it) {
+      merged.try_emplace(it->first, it->second);
+    }
   }
   std::vector<std::pair<Bytes, Bytes>> out;
   for (auto& [key, entry] : merged) {

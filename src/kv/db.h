@@ -10,8 +10,18 @@
 // Levels: L0 = newest-first overlapping tables; L1 = one fully-merged table.
 // Compaction merges everything into L1 when L0 fills (tiered-to-full; simple
 // and adequate for OMAP-scale databases — documented limit, not a surprise).
+//
+// Reads pin their table set. A flush publishes a new set with one more L0
+// table; a compaction publishes its merged rows, held in memory, before it
+// writes L1, then the set of that one table. A Get or Scan keeps reading
+// the set it started with across its device reads, and a table's extent
+// returns to the allocator only when the last holder (the current set, or
+// a read still on an older one) drops it. With no read in flight that is
+// the moment the set is replaced, so placement is the same as freeing
+// eagerly. The store must outlive its reads.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -65,15 +75,32 @@ class KvStore {
   sim::Task<Status> Flush();
 
   const KvStats& stats() const { return stats_; }
-  size_t l0_tables() const { return l0_.size(); }
-  bool has_l1() const { return l1_ != nullptr; }
+  size_t l0_tables() const { return tables_->l0.size(); }
+  bool has_l1() const { return tables_->l1 != nullptr; }
   size_t memtable_bytes() const { return mem_->bytes(); }
 
  private:
-  struct TableSlot {
-    std::unique_ptr<SSTable> table;
+  // One table and the extent that holds it, freed with the table.
+  struct Table {
+    Table(std::unique_ptr<SSTable> sst, uint64_t offset, uint64_t length,
+          dev::ExtentAllocator& alloc)
+        : sst(std::move(sst)), offset(offset), length(length), alloc(alloc) {}
+    ~Table() { alloc.Free(offset, length); }
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+
+    std::unique_ptr<SSTable> sst;
     uint64_t offset;
     uint64_t length;
+    dev::ExtentAllocator& alloc;
+  };
+  // A published table set, never modified: L0 newest first, then L1 (null
+  // when absent). While a compaction writes its L1 table, the set holds
+  // only the merged rows it is writing (tombstones read as absent).
+  struct Tables {
+    std::vector<std::shared_ptr<Table>> l0;
+    std::shared_ptr<Table> l1;
+    std::shared_ptr<const std::map<Bytes, TableEntry>> compacting;
   };
 
   KvStore(dev::BlockDevice& region, KvOptions options);
@@ -87,7 +114,8 @@ class KvStore {
   // append and its memtable insert.
   sim::Task<Status> FlushLocked();
   sim::Task<Status> Compact();
-  sim::Task<Result<TableSlot>> WriteTable(SSTableBuilder& builder);
+  sim::Task<Result<std::shared_ptr<Table>>> WriteTable(
+      SSTableBuilder& builder);
 
   void ApplyToMemtable(const WriteBatch& batch);
 
@@ -99,10 +127,8 @@ class KvStore {
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<dev::ExtentAllocator> alloc_;
   std::unique_ptr<MemTable> mem_;
-  std::vector<TableSlot> l0_;  // index 0 = newest
-  std::unique_ptr<SSTable> l1_;
-  uint64_t l1_offset_ = 0;
-  uint64_t l1_length_ = 0;
+  // Declared after alloc_: dropping the last set frees into it.
+  std::shared_ptr<const Tables> tables_ = std::make_shared<const Tables>();
   // Writes hold it shared from WAL append to memtable insert, flushes
   // exclusive: a flush never swaps out a memtable, or resets a WAL
   // generation, that a write in flight still lands in.

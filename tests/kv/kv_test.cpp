@@ -465,5 +465,60 @@ TEST(KvStore, WritesOverlappingAFlushKeepTheirRows) {
   });
 }
 
+// Reads that overlap flushes and compactions see the table set they
+// started with: 40 puts, then 100 puts and 100 reads started 3 us apart,
+// against a memtable that fills every few puts and a compaction every
+// third flush. A read whose table set a flush grows or a compaction
+// replaces mid-lookup must still find its key's latest value (reads touch
+// only keys no write in flight touches; every tenth read is a scan).
+TEST(KvStore, ReadsOverlappingFlushAndCompactionSeeTheirTables) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    dev::NvmeDevice nvme;
+    KvOptions options = SmallOptions();
+    options.memtable_limit = 4096;
+    options.l0_compaction_trigger = 3;
+    constexpr int kSettled = 40;
+    constexpr int kOps = 100;
+    const auto key = [](const char* space, int i) {
+      return BytesOf(std::string(space) + std::to_string(i));
+    };
+    const auto value = [](int i) { return Bytes(200, uint8_t(i)); };
+    auto store = co_await KvStore::Open(nvme, options);
+    CO_ASSERT_OK(store.status());
+    auto& kv = **store;
+    for (int i = 0; i < kSettled; ++i) {
+      CO_ASSERT_OK(co_await kv.Put(key("settled.", i), value(i)));
+    }
+    std::vector<Status> puts(kOps);
+    std::vector<int> good_reads(kOps, 0);
+    std::vector<sim::Task<void>> ops;
+    for (int i = 0; i < kOps; ++i) {
+      const sim::SimTime at = static_cast<sim::SimTime>(2 * i) * 3 * sim::kUs;
+      ops.push_back([](KvStore* kv, sim::SimTime at, Bytes k, Bytes v,
+                       Status* out) -> sim::Task<void> {
+        co_await sim::Sleep{at};
+        *out = co_await kv->Put(std::move(k), std::move(v));
+      }(&kv, at, key("fresh.", i), value(i), &puts[i]));
+      ops.push_back([](KvStore* kv, sim::SimTime at, int i, Bytes k, Bytes want,
+                       int* good) -> sim::Task<void> {
+        co_await sim::Sleep{at + 3 * sim::kUs};
+        if (i % 10 == 0) {
+          auto rows = co_await kv->ScanPrefix(BytesOf("settled."));
+          *good = rows.ok() && rows->size() == size_t{kSettled};
+          co_return;
+        }
+        auto got = co_await kv->Get(std::move(k));
+        *good = got.ok() && got->has_value() && **got == want;
+      }(&kv, at, i, key("settled.", i % kSettled), value(i % kSettled),
+                     &good_reads[i]));
+    }
+    co_await sim::WhenAll(std::move(ops));
+    for (const Status& s : puts) CO_ASSERT_OK(s);
+    for (int i = 0; i < kOps; ++i) EXPECT_EQ(good_reads[i], 1) << "read " << i;
+    EXPECT_GT(kv.stats().flushes, 3u);
+    EXPECT_GT(kv.stats().compactions, 0u);
+  });
+}
+
 }  // namespace
 }  // namespace vde::kv
