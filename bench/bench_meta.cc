@@ -136,9 +136,9 @@ WarmPoint RunWarmReopenPoint(Bench& bench, const core::EncryptionSpec& spec,
 
     bool cold_ok = false;
     {
-      auto image = co_await rbd::Image::Open(cluster, "metabench", "pw",
-                                             {}, nullptr, {},
-                                             options.iv_cache);
+      rbd::ImageOptions cold = options;
+      cold.meta_store = {};
+      auto image = co_await rbd::Image::Open(cluster, "metabench", "pw", cold);
       if (!image.ok()) co_return false;
       co_await reread(**image, &cold_ok);
       const obs::Metrics s = (*image)->MetricsSnapshot();
@@ -149,10 +149,8 @@ WarmPoint RunWarmReopenPoint(Bench& bench, const core::EncryptionSpec& spec,
 
     bool warm_ok = false;
     {
-      auto image = co_await rbd::Image::Open(cluster, "metabench", "pw",
-                                             {}, nullptr, {},
-                                             options.iv_cache,
-                                             options.meta_store);
+      auto image =
+          co_await rbd::Image::Open(cluster, "metabench", "pw", options);
       if (!image.ok()) co_return false;
       co_await reread(**image, &warm_ok);
       const obs::Metrics s = (*image)->MetricsSnapshot();
@@ -220,9 +218,8 @@ bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
         co_return false;
       }
     }
-    auto reopened = co_await rbd::Image::Open(cluster, "replay", "pw", {},
-                                              nullptr, {}, options.iv_cache,
-                                              options.meta_store);
+    auto reopened =
+        co_await rbd::Image::Open(cluster, "replay", "pw", options);
     if (!reopened.ok()) co_return false;
     auto got = co_await (*reopened)->Read(kBlk, kBlk);
     rejected = got.status().code() == StatusCode::kCorruption;
@@ -267,9 +264,8 @@ bool RunStaleIvPoint(const core::EncryptionSpec& spec) {
       co_await cluster.Drain();
       if (!(co_await (*image)->Close()).ok()) co_return false;
     }
-    auto reopened = co_await rbd::Image::Open(cluster, "staleiv", "pw", {},
-                                              nullptr, {}, options.iv_cache,
-                                              options.meta_store);
+    auto reopened =
+        co_await rbd::Image::Open(cluster, "staleiv", "pw", options);
     if (!reopened.ok()) co_return false;
     auto got = co_await (*reopened)->Read(0, kBlk);
     rejected = got.status().code() == StatusCode::kCorruption;

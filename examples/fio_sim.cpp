@@ -576,9 +576,12 @@ sim::Task<void> Run(Args args, Rig* rig, bool* ok) {
       co_return;
     }
     co_await rig->cluster->Drain();
-    auto reopened = co_await rbd::Image::Open(
-        *rig->cluster, "fio", "pw", {}, nullptr, {}, options.iv_cache,
-        options.meta_store, options.obs);
+    rbd::ImageOptions runtime;
+    runtime.iv_cache = options.iv_cache;
+    runtime.meta_store = options.meta_store;
+    runtime.obs = options.obs;
+    auto reopened =
+        co_await rbd::Image::Open(*rig->cluster, "fio", "pw", runtime);
     if (!reopened.ok()) {
       std::printf("reopen failed: %s\n", reopened.status().ToString().c_str());
       co_return;

@@ -280,11 +280,8 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Create(
 
 sim::Task<Result<std::shared_ptr<Image>>> Image::Open(
     rados::Cluster& cluster, const std::string& name,
-    const std::string& passphrase, WritebackConfig writeback,
-    std::shared_ptr<qos::Scheduler> qos_scheduler, qos::QosPolicy qos,
-    IvCacheConfig iv_cache, MetaStoreConfig meta_store, obs::Config obs,
-    rados::TenantSpec tenant) {
-  auto io = cluster.ioctx(tenant.id);
+    const std::string& passphrase, ImageOptions runtime) {
+  auto io = cluster.ioctx(runtime.tenant.id);
   const std::string header_oid = "rbd_header." + name;
   auto raw = co_await io.Read(header_oid, 0, kHeaderFirstRead);
   if (!raw.ok()) co_return raw.status();
@@ -302,17 +299,15 @@ sim::Task<Result<std::shared_ptr<Image>>> Image::Open(
   auto header = ParseImageHeader(data);
   if (!header.ok()) co_return header.status();
 
-  // Write-back, QoS, and IV-cache configuration are client-side runtime
-  // policy, not persisted metadata: the caller picks them per open.
-  ImageOptions options = std::move(header->options);
-  options.writeback = writeback;
-  options.qos_scheduler = std::move(qos_scheduler);
-  options.qos = qos;
-  options.iv_cache = iv_cache;
-  options.meta_store = meta_store;
-  options.obs = obs;
-  options.tenant = tenant;
-  if (tenant.id != 0) cluster.SetTenantSpec(tenant);
+  // The caller's runtime policy, under the header's persisted geometry and
+  // encryption spec (the fields ParseImageHeader sets).
+  ImageOptions options = std::move(runtime);
+  options.size = header->options.size;
+  options.object_size = header->options.object_size;
+  options.stripe_unit = header->options.stripe_unit;
+  options.stripe_count = header->options.stripe_count;
+  options.enc = header->options.enc;
+  if (options.tenant.id != 0) cluster.SetTenantSpec(options.tenant);
   std::shared_ptr<Image> image(new Image(cluster, name, options));
   image->encrypted_ = header->encrypted;
   image->snaps_ = std::move(header->snaps);

@@ -114,18 +114,14 @@ class Image {
       const std::string& passphrase, const ImageOptions& options);
 
   // Opens an existing image, unlocking the header with `passphrase`.
-  // `writeback`, `qos_scheduler`, `qos`, and `iv_cache` are client-side
-  // runtime policy (not persisted): pass a custom write-back config to
-  // e.g. disable coalescing, a shared qos::Scheduler + QosPolicy to make
-  // this open a tenant of a multi-image dispatch queue, and an IvCacheConfig
-  // to keep random-IV metadata rows resident client-side.
+  // `runtime` carries the client-side policy picked per open (write-back,
+  // QoS scheduler and policy, IV cache, metadata plane, observability,
+  // cluster tenant); the geometry and encryption spec persisted in the
+  // header win over its own, so passing the options an image was created
+  // with reopens it as it was.
   static sim::Task<Result<std::shared_ptr<Image>>> Open(
       rados::Cluster& cluster, const std::string& name,
-      const std::string& passphrase, WritebackConfig writeback = {},
-      std::shared_ptr<qos::Scheduler> qos_scheduler = nullptr,
-      qos::QosPolicy qos = {}, IvCacheConfig iv_cache = {},
-      MetaStoreConfig meta_store = {}, obs::Config obs = {},
-      rados::TenantSpec tenant = {});
+      const std::string& passphrase, ImageOptions runtime = {});
 
   ~Image();
 

@@ -179,11 +179,11 @@ TEST(CompressedImage, WarmReopenKeepsCompressedLengths) {
         std::fill(block.begin(), block.end(), static_cast<uint8_t>(b));
       }  // else: leave zero
     }
+    ImageOptions o = TestImage(spec);
+    o.iv_cache.enabled = true;
+    o.meta_store.enabled = true;
+    o.meta_store.device = &meta_dev;
     {
-      ImageOptions o = TestImage(spec);
-      o.iv_cache.enabled = true;
-      o.meta_store.enabled = true;
-      o.meta_store.device = &meta_dev;
       auto image = co_await Image::Create(**cluster, "cwarm", "pw", o);
       CO_ASSERT_OK(image.status());
       CO_ASSERT_OK(co_await (*image)->Write(0, data));
@@ -191,12 +191,7 @@ TEST(CompressedImage, WarmReopenKeepsCompressedLengths) {
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
     }
-    MetaStoreConfig plane;
-    plane.enabled = true;
-    plane.device = &meta_dev;
-    auto reopened = co_await Image::Open(**cluster, "cwarm", "pw", {},
-                                         nullptr, {}, {.enabled = true},
-                                         plane);
+    auto reopened = co_await Image::Open(**cluster, "cwarm", "pw", o);
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, data.size());

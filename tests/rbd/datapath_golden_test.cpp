@@ -181,9 +181,7 @@ Point RunStream(ImageOptions opts, const std::vector<Op>& ops,
     CO_ASSERT_OK(image.status());
     co_await run(**image, ops);
     if (!reopened_ops.empty()) {
-      auto reopened = co_await Image::Open(
-          **cluster, "golden", "pw", opts.writeback, nullptr, {},
-          opts.iv_cache, opts.meta_store);
+      auto reopened = co_await Image::Open(**cluster, "golden", "pw", opts);
       CO_ASSERT_OK(reopened.status());
       co_await run(**reopened, reopened_ops);
       if (opts.meta_store.enabled) {

@@ -201,10 +201,9 @@ TEST_P(IvCacheAllLayouts, ColdVsWarmRereadEquivalence) {
       CO_ASSERT_OK(co_await (*image)->Write(kBlk, model));
       CO_ASSERT_OK(co_await (*image)->Flush());
     }
-    IvCacheConfig cache_on;
-    cache_on.enabled = true;
-    auto reopened = co_await Image::Open(**cluster, "reread", "pw", {},
-                                         nullptr, {}, cache_on);
+    ImageOptions cache_on;
+    cache_on.iv_cache.enabled = true;
+    auto reopened = co_await Image::Open(**cluster, "reread", "pw", cache_on);
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
 

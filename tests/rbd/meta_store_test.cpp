@@ -36,27 +36,32 @@ core::EncryptionSpec Spec(core::CipherMode mode, core::IvLayout layout,
   return s;
 }
 
+// Runtime policy for a reopen with the plane on `meta`, without and with
+// the IV cache (Image::Open takes the geometry from the header).
+ImageOptions PlaneOnlyOpen(dev::BlockDevice* meta) {
+  ImageOptions o;
+  o.meta_store.enabled = true;
+  o.meta_store.device = meta;
+  return o;
+}
+
+ImageOptions WarmOpen(dev::BlockDevice* meta) {
+  ImageOptions o = PlaneOnlyOpen(meta);
+  o.iv_cache.enabled = true;
+  return o;
+}
+
 // Image options with the plane AND the IV cache on: the plane persists
 // whatever the cache holds, so warm tests need both.
 ImageOptions PlaneImage(core::EncryptionSpec spec, dev::BlockDevice* meta) {
-  ImageOptions o;
+  ImageOptions o = WarmOpen(meta);
   o.size = kImgSize;
   o.object_size = kObjSize;
   o.enc = spec;
   o.enc.iv_seed = 7;
   o.luks.pbkdf2_iterations = 10;
   o.luks.af_stripes = 8;
-  o.iv_cache.enabled = true;
-  o.meta_store.enabled = true;
-  o.meta_store.device = meta;
   return o;
-}
-
-MetaStoreConfig PlaneConfig(dev::BlockDevice* meta) {
-  MetaStoreConfig c;
-  c.enabled = true;
-  c.device = meta;
-  return c;
 }
 
 // The three metadata geometries the warm path must cover.
@@ -110,9 +115,8 @@ TEST_P(MetaPlaneAllGeometries, WarmReopenServesMetadataLocally) {
           << "plane KV stats must surface in the image registry node";
       CO_ASSERT_OK(co_await (*image)->Close());
     }
-    auto reopened = co_await Image::Open(**cluster, "warm", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "warm", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     for (uint64_t b = 0; b < 4; ++b) {
@@ -158,9 +162,8 @@ TEST(MetaStore, WarmReopenWithCacheDisabledLoadsNoRows) {
       co_await (*cluster)->Drain();
       CO_ASSERT_OK(co_await (*image)->Close());
     }
-    auto reopened = co_await Image::Open(**cluster, "nocache", "pw", {},
-                                         nullptr, {}, IvCacheConfig{},
-                                         PlaneConfig(&meta_dev));
+    auto reopened = co_await Image::Open(**cluster, "nocache", "pw",
+                                         PlaneOnlyOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, 4 * kBlk);
@@ -195,17 +198,15 @@ TEST(MetaStore, CacheDisabledSessionKeepsPersistedRowsFresh) {
     }
     const Bytes v2 = rng.RandomBytes(kBlk);
     {
-      auto image = co_await Image::Open(**cluster, "fresh", "pw", {}, nullptr,
-                                        {}, IvCacheConfig{},
-                                        PlaneConfig(&meta_dev));
+      auto image = co_await Image::Open(**cluster, "fresh", "pw",
+                                        PlaneOnlyOpen(&meta_dev));
       CO_ASSERT_OK(image.status());
       CO_ASSERT_OK(co_await (*image)->Write(0, v2));
       CO_ASSERT_OK(co_await (*image)->Discard(kBlk, kBlk));
       CO_ASSERT_OK(co_await (*image)->Close());
     }
-    auto reopened = co_await Image::Open(**cluster, "fresh", "pw", {},
-                                         nullptr, {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "fresh", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, 2 * kBlk);
@@ -240,9 +241,8 @@ TEST(MetaStore, DirtyReopenColdStartsAndStaysCorrect) {
       // Dropped without Close: the journal flushed (Flush does that) but
       // the plane stays marked dirty.
     }
-    auto reopened = co_await Image::Open(**cluster, "dirty", "pw", {},
-                                         nullptr, {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "dirty", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, 3 * kBlk);
@@ -288,9 +288,8 @@ TEST(MetaStore, CrashBeforeJournalCommitLosesSpillsSafely) {
           << "nothing may have committed before the crash";
       // Dropped without Flush or Close: pending journal entries vanish.
     }
-    auto reopened = co_await Image::Open(**cluster, "torn", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "torn", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, 2 * kBlk);
@@ -328,9 +327,8 @@ TEST(MetaStore, CorruptPlaneSuperblockDegradesToCold) {
     // looks like a fresh device; a wrong CRC is detected corruption).
     const Bytes garbage = rng.RandomBytes(16);
     meta_dev.PokeWrite(16, garbage);
-    auto reopened = co_await Image::Open(**cluster, "sb", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "sb", "pw", WarmOpen(&meta_dev));
     // A corrupt plane must never fail the image open.
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
@@ -386,9 +384,8 @@ sim::Task<void> RunStaleBitmapReplay(core::EncryptionSpec spec) {
     if (!os.ObjectExists(oid)) continue;
     CO_ASSERT_OK(co_await os.TamperOmapRow(oid, bitmap_key, old_record));
   }
-  auto reopened = co_await Image::Open(**cluster, "replay", "pw", {},
-                                       nullptr, {}, {.enabled = true},
-                                       PlaneConfig(&meta_dev));
+  auto reopened =
+      co_await Image::Open(**cluster, "replay", "pw", WarmOpen(&meta_dev));
   CO_ASSERT_OK(reopened.status());
   auto got = co_await (*reopened)->Read(kBlk, kBlk);
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
@@ -438,9 +435,8 @@ sim::Task<void> RunStaleIvRows(core::EncryptionSpec spec) {
     co_await (*cluster)->Drain();
     CO_ASSERT_OK(co_await (*image)->Close());
   }
-  auto reopened = co_await Image::Open(**cluster, "staleiv", "pw", {},
-                                       nullptr, {}, {.enabled = true},
-                                       PlaneConfig(&meta_dev));
+  auto reopened =
+      co_await Image::Open(**cluster, "staleiv", "pw", WarmOpen(&meta_dev));
   CO_ASSERT_OK(reopened.status());
   auto got = co_await (*reopened)->Read(0, kBlk);
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
@@ -493,9 +489,8 @@ TEST(MetaStore, DoubleCloseIsCleanNoOp) {
       CO_ASSERT_OK(co_await (*image)->Close());
     }
     // The doubled Close left the plane clean: the next open is warm.
-    auto reopened = co_await Image::Open(**cluster, "dc", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "dc", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto got = co_await (*reopened)->Read(0, kBlk);
     CO_ASSERT_OK(got.status());
@@ -542,18 +537,16 @@ TEST(MetaStore, ConcurrentFirstTouchesLoadOnce) {
       }
     };
     {
-      auto cold = co_await Image::Open(**cluster, "touch", "pw", {}, nullptr,
-                                       {}, {.enabled = true},
-                                       PlaneConfig(&meta_dev));
+      auto cold =
+          co_await Image::Open(**cluster, "touch", "pw", WarmOpen(&meta_dev));
       CO_ASSERT_OK(cold.status());
       co_await read_blocks(**cold);
       EXPECT_EQ(ImageCounter(**cold, "meta_cold_resets"), 1u);
       EXPECT_EQ(ImageCounter(**cold, "trim_state_loads"), 1u);
       CO_ASSERT_OK(co_await (*cold)->Close());
     }
-    auto warm = co_await Image::Open(**cluster, "touch", "pw", {}, nullptr,
-                                     {}, {.enabled = true},
-                                     PlaneConfig(&meta_dev));
+    auto warm =
+        co_await Image::Open(**cluster, "touch", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(warm.status());
     co_await read_blocks(**warm);
     EXPECT_EQ(ImageCounter(**warm, "meta_warm_hits"), 2u);
@@ -673,9 +666,8 @@ TEST(MetaStore, CloseGcDropsRowsForRemovedObjects) {
     }
     uint64_t rows_before_gc = 0;
     {
-      auto image = co_await Image::Open(**cluster, "gc", "pw", {}, nullptr,
-                                        {}, {.enabled = true},
-                                        PlaneConfig(&meta_dev));
+      auto image =
+          co_await Image::Open(**cluster, "gc", "pw", WarmOpen(&meta_dev));
       CO_ASSERT_OK(image.status());
       // Rows install lazily on first touch: read both objects so the
       // recovered-row count covers the whole persisted working set.
@@ -692,9 +684,8 @@ TEST(MetaStore, CloseGcDropsRowsForRemovedObjects) {
       CO_ASSERT_OK(co_await (*image)->Close());
       EXPECT_GT(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
-    auto reopened = co_await Image::Open(**cluster, "gc", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "gc", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     // Object 0 is gone: reads come back zero.
@@ -736,9 +727,8 @@ TEST(MetaStore, RewriteAfterRemoveCancelsGc) {
     }
     const Bytes fresh = rng.RandomBytes(kObjSize);
     {
-      auto image = co_await Image::Open(**cluster, "regc", "pw", {}, nullptr,
-                                        {}, {.enabled = true},
-                                        PlaneConfig(&meta_dev));
+      auto image =
+          co_await Image::Open(**cluster, "regc", "pw", WarmOpen(&meta_dev));
       CO_ASSERT_OK(image.status());
       CO_ASSERT_OK(co_await (*image)->Discard(0, kObjSize));
       CO_ASSERT_OK(co_await (*image)->Write(0, fresh));
@@ -747,9 +737,8 @@ TEST(MetaStore, RewriteAfterRemoveCancelsGc) {
       CO_ASSERT_OK(co_await (*image)->Close());
       EXPECT_EQ(ImageCounter(**image, "meta_gc_rows"), 0u);
     }
-    auto reopened = co_await Image::Open(**cluster, "regc", "pw", {}, nullptr,
-                                         {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "regc", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto& img = **reopened;
     auto got = co_await img.Read(0, kObjSize);
@@ -804,9 +793,8 @@ TEST(MetaStore, EpochFloorSurvivesCloseGc) {
       // Recreate the object past the floor; drop WITHOUT Close so the
       // next reopen purges warm bitmaps and loads them cold from the
       // (tampered) store — the path a rollback targets.
-      auto image = co_await Image::Open(**cluster, "gcfloor", "pw", {},
-                                        nullptr, {}, {.enabled = true},
-                                        PlaneConfig(&meta_dev));
+      auto image =
+          co_await Image::Open(**cluster, "gcfloor", "pw", WarmOpen(&meta_dev));
       CO_ASSERT_OK(image.status());
       CO_ASSERT_OK(co_await (*image)->Write(0, rng.RandomBytes(2 * kBlk)));
       CO_ASSERT_OK(co_await (*image)->Discard(0, kBlk));
@@ -818,9 +806,8 @@ TEST(MetaStore, EpochFloorSurvivesCloseGc) {
       if (!os.ObjectExists(oid)) continue;
       CO_ASSERT_OK(co_await os.TamperOmapRow(oid, bitmap_key, old_record));
     }
-    auto reopened = co_await Image::Open(**cluster, "gcfloor", "pw", {},
-                                         nullptr, {}, {.enabled = true},
-                                         PlaneConfig(&meta_dev));
+    auto reopened =
+        co_await Image::Open(**cluster, "gcfloor", "pw", WarmOpen(&meta_dev));
     CO_ASSERT_OK(reopened.status());
     auto got = co_await (*reopened)->Read(kBlk, kBlk);
     EXPECT_EQ(got.status().code(), StatusCode::kCorruption)

@@ -595,8 +595,8 @@ TEST(Writeback, OpenHonorsClientWritebackConfig) {
     const Bytes base = rng.RandomBytes(kBlk);
     CO_ASSERT_OK(co_await (*image)->Write(0, base));
 
-    WritebackConfig no_coalesce;
-    no_coalesce.coalesce = false;
+    ImageOptions no_coalesce;
+    no_coalesce.writeback.coalesce = false;
     auto reopened =
         co_await Image::Open(**cluster, "opencfg", "pw", no_coalesce);
     CO_ASSERT_OK(reopened.status());
