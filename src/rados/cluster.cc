@@ -253,11 +253,9 @@ sim::Task<Result<objstore::ReadResult>> IoCtx::OperateRead(
         return primary.HandleRead(*cluster_, t, snap);
       },
       [](const Result<objstore::ReadResult>& r) {
-        size_t bytes = 0;
-        if (r.ok()) {
-          bytes += r->data.size();
-          for (const auto& [k, v] : r->omap_values) bytes += k.size() + v.size();
-        }
+        if (!r.ok()) return size_t{0};
+        size_t bytes = r->data.size();
+        for (const auto& [k, v] : r->omap_values) bytes += k.size() + v.size();
         return bytes;
       });
 }
