@@ -97,34 +97,23 @@ sim::Task<Status> KvStore::Recover(ByteSpan super) {
   wal_ = std::make_unique<Wal>(*wal_region_, wal_gen);
   mem_ = std::make_unique<MemTable>();
 
-  // The manifest entries; a later L1 entry supersedes an earlier one.
   struct Entry {
     uint8_t level = 0;
     uint64_t offset = 0;
     uint64_t length = 0;
   };
   std::vector<Entry> entries(n);
-  size_t l1_index = n;
-  for (uint32_t i = 0; i < n; ++i) {
-    Entry& e = entries[i];
+  for (Entry& e : entries) {
     if (!in.U8(&e.level) || !in.U64(&e.offset) || !in.U64(&e.length)) {
       co_return Status::Corruption("manifest entry");  // inside the CRC
     }
-    if (e.level != 0) l1_index = i;
   }
-  const auto live_entry = [&](size_t i) {
-    return entries[i].level == 0 || i == l1_index;
-  };
-  // Rebuild the allocator: mark live table extents as used by consuming the
-  // whole space, then freeing the gaps between (sorted) live extents. The
-  // tables opened below own their extents from here on.
+  // Rebuild the allocator: mark table extents as used by consuming the
+  // whole space, then freeing the gaps between (sorted) extents. The tables
+  // opened below own their extents from here on.
   {
     std::vector<std::pair<uint64_t, uint64_t>> live;
-    for (size_t i = 0; i < n; ++i) {
-      if (live_entry(i)) {
-        live.emplace_back(entries[i].offset, entries[i].length);
-      }
-    }
+    for (const Entry& e : entries) live.emplace_back(e.offset, e.length);
     std::sort(live.begin(), live.end());
     const uint64_t total = region_.capacity_bytes() - data_offset_;
     alloc_ = std::make_unique<dev::ExtentAllocator>(total,
@@ -141,9 +130,7 @@ sim::Task<Status> KvStore::Recover(ByteSpan super) {
     for (const auto& [o, l] : gaps) alloc_->Free(o, l);
   }
   auto tables = std::make_shared<Tables>();
-  for (size_t i = 0; i < n; ++i) {
-    if (!live_entry(i)) continue;
-    const Entry& e = entries[i];
+  for (const Entry& e : entries) {
     auto sst = co_await SSTable::Open(region_, data_offset_ + e.offset,
                                       e.length);
     if (!sst.ok()) co_return sst.status();
@@ -152,7 +139,7 @@ sim::Task<Status> KvStore::Recover(ByteSpan super) {
     if (e.level == 0) {
       tables->l0.push_back(std::move(t));
     } else {
-      tables->l1 = std::move(t);
+      tables->l1 = std::move(t);  // a later L1 entry supersedes (and frees)
     }
   }
   tables_ = std::move(tables);
