@@ -186,14 +186,6 @@ sim::Task<Status> KvStore::Write(WriteBatch batch) {
   flush_gate_.ReleaseShared();
   stats_.wal_bytes += frame.size();
   stats_.wal_commits++;
-  stats_.batches++;
-  for (const auto& op : batch.ops()) {
-    if (op.type == WriteBatch::OpType::kPut) {
-      stats_.puts++;
-    } else {
-      stats_.deletes++;
-    }
-  }
   // Modeled per-key CPU cost (RocksDB insert path).
   co_await sim::Sleep{options_.cpu_per_key * batch.size()};
   co_return co_await MaybeFlush();
@@ -326,7 +318,6 @@ sim::Task<Status> KvStore::Compact() {
 }
 
 sim::Task<Result<std::optional<Bytes>>> KvStore::Get(Bytes key) {
-  stats_.gets++;
   co_await sim::Sleep{options_.cpu_per_key};
   if (const MemValue* v = mem_->Get(key)) {
     if (v->tombstone) co_return std::optional<Bytes>{};
@@ -359,7 +350,6 @@ sim::Task<Result<std::optional<Bytes>>> KvStore::Get(Bytes key) {
 
 sim::Task<Result<std::vector<std::pair<Bytes, Bytes>>>> KvStore::Scan(
     Bytes start, Bytes end, size_t limit) {
-  stats_.range_gets++;
   // Merge all sources, newest first.
   std::map<Bytes, TableEntry> merged;
   for (const auto& entry : mem_->Scan(start, end)) {

@@ -24,11 +24,6 @@ struct KvOptions {
 };
 
 struct KvStats {
-  uint64_t puts = 0;
-  uint64_t deletes = 0;
-  uint64_t gets = 0;
-  uint64_t range_gets = 0;
-  uint64_t batches = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_commits = 0;
   uint64_t flushes = 0;

@@ -10,9 +10,12 @@
 // mid-push bumps the object generation, which the push detects at
 // completion — the object stays missing and is pushed again.
 //
-// The token bucket throttles background pushes only. Inline pulls (a
-// client op arriving at a primary that is itself missing the object) skip
-// the throttle: they are already on a client's latency path.
+// The token bucket throttles background pushes only. An inline pull (a
+// client op arriving at a primary that is itself missing the object) that
+// finds no push in flight pushes the object itself and skips the throttle.
+// One that finds a background push already in flight waits for that push
+// instead, and that push may be waiting in the token bucket: the client op
+// then pays the throttle after all.
 //
 // Lifetime: workers are detached sim tasks holding a Cluster reference.
 // Any scenario that calls MarkOsdDown/MarkOsdUp must co_await
@@ -63,8 +66,10 @@ class RecoveryManager {
   void Kick();
 
   // Recovers one object to `target` (or waits for the in-flight push doing
-  // so). inline_pull marks a client-path pull: unthrottled, counted
-  // separately. Returns once `target` is no longer missing `oid`.
+  // so). inline_pull marks a client-path pull: a push it starts itself is
+  // unthrottled and counted in inline_pulls, but a background push it waits
+  // for keeps its place in the token bucket. Returns once `target` is no
+  // longer missing `oid`.
   sim::Task<Status> RecoverObject(uint32_t pg, size_t target,
                                   const std::string& oid, bool inline_pull);
 

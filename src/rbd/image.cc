@@ -509,29 +509,15 @@ sim::Task<Status> Image::PersistMetadata() {
 
 // --- Completion-based entry points ---
 
-void Image::AioReadv(std::vector<MutByteSpan> iov, uint64_t offset,
-                     CompletionPtr c, objstore::SnapId snap) {
-  uint64_t length = 0;
-  for (const auto& seg : iov) length += seg.size();
-  ImageRequest::Submit(*this, IoKind::kRead, offset, length, {},
-                       std::move(iov), snap, std::move(c));
-}
-
-void Image::AioWritev(std::vector<ByteSpan> iov, uint64_t offset,
-                      CompletionPtr c) {
-  uint64_t length = 0;
-  for (const auto& seg : iov) length += seg.size();
-  ImageRequest::Submit(*this, IoKind::kWrite, offset, length, std::move(iov),
-                       {}, objstore::kHeadSnap, std::move(c));
-}
-
 void Image::AioRead(MutByteSpan buf, uint64_t offset, CompletionPtr c,
                     objstore::SnapId snap) {
-  AioReadv({buf}, offset, std::move(c), snap);
+  ImageRequest::Submit(*this, IoKind::kRead, offset, buf.size(), {}, buf, snap,
+                       std::move(c));
 }
 
 void Image::AioWrite(ByteSpan buf, uint64_t offset, CompletionPtr c) {
-  AioWritev({buf}, offset, std::move(c));
+  ImageRequest::Submit(*this, IoKind::kWrite, offset, buf.size(), buf, {},
+                       objstore::kHeadSnap, std::move(c));
 }
 
 void Image::AioDiscard(uint64_t offset, uint64_t length, CompletionPtr c) {
@@ -572,21 +558,6 @@ sim::Task<Result<Bytes>> Image::Read(uint64_t offset, uint64_t length,
   co_await c->Wait();
   if (!c->status().ok()) co_return c->status();
   co_return out;
-}
-
-sim::Task<Status> Image::Writev(std::vector<ByteSpan> iov, uint64_t offset) {
-  auto c = Completion::Create();
-  AioWritev(std::move(iov), offset, c);
-  co_await c->Wait();
-  co_return c->status();
-}
-
-sim::Task<Status> Image::Readv(std::vector<MutByteSpan> iov, uint64_t offset,
-                               objstore::SnapId snap) {
-  auto c = Completion::Create();
-  AioReadv(std::move(iov), offset, c, snap);
-  co_await c->Wait();
-  co_return c->status();
 }
 
 sim::Task<Status> Image::Discard(uint64_t offset, uint64_t length) {

@@ -3,7 +3,7 @@
 // (libRBD with the paper's modified crypto layer).
 //
 // The datapath is completion-based (librbd aio_*): Aio* entry points accept
-// arbitrary offsets/lengths and scatter-gather iovecs, split the range into
+// arbitrary offsets/lengths over one caller buffer, split the range into
 // per-object requests, and resolve a Completion on the sim scheduler.
 // Partial 4 KiB blocks are handled by read-modify-write inside the crypto
 // layer; discard/write-zeroes clear data and IV metadata atomically per
@@ -142,9 +142,6 @@ class Image {
   // ranges run concurrently. A completed write may still sit in the
   // volatile write-back buffer — reads observe it, but AioFlush is the
   // durability barrier, exactly like a disk write cache.
-  void AioReadv(std::vector<MutByteSpan> iov, uint64_t offset, CompletionPtr c,
-                objstore::SnapId snap = objstore::kHeadSnap);
-  void AioWritev(std::vector<ByteSpan> iov, uint64_t offset, CompletionPtr c);
   void AioRead(MutByteSpan buf, uint64_t offset, CompletionPtr c,
                objstore::SnapId snap = objstore::kHeadSnap);
   void AioWrite(ByteSpan buf, uint64_t offset, CompletionPtr c);
@@ -161,9 +158,6 @@ class Image {
   sim::Task<Status> Write(uint64_t offset, ByteSpan data);
   sim::Task<Result<Bytes>> Read(uint64_t offset, uint64_t length,
                                 objstore::SnapId snap = objstore::kHeadSnap);
-  sim::Task<Status> Writev(std::vector<ByteSpan> iov, uint64_t offset);
-  sim::Task<Status> Readv(std::vector<MutByteSpan> iov, uint64_t offset,
-                          objstore::SnapId snap = objstore::kHeadSnap);
   sim::Task<Status> Discard(uint64_t offset, uint64_t length);
   sim::Task<Status> WriteZeroes(uint64_t offset, uint64_t length);
   sim::Task<Status> Flush();

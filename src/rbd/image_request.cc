@@ -40,44 +40,6 @@ core::ObjectExtent SubExtent(const core::ObjectExtent& cover, size_t blk,
   return e;
 }
 
-// Walks the iovec segments overlapping [buf_off, buf_off+len), invoking
-// `fn(segment_slice, offset_in_range)` per piece.
-template <typename SpanT, typename Fn>
-void ForEachSegment(const std::vector<SpanT>& iov, uint64_t buf_off,
-                    uint64_t len, Fn&& fn) {
-  uint64_t skip = buf_off;
-  uint64_t done = 0;
-  for (const auto& seg : iov) {
-    if (done == len) break;
-    if (skip >= seg.size()) {
-      skip -= seg.size();
-      continue;
-    }
-    const size_t take = std::min<size_t>(seg.size() - skip, len - done);
-    fn(seg.subspan(skip, take), done);
-    done += take;
-    skip = 0;
-  }
-  assert(done == len);
-}
-
-// The single segment slice holding [buf_off, buf_off+len), or empty if the
-// range spans segments.
-template <typename SpanT>
-SpanT ContiguousAt(const std::vector<SpanT>& iov, uint64_t buf_off,
-                   uint64_t len) {
-  uint64_t pos = 0;
-  for (const auto& seg : iov) {
-    if (buf_off < pos + seg.size()) {
-      const uint64_t in_seg = buf_off - pos;
-      if (in_seg + len <= seg.size()) return seg.subspan(in_seg, len);
-      return {};
-    }
-    pos += seg.size();
-  }
-  return {};
-}
-
 // Partially-covered edge blocks of a write range: each pays the format's
 // sub-block merge surcharge on top of streaming the payload bytes.
 size_t PartialEdges(uint64_t byte_off, uint64_t byte_len, size_t block_count) {
@@ -105,15 +67,14 @@ class HoldGuard {
 }  // namespace
 
 ImageRequest::ImageRequest(Image& image, IoKind kind, uint64_t offset,
-                           uint64_t length, std::vector<ByteSpan> src,
-                           std::vector<MutByteSpan> dst, objstore::SnapId snap,
-                           CompletionPtr completion)
+                           uint64_t length, ByteSpan src, MutByteSpan dst,
+                           objstore::SnapId snap, CompletionPtr completion)
     : image_(image),
       kind_(kind),
       offset_(offset),
       length_(length),
-      src_(std::move(src)),
-      dst_(std::move(dst)),
+      src_(src),
+      dst_(dst),
       snap_(snap),
       completion_(std::move(completion)) {}
 
@@ -122,18 +83,6 @@ Status ImageRequest::Validate() const {
   if (length_ == 0) return Status::InvalidArgument("zero-length IO");
   if (offset_ + length_ < offset_ || offset_ + length_ > image_.size()) {
     return Status::InvalidArgument("IO past end of image");
-  }
-  uint64_t iov_len = 0;
-  if (kind_ == IoKind::kRead) {
-    for (const auto& seg : dst_) iov_len += seg.size();
-    if (iov_len != length_) {
-      return Status::InvalidArgument("read iovec size mismatch");
-    }
-  } else if (kind_ == IoKind::kWrite) {
-    for (const auto& seg : src_) iov_len += seg.size();
-    if (iov_len != length_) {
-      return Status::InvalidArgument("write iovec size mismatch");
-    }
   }
   return Status::Ok();
 }
@@ -189,13 +138,11 @@ bool ImageRequest::StageEligible(const Chunk& chunk) const {
 }
 
 void ImageRequest::Submit(Image& image, IoKind kind, uint64_t offset,
-                          uint64_t length, std::vector<ByteSpan> src,
-                          std::vector<MutByteSpan> dst, objstore::SnapId snap,
-                          CompletionPtr completion) {
+                          uint64_t length, ByteSpan src, MutByteSpan dst,
+                          objstore::SnapId snap, CompletionPtr completion) {
   assert(completion != nullptr);
-  std::unique_ptr<ImageRequest> req(
-      new ImageRequest(image, kind, offset, length, std::move(src),
-                       std::move(dst), snap, std::move(completion)));
+  std::unique_ptr<ImageRequest> req(new ImageRequest(
+      image, kind, offset, length, src, dst, snap, std::move(completion)));
   Status valid = req->Validate();
   if (!valid.ok()) {
     req->completion_->Finish(std::move(valid), 0);
@@ -323,20 +270,6 @@ std::vector<ImageRequest::Chunk> ImageRequest::Chunks() const {
   return chunks;
 }
 
-void ImageRequest::GatherFrom(uint64_t buf_off, MutByteSpan out) const {
-  ForEachSegment(src_, buf_off, out.size(),
-                 [&](ByteSpan piece, uint64_t at) {
-                   std::memcpy(out.data() + at, piece.data(), piece.size());
-                 });
-}
-
-void ImageRequest::ScatterTo(uint64_t buf_off, ByteSpan in) {
-  ForEachSegment(dst_, buf_off, in.size(),
-                 [&](MutByteSpan piece, uint64_t at) {
-                   std::memcpy(piece.data(), in.data() + at, piece.size());
-                 });
-}
-
 // Runs `step` on every chunk concurrently; the first error in chunk order
 // wins.
 sim::Task<Status> ImageRequest::ForEachChunk(
@@ -364,10 +297,6 @@ sim::Task<Status> ImageRequest::ExecuteReadOp() {
   co_return Status::Ok();
 }
 
-MutByteSpan ImageRequest::ContiguousDst(uint64_t buf_off, uint64_t len) const {
-  return ContiguousAt(dst_, buf_off, len);
-}
-
 sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
   Writeback& wb = *image_.writeback_;
@@ -378,14 +307,13 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   HoldGuard held(wb, holds_[idx]);
 
   const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
-  // Block-aligned chunks landing in one iovec segment decrypt straight
-  // into the caller's buffer; otherwise go through a scratch cover.
+  // Block-aligned chunks decrypt straight into the caller's buffer;
+  // otherwise go through a scratch cover.
   MutByteSpan out;
   Bytes scratch;
   if (chunk.byte_off == 0 && chunk.byte_len == cover_bytes) {
-    out = ContiguousDst(chunk.buf_off, chunk.byte_len);
-  }
-  if (out.empty()) {
+    out = dst_.subspan(chunk.buf_off, chunk.byte_len);
+  } else {
     scratch.resize(cover_bytes);
     out = scratch;
   }
@@ -421,8 +349,8 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
     }
   }
   if (!scratch.empty()) {
-    ScatterTo(chunk.buf_off, ByteSpan(scratch.data() + chunk.byte_off,
-                                      chunk.byte_len));
+    std::memcpy(dst_.data() + chunk.buf_off, scratch.data() + chunk.byte_off,
+                chunk.byte_len);
   }
   // Read-populated IV rows spill into the meta journal.
   co_return co_await image_.meta_->FlushPressuredJournal();
@@ -498,26 +426,21 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
   co_return Status::Ok();
 }
 
-ByteSpan ImageRequest::ContiguousSrc(uint64_t buf_off, uint64_t len) const {
-  return ContiguousAt(src_, buf_off, len);
-}
-
 sim::Task<Status> ImageRequest::StageChunk(const Chunk& chunk) {
   // The chunk covers one or two blocks (StageEligible); park each block's
   // slice in the write-back buffer. byte_off is always < kBlockSize by
   // construction, so the first touched block is cover-relative block 0.
   Writeback& wb = *image_.writeback_;
   const uint64_t end = chunk.byte_off + chunk.byte_len;
-  Bytes tmp;
   for (size_t b = 0; b * kBlockSize < end; ++b) {
     const uint64_t slice_start = std::max<uint64_t>(chunk.byte_off,
                                                     b * kBlockSize);
     const uint64_t slice_end = std::min<uint64_t>(end, (b + 1) * kBlockSize);
-    tmp.resize(slice_end - slice_start);
-    GatherFrom(chunk.buf_off + (slice_start - chunk.byte_off), tmp);
     VDE_CO_RETURN_IF_ERROR(co_await wb.StageWrite(
         chunk.cover.object_no, chunk.cover.first_block + b,
-        slice_start - b * kBlockSize, tmp));
+        slice_start - b * kBlockSize,
+        src_.subspan(chunk.buf_off + (slice_start - chunk.byte_off),
+                     slice_end - slice_start)));
   }
   co_return Status::Ok();
 }
@@ -556,15 +479,14 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
       co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
   const bool head_partial = chunk.byte_off % kBlockSize != 0;
   const bool tail_partial = (chunk.byte_off + chunk.byte_len) % kBlockSize != 0;
-  // A block-aligned chunk from one iovec segment encrypts straight from
-  // the caller's buffer; otherwise the cover is assembled in scratch,
-  // partial edges merged over their current content (RMW).
+  // A block-aligned chunk encrypts straight from the caller's buffer;
+  // otherwise the cover is assembled in scratch, partial edges merged over
+  // their current content (RMW).
   ByteSpan plain;
-  if (!head_partial && !tail_partial) {
-    plain = ContiguousSrc(chunk.buf_off, chunk.byte_len);
-  }
   Bytes scratch;
-  if (plain.empty()) {
+  if (!head_partial && !tail_partial) {
+    plain = src_.subspan(chunk.buf_off, chunk.byte_len);
+  } else {
     scratch.assign(chunk.cover.block_count * kBlockSize, 0);
     const size_t last = chunk.cover.block_count - 1;
     MutByteSpan head, tail;
@@ -573,8 +495,8 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
       tail = MutByteSpan(scratch.data() + last * kBlockSize, kBlockSize);
     }
     VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(chunk, head, tail));
-    GatherFrom(chunk.buf_off,
-               MutByteSpan(scratch.data() + chunk.byte_off, chunk.byte_len));
+    std::memcpy(scratch.data() + chunk.byte_off, src_.data() + chunk.buf_off,
+                chunk.byte_len);
     plain = scratch;
   }
   // Data + IV metadata (and the bitmap update, when bits flip) ride one

@@ -33,12 +33,12 @@ class ImageRequest {
  public:
   // Validates the request and spawns it on the sim scheduler; the
   // completion is resolved either way (immediately on validation failure).
-  // `src` feeds writes, `dst` receives reads; `length` is the total byte
-  // count (must equal the iovec sum); `snap` applies to reads only.
+  // `src` feeds writes, `dst` receives reads; `length` is the byte count
+  // (a read's or write's buffer is `length` bytes); `snap` applies to
+  // reads only.
   static void Submit(Image& image, IoKind kind, uint64_t offset,
-                     uint64_t length, std::vector<ByteSpan> src,
-                     std::vector<MutByteSpan> dst, objstore::SnapId snap,
-                     CompletionPtr completion);
+                     uint64_t length, ByteSpan src, MutByteSpan dst,
+                     objstore::SnapId snap, CompletionPtr completion);
 
  private:
   // A byte range within one object plus the block-aligned extent covering
@@ -47,12 +47,12 @@ class ImageRequest {
     core::ObjectExtent cover;
     uint64_t byte_off = 0;
     uint64_t byte_len = 0;
-    uint64_t buf_off = 0;  // offset into the flattened user buffer
+    uint64_t buf_off = 0;  // offset into the user buffer
   };
 
   ImageRequest(Image& image, IoKind kind, uint64_t offset, uint64_t length,
-               std::vector<ByteSpan> src, std::vector<MutByteSpan> dst,
-               objstore::SnapId snap, CompletionPtr completion);
+               ByteSpan src, MutByteSpan dst, objstore::SnapId snap,
+               CompletionPtr completion);
 
   Status Validate() const;
   bool IsWriteClass() const {
@@ -101,14 +101,6 @@ class ImageRequest {
   // Splits the image byte range [offset_, offset_+length_) by object.
   std::vector<Chunk> Chunks() const;
 
-  // Scatter-gather between the flattened request range and the iovecs.
-  void GatherFrom(uint64_t buf_off, MutByteSpan out) const;
-  void ScatterTo(uint64_t buf_off, ByteSpan in);
-  // The destination/source span for [buf_off, buf_off+len) if it falls
-  // inside a single iovec segment; empty otherwise.
-  MutByteSpan ContiguousDst(uint64_t buf_off, uint64_t len) const;
-  ByteSpan ContiguousSrc(uint64_t buf_off, uint64_t len) const;
-
   // Request trace, shared with the completion and the image's op tracker
   // (null with observability disabled — every use is null-safe).
   obs::TraceContext* ctx() const { return trace_.get(); }
@@ -117,8 +109,8 @@ class ImageRequest {
   IoKind kind_;
   uint64_t offset_;
   uint64_t length_;
-  std::vector<ByteSpan> src_;
-  std::vector<MutByteSpan> dst_;
+  ByteSpan src_;     // write payload (empty for other kinds)
+  MutByteSpan dst_;  // read destination (empty for other kinds)
   objstore::SnapId snap_;
   CompletionPtr completion_;
   std::vector<Chunk> chunks_;

@@ -20,8 +20,8 @@ namespace vde::rbd {
 namespace {
 
 using testutil::ImageCounter;
-
 using testutil::RunSim;
+using testutil::SingleReplicaCluster;
 using workload::FioConfig;
 using workload::FioResult;
 using workload::FioTenant;
@@ -32,16 +32,6 @@ using workload::MultiFioRunner;
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  c.nodes = 1;
-  c.osds_per_node = 3;
-  c.replication = 1;
-  return c;
-}
 
 ImageOptions TestImage(core::EncryptionSpec spec) {
   ImageOptions o;
@@ -74,7 +64,7 @@ struct WorkloadOutcome {
 sim::Task<void> RunWorkload(std::shared_ptr<qos::Scheduler> qos,
                             qos::QosPolicy policy, FioConfig fio,
                             WorkloadOutcome* out) {
-  auto cluster = co_await rados::Cluster::Create(TestCluster());
+  auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
   CO_ASSERT_OK(cluster.status());
   ImageOptions options = TestImage(ObjectEndSpec());
   options.qos_scheduler = std::move(qos);
@@ -139,7 +129,7 @@ TEST(QosImage, LostUpdateRegressionHoldsThroughEnabledQos) {
   // must both apply — per-image FIFO dispatch preserves the submission
   // order the write-back guards rely on.
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto qos = std::make_shared<qos::Scheduler>();
     ImageOptions options = TestImage(ObjectEndSpec());
@@ -181,7 +171,7 @@ TEST(QosImage, VerifyFioMutatingThroughThrottledQos) {
   // Content correctness under throttling: a mixed read/write/discard
   // verify run at depth 8 through a tight token bucket + depth cap.
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto qos = std::make_shared<qos::Scheduler>();
     ImageOptions options = TestImage(ObjectEndSpec());
@@ -219,7 +209,7 @@ TEST(QosImage, VerifyFioMutatingThroughThrottledQos) {
 
 TEST(QosImage, IopsCeilingBoundsMeasuredThroughput) {
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto qos = std::make_shared<qos::Scheduler>();
     ImageOptions options = TestImage(ObjectEndSpec());
@@ -249,7 +239,7 @@ TEST(QosImage, IopsCeilingBoundsMeasuredThroughput) {
 
 TEST(QosImage, DepthCapBoundsInflightBelowGuestQueueDepth) {
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto qos = std::make_shared<qos::Scheduler>();
     ImageOptions options = TestImage(ObjectEndSpec());
@@ -283,7 +273,7 @@ TEST(QosImage, FlushBarrierHoldsThroughThrottledQueue) {
   // dispatch keeps the barrier behind the writes it fences, and the flush
   // itself pays no tokens.
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto qos = std::make_shared<qos::Scheduler>();
     ImageOptions options = TestImage(ObjectEndSpec());
@@ -330,7 +320,7 @@ struct NeighborOutcome {
 // `use_qos`, both images share one scheduler and the aggressor is
 // rate-limited + depth-capped.
 sim::Task<void> RunNeighbors(bool use_qos, NeighborOutcome* out) {
-  auto cluster = co_await rados::Cluster::Create(TestCluster());
+  auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
   CO_ASSERT_OK(cluster.status());
   std::shared_ptr<qos::Scheduler> qos;
   qos::QosPolicy victim_policy, aggressor_policy;
@@ -426,7 +416,7 @@ TEST(QosImage, SaturatingNeighborDoesNotStarveWeightedVictim) {
 
 TEST(QosImage, MultiFioRejectsAllBackgroundRuns) {
   RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SingleReplicaCluster());
     CO_ASSERT_OK(cluster.status());
     auto image = co_await Image::Create(**cluster, "img", "pw",
                                         TestImage(ObjectEndSpec()));

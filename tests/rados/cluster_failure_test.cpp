@@ -15,16 +15,11 @@
 namespace vde::rados {
 namespace {
 
-ClusterConfig SmallCluster() {
-  ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
+using testutil::TestCluster;
 
 TEST(ClusterFailure, WritesKeepCommittingAfterOsdLoss) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     // Recovery off so the replacement member stays missing the object for
     // the duration of the test (deterministic degraded window).
     config.recovery.parallelism = 0;
@@ -52,7 +47,7 @@ TEST(ClusterFailure, WritesKeepCommittingAfterOsdLoss) {
 
 TEST(ClusterFailure, DeadPrimaryCostsTimeoutThenMapRefresh) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     auto io = (*cluster)->ioctx();
     Rng rng(8);
@@ -81,7 +76,7 @@ TEST(ClusterFailure, DeadPrimaryCostsTimeoutThenMapRefresh) {
 
 TEST(ClusterFailure, BackgroundRecoveryRestoresFullWidth) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     auto io = (*cluster)->ioctx();
     Rng rng(9);
@@ -114,7 +109,7 @@ TEST(ClusterFailure, BackgroundRecoveryRestoresFullWidth) {
 
 TEST(ClusterFailure, RevivedOsdCatchesUpOnMissedWrites) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     auto io = (*cluster)->ioctx();
     Rng rng(10);
@@ -147,7 +142,7 @@ TEST(ClusterFailure, RevivedOsdCatchesUpOnMissedWrites) {
 
 TEST(ClusterFailure, PrimaryMissingObjectPullsInline) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     // No background workers: the only way a degraded object heals is a
     // client op forcing the primary's inline pull.
     config.recovery.parallelism = 0;
@@ -173,7 +168,7 @@ TEST(ClusterFailure, PrimaryMissingObjectPullsInline) {
 
 TEST(ClusterFailure, RecoveryRespectsTokenBucketThrottle) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     // 1 MiB/s with a 64 KiB burst: pushing ~24 x 64 KiB must take >= 1 s of
     // sim time even though the NICs could move it in milliseconds.
     config.recovery.rate_bytes_per_sec = 1.0 * (1 << 20);
@@ -220,13 +215,13 @@ sim::Task<sim::SimTime> TimedWrites(Cluster& cluster, int ops,
 TEST(ClusterQos, SingleDefaultTenantMatchesDisabledClock) {
   sim::SimTime base = 0, mclock = 0;
   testutil::RunSim([&]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     base = co_await TimedWrites(**cluster, 48, 0);
     co_await (*cluster)->Drain();
   });
   testutil::RunSim([&]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     config.qos.enabled = true;  // one untagged tenant, no caps
     auto cluster = co_await Cluster::Create(config);
     CO_ASSERT_OK(cluster.status());
@@ -240,7 +235,7 @@ TEST(ClusterQos, SingleDefaultTenantMatchesDisabledClock) {
 
 TEST(ClusterQos, LimitCapsTenantThroughput) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     config.qos.enabled = true;
     config.qos.tenants.push_back(
         TenantSpec{/*id=*/1, /*reservation_iops=*/0, /*weight=*/1.0,
@@ -265,7 +260,7 @@ TEST(ClusterQos, LimitCapsTenantThroughput) {
 
 TEST(ClusterQos, ReservationShieldsVictimFromGreedyNeighbor) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     config.qos.enabled = true;
     config.qos.tenants.push_back(
         TenantSpec{/*id=*/1, /*reservation_iops=*/0, /*weight=*/8.0,
@@ -328,7 +323,7 @@ TEST(ClusterQos, ReservationShieldsVictimFromGreedyNeighbor) {
 
 TEST(ClusterQos, ImageOpsCarryTenantTag) {
   testutil::RunSim([]() -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     config.qos.enabled = true;
     auto cluster = co_await Cluster::Create(config);
     CO_ASSERT_OK(cluster.status());
@@ -371,7 +366,7 @@ TEST(ClusterQos, SaturatedShardsWithQosOffKeepTheSemaphoreClock) {
   sched.ConfigureCores(0);  // overrides VDE_SIM_CORES: the clock is pinned
   bool finished = false;
   sched.Spawn([](bool* done) -> sim::Task<void> {
-    ClusterConfig config = SmallCluster();
+    ClusterConfig config = TestCluster();
     config.nodes = 3;
     config.osds_per_node = 1;
     auto cluster = co_await Cluster::Create(config);

@@ -28,9 +28,7 @@ constexpr int kObjects = 32;
 constexpr size_t kObjBytes = 12 * 1024;
 
 ClusterConfig GoldenCluster() {
-  ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
+  ClusterConfig c = testutil::TestCluster();
   // One slow background worker: most degraded objects are still missing
   // when a client op reaches them, so the primary pulls them inline.
   c.recovery.parallelism = 1;

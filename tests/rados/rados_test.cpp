@@ -12,12 +12,7 @@
 namespace vde::rados {
 namespace {
 
-ClusterConfig SmallCluster() {
-  ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
+using testutil::TestCluster;
 
 TEST(Placement, DeterministicAndReplicaCountCorrect) {
   Placement p(PlacementConfig{128, 3, 9, 3});
@@ -60,7 +55,7 @@ TEST(Placement, DifferentPgCountsStillValid) {
 
 TEST(Cluster, WriteReplicatesToAllActingOsds) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     auto io = (*cluster)->ioctx();
     Rng rng(1);
@@ -85,7 +80,7 @@ TEST(Cluster, WriteReplicatesToAllActingOsds) {
 
 TEST(Cluster, ReadReturnsWrittenData) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     Rng rng(2);
     const Bytes data = rng.RandomBytes(65536);
@@ -105,7 +100,7 @@ TEST(Cluster, ReadReturnsWrittenData) {
 // Tampering with one replica's copy fails authentication only there.
 TEST(Cluster, ReplicasShareDataPagesAndTamperingStaysLocal) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     core::EncryptionSpec spec;
     spec.mode = core::CipherMode::kXtsRandom;
@@ -170,7 +165,7 @@ TEST(Cluster, ReplicasShareDataPagesAndTamperingStaysLocal) {
 
 TEST(Cluster, TransactionWithDataAndOmap) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     Rng rng(3);
     objstore::Transaction txn;
@@ -209,7 +204,7 @@ TEST(Cluster, TransactionWithDataAndOmap) {
 
 TEST(Cluster, SnapshotReadThroughClient) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     CO_ASSERT_OK(co_await io.WriteFull("snapper", Bytes(4096, 0x11)));
     const uint64_t snap = (*cluster)->AllocateSnapId();
@@ -232,7 +227,7 @@ TEST(Cluster, SnapshotReadThroughClient) {
 
 TEST(Cluster, WritesAdvanceSimulatedTime) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     const auto t0 = sim::Scheduler::Current().now();
     CO_ASSERT_OK(co_await io.WriteFull("timed", Bytes(4096, 1)));
@@ -245,7 +240,7 @@ TEST(Cluster, WritesAdvanceSimulatedTime) {
 
 TEST(Cluster, ReadsCheaperThanWrites) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     CO_ASSERT_OK(co_await io.WriteFull("rw", Bytes(4096, 1)));
     co_await (*cluster)->Drain();
@@ -264,7 +259,7 @@ TEST(Cluster, ReadsCheaperThanWrites) {
 
 TEST(Cluster, DeviceStatsAggregate) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await Cluster::Create(SmallCluster());
+    auto cluster = co_await Cluster::Create(TestCluster());
     auto io = (*cluster)->ioctx();
     CO_ASSERT_OK(co_await io.WriteFull("statobj", Bytes(16384, 5)));
     co_await (*cluster)->Drain();

@@ -1,8 +1,7 @@
 // Matrix tests of the completion-based async IO API: unaligned sub-block
-// and straddling writes (RMW through the crypto layer), scatter-gather
-// readv/writev, discard/write-zeroes, and flush ordering — across every
-// encryption layout the paper discusses, plus verify-mode fio runs at
-// sub-block and straddling IO sizes.
+// and straddling writes (RMW through the crypto layer), discard/write-zeroes,
+// and flush ordering — across every encryption layout the paper discusses,
+// plus verify-mode fio runs at sub-block and straddling IO sizes.
 #include <algorithm>
 #include <gtest/gtest.h>
 
@@ -15,16 +14,10 @@ namespace vde::rbd {
 namespace {
 
 using testutil::ImageCounter;
+using testutil::TestCluster;
 
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
 
 ImageOptions TestImage(core::EncryptionSpec spec) {
   ImageOptions o;
@@ -127,45 +120,6 @@ TEST_P(AioAllLayouts, StraddlingWriteRoundTrips) {
     auto got = co_await img.Read(0, span);
     CO_ASSERT_OK(got.status());
     CO_ASSERT_TRUE(*got == model);
-  });
-}
-
-// Scatter-gather: writev from odd-sized iovecs, readv into different ones.
-TEST_P(AioAllLayouts, ScatterGatherRoundTrips) {
-  testutil::RunSim([spec = GetParam()]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
-    auto image =
-        co_await Image::Create(**cluster, "sgl", "pw", TestImage(spec));
-    CO_ASSERT_OK(image.status());
-    auto& img = **image;
-    Rng rng(3);
-    Bytes base = rng.RandomBytes(2 * kObjSize);
-    CO_ASSERT_OK(co_await img.Write(0, base));
-
-    const Bytes part1 = rng.RandomBytes(700);
-    const Bytes part2 = rng.RandomBytes(4096);
-    const Bytes part3 = rng.RandomBytes(1234);
-    const uint64_t off = kObjSize - 4096 - 300;  // straddles objects 0/1
-    std::vector<ByteSpan> wiov{ByteSpan(part1), ByteSpan(part2),
-                               ByteSpan(part3)};
-    CO_ASSERT_OK(co_await img.Writev(std::move(wiov), off));
-    Bytes flat;
-    AppendBytes(flat, part1);
-    AppendBytes(flat, part2);
-    AppendBytes(flat, part3);
-    std::copy(flat.begin(), flat.end(),
-              base.begin() + static_cast<long>(off));
-
-    Bytes dst1(2000), dst2(flat.size() - 2000);
-    std::vector<MutByteSpan> riov{MutByteSpan(dst1), MutByteSpan(dst2)};
-    CO_ASSERT_OK(co_await img.Readv(std::move(riov), off));
-    Bytes joined = dst1;
-    AppendBytes(joined, dst2);
-    CO_ASSERT_TRUE(joined == flat);
-
-    auto all = co_await img.Read(0, base.size());
-    CO_ASSERT_OK(all.status());
-    CO_ASSERT_TRUE(*all == base);
   });
 }
 

@@ -24,10 +24,8 @@ constexpr uint64_t kBlk = core::kBlockSize;
 
 // Compression scenarios run the store at 512 B allocation units so a
 // trimmed slot tail frees capacity at sub-block granularity.
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
+rados::ClusterConfig SubBlockAllocCluster() {
+  rados::ClusterConfig c = testutil::TestCluster();
   c.store.alloc_unit = 512;
   return c;
 }
@@ -90,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CompressedImageMatrix,
 // pass proves none of that loses or resurrects a byte.
 TEST_P(CompressedImageMatrix, MutatingVerifyFio) {
   testutil::RunSim([spec = GetParam()]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     CO_ASSERT_OK(cluster.status());
     auto image =
         co_await Image::Create(**cluster, "cmp", "pw", TestImage(spec));
@@ -127,7 +125,7 @@ TEST_P(CompressedImageMatrix, MutatingVerifyFio) {
 // store's punched pool holds the slot tails the format trimmed.
 TEST(CompressedImage, ShortCiphertextsPunchCapacity) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     CO_ASSERT_OK(cluster.status());
     const auto spec =
         CompressedSpec(core::IvLayout::kObjectEnd,
@@ -161,7 +159,7 @@ TEST(CompressedImage, ShortCiphertextsPunchCapacity) {
 TEST(CompressedImage, WarmReopenKeepsCompressedLengths) {
   testutil::RunSim([]() -> sim::Task<void> {
     dev::NvmeDevice meta_dev;
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     CO_ASSERT_OK(cluster.status());
     const auto spec =
         CompressedSpec(core::IvLayout::kObjectEnd,
@@ -210,7 +208,7 @@ TEST(CompressedImage, WarmReopenKeepsCompressedLengths) {
 // compression keeps compressing after a cold reopen too.
 TEST(CompressedImage, ReopenedImageKeepsCompressing) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     CO_ASSERT_OK(cluster.status());
     const auto spec =
         CompressedSpec(core::IvLayout::kOmap, core::CipherMode::kGcmRandom,
@@ -240,7 +238,7 @@ TEST(CompressedImage, ReopenedImageKeepsCompressing) {
 // length-preserving formats instead of minting an unreadable image.
 TEST(CompressedImage, CreateRejectsCodecOnMetadataFreeFormat) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     CO_ASSERT_OK(cluster.status());
     ImageOptions o;
     o.size = kImgSize;
@@ -262,10 +260,7 @@ void OffRunAndClock(sim::SimTime* clock, uint64_t* events) {
   sim::Scheduler sched;
   bool ok = false;
   sched.Spawn([](bool* ok) -> sim::Task<void> {
-    rados::ClusterConfig cc;
-    cc.store.journal_size = 8ull << 20;
-    cc.store.kv_region_size = 32ull << 20;
-    auto cluster = co_await rados::Cluster::Create(cc);
+    auto cluster = co_await rados::Cluster::Create(testutil::TestCluster());
     if (!cluster.ok()) co_return;
     ImageOptions o;
     o.size = kImgSize;

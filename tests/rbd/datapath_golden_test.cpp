@@ -42,6 +42,8 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::TestCluster;
+
 constexpr uint64_t kB = core::kBlockSize;
 constexpr uint64_t kObj = 16 * kB;  // 64 KiB objects: cheap whole-object ops
 constexpr size_t kQd = 8;
@@ -70,13 +72,6 @@ struct Point {
   uint32_t read_crc = 0;
   bool ok = false;
 };
-
-rados::ClusterConfig GoldenCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
 
 ImageOptions GoldenImage(core::CipherMode mode, core::IvLayout layout,
                          core::Integrity integrity) {
@@ -175,7 +170,7 @@ Point RunStream(ImageOptions opts, const std::vector<Op>& ops,
     CO_ASSERT_OK(co_await img.Close());
   };
   auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(GoldenCluster());
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
     CO_ASSERT_OK(cluster.status());
     auto image = co_await Image::Create(**cluster, "golden", "pw", opts);
     CO_ASSERT_OK(image.status());

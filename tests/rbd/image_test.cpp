@@ -12,13 +12,7 @@ namespace vde::rbd {
 namespace {
 
 using testutil::ImageCounter;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
+using testutil::TestCluster;
 
 ImageOptions TestImage(core::EncryptionSpec spec) {
   ImageOptions o;

@@ -19,17 +19,11 @@ namespace vde::rbd {
 namespace {
 
 using testutil::ImageCounter;
+using testutil::TestCluster;
 
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
 
 ImageOptions TestImage(core::EncryptionSpec spec, bool cache_enabled = true,
                        size_t max_objects = 64) {

@@ -17,15 +17,10 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::TestCluster;
+
 constexpr uint64_t kObjSize = 64 * 1024;
 constexpr uint64_t kImgSize = 8ull << 20;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
 
 ImageOptions TestImage(bool obs_on) {
   ImageOptions o;

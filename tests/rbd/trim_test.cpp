@@ -15,16 +15,11 @@
 namespace vde::rbd {
 namespace {
 
+using testutil::TestCluster;
+
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
 
 ImageOptions TestImage(core::EncryptionSpec spec) {
   ImageOptions o;

@@ -17,27 +17,12 @@ namespace vde::rbd {
 namespace {
 
 using testutil::ImageCounter;
+using testutil::SingleReplicaCluster;
+using testutil::TestCluster;
 
 constexpr uint64_t kObjSize = 64 * 1024;  // 16 blocks: cheap cross-object IO
 constexpr uint64_t kImgSize = 8ull << 20;
 constexpr uint64_t kBlk = core::kBlockSize;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
-
-// Single-replica topology so store transaction counts map 1:1 to client
-// transactions.
-rados::ClusterConfig SingleReplicaCluster() {
-  rados::ClusterConfig c = TestCluster();
-  c.nodes = 1;
-  c.osds_per_node = 3;
-  c.replication = 1;
-  return c;
-}
 
 uint64_t TxnCount(rados::Cluster& cluster) {
   uint64_t n = 0;

@@ -12,11 +12,32 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "rados/cluster.h"
 #include "rbd/image.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
 namespace vde::testutil {
+
+// The cluster most tests run on: the default topology with an 8 MiB
+// objstore journal and a 32 MiB kv region. Tests that need more start from
+// it and set their extra fields.
+inline rados::ClusterConfig TestCluster() {
+  rados::ClusterConfig c;
+  c.store.journal_size = 8ull << 20;
+  c.store.kv_region_size = 32ull << 20;
+  return c;
+}
+
+// Single-replica topology (1 node x 3 OSDs): store transaction counts map
+// 1:1 to client transactions.
+inline rados::ClusterConfig SingleReplicaCluster() {
+  rados::ClusterConfig c = TestCluster();
+  c.nodes = 1;
+  c.osds_per_node = 3;
+  c.replication = 1;
+  return c;
+}
 
 // Runs an async test body to completion on a fresh scheduler.
 inline void RunSim(std::function<sim::Task<void>()> body) {

@@ -15,10 +15,8 @@ namespace {
 
 using testutil::ImageCounter;
 
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
+rados::ClusterConfig SubBlockAllocCluster() {
+  rados::ClusterConfig c = testutil::TestCluster();
   c.store.alloc_unit = 512;
   return c;
 }
@@ -41,7 +39,7 @@ sim::Task<Result<std::shared_ptr<rbd::Image>>> MakeCompressedImage(
 double AchievedRatio(uint32_t pct) {
   double ratio = -1.0;
   testutil::RunSim([pct, &ratio]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     auto image = co_await MakeCompressedImage(**cluster);
     CO_ASSERT_OK(image.status());
     FioConfig cfg;
@@ -80,7 +78,7 @@ TEST(CompressFio, AchievedRatioTracksCompressibilityKnob) {
 // every queue-depth interleaving.
 TEST(CompressFio, VerifyComposesWithShapedContent) {
   testutil::RunSim([]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto cluster = co_await rados::Cluster::Create(SubBlockAllocCluster());
     auto image = co_await MakeCompressedImage(**cluster);
     CO_ASSERT_OK(image.status());
     FioConfig cfg;

@@ -9,13 +9,7 @@ namespace vde::workload {
 namespace {
 
 using testutil::ImageCounter;
-
-rados::ClusterConfig TestCluster() {
-  rados::ClusterConfig c;
-  c.store.journal_size = 8ull << 20;
-  c.store.kv_region_size = 32ull << 20;
-  return c;
-}
+using testutil::TestCluster;
 
 sim::Task<Result<std::shared_ptr<rbd::Image>>> MakeImage(
     rados::Cluster& cluster, core::IvLayout layout) {
