@@ -123,6 +123,59 @@ TEST_P(AioAllLayouts, StraddlingWriteRoundTrips) {
   });
 }
 
+// A request's one buffer may be a window into a larger caller allocation:
+// a write takes exactly its span's bytes, and a read fills exactly its span,
+// leaving the guard bytes on either side untouched — at unaligned offsets
+// across an object boundary, and for a read that runs into a never-written
+// hole.
+TEST_P(AioAllLayouts, SubspanIoTouchesOnlyItsBytes) {
+  testutil::RunSim([spec = GetParam()]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto image =
+        co_await Image::Create(**cluster, "window", "pw", TestImage(spec));
+    CO_ASSERT_OK(image.status());
+    auto& img = **image;
+    Rng rng(3);
+    Bytes model = rng.RandomBytes(2 * kObjSize);
+    CO_ASSERT_OK(co_await img.Write(0, model));
+    model.resize(3 * kObjSize, 0);  // object 2 is never written
+
+    constexpr size_t kGuard = 64;
+    constexpr uint8_t kPoison = 0xA5;
+    const size_t len = 700 + 4096 + 1234;
+    const uint64_t off = kObjSize - 4096 - 300;  // straddles objects 0/1
+    const Bytes src = rng.RandomBytes(len + 2 * kGuard);
+    const ByteSpan window = ByteSpan(src).subspan(kGuard, len);
+    auto wc = Completion::Create();
+    img.AioWrite(window, off, wc);
+    co_await wc->Wait();
+    CO_ASSERT_OK(wc->status());
+    std::copy(window.begin(), window.end(),
+              model.begin() + static_cast<long>(off));
+
+    // Reads into a poisoned buffer: the first over the written window, the
+    // second from object 1's tail into the hole of object 2.
+    for (const uint64_t at : {off, 2 * kObjSize - 2048 - 300}) {
+      Bytes dst(len + 2 * kGuard, kPoison);
+      auto rc = Completion::Create();
+      img.AioRead(MutByteSpan(dst).subspan(kGuard, len), at, rc);
+      co_await rc->Wait();
+      CO_ASSERT_OK(rc->status());
+      CO_ASSERT_TRUE(std::equal(dst.begin() + kGuard,
+                                dst.begin() + static_cast<long>(kGuard + len),
+                                model.begin() + static_cast<long>(at)));
+      for (size_t i = 0; i < kGuard; ++i) {
+        CO_ASSERT_EQ(dst[i], kPoison);
+        CO_ASSERT_EQ(dst[kGuard + len + i], kPoison);
+      }
+    }
+
+    auto got = co_await img.Read(0, 3 * kObjSize);
+    CO_ASSERT_OK(got.status());
+    CO_ASSERT_TRUE(*got == model);
+  });
+}
+
 // Discard of a full object range reads back as zeros; a partial discard
 // zeroes only whole blocks inside the range and keeps the edges.
 TEST_P(AioAllLayouts, DiscardThenReadZeroes) {
