@@ -217,8 +217,9 @@ RunResult RunOnCluster(const rados::ClusterConfig& config, unsigned cores,
 // ---- Shared configs ----
 
 // 3 nodes x 9 NVMe OSDs, 3x replication, 4 MiB objects, 4 KiB encryption
-// sectors — the paper's defaults. Network and OSD costs are the
-// ClusterConfig defaults (rados/cluster.h), hand-set model constants.
+// sectors — the paper's defaults. Network costs are named constants in
+// rados/cluster.cc (the NICs, request and response headers, client op cost)
+// and OSD costs the OsdCostModel defaults: hand-set model constants.
 inline rados::ClusterConfig PaperCluster() {
   rados::ClusterConfig config;
   config.nodes = 3;

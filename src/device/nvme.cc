@@ -13,7 +13,7 @@ sim::SimTime TransferTime(size_t bytes, double gbps) {
 
 NvmeDevice::NvmeDevice(const NvmeConfig& config)
     : config_(config),
-      ram_(config.capacity_bytes),
+      ram_(kNvmeCapacityBytes),
       channels_(config.channels) {}
 
 Status NvmeDevice::CheckAligned(uint64_t offset, size_t len) const {
@@ -21,7 +21,7 @@ Status NvmeDevice::CheckAligned(uint64_t offset, size_t len) const {
     return Status::InvalidArgument("unaligned device IO");
   }
   if (len == 0) return Status::InvalidArgument("empty device IO");
-  if (offset + len > config_.capacity_bytes) {
+  if (offset + len > kNvmeCapacityBytes) {
     return Status::InvalidArgument("device IO out of range");
   }
   return Status::Ok();

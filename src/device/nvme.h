@@ -15,9 +15,11 @@
 
 namespace vde::dev {
 
+// Every simulated NVMe device holds 1.8 TB, as in the paper.
+inline constexpr uint64_t kNvmeCapacityBytes = uint64_t{1800} << 30;
+
 struct NvmeConfig {
   uint32_t sector_size = 4096;
-  uint64_t capacity_bytes = uint64_t{1800} << 30;  // 1.8 TB, as in the paper
   sim::SimTime read_latency = 14 * sim::kUs;       // fixed per-op cost
   sim::SimTime write_latency = 16 * sim::kUs;
   double read_gbps = 2.8;   // GB/s sequential read
@@ -30,7 +32,7 @@ class NvmeDevice final : public BlockDevice {
   explicit NvmeDevice(const NvmeConfig& config = {});
 
   uint32_t sector_size() const override { return config_.sector_size; }
-  uint64_t capacity_bytes() const override { return config_.capacity_bytes; }
+  uint64_t capacity_bytes() const override { return kNvmeCapacityBytes; }
 
   sim::Task<Status> Read(uint64_t offset, MutByteSpan out) override;
   sim::Task<Status> Write(uint64_t offset, ByteSpan data) override;

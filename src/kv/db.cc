@@ -14,6 +14,9 @@ namespace {
 
 constexpr uint64_t kSuperMagic = 0x564445534B5653ULL;  // "VDESKVS"
 
+// Modeled CPU cost charged per key touched (RocksDB-like insert/seek cost).
+constexpr sim::SimTime kCpuPerKey = 1200;  // 1.2 us
+
 }  // namespace
 
 KvStore::KvStore(dev::BlockDevice& region, KvOptions options)
@@ -187,7 +190,7 @@ sim::Task<Status> KvStore::Write(WriteBatch batch) {
   stats_.wal_bytes += frame.size();
   stats_.wal_commits++;
   // Modeled per-key CPU cost (RocksDB insert path).
-  co_await sim::Sleep{options_.cpu_per_key * batch.size()};
+  co_await sim::Sleep{kCpuPerKey * batch.size()};
   co_return co_await MaybeFlush();
 }
 
@@ -318,7 +321,7 @@ sim::Task<Status> KvStore::Compact() {
 }
 
 sim::Task<Result<std::optional<Bytes>>> KvStore::Get(Bytes key) {
-  co_await sim::Sleep{options_.cpu_per_key};
+  co_await sim::Sleep{kCpuPerKey};
   if (const MemValue* v = mem_->Get(key)) {
     if (v->tombstone) co_return std::optional<Bytes>{};
     co_return std::optional<Bytes>{v->value};
@@ -383,7 +386,7 @@ sim::Task<Result<std::vector<std::pair<Bytes, Bytes>>>> KvStore::Scan(
     out.emplace_back(key, std::move(entry.value));
     if (limit != 0 && out.size() >= limit) break;
   }
-  co_await sim::Sleep{options_.cpu_per_key * (out.size() + 1)};
+  co_await sim::Sleep{kCpuPerKey * (out.size() + 1)};
   co_return out;
 }
 

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/scheduler.h"
-
 namespace vde::kv {
 
 struct KvOptions {
@@ -17,10 +15,6 @@ struct KvOptions {
   size_t l0_compaction_trigger = 4;
   // Target data-block size inside SSTables.
   size_t block_size = 8 * 1024;
-  // Bloom filter bits per key (0 disables blooms).
-  size_t bloom_bits_per_key = 10;
-  // Modeled CPU cost charged per key touched (RocksDB-like insert/seek cost).
-  sim::SimTime cpu_per_key = 1200;  // 1.2 us
 };
 
 struct KvStats {

@@ -12,6 +12,11 @@ namespace {
 
 constexpr uint64_t kTableMagic = 0x56444553535441ULL;  // "VDESSTA"
 
+// Bloom filter sizing: bits per key, and bits per key x ln 2 hashes, rounded
+// down.
+constexpr size_t kBloomBitsPerKey = 10;
+constexpr size_t kBloomHashes = kBloomBitsPerKey * 69 / 100;
+
 int Compare(ByteSpan a, ByteSpan b) {
   const size_t n = std::min(a.size(), b.size());
   const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
@@ -125,12 +130,11 @@ SSTableBuilder::Built SSTableBuilder::Finish(uint32_t sector_size) {
   meta.max_key = last_key_;
 
   // Bloom filter over all keys.
-  if (options_.bloom_bits_per_key > 0 && !key_hashes_.empty()) {
+  if (!key_hashes_.empty()) {
     const size_t bits =
-        std::max<size_t>(64, key_hashes_.size() * options_.bloom_bits_per_key);
+        std::max<size_t>(64, key_hashes_.size() * kBloomBitsPerKey);
     meta.bloom.assign((bits + 7) / 8, 0);
-    meta.bloom_hashes = std::max<size_t>(
-        1, std::min<size_t>(8, options_.bloom_bits_per_key * 69 / 100));
+    meta.bloom_hashes = kBloomHashes;
     for (uint32_t h : key_hashes_) {
       const uint32_t delta = (h >> 17) | (h << 15);
       for (size_t k = 0; k < meta.bloom_hashes; ++k) {

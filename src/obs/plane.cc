@@ -2,9 +2,13 @@
 
 namespace vde::obs {
 
+namespace {
+constexpr size_t kTraceCapacity = 1 << 16;  // spans retained in the ring buffer
+}  // namespace
+
 Plane::Plane(const Config& config)
     : config_(config),
-      tracer_(config.trace_capacity),
+      tracer_(kTraceCapacity),
       op_tracker_(config.slow_ops) {}
 
 std::shared_ptr<TraceContext> Plane::BeginOp(OpKind kind, uint64_t offset,

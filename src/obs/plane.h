@@ -17,8 +17,7 @@ namespace vde::obs {
 
 struct Config {
   bool enabled = false;
-  size_t trace_capacity = 1 << 16;  // spans retained in the ring buffer
-  size_t slow_ops = 16;             // slowest completed ops retained
+  size_t slow_ops = 16;  // slowest completed ops retained
 };
 
 class Plane {

@@ -57,8 +57,8 @@ inline constexpr size_t kNumStages = 9;
 
 const char* StageName(Stage s);
 
-// The request kinds a context can describe (mirrors rbd::IoKind — the rbd
-// layer static_asserts the mapping so obs stays rbd-independent).
+// The request kinds a context can describe; rbd::ImageRequest takes its
+// kind as this enum too.
 enum class OpKind : uint8_t { kRead, kWrite, kDiscard, kWriteZeroes, kFlush };
 
 const char* OpKindName(OpKind k);

@@ -7,13 +7,36 @@
 
 namespace vde::rados {
 
+namespace {
+
+// Paper-testbed network (§3.2): a 2.8 GB/s client NIC, 1.6 GB/s node and
+// monitor NICs, 20 us one-way propagation, 12 fair-shared streams each.
+constexpr net::NicConfig kClientNic{/*gbytes_per_sec=*/2.8,
+                                    /*propagation=*/20 * sim::kUs,
+                                    /*streams=*/12};
+constexpr net::NicConfig kNodeNic{/*gbytes_per_sec=*/1.6,
+                                  /*propagation=*/20 * sim::kUs,
+                                  /*streams=*/12};
+constexpr net::NicConfig kMonNic = kNodeNic;
+
+// Client-side software cost of issuing one op.
+constexpr sim::SimTime kClientOpCost = 10 * sim::kUs;
+// Cost a client pays discovering a dead primary in a stale map (connect
+// timeout) before refreshing and retrying.
+constexpr sim::SimTime kOsdTimeout = 2 * sim::kMs;
+// Monitor map payload: base + 16 bytes per OSD.
+constexpr size_t kMapBytesBase = 128;
+constexpr size_t kMaxOpRetries = 8;
+
+}  // namespace
+
 // --- Osd ---
 
 Osd::Osd(size_t id, size_t node, const ClusterConfig& config)
     : id_(id),
       node_(node),
       config_(config),
-      device_(std::make_shared<dev::NvmeDevice>(config.nvme)),
+      device_(std::make_shared<dev::NvmeDevice>()),
       qos_(config.costs.op_shards) {
   if (config.qos.enabled) {
     for (const TenantSpec& spec : config.qos.tenants) SetTenantSpec(spec);
@@ -122,12 +145,11 @@ sim::Task<Status> Osd::Replicate(PrimaryWrite& w, size_t replica_id) {
   Osd& replica = cluster.osd(replica_id);
   // Ship the sub-op over the cluster network.
   co_await net::Send(cluster.node_nic(node_), cluster.node_nic(replica.node()),
-                     cluster.config().request_header_bytes +
-                         w.txn.PayloadBytes());
+                     kRequestHeaderBytes + w.txn.PayloadBytes());
   Status s = co_await replica.HandleReplicaWrite(w.txn, w.snapc, &w.share);
   // Commit ack back to the primary.
   co_await net::Send(cluster.node_nic(replica.node()), cluster.node_nic(node_),
-                     cluster.config().response_header_bytes);
+                     kResponseHeaderBytes);
   if (s.ok()) cluster.pg_log(w.pg).NoteHave(replica_id, w.txn.oid, w.gen);
   co_return s;
 }
@@ -185,15 +207,14 @@ sim::Task<Result<objstore::ReadResult>> Osd::HandleRead(
 // --- IoCtx ---
 
 sim::Task<Result<size_t>> IoCtx::PickPrimary(uint32_t pg, size_t attempt) {
-  const auto& config = cluster_->config();
-  for (; attempt <= config.max_op_retries; ++attempt) {
+  for (; attempt <= kMaxOpRetries; ++attempt) {
     const std::vector<size_t>& acting = cluster_->client_map().ActingFor(pg);
     if (!acting.empty() && cluster_->IsOsdUp(acting[0])) co_return acting[0];
     // The cached map points at a dead primary (or no primary at all): the
     // client pays a connect timeout, fetches a fresh map, and retries.
     cluster_->stats().osd_timeouts++;
     const uint64_t seen = cluster_->client_map().epoch();
-    co_await sim::Sleep{config.osd_timeout};
+    co_await sim::Sleep{kOsdTimeout};
     co_await cluster_->RefreshClientMap(seen);
   }
   co_return Status::IoError("no reachable primary for pg");
@@ -205,8 +226,7 @@ sim::Task<Reply> IoCtx::Route(const std::string& oid,
                               Handle handle, ReplyBytes reply_bytes) {
   txn.oid = oid;
   txn.tenant = tenant_;
-  const auto& config = cluster_->config();
-  co_await sim::Sleep{config.client_op_cost};
+  co_await sim::Sleep{kClientOpCost};
   const uint32_t pg = cluster_->client_map().PgOf(oid);
 
   for (size_t attempt = 0;; ++attempt) {
@@ -218,13 +238,13 @@ sim::Task<Reply> IoCtx::Route(const std::string& oid,
     // Client -> primary: headers + request payload.
     co_await net::Send(cluster_->client_nic(),
                        cluster_->node_nic(primary.node()),
-                       config.request_header_bytes + request_bytes);
+                       kRequestHeaderBytes + request_bytes);
     Reply reply = co_await handle(primary, txn);
     // Primary -> client: headers + reply payload (or the EAGAIN bounce).
     co_await net::Send(cluster_->node_nic(primary.node()),
                        cluster_->client_nic(),
-                       config.response_header_bytes + reply_bytes(reply));
-    if (IsBusy(reply) && attempt < config.max_op_retries) {
+                       kResponseHeaderBytes + reply_bytes(reply));
+    if (IsBusy(reply) && attempt < kMaxOpRetries) {
       cluster_->stats().eagain_redirects++;
       co_await cluster_->RefreshClientMap(seen);
       continue;
@@ -289,10 +309,10 @@ Cluster::Cluster(ClusterConfig config)
       placement_(PlacementConfig{config.pg_count, config.nodes,
                                  config.osds_per_node, config.replication}),
       client_map_(placement_.map()) {
-  client_nic_ = std::make_unique<net::Nic>(config_.client_nic);
-  mon_nic_ = std::make_unique<net::Nic>(config_.mon_nic);
+  client_nic_ = std::make_unique<net::Nic>(kClientNic);
+  mon_nic_ = std::make_unique<net::Nic>(kMonNic);
   for (size_t n = 0; n < config_.nodes; ++n) {
-    node_nics_.push_back(std::make_unique<net::Nic>(config_.node_nic));
+    node_nics_.push_back(std::make_unique<net::Nic>(kNodeNic));
   }
   for (size_t n = 0; n < config_.nodes; ++n) {
     for (size_t i = 0; i < config_.osds_per_node; ++i) {
@@ -349,9 +369,9 @@ sim::Task<void> Cluster::RefreshClientMap(uint64_t seen_epoch) {
   refresh_inflight_ = true;
   refresh_gate_ = std::make_shared<sim::Gate>();
   auto gate = refresh_gate_;
-  co_await net::Send(*client_nic_, *mon_nic_, config_.request_header_bytes);
+  co_await net::Send(*client_nic_, *mon_nic_, kRequestHeaderBytes);
   co_await net::Send(*mon_nic_, *client_nic_,
-                     config_.map_bytes_base + 16 * osds_.size());
+                     kMapBytesBase + 16 * osds_.size());
   client_map_ = placement_.map();
   stats_.map_refreshes++;
   refresh_inflight_ = false;

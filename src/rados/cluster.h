@@ -71,29 +71,18 @@ struct OsdCostModel {
   size_t op_shards = 8;                       // concurrent primary ops
 };
 
+// Wire bytes every request and response carries on top of its payload
+// (recovery pushes send a request header too).
+inline constexpr size_t kRequestHeaderBytes = 256;
+inline constexpr size_t kResponseHeaderBytes = 128;
+
 struct ClusterConfig {
   size_t nodes = 3;
   size_t osds_per_node = 9;
   size_t replication = 3;
   uint32_t pg_count = 128;
-  net::NicConfig client_nic{/*gbytes_per_sec=*/2.8,
-                            /*propagation=*/20 * sim::kUs, /*streams=*/12};
-  net::NicConfig node_nic{/*gbytes_per_sec=*/1.6,
-                          /*propagation=*/20 * sim::kUs, /*streams=*/12};
-  net::NicConfig mon_nic{/*gbytes_per_sec=*/1.6,
-                         /*propagation=*/20 * sim::kUs, /*streams=*/12};
-  dev::NvmeConfig nvme{};
   objstore::StoreConfig store{};
   OsdCostModel costs{};
-  sim::SimTime client_op_cost = 10 * sim::kUs;
-  size_t request_header_bytes = 256;
-  size_t response_header_bytes = 128;
-  // Cost a client pays discovering a dead primary in a stale map (connect
-  // timeout) before refreshing and retrying.
-  sim::SimTime osd_timeout = 2 * sim::kMs;
-  // Monitor map payload: base + 16 bytes per OSD.
-  size_t map_bytes_base = 128;
-  size_t max_op_retries = 8;
   RecoveryConfig recovery{};
   OsdQosConfig qos{};
 };

@@ -7,6 +7,11 @@
 
 namespace vde::rados {
 
+namespace {
+// Target-side software cost of ingesting one push (decode + queue).
+constexpr sim::SimTime kPushCost = 220 * sim::kUs;
+}  // namespace
+
 RecoveryManager::RecoveryManager(Cluster& cluster, const RecoveryConfig& config)
     : cluster_(cluster),
       config_(config),
@@ -198,15 +203,14 @@ sim::Task<void> RecoveryManager::PushObject(uint32_t pg, size_t target,
   }
 
   if (throttled) {
-    co_await ThrottleBytes(static_cast<double>(
-        payload + cluster_.config().request_header_bytes));
+    co_await ThrottleBytes(static_cast<double>(payload + kRequestHeaderBytes));
   }
 
   // Ship the push over the cluster network and ingest it on the target.
   co_await net::Send(cluster_.node_nic(source.node()),
                      cluster_.node_nic(dest.node()),
-                     cluster_.config().request_header_bytes + payload);
-  co_await sim::Sleep{config_.push_cost};
+                     kRequestHeaderBytes + payload);
+  co_await sim::Sleep{kPushCost};
   const Status applied = co_await dest.store().Apply(push, {});
   if (!applied.ok()) co_return;  // left missing; a worker will retry
 

@@ -45,8 +45,6 @@ struct RecoveryConfig {
   double burst_bytes = 16.0 * (1 << 20);
   // Concurrent background pushes (across PGs).
   size_t parallelism = 4;
-  // Target-side software cost of ingesting one push (decode + queue).
-  sim::SimTime push_cost = 220 * sim::kUs;
 };
 
 struct RecoveryStats {

@@ -511,27 +511,27 @@ sim::Task<Status> Image::PersistMetadata() {
 
 void Image::AioRead(MutByteSpan buf, uint64_t offset, CompletionPtr c,
                     objstore::SnapId snap) {
-  ImageRequest::Submit(*this, IoKind::kRead, offset, buf.size(), {}, buf, snap,
-                       std::move(c));
+  ImageRequest::Submit(*this, obs::OpKind::kRead, offset, buf.size(), {}, buf,
+                       snap, std::move(c));
 }
 
 void Image::AioWrite(ByteSpan buf, uint64_t offset, CompletionPtr c) {
-  ImageRequest::Submit(*this, IoKind::kWrite, offset, buf.size(), buf, {},
+  ImageRequest::Submit(*this, obs::OpKind::kWrite, offset, buf.size(), buf, {},
                        objstore::kHeadSnap, std::move(c));
 }
 
 void Image::AioDiscard(uint64_t offset, uint64_t length, CompletionPtr c) {
-  ImageRequest::Submit(*this, IoKind::kDiscard, offset, length, {}, {},
+  ImageRequest::Submit(*this, obs::OpKind::kDiscard, offset, length, {}, {},
                        objstore::kHeadSnap, std::move(c));
 }
 
 void Image::AioWriteZeroes(uint64_t offset, uint64_t length, CompletionPtr c) {
-  ImageRequest::Submit(*this, IoKind::kWriteZeroes, offset, length, {}, {},
+  ImageRequest::Submit(*this, obs::OpKind::kWriteZeroes, offset, length, {}, {},
                        objstore::kHeadSnap, std::move(c));
 }
 
 void Image::AioFlush(CompletionPtr c) {
-  ImageRequest::Submit(*this, IoKind::kFlush, 0, 0, {}, {},
+  ImageRequest::Submit(*this, obs::OpKind::kFlush, 0, 0, {}, {},
                        objstore::kHeadSnap, std::move(c));
 }
 

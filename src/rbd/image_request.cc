@@ -13,23 +13,6 @@ namespace {
 
 using core::kBlockSize;
 
-// IoKind and obs::OpKind mirror each other so the obs module stays
-// rbd-independent; keep the numeric mapping in lockstep.
-static_assert(static_cast<uint8_t>(IoKind::kRead) ==
-              static_cast<uint8_t>(obs::OpKind::kRead));
-static_assert(static_cast<uint8_t>(IoKind::kWrite) ==
-              static_cast<uint8_t>(obs::OpKind::kWrite));
-static_assert(static_cast<uint8_t>(IoKind::kDiscard) ==
-              static_cast<uint8_t>(obs::OpKind::kDiscard));
-static_assert(static_cast<uint8_t>(IoKind::kWriteZeroes) ==
-              static_cast<uint8_t>(obs::OpKind::kWriteZeroes));
-static_assert(static_cast<uint8_t>(IoKind::kFlush) ==
-              static_cast<uint8_t>(obs::OpKind::kFlush));
-
-obs::OpKind ToOpKind(IoKind kind) {
-  return static_cast<obs::OpKind>(static_cast<uint8_t>(kind));
-}
-
 // A one-or-few-block sub-extent of a covering extent.
 core::ObjectExtent SubExtent(const core::ObjectExtent& cover, size_t blk,
                              size_t count) {
@@ -66,7 +49,7 @@ class HoldGuard {
 
 }  // namespace
 
-ImageRequest::ImageRequest(Image& image, IoKind kind, uint64_t offset,
+ImageRequest::ImageRequest(Image& image, obs::OpKind kind, uint64_t offset,
                            uint64_t length, ByteSpan src, MutByteSpan dst,
                            objstore::SnapId snap, CompletionPtr completion)
     : image_(image),
@@ -79,7 +62,7 @@ ImageRequest::ImageRequest(Image& image, IoKind kind, uint64_t offset,
       completion_(std::move(completion)) {}
 
 Status ImageRequest::Validate() const {
-  if (kind_ == IoKind::kFlush) return Status::Ok();
+  if (kind_ == obs::OpKind::kFlush) return Status::Ok();
   if (length_ == 0) return Status::InvalidArgument("zero-length IO");
   if (offset_ + length_ < offset_ || offset_ + length_ > image_.size()) {
     return Status::InvalidArgument("IO past end of image");
@@ -95,16 +78,16 @@ void ImageRequest::RegisterHolds() {
     const uint64_t first = c.cover.first_block;
     const uint64_t last = first + c.cover.block_count - 1;
     switch (kind_) {
-      case IoKind::kRead:
+      case obs::OpKind::kRead:
         holds_[i] = wb.Register(c.cover.object_no, first, last,
                                 /*exclusive=*/false);
         break;
-      case IoKind::kWrite:
-      case IoKind::kWriteZeroes:
+      case obs::OpKind::kWrite:
+      case obs::OpKind::kWriteZeroes:
         holds_[i] = wb.Register(c.cover.object_no, first, last,
                                 /*exclusive=*/true);
         break;
-      case IoKind::kDiscard: {
+      case obs::OpKind::kDiscard: {
         // TRIM mutates only whole blocks inside the range; a sub-block
         // discard is a no-op and must not serialize against anything.
         const uint64_t first_full =
@@ -116,14 +99,14 @@ void ImageRequest::RegisterHolds() {
         }
         break;
       }
-      case IoKind::kFlush:
+      case obs::OpKind::kFlush:
         break;
     }
   }
 }
 
 bool ImageRequest::StageEligible(const Chunk& chunk) const {
-  if (kind_ != IoKind::kWrite || !image_.writeback_->coalescing()) {
+  if (kind_ != obs::OpKind::kWrite || !image_.writeback_->coalescing()) {
     return false;
   }
   // Small writes with a partial edge: these are the RMW-paying chunks the
@@ -137,7 +120,7 @@ bool ImageRequest::StageEligible(const Chunk& chunk) const {
   return head_partial || tail_partial;
 }
 
-void ImageRequest::Submit(Image& image, IoKind kind, uint64_t offset,
+void ImageRequest::Submit(Image& image, obs::OpKind kind, uint64_t offset,
                           uint64_t length, ByteSpan src, MutByteSpan dst,
                           objstore::SnapId snap, CompletionPtr completion) {
   assert(completion != nullptr);
@@ -153,20 +136,20 @@ void ImageRequest::Submit(Image& image, IoKind kind, uint64_t offset,
   // barriers cover "everything issued before", and overlapping block
   // ranges are admitted in the order the guest submitted them even when
   // many requests are submitted back to back.
-  if (req->kind_ != IoKind::kFlush) {
+  if (req->kind_ != obs::OpKind::kFlush) {
     req->chunks_ = req->Chunks();
     req->RegisterHolds();
   }
   if (req->IsWriteClass()) {
     req->write_seq_ = image.BeginWriteIo();
     req->seq_assigned_ = true;
-  } else if (kind == IoKind::kFlush) {
+  } else if (kind == obs::OpKind::kFlush) {
     req->write_seq_ = image.next_write_seq_;  // barrier
   }
   // Observability: the trace context is born here (queue stage open) and
   // shared with the completion; Run() closes the queue stage when the
   // request coroutine actually starts. Null when disabled.
-  req->trace_ = image.obs().BeginOp(ToOpKind(kind), offset, length);
+  req->trace_ = image.obs().BeginOp(kind, offset, length);
   req->completion_->set_trace(req->trace_);
   if (req->trace_ != nullptr) req->trace_->Enter(obs::Stage::kQueue);
   // Admission: an enabled QoS tenant rides the shared dispatch queue (FIFO
@@ -176,7 +159,7 @@ void ImageRequest::Submit(Image& image, IoKind kind, uint64_t offset,
   // and pay no tokens, but still queue FIFO behind the writes they fence.
   if (qos::Scheduler* qsched = image.qos_scheduler()) {
     const uint64_t cost = req->length_;
-    const bool charge = kind != IoKind::kFlush;
+    const bool charge = kind != obs::OpKind::kFlush;
     qsched->Submit(image.qos_tenant(), cost, charge, Run(std::move(req)));
   } else {
     sim::Scheduler::Current().Spawn(Run(std::move(req)));
@@ -198,20 +181,20 @@ sim::Task<void> ImageRequest::Run(std::unique_ptr<ImageRequest> self) {
   if (status.ok()) {
     Image::Counters& stats = self->image_.counters_;
     switch (self->kind_) {
-      case IoKind::kRead:
+      case obs::OpKind::kRead:
         stats.reads++;
         stats.bytes_read += self->length_;
         break;
-      case IoKind::kWrite:
+      case obs::OpKind::kWrite:
         stats.writes++;
         stats.bytes_written += self->length_;
         break;
-      case IoKind::kDiscard:
-      case IoKind::kWriteZeroes:
+      case obs::OpKind::kDiscard:
+      case obs::OpKind::kWriteZeroes:
         stats.discards++;
         stats.bytes_discarded += self->length_;
         break;
-      case IoKind::kFlush:
+      case obs::OpKind::kFlush:
         stats.flushes++;
         break;
     }
@@ -224,14 +207,14 @@ sim::Task<void> ImageRequest::Run(std::unique_ptr<ImageRequest> self) {
 
 sim::Task<Status> ImageRequest::Execute() {
   switch (kind_) {
-    case IoKind::kRead:
+    case obs::OpKind::kRead:
       co_return co_await ExecuteReadOp();
-    case IoKind::kWrite:
+    case obs::OpKind::kWrite:
       co_return co_await ExecuteWriteOp();
-    case IoKind::kDiscard:
-    case IoKind::kWriteZeroes:
+    case obs::OpKind::kDiscard:
+    case obs::OpKind::kWriteZeroes:
       co_return co_await ForEachChunk(&ImageRequest::DiscardChunk);
-    case IoKind::kFlush:
+    case obs::OpKind::kFlush:
       co_return co_await ExecuteFlushOp();
   }
   co_return Status::InvalidArgument("unknown IO kind");
@@ -516,7 +499,7 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
 
 sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
-  const bool zeroes = kind_ == IoKind::kWriteZeroes;
+  const bool zeroes = kind_ == obs::OpKind::kWriteZeroes;
   const uint64_t start = chunk.byte_off;
   const uint64_t end = chunk.byte_off + chunk.byte_len;
   // Whole blocks inside the range, as cover-relative block indices.

@@ -27,8 +27,6 @@ namespace vde::rbd {
 
 class Image;
 
-enum class IoKind : uint8_t { kRead, kWrite, kDiscard, kWriteZeroes, kFlush };
-
 class ImageRequest {
  public:
   // Validates the request and spawns it on the sim scheduler; the
@@ -36,7 +34,7 @@ class ImageRequest {
   // `src` feeds writes, `dst` receives reads; `length` is the byte count
   // (a read's or write's buffer is `length` bytes); `snap` applies to
   // reads only.
-  static void Submit(Image& image, IoKind kind, uint64_t offset,
+  static void Submit(Image& image, obs::OpKind kind, uint64_t offset,
                      uint64_t length, ByteSpan src, MutByteSpan dst,
                      objstore::SnapId snap, CompletionPtr completion);
 
@@ -50,14 +48,14 @@ class ImageRequest {
     uint64_t buf_off = 0;  // offset into the user buffer
   };
 
-  ImageRequest(Image& image, IoKind kind, uint64_t offset, uint64_t length,
+  ImageRequest(Image& image, obs::OpKind kind, uint64_t offset, uint64_t length,
                ByteSpan src, MutByteSpan dst, objstore::SnapId snap,
                CompletionPtr completion);
 
   Status Validate() const;
   bool IsWriteClass() const {
-    return kind_ == IoKind::kWrite || kind_ == IoKind::kDiscard ||
-           kind_ == IoKind::kWriteZeroes;
+    return kind_ == obs::OpKind::kWrite || kind_ == obs::OpKind::kDiscard ||
+           kind_ == obs::OpKind::kWriteZeroes;
   }
 
   // Registers each chunk's block-range hold with the write-back layer, in
@@ -106,7 +104,7 @@ class ImageRequest {
   obs::TraceContext* ctx() const { return trace_.get(); }
 
   Image& image_;
-  IoKind kind_;
+  obs::OpKind kind_;
   uint64_t offset_;
   uint64_t length_;
   ByteSpan src_;     // write payload (empty for other kinds)

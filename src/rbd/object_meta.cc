@@ -385,7 +385,7 @@ sim::Task<Status> ObjectMeta::OpenPlane(const MetaStoreConfig& config) {
     co_return Status::Ok();
   }
   plane_ = config;
-  auto opened = co_await kv::KvStore::Open(*plane_.device, plane_.kv);
+  auto opened = co_await kv::KvStore::Open(*plane_.device, kv::KvOptions{});
   if (opened.ok()) {
     kv_ = std::move(*opened);
   } else if (opened.status().code() == StatusCode::kCorruption) {
@@ -434,11 +434,12 @@ sim::Task<Status> ObjectMeta::ResetPlane() {
   dev::BlockDevice& dev = *plane_.device;
   const uint32_t sector = dev.sector_size();
   Bytes zero(sector, 0);
-  const uint64_t end = sector + plane_.kv.wal_size;  // WAL follows sector 0
+  // The WAL follows the superblock in sector 0.
+  const uint64_t end = sector + kv::KvOptions{}.wal_size;
   for (uint64_t off = 0; off < end; off += sector) {
     VDE_CO_RETURN_IF_ERROR(co_await dev.Write(off, zero));
   }
-  auto opened = co_await kv::KvStore::Open(dev, plane_.kv);
+  auto opened = co_await kv::KvStore::Open(dev, kv::KvOptions{});
   VDE_CO_RETURN_IF_ERROR(opened.status());
   kv_ = std::move(*opened);
   stats_.meta_cold_resets++;

@@ -100,7 +100,6 @@ struct MetaStoreConfig {
   // Caller-owned and must outlive the image; reopening the image against
   // the SAME device is what makes a warm reopen possible.
   dev::BlockDevice* device = nullptr;
-  kv::KvOptions kv;
   // Pending journal entries that trigger a write-behind batch commit at
   // the end of a datapath request (one WAL frame per flush).
   size_t journal_flush_rows = 64;

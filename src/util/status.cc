@@ -18,12 +18,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "PermissionDenied";
     case StatusCode::kOutOfSpace:
       return "OutOfSpace";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
     case StatusCode::kBusy:
       return "Busy";
-    case StatusCode::kExists:
-      return "Exists";
   }
   return "Unknown";
 }

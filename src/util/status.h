@@ -21,9 +21,7 @@ enum class StatusCode {
   kIoError,
   kPermissionDenied,
   kOutOfSpace,
-  kNotSupported,
   kBusy,
-  kExists,
 };
 
 // Human-readable name for a status code, e.g. "Corruption".
@@ -54,14 +52,8 @@ class Status {
   static Status OutOfSpace(std::string m = "") {
     return Status(StatusCode::kOutOfSpace, std::move(m));
   }
-  static Status NotSupported(std::string m = "") {
-    return Status(StatusCode::kNotSupported, std::move(m));
-  }
   static Status Busy(std::string m = "") {
     return Status(StatusCode::kBusy, std::move(m));
-  }
-  static Status Exists(std::string m = "") {
-    return Status(StatusCode::kExists, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
@@ -70,7 +62,6 @@ class Status {
 
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsExists() const { return code_ == StatusCode::kExists; }
 
   // "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
+#include <string>
 
 #include "util/rng.h"
 
@@ -48,7 +50,10 @@ INSTANTIATE_TEST_SUITE_P(
         Fips197Case{
             "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
             "00112233445566778899aabbccddeeff",
-            "8ea2b7ca516745bfeafc49904b496089"}));
+            "8ea2b7ca516745bfeafc49904b496089"}),
+    [](const auto& info) {  // aes128, aes192, aes256: hex digits x 4 bits
+      return "aes" + std::to_string(std::strlen(info.param.key) * 4);
+    });
 
 class AesCross : public ::testing::TestWithParam<size_t> {};
 

@@ -23,8 +23,7 @@ TEST(Status, AllCodesHaveNames) {
   for (auto code : {StatusCode::kOk, StatusCode::kNotFound,
                     StatusCode::kCorruption, StatusCode::kInvalidArgument,
                     StatusCode::kIoError, StatusCode::kPermissionDenied,
-                    StatusCode::kOutOfSpace, StatusCode::kNotSupported,
-                    StatusCode::kBusy, StatusCode::kExists}) {
+                    StatusCode::kOutOfSpace, StatusCode::kBusy}) {
     EXPECT_FALSE(StatusCodeName(code).empty());
     EXPECT_NE(StatusCodeName(code), "Unknown");
   }
