@@ -672,7 +672,7 @@ sim::SimTime EncryptionFormat::CompressCost(size_t bytes) const {
   // BM_LzCompress, one 50%-compressible 4 KiB block, Intel Xeon):
   // 3.1-4.4 us per block, 0.9-1.3 GB/s. The greedy parse hashes every
   // unmatched position; with the stream kept byte-identical, the measured
-  // rate stays below the charged one (ROADMAP item 9 recalibrates).
+  // rate stays below the charged one (ROADMAP item 11 recalibrates).
   return 300 * sim::kNs +
          static_cast<sim::SimTime>(static_cast<double>(bytes) / 2.0);
 }

@@ -41,7 +41,7 @@ class NvmeDevice final : public BlockDevice {
   // object store to make committed state visible instantly while the device
   // cost is charged by the background applier via Charge*().
   void PokeWrite(uint64_t offset, ByteSpan data) { ram_.WriteAt(offset, data); }
-  // PokeWrite that stores a whole-page payload once across devices: see
+  // PokeWrite that stores a replicated payload once across devices: see
   // SparseRam::WriteAt(offset, data, share).
   void PokeWrite(uint64_t offset, ByteSpan data, SparseRam::PageRun& share) {
     ram_.WriteAt(offset, data, share);
@@ -53,6 +53,11 @@ class NvmeDevice final : public BlockDevice {
   // recycled extent can never leak a previous tenant's bytes.
   void PokeTrim(uint64_t offset, uint64_t length) {
     ram_.Punch(offset, length);
+  }
+  // PokeTrim that shares the resulting pages across devices: see
+  // SparseRam::Punch(offset, length, share).
+  void PokeTrim(uint64_t offset, uint64_t length, SparseRam::PageRun& share) {
+    ram_.Punch(offset, length, share);
   }
   // Holders of the data-plane page under `offset` (0 for a hole).
   uint32_t PeekPageRefs(uint64_t offset) const { return ram_.PageRefs(offset); }

@@ -88,7 +88,10 @@ PageArena& Arena() {
 }  // namespace
 
 SparseRam::PageRun::~PageRun() {
-  for (Page* page : pages_) Arena().Unref(page);
+  for (const Change& change : pages_) {
+    if (change.before != nullptr) Arena().Unref(change.before);
+    if (change.after != nullptr) Arena().Unref(change.after);
+  }
 }
 
 SparseRam::~SparseRam() {
@@ -121,6 +124,11 @@ void SparseRam::ReadAt(uint64_t offset, MutByteSpan out) const {
   }
 }
 
+SparseRam::Page* SparseRam::Find(uint64_t page_no) const {
+  const auto it = pages_.find(page_no);
+  return it == pages_.end() ? nullptr : it->second;
+}
+
 SparseRam::Page* SparseRam::PrivatePage(uint64_t page_no, size_t in_page,
                                         size_t take) {
   Page*& page = pages_[page_no];
@@ -139,64 +147,87 @@ SparseRam::Page* SparseRam::PrivatePage(uint64_t page_no, size_t in_page,
   return page;
 }
 
-void SparseRam::WriteAt(uint64_t offset, ByteSpan data) {
-  assert(offset + data.size() <= capacity_);
-  size_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = offset + done;
-    const size_t in_page = pos % kPageSize;
-    const size_t take = std::min(data.size() - done, kPageSize - in_page);
-    Page* page = PrivatePage(pos / kPageSize, in_page, take);
-    std::memcpy(page->data + in_page, data.data() + done, take);
-    done += take;
+void SparseRam::ApplyPage(uint64_t page_no, size_t in_page, size_t take,
+                          const uint8_t* src) {
+  if (src != nullptr) {
+    std::memcpy(PrivatePage(page_no, in_page, take)->data + in_page, src,
+                take);
+    return;
+  }
+  const auto it = pages_.find(page_no);
+  if (it == pages_.end()) return;
+  if (take == kPageSize) {
+    Arena().Unref(it->second);
+    pages_.erase(it);
+  } else {
+    std::memset(PrivatePage(page_no, in_page, take)->data + in_page, 0, take);
   }
 }
 
-void SparseRam::WriteAt(uint64_t offset, ByteSpan data, PageRun& share) {
-  if (offset % kPageSize != 0 || data.empty() ||
-      data.size() % kPageSize != 0) {
-    WriteAt(offset, data);
-    return;
-  }
-  assert(offset + data.size() <= capacity_);
-  const uint64_t first = offset / kPageSize;
-  const size_t count = data.size() / kPageSize;
-  if (share.empty()) {
-    WriteAt(offset, data);
-    share.pages_.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      share.pages_.push_back(PageArena::Ref(pages_.at(first + i)));
-    }
-    return;
-  }
-  assert(share.pages_.size() == count);
-  for (size_t i = 0; i < count; ++i) {
-    Page*& page = pages_[first + i];
-    if (page != nullptr) Arena().Unref(page);
-    page = PageArena::Ref(share.pages_[i]);
-  }
-}
-
-void SparseRam::Punch(uint64_t offset, uint64_t length) {
+void SparseRam::ApplyOp(uint64_t offset, uint64_t length, const uint8_t* src,
+                        PageRun* share) {
   assert(offset + length <= capacity_);
+  const bool record = share != nullptr && share->empty();
+  const bool adopt = share != nullptr && !record &&
+                     share->in_page_ == offset % kPageSize &&
+                     share->length_ == length;
+  if (record) {
+    share->in_page_ = offset % kPageSize;
+    share->length_ = length;
+    share->pages_.reserve((share->in_page_ + length + kPageSize - 1) /
+                          kPageSize);
+  }
   uint64_t done = 0;
-  while (done < length) {
+  for (size_t i = 0; done < length; ++i) {
     const uint64_t pos = offset + done;
     const uint64_t page_no = pos / kPageSize;
     const size_t in_page = pos % kPageSize;
-    const size_t take = std::min<size_t>(length - done, kPageSize - in_page);
-    const auto it = pages_.find(page_no);
-    if (it != pages_.end()) {
-      if (take == kPageSize) {
-        Arena().Unref(it->second);
-        pages_.erase(it);
-      } else {
-        std::memset(PrivatePage(page_no, in_page, take)->data + in_page, 0,
-                    take);
-      }
-    }
+    const size_t take = std::min<uint64_t>(length - done, kPageSize - in_page);
+    const uint8_t* page_src = src == nullptr ? nullptr : src + done;
     done += take;
+    const bool whole = take == kPageSize;
+    if (adopt) {
+      const PageRun::Change& change = share->pages_[i];
+      const auto it = pages_.find(page_no);
+      Page* const own = it == pages_.end() ? nullptr : it->second;
+      if (!whole && own != change.before) {
+        ApplyPage(page_no, in_page, take, page_src);
+      } else if (change.after != nullptr) {
+        PageArena::Ref(change.after);
+        if (own != nullptr) Arena().Unref(own);
+        pages_[page_no] = change.after;
+      } else if (own != nullptr) {
+        Arena().Unref(own);
+        pages_.erase(it);
+      }
+    } else if (record) {
+      // The run's reference on the before page makes ApplyPage copy it.
+      Page* const before = whole ? nullptr : Find(page_no);
+      if (before != nullptr) PageArena::Ref(before);
+      ApplyPage(page_no, in_page, take, page_src);
+      Page* const after = Find(page_no);
+      if (after != nullptr) PageArena::Ref(after);
+      share->pages_.push_back({before, after});
+    } else {
+      ApplyPage(page_no, in_page, take, page_src);
+    }
   }
+}
+
+void SparseRam::WriteAt(uint64_t offset, ByteSpan data) {
+  ApplyOp(offset, data.size(), data.data(), nullptr);
+}
+
+void SparseRam::WriteAt(uint64_t offset, ByteSpan data, PageRun& share) {
+  ApplyOp(offset, data.size(), data.data(), &share);
+}
+
+void SparseRam::Punch(uint64_t offset, uint64_t length) {
+  ApplyOp(offset, length, nullptr, nullptr);
+}
+
+void SparseRam::Punch(uint64_t offset, uint64_t length, PageRun& share) {
+  ApplyOp(offset, length, nullptr, &share);
 }
 
 }  // namespace vde::dev

@@ -6,14 +6,25 @@
 //
 // Shared copy-on-write pages: page memory comes from one process-wide arena
 // of refcounted 4 KiB pages, so several devices may hold the same page. A
-// replicated whole-page write is stored once: the first device writes it
-// through a PageRun, and the other replicas adopt the run's pages instead of
-// copying the payload. A page is copied before it is changed while anyone
-// else holds it — a partial write or a Punch of a shared page copies it
-// first, a full-page overwrite takes a fresh page — so each device reads
-// exactly its own bytes. Sharing is host memory only: it never changes what
-// a read returns, and it costs no simulated time. The arena frees its slabs
-// once its last page is released.
+// page is copied before it is changed while anyone else holds it — a
+// partial write or a Punch of a shared page copies it first, a full-page
+// overwrite takes a fresh page — so each device reads exactly its own bytes
+// and a shared page never changes.
+//
+// A replicated write or Punch is stored once through a PageRun. The first
+// device to apply the op through the run records, for each page the op
+// touches, the page it held before and the page it holds after. A later
+// device adopts the after page when the op covers the whole page, or when
+// its own page before the op is that recorded before page (a hole matches
+// a hole): both cases leave it exactly the bytes applying the op would. In
+// every other case — a diverged page, a different in-page offset, a before
+// page only the first device held — it applies the op to its own page. The
+// run keeps a reference on every recorded page, so a before page is never
+// freed and reused while the run could still match it.
+//
+// Sharing is host memory only: it never changes what a read returns, and it
+// costs no simulated time. The arena frees its slabs once its last page is
+// released.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +41,27 @@ class SparseRam {
 
   struct Page;
 
-  // References to the pages of one whole-page write, for other devices to
-  // adopt (see WriteAt). Holding a run keeps its pages alive and unchanged:
-  // a holder that changes one of them copies it first.
+  // The before and after pages of one op, recorded by the first device to
+  // apply it, for later devices to adopt (see the header comment). Holding
+  // a run keeps its pages alive and unchanged: a holder that changes one of
+  // them copies it first.
   class PageRun {
    public:
     PageRun() = default;
-    PageRun(PageRun&& other) noexcept : pages_(std::move(other.pages_)) {}
+    PageRun(PageRun&& other) noexcept = default;  // leaves `other` empty
     ~PageRun();
 
     bool empty() const { return pages_.empty(); }
 
    private:
     friend class SparseRam;
-    std::vector<Page*> pages_;
+    struct Change {
+      Page* before;  // nullptr: a hole, or a page the op covers whole
+      Page* after;   // nullptr: a hole
+    };
+    size_t in_page_ = 0;  // the op's offset within its first page
+    uint64_t length_ = 0;
+    std::vector<Change> pages_;  // one per page the op touches
   };
 
   explicit SparseRam(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
@@ -58,15 +76,17 @@ class SparseRam {
   void ReadAt(uint64_t offset, MutByteSpan out) const;
   void WriteAt(uint64_t offset, ByteSpan data);
 
-  // WriteAt that shares whole pages through `share`. A page-aligned write
-  // of whole pages through an empty run writes `data` and fills the run
-  // with its pages; through a filled run it adopts the run's pages, which
-  // must hold the same bytes as `data`. Any other write copies as WriteAt.
-  void WriteAt(uint64_t offset, ByteSpan data, PageRun& share);
-
   // TRIM: whole pages in the range are released (subsequent reads return
-  // zeros), partial edge pages are zero-filled in place.
+  // zeros), partial edge pages are zero-filled.
   void Punch(uint64_t offset, uint64_t length);
+
+  // WriteAt and Punch that share pages through `share`, which is empty or
+  // filled by the same op (same bytes and length) on another device. An
+  // empty run records this device's pages; a filled one is adopted where
+  // the header comment's rule allows, and elsewhere the op changes this
+  // device's own page.
+  void WriteAt(uint64_t offset, ByteSpan data, PageRun& share);
+  void Punch(uint64_t offset, uint64_t length, PageRun& share);
 
   // Holders (devices and runs) of the page under `offset`; 0 for a hole.
   uint32_t PageRefs(uint64_t offset) const;
@@ -79,6 +99,16 @@ class SparseRam {
   // The page under `page_no`, made private to this device (copied if
   // shared) for a write of `take` bytes at `in_page`.
   Page* PrivatePage(uint64_t page_no, size_t in_page, size_t take);
+  // The page under `page_no`; nullptr for a hole.
+  Page* Find(uint64_t page_no) const;
+
+  // Writes `take` bytes of `src` at `in_page` of page `page_no`, or punches
+  // them when `src` is nullptr.
+  void ApplyPage(uint64_t page_no, size_t in_page, size_t take,
+                 const uint8_t* src);
+  // ApplyPage over [offset, offset + length), through `share` if given.
+  void ApplyOp(uint64_t offset, uint64_t length, const uint8_t* src,
+               PageRun* share);
 
   uint64_t capacity_;
   std::unordered_map<uint64_t, Page*> pages_;  // each entry holds a ref

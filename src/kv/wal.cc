@@ -1,5 +1,6 @@
 #include "kv/wal.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -38,15 +39,23 @@ sim::Task<Status> Wal::Append(size_t payload_size,
   if (open_ == nullptr) {
     open_ = std::make_shared<Batch>();
     open_->start = append_off_;
-    const size_t head = append_off_ % sector;
-    // Room for a lone append's whole sector run: it never regrows.
-    open_->run.reserve((head + frame_size + sector - 1) / sector * sector);
-    open_->run.resize(head);
+    open_->used = append_off_ % sector;
   }
   const std::shared_ptr<Batch> batch = open_;
-  const size_t at = batch->run.size();
-  batch->run.resize(at + frame_size);
-  uint8_t* frame = batch->run.data() + at;
+  const size_t at = batch->used;
+  // Room for the frame and the padding of its last sector: a lone append's
+  // first buffer is its whole sector run, and later frames grow it by
+  // doubling.
+  const size_t need = (at + frame_size + sector - 1) / sector * sector;
+  if (need > batch->capacity) {
+    const size_t capacity = std::max(need, 2 * batch->capacity);
+    auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+    if (batch->run != nullptr) std::memcpy(grown.get(), batch->run.get(), at);
+    batch->run = std::move(grown);
+    batch->capacity = capacity;
+  }
+  batch->used = at + frame_size;
+  uint8_t* frame = batch->run.get() + at;
   StoreU32Le(frame + 4, static_cast<uint32_t>(payload_size));
   StoreU64Le(frame + 8, generation_);
   write(MutByteSpan(frame + kHeaderSize, payload_size));
@@ -73,20 +82,21 @@ sim::Task<void> Wal::WriteOpenBatch() {
   writing_ = batch;
   // Compose the contiguous sector run: the already-written bytes of the
   // first (partial) sector, the batch's frames, and zeros after them.
-  Bytes& run = batch->run;
+  uint8_t* const run = batch->run.get();
   const uint64_t first = batch->start / sector * sector;
-  std::memcpy(run.data(), tail_.data(), batch->start - first);
-  const size_t used = run.size();
-  run.resize((used + sector - 1) / sector * sector, 0);
+  std::memcpy(run, tail_.data(), batch->start - first);
+  const size_t used = batch->used;
+  const size_t size = (used + sector - 1) / sector * sector;
+  std::memset(run + used, 0, size - used);
 
-  const Status s = co_await device_.Write(first, run);
+  const Status s = co_await device_.Write(first, ByteSpan(run, size));
   if (s.ok()) {
     // Remember the new tail sector content for the next batch; a fresh
     // sector starts from zeros.
     if (used % sector == 0) {
       std::fill(tail_.begin(), tail_.end(), 0);
     } else {
-      std::memcpy(tail_.data(), run.data() + run.size() - sector, sector);
+      std::memcpy(tail_.data(), run + size - sector, sector);
     }
   } else {
     // Recovery stops at the hole this write leaves, so the frames queued
@@ -103,7 +113,7 @@ sim::Task<void> Wal::WriteOpenBatch() {
 
 void Wal::Finish(Batch& batch, Status status) {
   batch.status = std::move(status);
-  Bytes().swap(batch.run);  // a batch buffer never outlives its write
+  batch.run.reset();  // a batch buffer never outlives its write
   batch.done.Fire();
 }
 

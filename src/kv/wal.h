@@ -72,9 +72,14 @@ class Wal {
 
   // Frames written by one device write. `run` starts at the sector holding
   // `start`; its head bytes are filled from tail_ when the write begins.
+  // It holds `used` bytes in `capacity`, a whole number of sectors: frames
+  // are built in it un-zeroed, and only the sector padding after the last
+  // one is zero-filled.
   struct Batch {
     uint64_t start = 0;
-    Bytes run;
+    std::unique_ptr<uint8_t[]> run;
+    size_t used = 0;
+    size_t capacity = 0;
     Status status;
     sim::Gate done;
   };

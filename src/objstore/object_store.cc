@@ -484,14 +484,21 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   const bool pipelined = sched.core_model_enabled();
   if (share != nullptr && share->ops.empty()) share->ops.resize(txn.ops.size());
   assert(share == nullptr || share->ops.size() == txn.ops.size());
-  // Makes a payload visible at `abs`; through a share, a whole-page payload
-  // is stored once across the replicas of this write.
+  // Makes a payload or a punch visible at `abs`; through a share, its pages
+  // are stored once across the replicas of this write.
   const auto poke_payload = [&](size_t op_index, uint64_t abs,
                                 ByteSpan data) {
     if (share == nullptr) {
       device_->PokeWrite(abs, data);
     } else {
       device_->PokeWrite(abs, data, share->ops[op_index]);
+    }
+  };
+  const auto poke_trim = [&](size_t op_index, uint64_t abs, uint64_t length) {
+    if (share == nullptr) {
+      device_->PokeTrim(abs, length);
+    } else {
+      device_->PokeTrim(abs, length, share->ops[op_index]);
     }
   };
   for (size_t op_index = 0; op_index < txn.ops.size(); ++op_index) {
@@ -547,7 +554,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         // way and TRIMmed ranges actually release memory. Deallocation is
         // metadata-only — no final-location device write to charge (the
         // per-op software cost above still applies).
-        device_->PokeTrim(data_base_ + node.base + op.offset, op.length);
+        poke_trim(op_index, data_base_ + node.base + op.offset, op.length);
         DropCachedSectors(data_base_ + node.base + op.offset, op.length);
         break;
       }
@@ -559,7 +566,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         // inside it never touch the device), the data plane drops the
         // pages, and fully covered sectors return to the allocator — TRIM
         // actually grows free capacity instead of writing a zero pattern.
-        device_->PokeTrim(data_base_ + node.base + op.offset, op.length);
+        poke_trim(op_index, data_base_ + node.base + op.offset, op.length);
         DropCachedSectors(data_base_ + node.base + op.offset, op.length);
         stats_.bytes_trimmed += IntervalMapAdd(node.trimmed, op.offset,
                                                op.length);

@@ -22,15 +22,16 @@
 //
 // Replicas share data pages: every replica of a write stores the same
 // ciphertext, so the stores applying one replicated transaction share a
-// PageShare. The first to apply a page-aligned, whole-page kWrite/kWriteFull
-// payload writes it to its device; the others adopt those pages (shared
-// copy-on-write, dev::SparseRam) instead of copying the payload. Like the
+// PageShare. The first to apply a kWrite/kWriteFull payload or a
+// kTrim/kZero punch records the pages it held before and after the op; the
+// others adopt the after pages (shared copy-on-write, dev::SparseRam)
+// wherever the op covers the whole page or their own page before the op is
+// the recorded one, and copy elsewhere (a diverged page, an extent at a
+// different in-page offset). Replicas in step therefore share the unaligned
+// layout's interleaved slots and the sub-page IV records too. Like the
 // instant-visibility write itself, this is host memory only: no simulated
 // time, no device stats, and each store still charges its own apply IO.
-// A payload that is not whole pages at a page-aligned device offset on a
-// store (the unaligned layout's interleaved IVs, sub-page IV records, an
-// extent off a page boundary under 512 B allocation units) is copied by
-// that store, and snapshot clones copy their data.
+// Snapshot clones copy their data.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
 // AND its OMAP rows: random IVs stored via OMAP must remain readable for
@@ -60,7 +61,7 @@
 namespace vde::objstore {
 
 // Store-side software cost model. The values are hand-set model
-// constants, not derived from a host measurement yet (ROADMAP item 9);
+// constants, not derived from a host measurement yet (ROADMAP item 11);
 // docs/BENCH.md lists the measured host costs they are meant to track.
 // One named struct consumed by both the apply path and the bench fixtures
 // — the constants used to live loose in StoreConfig.
@@ -108,7 +109,7 @@ struct CostModel {
 // until destroyed, so a replica that applies late still adopts exactly the
 // bytes the first one wrote.
 struct PageShare {
-  std::vector<dev::SparseRam::PageRun> ops;  // by op index; empty = unshared
+  std::vector<dev::SparseRam::PageRun> ops;  // by op index; empty = unapplied
 };
 
 struct StoreConfig {

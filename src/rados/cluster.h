@@ -61,7 +61,7 @@ struct OsdQosConfig {
 
 // Software costs of the OSD op pipeline (queue, decode, PG lock, commit
 // bookkeeping). Hand-set model constants, like objstore::CostModel: none is
-// derived from a host measurement yet (ROADMAP item 9).
+// derived from a host measurement yet (ROADMAP item 11).
 struct OsdCostModel {
   sim::SimTime read_op = 420 * sim::kUs;
   sim::SimTime write_op = 340 * sim::kUs;

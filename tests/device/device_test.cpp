@@ -183,15 +183,22 @@ TEST(SparseRam, SharedWholePageWriteIsStoredOnce) {
   EXPECT_EQ(ReadBack(b, 5 * 4096, data.size()), data);
 }
 
-// Unaligned or partial-page payloads are copied, and leave the run empty.
+// A partial-page payload is copied where the run does not match it: the
+// op sits at a different in-page offset on the adopting device.
 TEST(SparseRam, PartialPagePayloadThroughShareIsCopied) {
   SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(2).RandomBytes(4096);
   SparseRam::PageRun share;
-  a.WriteAt(100, Bytes(4096, 0x11), share);
-  a.WriteAt(8192, Bytes(512, 0x22), share);
-  EXPECT_TRUE(share.empty());
-  EXPECT_EQ(a.PageRefs(0), 1u);
-  EXPECT_EQ(a.PageRefs(8192), 1u);
+  a.WriteAt(100, data, share);
+  b.WriteAt(8192 + 612, data, share);
+  EXPECT_FALSE(share.empty());
+  EXPECT_EQ(a.PageRefs(0), 2u);  // a and the run
+  EXPECT_EQ(a.PageRefs(4096), 2u);
+  EXPECT_EQ(b.PageRefs(8192), 1u);
+  EXPECT_EQ(b.PageRefs(3 * 4096), 1u);
+  EXPECT_EQ(ReadBack(a, 100, data.size()), data);
+  EXPECT_EQ(ReadBack(b, 8192 + 612, data.size()), data);
 }
 
 // Two devices holding one shared page at offset 0 (the run is dropped).
@@ -240,6 +247,102 @@ TEST(SparseRam, FullPageOverwriteOfSharedPageLeavesOtherHolder) {
   EXPECT_EQ(p.b.PageRefs(0), 1u);
 }
 
+TEST(SparseRam, PartialWriteAdoptedOverTheSameBeforePage) {
+  SharedPair p;
+  const size_t live = SparseRam::ArenaLivePages();
+  const Bytes patch = Rng(8).RandomBytes(300);
+  {
+    SparseRam::PageRun share;
+    p.a.WriteAt(100, patch, share);
+    p.b.WriteAt(100, patch, share);
+    EXPECT_EQ(p.a.PageRefs(0), 3u);  // a, b and the run
+  }
+  // The page both held before is released; one copy of the result is left.
+  EXPECT_EQ(SparseRam::ArenaLivePages(), live);
+  EXPECT_EQ(p.b.PageRefs(0), 2u);
+  Bytes want = p.page;
+  std::copy(patch.begin(), patch.end(), want.begin() + 100);
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), want);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), want);
+}
+
+// A hole matches a hole, and the whole pages between partial edges are
+// adopted as before.
+TEST(SparseRam, PartialWriteAdoptedOverAHole) {
+  const size_t live = SparseRam::ArenaLivePages();
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(10).RandomBytes(10000);  // 4000..14000: 4 pages
+  {
+    SparseRam::PageRun share;
+    a.WriteAt(4000, data, share);
+    b.WriteAt(8 * 4096 + 4000, data, share);
+  }
+  EXPECT_EQ(SparseRam::ArenaLivePages() - live, 4u);
+  for (uint64_t page = 0; page < 4; ++page) {
+    EXPECT_EQ(b.PageRefs((8 + page) * 4096), 2u) << page;
+  }
+  Bytes want(4 * 4096, 0);
+  std::copy(data.begin(), data.end(), want.begin() + 4000);
+  EXPECT_EQ(ReadBack(a, 0, want.size()), want);
+  EXPECT_EQ(ReadBack(b, 8 * 4096, want.size()), want);
+}
+
+// A page that is not the recorded before page is changed in place of
+// adopting: one the adopter changed on its own, and one only the first
+// device held (the adopter has a hole there).
+TEST(SparseRam, DivergedHolderCopies) {
+  SharedPair p;
+  SparseRam c(1 << 20);
+  const Bytes own(8, 0xEE);
+  p.b.WriteAt(3000, own);
+  const Bytes patch = Rng(11).RandomBytes(200);
+  SparseRam::PageRun share;
+  p.a.WriteAt(1000, patch, share);
+  p.b.WriteAt(1000, patch, share);
+  c.WriteAt(1000, patch, share);
+  EXPECT_EQ(p.a.PageRefs(0), 2u);  // a and the run
+  EXPECT_EQ(p.b.PageRefs(0), 1u);
+  EXPECT_EQ(c.PageRefs(0), 1u);
+  Bytes want_a = p.page;
+  std::copy(patch.begin(), patch.end(), want_a.begin() + 1000);
+  Bytes want_b = want_a;
+  std::copy(own.begin(), own.end(), want_b.begin() + 3000);
+  Bytes want_c(4096, 0);
+  std::copy(patch.begin(), patch.end(), want_c.begin() + 1000);
+  EXPECT_EQ(ReadBack(p.a, 0, 4096), want_a);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), want_b);
+  EXPECT_EQ(ReadBack(c, 0, 4096), want_c);
+}
+
+// A Punch through a run shares its partial edge page and releases the
+// whole pages on every device.
+TEST(SparseRam, PartialPunchThroughARunIsShared) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(12).RandomBytes(2 * 4096);
+  {
+    SparseRam::PageRun share;
+    a.WriteAt(0, data, share);
+    b.WriteAt(0, data, share);
+  }
+  const size_t live = SparseRam::ArenaLivePages();
+  {
+    SparseRam::PageRun share;
+    a.Punch(1000, 4096 + 3096, share);  // the tail of page 0, all of page 1
+    b.Punch(1000, 4096 + 3096, share);
+    EXPECT_EQ(b.PageRefs(0), 3u);  // a, b and the run
+  }
+  EXPECT_EQ(SparseRam::ArenaLivePages(), live - 1);
+  EXPECT_EQ(a.allocated_pages(), 1u);
+  EXPECT_EQ(b.allocated_pages(), 1u);
+  EXPECT_EQ(a.PageRefs(0), 2u);
+  Bytes want(2 * 4096, 0);
+  std::copy_n(data.begin(), 1000, want.begin());
+  EXPECT_EQ(ReadBack(a, 0, want.size()), want);
+  EXPECT_EQ(ReadBack(b, 0, want.size()), want);
+}
+
 // The run holds its pages: a device adopting after the writer changed
 // them (a slower replica) still gets the bytes first written.
 TEST(SparseRam, LateAdopterGetsTheBytesFirstWritten) {
@@ -253,6 +356,48 @@ TEST(SparseRam, LateAdopterGetsTheBytesFirstWritten) {
   a.Punch(0, 4096);
   b.WriteAt(0, data, share);
   EXPECT_EQ(ReadBack(b, 0, data.size()), data);
+}
+
+// A late adopter of a partial write gets the bytes first written, though
+// the first device has since changed and punched its page.
+TEST(SparseRam, LateAdopterOfAPartialWriteGetsTheBytesFirstWritten) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(13).RandomBytes(200);
+  SparseRam::PageRun share;
+  a.WriteAt(300, data, share);
+  a.WriteAt(300, Bytes(200, 0x03));
+  a.Punch(0, 4096);
+  b.WriteAt(300, data, share);
+  EXPECT_EQ(b.PageRefs(0), 2u);  // b and the run
+  Bytes want(4096, 0);
+  std::copy(data.begin(), data.end(), want.begin() + 300);
+  EXPECT_EQ(ReadBack(b, 0, 4096), want);
+}
+
+// The run keeps its before pages alive: once every device has dropped the
+// recorded before page, a recycled page can never stand in for it.
+TEST(SparseRam, RunKeepsItsBeforePagesAlive) {
+  SharedPair p;
+  const Bytes patch = Rng(14).RandomBytes(64);
+  SparseRam::PageRun share;
+  p.a.WriteAt(500, patch, share);
+  const size_t live = SparseRam::ArenaLivePages();
+  p.b.WriteAt(0, Bytes(4096, 0x44));  // b drops the shared before page
+  EXPECT_EQ(SparseRam::ArenaLivePages(), live + 1);  // still held by the run
+  SparseRam c(1 << 20);
+  c.WriteAt(0, Bytes(16, 0x55));  // a fresh page, not the before page
+  p.b.WriteAt(500, patch, share);
+  c.WriteAt(500, patch, share);
+  EXPECT_EQ(p.b.PageRefs(0), 1u);
+  EXPECT_EQ(c.PageRefs(0), 1u);
+  Bytes want_b(4096, 0x44);
+  std::copy(patch.begin(), patch.end(), want_b.begin() + 500);
+  Bytes want_c(4096, 0);
+  std::fill_n(want_c.begin(), 16, 0x55);
+  std::copy(patch.begin(), patch.end(), want_c.begin() + 500);
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), want_b);
+  EXPECT_EQ(ReadBack(c, 0, 4096), want_c);
 }
 
 TEST(SparseRam, SharedPageOutlivesTheDeviceThatWroteIt) {

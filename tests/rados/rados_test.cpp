@@ -130,10 +130,11 @@ TEST(Cluster, ReplicasShareDataPagesAndTamperingStaysLocal) {
       auto data_refs = store.PeekPageRefs(ext.oid, data_off);
       CO_ASSERT_OK(data_refs.status());
       EXPECT_EQ(*data_refs, 3u) << "osd " << id;
-      // The IV+tag record is a sub-page payload: each replica copies it.
+      // The IV+tag record is a sub-page payload over a hole on every
+      // replica: it is stored once too.
       auto meta_refs = store.PeekPageRefs(ext.oid, meta_off);
       CO_ASSERT_OK(meta_refs.status());
-      EXPECT_EQ(*meta_refs, 1u) << "osd " << id;
+      EXPECT_EQ(*meta_refs, 3u) << "osd " << id;
     }
 
     objstore::ObjectStore& victim = (*cluster)->osd(acting[1]).store();
@@ -152,6 +153,135 @@ TEST(Cluster, ReplicasShareDataPagesAndTamperingStaysLocal) {
                                                            objstore::kHeadSnap);
       CO_ASSERT_OK(result.status());
       Bytes out(core::kBlockSize);
+      const Status s = format->FinishRead(ext, *result, out);
+      if (id == acting[1]) {
+        EXPECT_EQ(s.code(), StatusCode::kCorruption) << "osd " << id;
+      } else {
+        EXPECT_TRUE(s.ok()) << "osd " << id << ": " << s.ToString();
+        EXPECT_EQ(out, plain) << "osd " << id;
+      }
+    }
+  });
+}
+
+// Arena pages that the devices of `osds` hold in their first MiB, where
+// each store's journal keeps the page holding its end.
+size_t JournalPages(Cluster& cluster, const std::vector<size_t>& osds) {
+  size_t pages = 0;
+  for (size_t id : osds) {
+    const dev::NvmeDevice& device = cluster.osd(id).device();
+    for (uint64_t off = 0; off < (1u << 20); off += dev::SparseRam::kPageSize) {
+      if (device.PeekPageRefs(off) > 0) ++pages;
+    }
+  }
+  return pages;
+}
+
+// The unaligned layout interleaves each block's GCM nonce and tag with its
+// data, so every slot write is a partial-page payload, and LZ trims each
+// compressed slot's tail. Replicas in step still hold one host copy of
+// every slot page, also after a 512 B read-modify-write; tampering with one
+// replica's copy fails authentication only there.
+TEST(Cluster, ReplicasShareUnalignedSlotPagesAndTamperingStaysLocal) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    core::EncryptionSpec spec;
+    spec.mode = core::CipherMode::kGcmRandom;
+    spec.layout = core::IvLayout::kUnaligned;
+    spec.compression.codec = core::Compression::kLz;
+    spec.iv_seed = 1;
+    constexpr uint64_t kObjectSize = 4ull << 20;
+    auto format = core::MakeFormat(spec, Rng(5).RandomBytes(64), kObjectSize);
+    CO_ASSERT_TRUE(format != nullptr);
+    core::ObjectExtent ext;
+    ext.oid = "slots";
+    ext.first_block = 3;
+    ext.block_count = 8;
+    ext.image_block = 3;
+    // Odd blocks compress, so their slot tails are trimmed.
+    Bytes plain = Rng(6).RandomBytes(ext.block_count * core::kBlockSize);
+    for (size_t b = 1; b < ext.block_count; b += 2) {
+      std::fill_n(plain.begin() + b * core::kBlockSize + 512,
+                  core::kBlockSize - 512, 0);
+    }
+    const auto acting = (*cluster)->placement().OsdsFor(ext.oid);
+    CO_ASSERT_EQ(acting.size(), 3u);
+    const uint64_t page = dev::SparseRam::kPageSize;
+    const uint64_t slot = core::kBlockSize + spec.MetaPerBlock();
+    const uint64_t begin = ext.first_block * slot;
+    const uint64_t end = begin + ext.block_count * slot;
+    // Checks that each slot page is a hole on every replica or one page all
+    // three hold, and returns how many such pages there are.
+    const auto shared_slot_pages = [&]() {
+      size_t pages = 0;
+      for (uint64_t off = begin - begin % page; off < end; off += page) {
+        const uint32_t refs =
+            (*cluster)->osd(acting[0]).store().PeekPageRefs(ext.oid, off)
+                .value();
+        EXPECT_TRUE(refs == 0 || refs == 3) << "offset " << off;
+        if (refs > 0) ++pages;
+        for (size_t id : acting) {
+          EXPECT_EQ(
+              (*cluster)->osd(id).store().PeekPageRefs(ext.oid, off).value(),
+              refs)
+              << "osd " << id << " offset " << off;
+        }
+      }
+      return pages;
+    };
+    auto io = (*cluster)->ioctx();
+    const size_t live = dev::SparseRam::ArenaLivePages();
+    const size_t journal = JournalPages(**cluster, acting);
+
+    objstore::Transaction txn;
+    CO_ASSERT_OK(format->MakeWrite(ext, plain, txn));
+    CO_ASSERT_OK(co_await io.Operate(ext.oid, std::move(txn), {}));
+    size_t pages = shared_slot_pages();
+    EXPECT_GT(pages, 0u);
+    EXPECT_EQ(dev::SparseRam::ArenaLivePages() - live,
+              pages + JournalPages(**cluster, acting) - journal);
+
+    // 512 B read-modify-write of block 2: read it, patch it, rewrite it.
+    core::ObjectExtent one = ext;
+    one.first_block = ext.first_block + 2;
+    one.block_count = 1;
+    one.image_block = ext.image_block + 2;
+    objstore::Transaction read_one;
+    format->MakeRead(one, read_one);
+    auto got = co_await io.OperateRead(one.oid, std::move(read_one));
+    CO_ASSERT_OK(got.status());
+    Bytes block(core::kBlockSize);
+    CO_ASSERT_OK(format->FinishRead(one, *got, block));
+    const Bytes patch = Rng(7).RandomBytes(512);
+    std::copy(patch.begin(), patch.end(), block.begin() + 1024);
+    std::copy(block.begin(), block.end(),
+              plain.begin() + 2 * core::kBlockSize);
+    objstore::Transaction rmw;
+    CO_ASSERT_OK(format->MakeWrite(one, block, rmw));
+    CO_ASSERT_OK(co_await io.Operate(one.oid, std::move(rmw), {}));
+    pages = shared_slot_pages();
+    EXPECT_EQ(dev::SparseRam::ArenaLivePages() - live,
+              pages + JournalPages(**cluster, acting) - journal);
+
+    objstore::ObjectStore& victim = (*cluster)->osd(acting[1]).store();
+    auto byte = victim.PeekObjectData(ext.oid, begin + 100, 1);
+    CO_ASSERT_OK(byte.status());
+    (*byte)[0] ^= 0x01;
+    CO_ASSERT_OK(victim.TamperObjectData(ext.oid, begin + 100, *byte));
+    for (size_t id : acting) {
+      EXPECT_EQ((*cluster)->osd(id).store().PeekPageRefs(ext.oid, begin)
+                    .value(),
+                id == acting[1] ? 1u : 2u)
+          << "osd " << id;
+      objstore::Transaction read;
+      read.oid = ext.oid;
+      format->MakeRead(ext, read);
+      auto result =
+          co_await (*cluster)->osd(id).store().ExecuteRead(read,
+                                                           objstore::kHeadSnap);
+      CO_ASSERT_OK(result.status());
+      Bytes out(plain.size());
       const Status s = format->FinishRead(ext, *result, out);
       if (id == acting[1]) {
         EXPECT_EQ(s.code(), StatusCode::kCorruption) << "osd " << id;
