@@ -5,7 +5,11 @@
 // shards (single-core and VDE_SIM_CORES=4).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "../testutil.h"
 #include "device/nvme.h"
@@ -284,6 +288,266 @@ TEST(ObsImage, OpTrackerDumpsInFlightAtDepth) {
     }
     EXPECT_EQ(img.obs().op_tracker().inflight_count(), 0u);
     EXPECT_EQ(img.obs().op_tracker().finished(), 32u);
+  });
+}
+
+
+// Every path of `m` with its kind, one "kind path" line each, sorted and
+// without values. Numbered children collapse to <n>: osd.<n>, node_<n>,
+// tenant_<n>, core<n>.
+std::string RegistryShape(const obs::Metrics& m) {
+  static const std::regex kNumbered("(osd\\.|node_|tenant_|core)[0-9]+");
+  std::set<std::string> lines;
+  std::istringstream text(m.ToText());
+  for (std::string line; std::getline(text, line);) {
+    const std::string path = line.substr(0, line.find_first_of(" :"));
+    const char* kind = m.FindCounter(path) != nullptr ? "counter"
+                       : m.FindGauge(path) != nullptr ? "gauge"
+                       : m.FindHist(path) != nullptr  ? "hist"
+                                                      : "unresolved";
+    lines.insert(std::string(kind) + " " +
+                 std::regex_replace(path, kNumbered, "$1<n>"));
+  }
+  std::string shape;
+  for (const std::string& line : lines) shape += line + "\n";
+  return shape;
+}
+
+constexpr const char* kRegistryShape = R"(counter cluster.device.bytes_read
+counter cluster.device.bytes_written
+counter cluster.device.read_ops
+counter cluster.device.sectors_read
+counter cluster.device.sectors_written
+counter cluster.device.write_ops
+counter cluster.mon.degraded_writes
+counter cluster.mon.eagain_redirects
+counter cluster.mon.map_refreshes
+counter cluster.mon.osd_timeouts
+counter cluster.mon.skipped_replicas
+counter cluster.net.client.egress_bytes
+counter cluster.net.client.ingress_bytes
+counter cluster.net.mon.egress_bytes
+counter cluster.net.mon.ingress_bytes
+counter cluster.net.node_<n>.egress_bytes
+counter cluster.net.node_<n>.ingress_bytes
+counter cluster.osd.<n>.device.bytes_read
+counter cluster.osd.<n>.device.bytes_written
+counter cluster.osd.<n>.device.read_ops
+counter cluster.osd.<n>.device.sectors_read
+counter cluster.osd.<n>.device.sectors_written
+counter cluster.osd.<n>.device.write_ops
+counter cluster.osd.<n>.net.egress_bytes
+counter cluster.osd.<n>.net.ingress_bytes
+counter cluster.osd.<n>.qos.tenant_<n>.admitted
+counter cluster.osd.<n>.qos.tenant_<n>.depth_deferred
+counter cluster.osd.<n>.qos.tenant_<n>.queued
+counter cluster.osd.<n>.qos.tenant_<n>.reservation_dispatches
+counter cluster.osd.<n>.qos.tenant_<n>.submitted
+counter cluster.osd.<n>.qos.tenant_<n>.throttled
+counter cluster.osd.<n>.qos.tenant_<n>.wait_ns
+counter cluster.osd.<n>.store.apply_sectors_written
+counter cluster.osd.<n>.store.bytes_restored
+counter cluster.osd.<n>.store.bytes_trimmed
+counter cluster.osd.<n>.store.clones
+counter cluster.osd.<n>.store.journal_bytes
+counter cluster.osd.<n>.store.objects_created
+counter cluster.osd.<n>.store.rmw_sectors
+counter cluster.osd.<n>.store.sector_cache_hits
+counter cluster.osd.<n>.store.transactions
+counter cluster.osd.<n>.store.trim_ops
+counter cluster.osd.<n>.store.trimmed_reads
+counter cluster.recovery.bytes_pushed
+counter cluster.recovery.inline_pulls
+counter cluster.recovery.objects_pushed
+counter cluster.recovery.objects_unrecoverable
+counter cluster.recovery.stale_pushes
+counter cluster.store.apply_sectors_written
+counter cluster.store.bytes_restored
+counter cluster.store.bytes_trimmed
+counter cluster.store.clones
+counter cluster.store.journal_bytes
+counter cluster.store.objects_created
+counter cluster.store.rmw_sectors
+counter cluster.store.sector_cache_hits
+counter cluster.store.transactions
+counter cluster.store.trim_ops
+counter cluster.store.trimmed_reads
+counter image.bytes_discarded
+counter image.bytes_read
+counter image.bytes_written
+counter image.compress_blocks
+counter image.compress_expanded_blocks
+counter image.compress_in_bytes
+counter image.compress_stored_bytes
+counter image.compress_verbatim_blocks
+counter image.discards
+counter image.flushes
+counter image.iv_evictions
+counter image.iv_hits
+counter image.iv_invalidations
+counter image.iv_meta_bytes_fetched
+counter image.iv_meta_bytes_saved
+counter image.iv_misses
+counter image.meta_cold_resets
+counter image.meta_epoch_rejections
+counter image.meta_gc_rows
+counter image.meta_journal_flushes
+counter image.meta_kv_compaction_bytes
+counter image.meta_kv_flush_bytes
+counter image.meta_kv_wal_bytes
+counter image.meta_kv_wal_commits
+counter image.meta_recovered_rows
+counter image.meta_spills
+counter image.meta_warm_hits
+counter image.qos_queued
+counter image.qos_submitted
+counter image.qos_throttled
+counter image.qos_wait_ns
+counter image.reads
+counter image.rmw_blocks
+counter image.rmw_merged
+counter image.trim_bitmap_updates
+counter image.trim_state_loads
+counter image.trim_zero_reads
+counter image.wb_evictions
+counter image.wb_flushes
+counter image.wb_hits
+counter image.wb_stages
+counter image.writes
+counter obs.ops_finished
+counter obs.ops_started
+counter obs.spans_dropped
+counter obs.spans_recorded
+counter qos.tenant_<n>.admitted
+counter qos.tenant_<n>.depth_deferred
+counter qos.tenant_<n>.queued
+counter qos.tenant_<n>.reservation_dispatches
+counter qos.tenant_<n>.submitted
+counter qos.tenant_<n>.throttled
+counter qos.tenant_<n>.wait_ns
+counter sim.core<n>_busy_ns
+counter sim.events_processed
+gauge cluster.mon.client_epoch
+gauge cluster.mon.epoch
+gauge cluster.mon.osds_up
+gauge cluster.osd.<n>.qos.inflight
+gauge cluster.osd.<n>.qos.queued
+gauge cluster.osd.<n>.qos.tenant_<n>.inflight
+gauge cluster.osd.<n>.qos.tenant_<n>.peak_inflight
+gauge cluster.osd.<n>.qos.tenant_<n>.peak_queue
+gauge cluster.osd.<n>.up
+gauge cluster.osd.<n>.weight
+gauge cluster.recovery.degraded_objects
+gauge cluster.space.fragments
+gauge cluster.space.free_bytes
+gauge cluster.space.punched_bytes
+gauge cluster.space.punched_fragments
+gauge cluster.space.total_bytes
+gauge image.qos_peak_queue
+gauge image.wb_staged_blocks
+gauge obs.enabled
+gauge obs.ops_inflight
+gauge qos.inflight
+gauge qos.queued
+gauge qos.tenant_<n>.inflight
+gauge qos.tenant_<n>.peak_inflight
+gauge qos.tenant_<n>.peak_queue
+gauge sim.core_model
+gauge sim.cores
+hist obs.latency_ns
+hist obs.stage_compress_ns
+hist obs.stage_crypto_ns
+hist obs.stage_device_ns
+hist obs.stage_other_ns
+hist obs.stage_qos_ns
+hist obs.stage_recovery_ns
+hist obs.stage_replicate_ns
+hist obs.stage_store_ns
+hist obs.stage_wb_ns
+)";
+
+// The registry of the all-features image of BenchmarkRegistryPathsResolve
+// after a mixed run: path for path and kind for kind, so an exporter
+// change that renames, drops, adds or re-kinds an entry fails here.
+TEST(ObsImage, RegistryShapeGolden) {
+  sim::Scheduler sched;
+  sched.ConfigureCores(4);
+  dev::NvmeDevice meta_dev;
+  std::string shape;
+  sched.Spawn([](dev::NvmeDevice* meta_dev,
+                 std::string* shape) -> sim::Task<void> {
+    rados::ClusterConfig cc = TestCluster();
+    cc.qos.enabled = true;
+    auto cluster = co_await rados::Cluster::Create(cc);
+    CO_ASSERT_OK(cluster.status());
+    ImageOptions o = TestImage(true);
+    o.enc.integrity = core::Integrity::kHmac;
+    o.enc.compression.codec = core::Compression::kLz;
+    o.iv_cache.enabled = true;
+    o.meta_store.enabled = true;
+    o.meta_store.device = meta_dev;
+    o.qos_scheduler = std::make_shared<qos::Scheduler>();
+    o.qos.enabled = true;
+    o.qos.max_queue_depth = 2;
+    o.tenant.id = 3;
+    auto image = co_await Image::Create(**cluster, "pin", "pw", o);
+    CO_ASSERT_OK(image.status());
+    CO_ASSERT_TRUE(co_await MixedRun(**image, 64));
+    CO_ASSERT_OK(co_await (*image)->Flush());
+    co_await (*cluster)->Drain();
+    *shape = RegistryShape((*image)->MetricsSnapshot());
+    CO_ASSERT_OK(co_await (*image)->Close());
+  }(&meta_dev, &shape));
+  sched.Run();
+  EXPECT_EQ(shape, kRegistryShape);
+}
+
+// Every counter of the cluster's `store` and `device` nodes is the sum of
+// the same counter over the per-OSD nodes, after a mixed run (writes,
+// reads, discards, a snapshot) during which OSD 0 goes down, comes back
+// and recovers.
+TEST(ObsImage, ClusterTotalsSumTheOsds) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    auto image =
+        co_await Image::Create(**cluster, "sum", "pw", TestImage(false));
+    CO_ASSERT_OK(image.status());
+    CO_ASSERT_TRUE(co_await MixedRun(**image, 48));
+    CO_ASSERT_OK((co_await (*image)->SnapCreate("mid")).status());
+    (*cluster)->MarkOsdDown(0);
+    CO_ASSERT_TRUE(co_await MixedRun(**image, 48));
+    (*cluster)->MarkOsdUp(0);
+    CO_ASSERT_OK(co_await (*image)->Flush());
+    co_await (*cluster)->Drain();
+    EXPECT_GT((*cluster)->recovery().stats().objects_pushed, 0u);
+
+    obs::Metrics node;
+    (*cluster)->ExportMetrics(node);
+    // "osd.<id>.store.<name> = v" and "store.<name> = v", same for device.
+    static const std::regex kLine(
+        "(?:osd\\.[0-9]+\\.)?(store|device)\\.([a-z_]+) = ([0-9]+)");
+    std::map<std::string, uint64_t> totals, sums;
+    std::istringstream text(node.ToText());
+    for (std::string line; std::getline(text, line);) {
+      std::smatch match;
+      if (!std::regex_match(line, match, kLine)) continue;
+      const std::string name = match[1].str() + "." + match[2].str();
+      const uint64_t value = std::stoull(match[3].str());
+      if (line.starts_with("osd.")) {
+        sums[name] += value;
+      } else {
+        totals[name] = value;
+      }
+    }
+    EXPECT_GT(totals["store.trim_ops"], 0u);
+    EXPECT_GT(totals["store.clones"], 0u);
+    EXPECT_GT(totals["device.read_ops"], 0u);
+    for (const auto& [name, total] : totals) {
+      EXPECT_TRUE(node.FindCounter(name) != nullptr) << name;
+      EXPECT_EQ(total, sums[name]) << name;
+    }
+    EXPECT_EQ(sums.size(), totals.size());
   });
 }
 
