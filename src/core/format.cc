@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "util/lz.h"
 
 namespace vde::core {
@@ -90,14 +89,6 @@ size_t CompressLimit(const EncryptionSpec& spec) {
 }
 
 }  // namespace
-
-void CompressStats::ExportMetrics(obs::Metrics& image) const {
-  image.Counter("compress_in_bytes", in_bytes);
-  image.Counter("compress_stored_bytes", stored_bytes);
-  image.Counter("compress_blocks", compressed_blocks);
-  image.Counter("compress_verbatim_blocks", verbatim_blocks);
-  image.Counter("compress_expanded_blocks", decompressed_blocks);
-}
 
 EncryptionFormat::EncryptionFormat(const EncryptionSpec& spec,
                                    ByteSpan master_key, uint64_t object_size)
@@ -516,7 +507,7 @@ size_t EncryptionFormat::EncryptBlock(uint64_t lba, ByteSpan plain,
     if (clen > 0) {
       packed.resize(StoredLen(clen), 0);  // zero-pad up to the cipher floor
       payload = packed;
-      compress_stats_.compressed_blocks++;
+      compress_stats_.blocks++;
       compress_stats_.stored_bytes += payload.size();
       record[0] = static_cast<uint8_t>(spec_.compression.codec);
       StoreU16Le(record.data() + 1, static_cast<uint16_t>(clen));
@@ -606,7 +597,7 @@ Status EncryptionFormat::DecryptBlock(uint64_t lba, ByteSpan cipher,
   if (!compressed) return Status::Ok();
   // The codec's own bounds checks make a corrupted-but-authentic stream
   // (impossible under HMAC/GCM, reachable without integrity) fail closed.
-  compress_stats_.decompressed_blocks++;
+  compress_stats_.expanded_blocks++;
   return LzDecompress(ByteSpan(scratch).first(clen), plain);
 }
 

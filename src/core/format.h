@@ -32,11 +32,8 @@
 #include "crypto/xts.h"
 #include "objstore/types.h"
 #include "sim/scheduler.h"
+#include "util/stats.h"
 #include "util/status.h"
-
-namespace vde::obs {
-class Metrics;
-}  // namespace vde::obs
 
 namespace vde::core {
 
@@ -54,18 +51,19 @@ struct ObjectExtent {
 // trimmed or never written and must read as zeros.
 using IvRows = std::vector<Bytes>;
 
-// Running totals of the compression stage (all zero with compression off).
-// Callers snapshot deltas around the synchronous MakeWrite/FinishRead calls
-// to attribute CPU charges.
-struct CompressStats {
-  uint64_t in_bytes = 0;          // logical bytes fed to the compressor
-  uint64_t stored_bytes = 0;      // ciphertext bytes kept (verbatim = 4096)
-  uint64_t compressed_blocks = 0; // blocks stored under a real codec tag
-  uint64_t verbatim_blocks = 0;   // blocks that failed the min-gain bar
-  uint64_t decompressed_blocks = 0;  // compressed blocks expanded on read
+// Running totals of the compression stage (all zero with compression off),
+// exported under the image node with the `compress_` prefix. Callers
+// snapshot deltas around the synchronous MakeWrite/FinishRead calls to
+// attribute CPU charges.
+#define VDE_COMPRESS_STATS(C, G)                                   \
+  C(in_bytes)        /* logical bytes fed to the compressor */     \
+  C(stored_bytes)    /* ciphertext bytes kept (verbatim = 4096) */ \
+  C(blocks)          /* blocks stored under a real codec tag */    \
+  C(verbatim_blocks) /* blocks that failed the min-gain bar */     \
+  C(expanded_blocks) /* compressed blocks expanded on read */
 
-  // Registers these totals as `compress_*` under the image's node.
-  void ExportMetrics(obs::Metrics& image) const;
+struct CompressStats {
+  VDE_STATS(CompressStats, VDE_COMPRESS_STATS)
 };
 
 class EncryptionFormat {

@@ -9,19 +9,23 @@
 
 #include "sim/task.h"
 #include "util/bytes.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace vde::dev {
 
 // Cumulative device counters (verified by layout tests: e.g. an object-end
 // 4 KiB write must touch exactly the expected number of sectors).
+#define VDE_DEVICE_STATS(C, G) \
+  C(read_ops)                  \
+  C(write_ops)                 \
+  C(sectors_read)              \
+  C(sectors_written)           \
+  C(bytes_read)                \
+  C(bytes_written)
+
 struct DeviceStats {
-  uint64_t read_ops = 0;
-  uint64_t write_ops = 0;
-  uint64_t sectors_read = 0;
-  uint64_t sectors_written = 0;
-  uint64_t bytes_read = 0;
-  uint64_t bytes_written = 0;
+  VDE_STATS(DeviceStats, VDE_DEVICE_STATS)
 };
 
 class BlockDevice {

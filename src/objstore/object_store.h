@@ -57,6 +57,7 @@
 #include "objstore/types.h"
 #include "sim/sync.h"
 #include "util/interval_map.h"
+#include "util/stats.h"
 
 namespace vde::objstore {
 
@@ -131,30 +132,37 @@ struct StoreConfig {
   CostModel costs;
 };
 
+// The last four count the discard pipeline (kTrim): tracked trims,
+// capacity movement, and reads served from the trimmed-extent map without
+// touching the device.
+#define VDE_STORE_STATS(C, G)                                             \
+  C(transactions)                                                         \
+  C(journal_bytes)                                                        \
+  C(rmw_sectors)           /* partial-sector RMW device reads (misses) */ \
+  C(sector_cache_hits)     /* partial-sector RMWs served from cache */    \
+  C(apply_sectors_written) /* final-location data-path sectors */         \
+  C(clones)                                                               \
+  C(objects_created)                                                      \
+  C(trim_ops)              /* kTrim ops applied */                        \
+  C(bytes_trimmed)         /* logical bytes newly entered the map */      \
+  C(bytes_restored)        /* punched bytes re-backed by later writes */  \
+  C(trimmed_reads)         /* kRead ops served entirely from the map */
+
 struct StoreStats {
-  uint64_t transactions = 0;
-  uint64_t journal_bytes = 0;
-  uint64_t rmw_sectors = 0;   // partial-sector RMW device reads (misses)
-  uint64_t sector_cache_hits = 0;  // partial-sector RMWs served from cache
-  uint64_t apply_sectors_written = 0;  // final-location data-path sectors
-  uint64_t clones = 0;
-  uint64_t objects_created = 0;
-  // Discard pipeline (kTrim): tracked trims, capacity movement, and reads
-  // served from the trimmed-extent map without touching the device.
-  uint64_t trim_ops = 0;         // kTrim ops applied
-  uint64_t bytes_trimmed = 0;    // logical bytes newly entered the map
-  uint64_t bytes_restored = 0;   // punched bytes re-backed by later writes
-  uint64_t trimmed_reads = 0;    // kRead ops served entirely from the map
+  VDE_STATS(StoreStats, VDE_STORE_STATS)
 };
 
 // Allocator capacity gauges (point-in-time, not counters): what a TRIM
 // actually reclaimed and how fragmented the pools are.
+#define VDE_STORE_SPACE(C, G)                                              \
+  G(total_bytes)                                                           \
+  G(free_bytes)        /* general pool + punched (TRIMmed) capacity */     \
+  G(punched_bytes)     /* capacity released by kTrim, owner-reclaimable */ \
+  G(fragments)         /* general free-pool extents */                     \
+  G(punched_fragments) /* punched-pool extents */
+
 struct StoreSpace {
-  uint64_t total_bytes = 0;
-  uint64_t free_bytes = 0;     // general pool + punched (TRIMmed) capacity
-  uint64_t punched_bytes = 0;  // capacity released by kTrim, owner-reclaimable
-  uint64_t fragments = 0;          // general free-pool extents
-  uint64_t punched_fragments = 0;  // punched-pool extents
+  VDE_STATS(StoreSpace, VDE_STORE_SPACE)
 };
 
 class ObjectStore : public std::enable_shared_from_this<ObjectStore> {

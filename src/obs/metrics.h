@@ -1,6 +1,7 @@
 // Unified metrics registry: one walkable tree of named counters, gauges,
-// and histograms that every layer exports into — replacing the per-layer
-// hand-rolled stats-merge chains with a single render point.
+// and histograms that every layer exports into, and the single point every
+// summary and JSON file renders from. Stats structs export their counter
+// lists (util/stats.h) with ExportTo(node).
 //
 // A Metrics node holds flat values plus named children; exporters write
 // into the node they are handed (`node.Counter("writes", n)`), composition

@@ -80,18 +80,7 @@ void Scheduler::ExportMetrics(obs::Metrics& node) const {
   node.Gauge("queued", static_cast<double>(total_queued()));
   node.Gauge("inflight", static_cast<double>(inflight_));
   for (const auto& [id, t] : tenants_) {
-    const TenantStats& s = t.stats;
-    obs::Metrics& tn = node.Child("tenant_" + std::to_string(id));
-    tn.Counter("submitted", s.submitted);
-    tn.Counter("admitted", s.admitted);
-    tn.Counter("queued", s.queued);
-    tn.Counter("reservation_dispatches", s.reservation_dispatches);
-    tn.Counter("throttled", s.throttled);
-    tn.Counter("depth_deferred", s.depth_deferred);
-    tn.Counter("wait_ns", s.wait_ns);
-    tn.Gauge("peak_queue", static_cast<double>(s.peak_queue));
-    tn.Gauge("inflight", static_cast<double>(s.inflight));
-    tn.Gauge("peak_inflight", static_cast<double>(s.peak_inflight));
+    t.stats.ExportTo(node.Child("tenant_" + std::to_string(id)));
   }
 }
 
@@ -126,7 +115,7 @@ void Scheduler::Enqueue(TenantId id, Op op) {
   t.p_prev = op.ptag;
   t.queue.push_back(std::move(op));
   t.stats.submitted++;
-  t.stats.peak_queue = std::max(t.stats.peak_queue, t.queue.size());
+  t.stats.peak_queue = std::max<uint64_t>(t.stats.peak_queue, t.queue.size());
 }
 
 bool Scheduler::Arrive(TenantId id) {

@@ -48,6 +48,7 @@
 
 #include "qos/token_bucket.h"
 #include "sim/task.h"
+#include "util/stats.h"
 
 namespace vde::obs {
 class Metrics;
@@ -74,17 +75,20 @@ struct QosPolicy {
   size_t max_queue_depth = 0;
 };
 
+#define VDE_TENANT_STATS(C, G)                                              \
+  C(submitted)              /* ops that entered the queue */                \
+  C(admitted)               /* ops dispatched */                            \
+  C(queued)                 /* of those, dispatched only after waiting */   \
+  C(reservation_dispatches) /* admitted in the reservation phase */         \
+  C(throttled)              /* pumps that left the head short of tokens */  \
+  C(depth_deferred)         /* pumps that left the head at the depth cap */ \
+  C(wait_ns)                /* total sim time ops spent queued */           \
+  G(peak_queue)             /* high-water queue length */                   \
+  G(inflight)               /* dispatched, not yet completed */             \
+  G(peak_inflight)          /* high-water in-flight count */
+
 struct TenantStats {
-  uint64_t submitted = 0;  // ops that entered the queue
-  uint64_t admitted = 0;   // ops dispatched
-  uint64_t queued = 0;     // of those, dispatched only after waiting
-  uint64_t reservation_dispatches = 0;  // admitted in the reservation phase
-  uint64_t throttled = 0;       // pumps that left the head short of tokens
-  uint64_t depth_deferred = 0;  // pumps that left the head at the depth cap
-  uint64_t wait_ns = 0;         // total sim time ops spent queued
-  size_t peak_queue = 0;        // high-water queue length
-  size_t inflight = 0;          // dispatched, not yet completed
-  size_t peak_inflight = 0;     // high-water in-flight count
+  VDE_STATS(TenantStats, VDE_TENANT_STATS)
 
   // Registers the image-level subset as `qos_*` under the image's node
   // (the scheduler's own per-tenant node carries every field).

@@ -403,74 +403,23 @@ sim::Task<void> Cluster::Drain() {
 
 objstore::StoreStats Cluster::TotalStoreStats() const {
   objstore::StoreStats total;
-  for (const auto& osd : osds_) {
-    const auto& s = osd->store().stats();
-    total.transactions += s.transactions;
-    total.journal_bytes += s.journal_bytes;
-    total.rmw_sectors += s.rmw_sectors;
-    total.sector_cache_hits += s.sector_cache_hits;
-    total.apply_sectors_written += s.apply_sectors_written;
-    total.clones += s.clones;
-    total.objects_created += s.objects_created;
-    total.trim_ops += s.trim_ops;
-    total.bytes_trimmed += s.bytes_trimmed;
-    total.bytes_restored += s.bytes_restored;
-    total.trimmed_reads += s.trimmed_reads;
-  }
+  for (const auto& osd : osds_) total += osd->store().stats();
   return total;
 }
 
 objstore::StoreSpace Cluster::TotalStoreSpace() const {
   objstore::StoreSpace total;
-  for (const auto& osd : osds_) {
-    const objstore::StoreSpace s = osd->store().space();
-    total.total_bytes += s.total_bytes;
-    total.free_bytes += s.free_bytes;
-    total.punched_bytes += s.punched_bytes;
-    total.fragments += s.fragments;
-    total.punched_fragments += s.punched_fragments;
-  }
+  for (const auto& osd : osds_) total += osd->store().space();
   return total;
 }
 
 dev::DeviceStats Cluster::TotalDeviceStats() const {
   dev::DeviceStats total;
-  for (const auto& osd : osds_) {
-    const auto& s = osd->device().stats();
-    total.read_ops += s.read_ops;
-    total.write_ops += s.write_ops;
-    total.sectors_read += s.sectors_read;
-    total.sectors_written += s.sectors_written;
-    total.bytes_read += s.bytes_read;
-    total.bytes_written += s.bytes_written;
-  }
+  for (const auto& osd : osds_) total += osd->device().stats();
   return total;
 }
 
 namespace {
-
-void ExportStoreStats(obs::Metrics& store, const objstore::StoreStats& ss) {
-  store.Counter("transactions", ss.transactions);
-  store.Counter("journal_bytes", ss.journal_bytes);
-  store.Counter("rmw_sectors", ss.rmw_sectors);
-  store.Counter("sector_cache_hits", ss.sector_cache_hits);
-  store.Counter("apply_sectors_written", ss.apply_sectors_written);
-  store.Counter("clones", ss.clones);
-  store.Counter("objects_created", ss.objects_created);
-  store.Counter("trim_ops", ss.trim_ops);
-  store.Counter("bytes_trimmed", ss.bytes_trimmed);
-  store.Counter("bytes_restored", ss.bytes_restored);
-  store.Counter("trimmed_reads", ss.trimmed_reads);
-}
-
-void ExportDeviceStats(obs::Metrics& device, const dev::DeviceStats& ds) {
-  device.Counter("read_ops", ds.read_ops);
-  device.Counter("write_ops", ds.write_ops);
-  device.Counter("sectors_read", ds.sectors_read);
-  device.Counter("sectors_written", ds.sectors_written);
-  device.Counter("bytes_read", ds.bytes_read);
-  device.Counter("bytes_written", ds.bytes_written);
-}
 
 void ExportNicGauges(obs::Metrics& m, net::Nic& nic) {
   m.Counter("egress_bytes", nic.egress().bytes_transferred());
@@ -480,25 +429,19 @@ void ExportNicGauges(obs::Metrics& m, net::Nic& nic) {
 }  // namespace
 
 void Cluster::ExportMetrics(obs::Metrics& node) const {
-  ExportStoreStats(node.Child("store"), TotalStoreStats());
-  obs::Metrics& space = node.Child("space");
-  const objstore::StoreSpace sp = TotalStoreSpace();
-  space.Gauge("total_bytes", static_cast<double>(sp.total_bytes));
-  space.Gauge("free_bytes", static_cast<double>(sp.free_bytes));
-  space.Gauge("punched_bytes", static_cast<double>(sp.punched_bytes));
-  space.Gauge("fragments", static_cast<double>(sp.fragments));
-  space.Gauge("punched_fragments", static_cast<double>(sp.punched_fragments));
-  ExportDeviceStats(node.Child("device"), TotalDeviceStats());
+  TotalStoreStats().ExportTo(node.Child("store"));
+  TotalStoreSpace().ExportTo(node.Child("space"));
+  TotalDeviceStats().ExportTo(node.Child("device"));
 
-  // Per-OSD children: the PR 8 follow-on. `net` is the node NIC serving
-  // the OSD (OSDs on one node share it).
+  // Per-OSD children. `net` is the node NIC serving the OSD (OSDs on one
+  // node share it).
   obs::Metrics& per_osd = node.Child("osd");
   for (const auto& osd : osds_) {
     obs::Metrics& m = per_osd.Child(std::to_string(osd->id()));
     m.Gauge("up", IsOsdUp(osd->id()) ? 1 : 0);
     m.Gauge("weight", placement_.map().Weight(osd->id()));
-    ExportStoreStats(m.Child("store"), osd->store().stats());
-    ExportDeviceStats(m.Child("device"), osd->device().stats());
+    osd->store().stats().ExportTo(m.Child("store"));
+    osd->device().stats().ExportTo(m.Child("device"));
     ExportNicGauges(m.Child("net"), *node_nics_[osd->node()]);
     if (config_.qos.enabled) osd->qos().ExportMetrics(m.Child("qos"));
   }
@@ -514,20 +457,11 @@ void Cluster::ExportMetrics(obs::Metrics& node) const {
   mon.Gauge("epoch", static_cast<double>(placement_.map().epoch()));
   mon.Gauge("client_epoch", static_cast<double>(client_map_.epoch()));
   mon.Gauge("osds_up", static_cast<double>(placement_.map().UpCount()));
-  mon.Counter("map_refreshes", stats_.map_refreshes);
-  mon.Counter("eagain_redirects", stats_.eagain_redirects);
-  mon.Counter("osd_timeouts", stats_.osd_timeouts);
-  mon.Counter("degraded_writes", stats_.degraded_writes);
-  mon.Counter("skipped_replicas", stats_.skipped_replicas);
+  stats_.ExportTo(mon);
 
   obs::Metrics& rec = node.Child("recovery");
-  const RecoveryStats& rs = recovery_->stats();
   rec.Gauge("degraded_objects", static_cast<double>(DegradedObjectCount()));
-  rec.Counter("objects_pushed", rs.objects_pushed);
-  rec.Counter("bytes_pushed", rs.bytes_pushed);
-  rec.Counter("inline_pulls", rs.inline_pulls);
-  rec.Counter("stale_pushes", rs.stale_pushes);
-  rec.Counter("objects_unrecoverable", rs.objects_unrecoverable);
+  recovery_->stats().ExportTo(rec);
 }
 
 }  // namespace vde::rados

@@ -35,6 +35,7 @@
 #include "rados/placement.h"
 #include "rados/recovery.h"
 #include "sim/sync.h"
+#include "util/stats.h"
 
 namespace vde::obs {
 class Metrics;
@@ -88,13 +89,16 @@ struct ClusterConfig {
 };
 
 // Client-visible counters for the map/retry protocol and degraded writes.
+#define VDE_CLUSTER_STATS(C, G)                                  \
+  C(map_refreshes)    /* monitor round-trips for a fresh map */  \
+  C(eagain_redirects) /* ops bounced by a non-primary OSD */     \
+  C(osd_timeouts)     /* ops that waited out a dead primary */   \
+  C(degraded_writes)  /* writes committed below full width */    \
+  C(skipped_replicas) /* replica sub-ops skipped (member missing \
+                         the object or down mid-wave) */
+
 struct ClusterStats {
-  uint64_t map_refreshes = 0;     // monitor round-trips for a fresh map
-  uint64_t eagain_redirects = 0;  // ops bounced by a non-primary OSD
-  uint64_t osd_timeouts = 0;      // ops that waited out a dead primary
-  uint64_t degraded_writes = 0;   // writes committed below full width
-  uint64_t skipped_replicas = 0;  // replica sub-ops skipped (member missing
-                                  // the object or down mid-wave)
+  VDE_STATS(ClusterStats, VDE_CLUSTER_STATS)
 };
 
 class Cluster;

@@ -33,6 +33,7 @@
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace vde::rados {
@@ -47,12 +48,15 @@ struct RecoveryConfig {
   size_t parallelism = 4;
 };
 
+#define VDE_RECOVERY_STATS(C, G)                                      \
+  C(objects_pushed)                                                   \
+  C(bytes_pushed)                                                     \
+  C(inline_pulls)                                                     \
+  C(stale_pushes)          /* push raced a write; object re-queued */ \
+  C(objects_unrecoverable) /* no surviving copy of the head */
+
 struct RecoveryStats {
-  uint64_t objects_pushed = 0;
-  uint64_t bytes_pushed = 0;
-  uint64_t inline_pulls = 0;
-  uint64_t stale_pushes = 0;         // push raced a write; object re-queued
-  uint64_t objects_unrecoverable = 0;  // no surviving copy of the head
+  VDE_STATS(RecoveryStats, VDE_RECOVERY_STATS)
 };
 
 class RecoveryManager {

@@ -183,23 +183,14 @@ Image::~Image() {
 
 void Image::ExportMetrics(obs::Metrics& root) const {
   obs::Metrics& n = root.Child("image");
-  const Counters& c = counters_;
-  const std::pair<const char*, uint64_t> counters[] = {
-      {"writes", c.writes}, {"reads", c.reads},
-      {"discards", c.discards}, {"flushes", c.flushes},
-      {"bytes_written", c.bytes_written}, {"bytes_read", c.bytes_read},
-      {"bytes_discarded", c.bytes_discarded},
-      {"rmw_blocks", c.rmw_blocks}, {"rmw_merged", c.rmw_merged},
-      {"wb_hits", c.wb_hits}, {"wb_stages", c.wb_stages},
-      {"wb_flushes", c.wb_flushes}, {"wb_evictions", c.wb_evictions}};
-  for (const auto& [name, value] : counters) n.Counter(name, value);
+  counters_.ExportTo(n);
   n.Gauge("wb_staged_blocks", static_cast<double>(writeback_->staged_blocks()));
   meta_->ExportMetrics(n);
   (options_.qos_scheduler ? options_.qos_scheduler->stats(qos_tenant_)
                           : qos::TenantStats{})
       .ExportMetrics(n);
   (format_ != nullptr ? format_->compress_stats() : core::CompressStats{})
-      .ExportMetrics(n);
+      .ExportTo(n, "compress_");
 
   if (options_.qos_scheduler) {
     options_.qos_scheduler->ExportMetrics(root.Child("qos"));
@@ -441,10 +432,9 @@ sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
     if (!got.ok()) co_return got.status();
     fetched = std::move(*got);
   }
-  // Finish is synchronous, so the decompressed-blocks delta around the
+  // Finish is synchronous, so the expanded-blocks delta around the
   // loop is exactly these extents' expansions.
-  const uint64_t expanded_before =
-      format_->compress_stats().decompressed_blocks;
+  const uint64_t expanded_before = format_->compress_stats().expanded_blocks;
   size_t data_off = 0;
   for (size_t i = 0; i < plans.size(); ++i) {
     if (plans.size() == 1) {
@@ -468,7 +458,7 @@ sim::Task<Result<Image::ReadCounts>> Image::ReadObject(
     }
   }
   counts.expanded_blocks =
-      format_->compress_stats().decompressed_blocks - expanded_before;
+      format_->compress_stats().expanded_blocks - expanded_before;
   co_return counts;
 }
 

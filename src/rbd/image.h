@@ -335,21 +335,23 @@ class Image {
   bool closed_ = false;
   std::deque<std::pair<uint64_t, std::string>> snaps_;  // newest first
   // Request-path counters, kept by ImageRequest and Writeback.
+#define VDE_IMAGE_COUNTERS(C, G)                                      \
+  C(writes)                                                           \
+  C(reads)                                                            \
+  C(discards)        /* discard + write-zeroes requests */            \
+  C(flushes)                                                          \
+  C(bytes_written)                                                    \
+  C(bytes_read)                                                       \
+  C(bytes_discarded)                                                  \
+  C(rmw_blocks)      /* partial blocks read back for merge */         \
+  C(rmw_merged)      /* RMW edge reads served from the staging buffer \
+                        (store read avoided) */                       \
+  C(wb_hits)         /* writes absorbed into an existing stage */     \
+  C(wb_stages)       /* staged-block creations */                     \
+  C(wb_flushes)      /* staged-block flush transactions */            \
+  C(wb_evictions)    /* of those, victims of buffer pressure */
   struct Counters {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t discards = 0;  // discard + write-zeroes requests
-    uint64_t flushes = 0;
-    uint64_t bytes_written = 0;
-    uint64_t bytes_read = 0;
-    uint64_t bytes_discarded = 0;
-    uint64_t rmw_blocks = 0;  // partial blocks read back for merge
-    uint64_t rmw_merged = 0;  // RMW edge reads served from the staging
-                              // buffer (store read avoided)
-    uint64_t wb_hits = 0;     // writes absorbed into an existing stage
-    uint64_t wb_stages = 0;   // staged-block creations
-    uint64_t wb_flushes = 0;  // staged-block flush transactions
-    uint64_t wb_evictions = 0;  // of those, victims of buffer pressure
+    VDE_STATS(Counters, VDE_IMAGE_COUNTERS)
   };
   Counters counters_;
   qos::TenantId qos_tenant_ = 0;  // valid while options_.qos_scheduler set

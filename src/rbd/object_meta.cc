@@ -528,30 +528,13 @@ void ObjectMeta::AccountRead(bool hit, bool zero_fill, size_t meta_bytes) {
 }
 
 void ObjectMeta::ExportMetrics(obs::Metrics& n) const {
-  const ObjectMetaStats& s = stats_;
+  stats_.ExportTo(n);
+  // The plane's kv counters, renamed under `meta_kv_`.
   const kv::KvStats kv = has_plane() ? kv_->stats() : kv::KvStats{};
-  const std::pair<const char*, uint64_t> counters[] = {
-      {"iv_hits", s.iv_hits},
-      {"iv_misses", s.iv_misses},
-      {"iv_evictions", s.iv_evictions},
-      {"iv_invalidations", s.iv_invalidations},
-      {"iv_meta_bytes_saved", s.iv_meta_bytes_saved},
-      {"iv_meta_bytes_fetched", s.iv_meta_bytes_fetched},
-      {"trim_zero_reads", s.trim_zero_reads},
-      {"trim_state_loads", s.trim_state_loads},
-      {"trim_bitmap_updates", s.trim_bitmap_updates},
-      {"meta_warm_hits", s.meta_warm_hits},
-      {"meta_recovered_rows", s.meta_recovered_rows},
-      {"meta_spills", s.meta_spills},
-      {"meta_epoch_rejections", s.meta_epoch_rejections},
-      {"meta_cold_resets", s.meta_cold_resets},
-      {"meta_journal_flushes", s.meta_journal_flushes},
-      {"meta_gc_rows", s.meta_gc_rows},
-      {"meta_kv_wal_bytes", kv.wal_bytes},
-      {"meta_kv_wal_commits", kv.wal_commits},
-      {"meta_kv_flush_bytes", kv.bytes_flushed},
-      {"meta_kv_compaction_bytes", kv.bytes_compacted}};
-  for (const auto& [name, value] : counters) n.Counter(name, value);
+  n.Counter("meta_kv_wal_bytes", kv.wal_bytes);
+  n.Counter("meta_kv_wal_commits", kv.wal_commits);
+  n.Counter("meta_kv_flush_bytes", kv.bytes_flushed);
+  n.Counter("meta_kv_compaction_bytes", kv.bytes_compacted);
 }
 
 // --- CachedExtentRead ---

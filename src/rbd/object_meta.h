@@ -106,25 +106,28 @@ struct MetaStoreConfig {
 };
 
 // The table's counters, exported under these names in the image node.
+#define VDE_OBJECT_META_STATS(C, G)                                      \
+  C(iv_hits)               /* extents fully served from resident rows */ \
+  C(iv_misses)             /* extents that had to fetch metadata */      \
+  C(iv_evictions)          /* objects whose rows LRU pressure dropped */ \
+  C(iv_invalidations)      /* rows dropped stale (trimmed, removed or    \
+                              superseded by an overwrite) */             \
+  C(iv_meta_bytes_saved)   /* metadata fetch bytes avoided */            \
+  C(iv_meta_bytes_fetched) /* metadata bytes fetched on misses */        \
+  C(trim_zero_reads)       /* hits served entirely from cleared markers, \
+                              without reaching the store */              \
+  C(trim_state_loads)      /* bitmap fetches from the store */           \
+  C(trim_bitmap_updates)   /* transactions carrying a bitmap write */    \
+  C(meta_warm_hits)        /* bitmaps/row sets served by the plane */    \
+  C(meta_recovered_rows)   /* rows installed warm at reopen */           \
+  C(meta_spills)           /* journal entries (rows + bitmaps) */        \
+  C(meta_epoch_rejections) /* persisted rows refused by the floor */     \
+  C(meta_cold_resets)      /* dirty, corrupt or foreign plane starts */  \
+  C(meta_journal_flushes)  /* write-behind batches committed */          \
+  C(meta_gc_rows)          /* 'B'/'I' rows deleted for removed objects */
+
 struct ObjectMetaStats {
-  uint64_t iv_hits = 0;    // extents fully served from resident rows
-  uint64_t iv_misses = 0;  // extents that had to fetch metadata
-  uint64_t iv_evictions = 0;      // objects whose rows LRU pressure dropped
-  uint64_t iv_invalidations = 0;  // rows dropped stale (trimmed, removed
-                                  // or superseded by an overwrite)
-  uint64_t iv_meta_bytes_saved = 0;    // metadata fetch bytes avoided
-  uint64_t iv_meta_bytes_fetched = 0;  // metadata bytes fetched on misses
-  uint64_t trim_zero_reads = 0;  // hits served entirely from cleared
-                                 // markers, without reaching the store
-  uint64_t trim_state_loads = 0;     // bitmap fetches from the store
-  uint64_t trim_bitmap_updates = 0;  // transactions carrying a bitmap write
-  uint64_t meta_warm_hits = 0;       // bitmaps/row sets served by the plane
-  uint64_t meta_recovered_rows = 0;  // rows installed warm at reopen
-  uint64_t meta_spills = 0;          // journal entries (rows + bitmaps)
-  uint64_t meta_epoch_rejections = 0;  // persisted rows refused by the floor
-  uint64_t meta_cold_resets = 0;  // dirty, corrupt or foreign plane starts
-  uint64_t meta_journal_flushes = 0;  // write-behind batches committed
-  uint64_t meta_gc_rows = 0;  // 'B'/'I' rows deleted for removed objects
+  VDE_STATS(ObjectMetaStats, VDE_OBJECT_META_STATS)
 };
 
 class ObjectMeta {

@@ -236,9 +236,9 @@ TEST_P(CompressedFormat, CompressedRoundtripWithTailTrims) {
     EXPECT_EQ(out, plain) << spec.Name() << " nblocks=" << nblocks;
   }
   const CompressStats& stats = format->compress_stats();
-  EXPECT_EQ(stats.compressed_blocks, 1u + 3u + 8u);
+  EXPECT_EQ(stats.blocks, 1u + 3u + 8u);
   EXPECT_EQ(stats.verbatim_blocks, 0u);
-  EXPECT_EQ(stats.decompressed_blocks, stats.compressed_blocks);
+  EXPECT_EQ(stats.expanded_blocks, stats.blocks);
   EXPECT_LT(stats.stored_bytes, stats.in_bytes / 2);
 }
 
@@ -263,10 +263,10 @@ TEST_P(CompressedFormat, IncompressibleBlocksStoredVerbatim) {
   EXPECT_EQ(out, plain);
 
   const CompressStats& stats = format->compress_stats();
-  EXPECT_EQ(stats.compressed_blocks, 0u);
+  EXPECT_EQ(stats.blocks, 0u);
   EXPECT_EQ(stats.verbatim_blocks, 2u);
   EXPECT_EQ(stats.stored_bytes, 2u * kBlockSize);
-  EXPECT_EQ(stats.decompressed_blocks, 0u);  // verbatim reads skip the codec
+  EXPECT_EQ(stats.expanded_blocks, 0u);  // verbatim reads skip the codec
 }
 
 TEST_P(CompressedFormat, RewriteRestoresThenRepunchesTheSlot) {
