@@ -10,7 +10,10 @@
 //   failure    a verifying fio run (4K randread, replication 3) loses an
 //              OSD mid-run. Acceptance: the run completes with ZERO verify
 //              errors and background recovery returns the degraded object
-//              count to zero.
+//              count to zero. Pushes ship the survivors' pages: the
+//              arena's live pages after recovery may exceed those before
+//              the kill by at most one per 16 pushed pages (a copy would
+//              cost one per pushed page).
 //   qos        noisy neighbor through the cluster-side mClock dequeue: a
 //              reserved victim's p99 under a weight-heavy aggressor must
 //              stay within 1.3x of its solo p99.
@@ -117,6 +120,8 @@ struct FailurePoint {
   size_t degraded_after = 0;
   uint64_t recovered = 0;   // background pushes + inline pulls
   uint64_t map_epoch = 0;
+  uint64_t pushed_pages = 0;  // recovery bytes pushed, in 4 KiB pages
+  int64_t arena_growth = 0;   // arena live pages after clean - before kill
   double iops = 0;
   bool pass = false;        // ran to completion, verify clean, recovered
 };
@@ -144,6 +149,7 @@ FailurePoint RunFailurePoint(uint64_t ops, sim::SimTime kill_at) {
     if (!(co_await runner.Prefill()).ok()) co_return false;
     co_await cluster.Drain();
 
+    const size_t live = dev::SparseRam::ArenaLivePages();
     sim::Scheduler::Current().Spawn(KillOsdAfter(cluster, kill_at, 0));
     auto result = co_await runner.Run();
     out.run_ok = result.ok();  // a verify mismatch fails the run
@@ -155,6 +161,9 @@ FailurePoint RunFailurePoint(uint64_t ops, sim::SimTime kill_at) {
     out.recovered = rs.objects_pushed + rs.inline_pulls;
     out.map_epoch = cluster.placement().map().epoch();
     co_await cluster.Drain();
+    out.pushed_pages = rs.bytes_pushed / dev::SparseRam::kPageSize;
+    out.arena_growth = static_cast<int64_t>(dev::SparseRam::ArenaLivePages()) -
+                       static_cast<int64_t>(live);
     co_return true;
   };
   out.pass = RunOnCluster(PaperCluster(), 0, body).ok && out.run_ok &&
@@ -355,6 +364,15 @@ int main(int argc, char** argv) {
              {{"verify_clean", fp.run_ok},
               {"recovered", fp.recovered},
               {"degraded_after", fp.degraded_after}});
+  std::printf("  arena pages after recovery: %+lld for %llu pushed pages\n",
+              static_cast<long long>(fp.arena_growth),
+              static_cast<unsigned long long>(fp.pushed_pages));
+  bench.Gate("recovery_pages",
+             fp.pass && fp.pushed_pages > 0 &&
+                 fp.arena_growth * 16 <= static_cast<int64_t>(fp.pushed_pages),
+             "arena growth over recovery <= 1 page per 16 pushed",
+             {{"arena_growth", fp.arena_growth},
+              {"pushed_pages", fp.pushed_pages}});
   std::printf("\n");
 
   // --- qos ---

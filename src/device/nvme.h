@@ -49,6 +49,16 @@ class NvmeDevice final : public BlockDevice {
   void PeekRead(uint64_t offset, MutByteSpan out) const {
     ram_.ReadAt(offset, out);
   }
+  // The data-plane pages under [offset, +length), recorded into the empty
+  // `run` as a payload another device can adopt: see SparseRam::Record.
+  void PeekPages(uint64_t offset, uint64_t length, SparseRam::PageRun& run) {
+    ram_.Record(offset, length, run);
+  }
+  // PokeWrite of a payload recorded as pages: see
+  // SparseRam::WriteAt(offset, payload).
+  void PokeWrite(uint64_t offset, const SparseRam::PageRun& payload) {
+    ram_.WriteAt(offset, payload);
+  }
   // TRIM without simulated time: released pages read back as zeros, so a
   // recycled extent can never leak a previous tenant's bytes.
   void PokeTrim(uint64_t offset, uint64_t length) {

@@ -1,8 +1,10 @@
 #include "device/sparse_ram.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "util/asan.h"
 
@@ -94,6 +96,38 @@ SparseRam::PageRun::~PageRun() {
   }
 }
 
+SparseRam::PageRun::PageRun(const PageRun& other)
+    : in_page_(other.in_page_), length_(other.length_), pages_(other.pages_) {
+  for (const Change& change : pages_) {
+    if (change.before != nullptr) PageArena::Ref(change.before);
+    if (change.after != nullptr) PageArena::Ref(change.after);
+  }
+}
+
+SparseRam::PageRun& SparseRam::PageRun::operator=(PageRun other) noexcept {
+  std::swap(in_page_, other.in_page_);
+  std::swap(length_, other.length_);
+  pages_.swap(other.pages_);
+  return *this;
+}
+
+void SparseRam::PageRun::Read(uint64_t pos, MutByteSpan out) const {
+  assert(pos + out.size() <= length_);
+  size_t done = 0;
+  while (done < out.size()) {
+    const uint64_t at = in_page_ + pos + done;
+    const Page* const page = pages_[at / kPageSize].after;
+    const size_t in_page = at % kPageSize;
+    const size_t take = std::min(out.size() - done, kPageSize - in_page);
+    if (page == nullptr) {
+      std::memset(out.data() + done, 0, take);
+    } else {
+      std::memcpy(out.data() + done, page->data + in_page, take);
+    }
+    done += take;
+  }
+}
+
 SparseRam::~SparseRam() {
   for (const auto& [page_no, page] : pages_) Arena().Unref(page);
 }
@@ -164,6 +198,22 @@ void SparseRam::ApplyPage(uint64_t page_no, size_t in_page, size_t take,
   }
 }
 
+void SparseRam::AdoptPage(uint64_t page_no, size_t in_page, size_t take,
+                          const PageRun::Change& change, const uint8_t* src) {
+  const auto it = pages_.find(page_no);
+  Page* const own = it == pages_.end() ? nullptr : it->second;
+  if (take != kPageSize && own != change.before) {
+    ApplyPage(page_no, in_page, take, src);
+  } else if (change.after != nullptr) {
+    PageArena::Ref(change.after);
+    if (own != nullptr) Arena().Unref(own);
+    pages_[page_no] = change.after;
+  } else if (own != nullptr) {
+    Arena().Unref(own);
+    pages_.erase(it);
+  }
+}
+
 void SparseRam::ApplyOp(uint64_t offset, uint64_t length, const uint8_t* src,
                         PageRun* share) {
   assert(offset + length <= capacity_);
@@ -187,19 +237,7 @@ void SparseRam::ApplyOp(uint64_t offset, uint64_t length, const uint8_t* src,
     done += take;
     const bool whole = take == kPageSize;
     if (adopt) {
-      const PageRun::Change& change = share->pages_[i];
-      const auto it = pages_.find(page_no);
-      Page* const own = it == pages_.end() ? nullptr : it->second;
-      if (!whole && own != change.before) {
-        ApplyPage(page_no, in_page, take, page_src);
-      } else if (change.after != nullptr) {
-        PageArena::Ref(change.after);
-        if (own != nullptr) Arena().Unref(own);
-        pages_[page_no] = change.after;
-      } else if (own != nullptr) {
-        Arena().Unref(own);
-        pages_.erase(it);
-      }
+      AdoptPage(page_no, in_page, take, share->pages_[i], page_src);
     } else if (record) {
       // The run's reference on the before page makes ApplyPage copy it.
       Page* const before = whole ? nullptr : Find(page_no);
@@ -220,6 +258,57 @@ void SparseRam::WriteAt(uint64_t offset, ByteSpan data) {
 
 void SparseRam::WriteAt(uint64_t offset, ByteSpan data, PageRun& share) {
   ApplyOp(offset, data.size(), data.data(), &share);
+}
+
+void SparseRam::Record(uint64_t offset, uint64_t length, PageRun& run) {
+  assert(run.empty() && offset + length <= capacity_);
+  run.in_page_ = offset % kPageSize;
+  run.length_ = length;
+  run.pages_.reserve((run.in_page_ + length + kPageSize - 1) / kPageSize);
+  for (uint64_t done = 0; done < length;) {
+    const uint64_t pos = offset + done;
+    const size_t take =
+        std::min<uint64_t>(length - done, kPageSize - pos % kPageSize);
+    done += take;
+    Page* const page = Find(pos / kPageSize);
+    Page* const before = take == kPageSize ? nullptr : page;
+    if (page != nullptr) PageArena::Ref(page);
+    if (before != nullptr) PageArena::Ref(before);
+    run.pages_.push_back({before, page});
+  }
+}
+
+SparseRam::PageRun SparseRam::ZeroRun(uint64_t offset, uint64_t length) {
+  PageRun run;
+  run.in_page_ = offset % kPageSize;
+  run.length_ = length;
+  run.pages_.resize((run.in_page_ + length + kPageSize - 1) / kPageSize,
+                    {nullptr, nullptr});
+  return run;
+}
+
+void SparseRam::WriteAt(uint64_t offset, const PageRun& payload) {
+  const uint64_t length = payload.length_;
+  assert(offset + length <= capacity_);
+  const bool aligned = payload.in_page_ == offset % kPageSize;
+  uint8_t copy[kPageSize];
+  uint64_t done = 0;
+  for (size_t i = 0; done < length; ++i) {
+    const uint64_t pos = offset + done;
+    const uint64_t page_no = pos / kPageSize;
+    const size_t in_page = pos % kPageSize;
+    const size_t take = std::min<uint64_t>(length - done, kPageSize - in_page);
+    if (aligned) {
+      const PageRun::Change& change = payload.pages_[i];
+      const uint8_t* const src =
+          change.after == nullptr ? nullptr : change.after->data + in_page;
+      AdoptPage(page_no, in_page, take, change, src);
+    } else {
+      payload.Read(done, MutByteSpan(copy, take));
+      ApplyPage(page_no, in_page, take, copy);
+    }
+    done += take;
+  }
 }
 
 void SparseRam::Punch(uint64_t offset, uint64_t length) {

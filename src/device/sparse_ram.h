@@ -22,6 +22,15 @@
 // run keeps a reference on every recorded page, so a before page is never
 // freed and reused while the run could still match it.
 //
+// A run can also be recorded from a device without changing it (Record):
+// it stands for a write of exactly the bytes the device holds there, so
+// another device can take those bytes by adopting pages instead of copying
+// them (a recovery push, a snapshot clone). A page the range covers whole
+// is recorded as its after page, a partial edge page as both its before and
+// its after page, and a hole as a hole. The run's reference makes the
+// recorded device copy a page before it next changes it, so the run keeps
+// the bytes it recorded.
+//
 // Sharing is host memory only: it never changes what a read returns, and it
 // costs no simulated time. The arena frees its slabs once its last page is
 // released.
@@ -48,10 +57,17 @@ class SparseRam {
   class PageRun {
    public:
     PageRun() = default;
+    PageRun(const PageRun& other);  // shares `other`'s pages
     PageRun(PageRun&& other) noexcept = default;  // leaves `other` empty
+    PageRun& operator=(PageRun other) noexcept;
     ~PageRun();
 
     bool empty() const { return pages_.empty(); }
+    // Bytes of the op the run records.
+    uint64_t length() const { return length_; }
+    // Copies bytes [pos, pos + out.size()) of the recorded op's result
+    // (holes read as zeros) into `out`.
+    void Read(uint64_t pos, MutByteSpan out) const;
 
    private:
     friend class SparseRam;
@@ -88,6 +104,17 @@ class SparseRam {
   void WriteAt(uint64_t offset, ByteSpan data, PageRun& share);
   void Punch(uint64_t offset, uint64_t length, PageRun& share);
 
+  // Records this device's pages over [offset, +length) into `run`, which
+  // must be empty, as a write of exactly their bytes (see the header
+  // comment). Reads the same bytes ReadAt would.
+  void Record(uint64_t offset, uint64_t length, PageRun& run);
+  // A run recording a write of `length` zeros at `offset`: all holes.
+  static PageRun ZeroRun(uint64_t offset, uint64_t length);
+  // Writes the bytes `payload` records at `offset`. Where the payload sits
+  // at the same in-page offset, its pages are adopted by the rule above;
+  // elsewhere its bytes are copied.
+  void WriteAt(uint64_t offset, const PageRun& payload);
+
   // Holders (devices and runs) of the page under `offset`; 0 for a hole.
   uint32_t PageRefs(uint64_t offset) const;
 
@@ -106,6 +133,10 @@ class SparseRam {
   // them when `src` is nullptr.
   void ApplyPage(uint64_t page_no, size_t in_page, size_t take,
                  const uint8_t* src);
+  // Adopts `change.after` as page `page_no` where the header comment's rule
+  // allows; elsewhere ApplyPage with `src`.
+  void AdoptPage(uint64_t page_no, size_t in_page, size_t take,
+                 const PageRun::Change& change, const uint8_t* src);
   // ApplyPage over [offset, offset + length), through `share` if given.
   void ApplyOp(uint64_t offset, uint64_t length, const uint8_t* src,
                PageRun* share);

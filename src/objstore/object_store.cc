@@ -264,17 +264,18 @@ sim::Task<Status> ObjectStore::MaybeClone(const std::string& oid, Onode& node,
   if (!extent.ok()) co_return extent.status();
   Clone clone{snapc.seq, *extent, node.size, node.trimmed};
   if (node.size > 0) {
-    // Copy only the live runs: trimmed ranges read zeros through the
+    // Share only the live runs: trimmed ranges read zeros through the
     // clone's own trimmed map, so materializing zero pages for them would
-    // waste the sparseness TRIM just bought.
+    // waste the sparseness TRIM just bought. The clone adopts the head's
+    // pages (copied where the extents sit at different in-page offsets);
+    // the head copies a shared page before its next write to it.
     uint64_t pos = 0;
-    Bytes run;
     for (auto it = node.trimmed.begin(); pos < node.size; ++it) {
       const uint64_t run_end =
           it == node.trimmed.end() ? node.size : std::min(it->first, node.size);
       if (pos < run_end) {
-        run.resize(run_end - pos);
-        device_->PeekRead(data_base_ + node.base + pos, run);
+        dev::SparseRam::PageRun run;
+        device_->PeekPages(data_base_ + node.base + pos, run_end - pos, run);
         device_->PokeWrite(data_base_ + clone.base + pos, run);
       }
       if (it == node.trimmed.end()) break;
@@ -383,7 +384,7 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
           op.type == OsdOp::Type::kWriteFull ||
           op.type == OsdOp::Type::kZero || op.type == OsdOp::Type::kTrim) {
         const uint64_t len =
-            op.type == OsdOp::Type::kWriteFull ? op.data.size() : op.length;
+            op.type == OsdOp::Type::kWriteFull ? op.payload_size() : op.length;
         const uint64_t off =
             op.type == OsdOp::Type::kWriteFull ? 0 : op.offset;
         prepare += config_.costs.PreparePenalty(
@@ -485,13 +486,16 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   if (share != nullptr && share->ops.empty()) share->ops.resize(txn.ops.size());
   assert(share == nullptr || share->ops.size() == txn.ops.size());
   // Makes a payload or a punch visible at `abs`; through a share, its pages
-  // are stored once across the replicas of this write.
-  const auto poke_payload = [&](size_t op_index, uint64_t abs,
-                                ByteSpan data) {
-    if (share == nullptr) {
-      device_->PokeWrite(abs, data);
+  // are stored once across the replicas of this write. A payload carried as
+  // pages is adopted from them.
+  const auto poke_payload = [&](size_t op_index, uint64_t abs) {
+    const OsdOp& op = txn.ops[op_index];
+    if (!op.pages.empty()) {
+      device_->PokeWrite(abs, op.pages);
+    } else if (share == nullptr) {
+      device_->PokeWrite(abs, op.data);
     } else {
-      device_->PokeWrite(abs, data, share->ops[op_index]);
+      device_->PokeWrite(abs, op.data, share->ops[op_index]);
     }
   };
   const auto poke_trim = [&](size_t op_index, uint64_t abs, uint64_t length) {
@@ -507,7 +511,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
     if (op.type == OsdOp::Type::kWrite || op.type == OsdOp::Type::kWriteFull ||
         op.type == OsdOp::Type::kZero || op.type == OsdOp::Type::kTrim) {
       const uint64_t len =
-          op.type == OsdOp::Type::kWriteFull ? op.data.size() : op.length;
+          op.type == OsdOp::Type::kWriteFull ? op.payload_size() : op.length;
       const uint64_t off = op.type == OsdOp::Type::kWriteFull ? 0 : op.offset;
       // Commit-stage cost; the prepare-stage penalties were charged before
       // the lock when pipelining, and fold in here when not.
@@ -522,28 +526,29 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
       case OsdOp::Type::kCreate:
         break;  // GetOrCreate already materialized the object
       case OsdOp::Type::kWrite: {
-        if (op.offset + op.data.size() > config_.max_object_size) {
+        const uint64_t size = op.payload_size();
+        if (op.offset + size > config_.max_object_size) {
           co_return Status::InvalidArgument("write beyond max object size");
         }
         // Rewriting a trimmed range re-backs its punched sectors and takes
         // the range out of the trimmed-extent map (idempotent otherwise).
-        stats_.bytes_restored += alloc_->Restore(node.base + op.offset,
-                                                 op.data.size());
-        IntervalMapRemove(node.trimmed, op.offset, op.data.size());
-        poke_payload(op_index, data_base_ + node.base + op.offset, op.data);
-        node.size = std::max(node.size, op.offset + op.data.size());
-        SpawnApplyCharge(data_base_ + node.base + op.offset, op.data.size());
+        stats_.bytes_restored += alloc_->Restore(node.base + op.offset, size);
+        IntervalMapRemove(node.trimmed, op.offset, size);
+        poke_payload(op_index, data_base_ + node.base + op.offset);
+        node.size = std::max(node.size, op.offset + size);
+        SpawnApplyCharge(data_base_ + node.base + op.offset, size);
         break;
       }
       case OsdOp::Type::kWriteFull: {
-        if (op.data.size() > config_.max_object_size) {
+        const uint64_t size = op.payload_size();
+        if (size > config_.max_object_size) {
           co_return Status::InvalidArgument("writefull beyond max size");
         }
-        stats_.bytes_restored += alloc_->Restore(node.base, op.data.size());
+        stats_.bytes_restored += alloc_->Restore(node.base, size);
         node.trimmed.clear();
-        poke_payload(op_index, data_base_ + node.base, op.data);
-        node.size = op.data.size();
-        SpawnApplyCharge(data_base_ + node.base, op.data.size());
+        poke_payload(op_index, data_base_ + node.base);
+        node.size = size;
+        SpawnApplyCharge(data_base_ + node.base, size);
         break;
       }
       case OsdOp::Type::kZero: {
@@ -613,7 +618,7 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
   const auto it = objects_.find(txn.oid);
 
   // Resolve which data extent / omap namespace / trimmed map serves `snap`.
-  uint64_t base = 0, size = 0;
+  uint64_t base = 0;
   SnapId omap_ns = kHeadSnap;
   bool exists = false;
   const TrimmedMap* trimmed = nullptr;
@@ -621,7 +626,6 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
     const Onode& node = it->second;
     if (snap == kHeadSnap) {
       base = node.base;
-      size = node.size;
       trimmed = &node.trimmed;
       exists = true;
     } else {
@@ -635,12 +639,10 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
       }
       if (chosen != nullptr) {
         base = chosen->base;
-        size = chosen->size;
         omap_ns = chosen->covers_up_to;
         trimmed = &chosen->trimmed;
       } else {
         base = node.base;
-        size = node.size;
         trimmed = &node.trimmed;
       }
       exists = true;
@@ -650,6 +652,7 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
   // Execute all read ops concurrently ("IV reads in parallel to data IO").
   struct OpOut {
     Bytes data;
+    dev::SparseRam::PageRun pages;
     std::vector<std::pair<Bytes, Bytes>> omap;
     Status status;
   };
@@ -665,7 +668,12 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
       // map is zeros by definition — no device IO, no device-time charge.
       if (trimmed != nullptr &&
           IntervalMapCovers(*trimmed, op.offset, op.length)) {
-        outs[i].data.assign(op.length, 0);
+        if (op.as_pages) {
+          outs[i].pages = dev::SparseRam::ZeroRun(
+              data_base_ + base + op.offset, op.length);
+        } else {
+          outs[i].data.assign(op.length, 0);
+        }
         outs[i].status = Status::Ok();
         stats_.trimmed_reads++;
         continue;
@@ -678,18 +686,20 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
         const uint64_t first = abs / sector * sector;
         const uint64_t last =
             (abs + op->length + sector - 1) / sector * sector;
-        Bytes covered(last - first);
         obs::SpanScope dev_span(trace, obs::Stage::kDevice);
-        out->status = co_await self->device_->Read(first, covered);
+        out->status = co_await self->device_->ChargeRead(first, last - first);
         dev_span.End();
         if (out->status.ok()) {
           // Buffered: the partial edge sectors just read stay known, so a
           // write that follows (the client's read-modify-write) need not
           // read them again.
           self->CachePartialSectors(abs, op->length);
-          out->data.assign(
-              covered.begin() + static_cast<long>(abs - first),
-              covered.begin() + static_cast<long>(abs - first + op->length));
+          if (op->as_pages) {
+            self->device_->PeekPages(abs, op->length, out->pages);
+          } else {
+            out->data.resize(op->length);
+            self->device_->PeekRead(abs, out->data);
+          }
         }
       }(this, &op, base, txn.trace, &outs[i]));
     } else if (op.type == OsdOp::Type::kOmapGetRange) {
@@ -727,10 +737,14 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
 
   for (auto& out : outs) {
     if (!out.status.ok()) co_return out.status;
-    AppendBytes(result.data, out.data);
+    if (result.data.empty()) {
+      result.data = std::move(out.data);
+    } else {
+      AppendBytes(result.data, out.data);
+    }
+    if (!out.pages.empty()) result.pages = std::move(out.pages);
     for (auto& kv : out.omap) result.omap_values.push_back(std::move(kv));
   }
-  (void)size;
   co_return result;
 }
 

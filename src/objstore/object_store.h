@@ -31,7 +31,17 @@
 // layout's interleaved slots and the sub-page IV records too. Like the
 // instant-visibility write itself, this is host memory only: no simulated
 // time, no device stats, and each store still charges its own apply IO.
-// Snapshot clones copy their data.
+//
+// Recovery pushes and snapshot clones share pages too. A kRead with
+// as_pages answers with the source's pages over its range
+// (dev::SparseRam::Record), recorded where a read copies bytes: under the
+// object's shared lock, after the same device charge. A kWrite/kWriteFull
+// whose payload is such a run adopts its whole pages and its holes, and a
+// partial edge page only where its own page is the recorded one; it copies
+// elsewhere, also where the extents sit at different in-page offsets. The
+// journal record still holds the payload's bytes. A clone adopts the
+// head's live runs the same way, and the head copies a shared page before
+// it next writes it.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
 // AND its OMAP rows: random IVs stored via OMAP must remain readable for

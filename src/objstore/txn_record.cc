@@ -90,6 +90,7 @@ struct CountSink {
     size += sizeof(T);
   }
   void Put(ByteSpan b) { size += b.size(); }
+  void Payload(const OsdOp&, size_t, size_t length) { size += length; }
 };
 
 struct WriteSink {
@@ -104,6 +105,15 @@ struct WriteSink {
     if (!b.empty()) std::memcpy(at, b.data(), b.size());
     at += b.size();
   }
+  // Bytes [pos, +length) of `op`'s payload, from its data or its pages.
+  void Payload(const OsdOp& op, size_t pos, size_t length) {
+    if (op.pages.empty()) {
+      Put(ByteSpan(op.data).subspan(pos, length));
+      return;
+    }
+    op.pages.Read(pos, MutByteSpan(at, length));
+    at += length;
+  }
 };
 
 }  // namespace
@@ -111,7 +121,8 @@ struct WriteSink {
 TxnRecord::TxnRecord(const Transaction& txn, const SnapContext& snapc)
     : txn_(txn), seq_(snapc.seq) {
   FindHoles(
-      txn.ops, [&txn](size_t i) { return txn.ops[i].data.size(); }, holes_);
+      txn.ops, [&txn](size_t i) { return txn.ops[i].payload_size(); },
+      holes_);
   CountSink count;
   Encode(count);
   size_ = count.size;
@@ -134,23 +145,21 @@ void TxnRecord::Encode(Sink& out) const {
                                 (has_holes ? kHolesFlag : 0)));
     out.Le(op.offset);
     out.Le(op.length);
-    out.Le(static_cast<uint32_t>(op.data.size()));
+    const size_t payload = op.payload_size();
+    out.Le(static_cast<uint32_t>(payload));
     if (has_holes) {
       out.Le(static_cast<uint32_t>(hole - op_holes));
       for (auto h = op_holes; h != hole; ++h) {
         out.Le(h->offset);
         out.Le(h->length);
       }
-      const ByteSpan data(op.data);
-      size_t pos = 0;
-      for (auto h = op_holes; h != hole; ++h) {
-        out.Put(data.subspan(pos, h->offset - pos));
-        pos = size_t{h->offset} + h->length;
-      }
-      out.Put(data.subspan(pos));
-    } else {
-      out.Put(op.data);
     }
+    size_t pos = 0;
+    for (auto h = op_holes; h != hole; ++h) {
+      out.Payload(op, pos, h->offset - pos);
+      pos = size_t{h->offset} + h->length;
+    }
+    out.Payload(op, pos, payload - pos);
     out.Le(static_cast<uint32_t>(op.omap_kvs.size()));
     for (const auto& [k, v] : op.omap_kvs) {
       out.Le(static_cast<uint16_t>(k.size()));

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "device/sparse_ram.h"
 #include "util/bytes.h"
 
 namespace vde::obs {
@@ -52,10 +53,19 @@ struct OsdOp {
   uint64_t offset = 0;
   uint64_t length = 0;
   Bytes data;
+  // kWrite/kWriteFull: the payload as device pages in place of `data` (a
+  // recovery push ships the source replica's pages). Empty: `data` is it.
+  dev::SparseRam::PageRun pages;
+  // kRead: answer in ReadResult::pages instead of data (one op at most).
+  bool as_pages = false;
   std::vector<std::pair<Bytes, Bytes>> omap_kvs;
   Bytes omap_start;
   Bytes omap_end;
   size_t omap_max = 0;  // 0 = unlimited
+
+  size_t payload_size() const {
+    return pages.empty() ? data.size() : pages.length();
+  }
 };
 
 // Ops a write transaction may carry (the journal records only these).
@@ -94,7 +104,7 @@ struct Transaction {
   size_t PayloadBytes() const {
     size_t n = 0;
     for (const auto& op : ops) {
-      n += op.data.size();
+      n += op.payload_size();
       for (const auto& [k, v] : op.omap_kvs) n += k.size() + v.size();
     }
     return n;
@@ -104,6 +114,7 @@ struct Transaction {
 // Result of a read-class op batch.
 struct ReadResult {
   Bytes data;                                        // from kRead
+  dev::SparseRam::PageRun pages;  // from the kRead that asked for pages
   std::vector<std::pair<Bytes, Bytes>> omap_values;  // from kOmapGetRange
 };
 

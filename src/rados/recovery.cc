@@ -154,7 +154,8 @@ sim::Task<void> RecoveryManager::PushObject(uint32_t pg, size_t target,
   Osd& source = cluster_.osd(src);
   Osd& dest = cluster_.osd(target);
 
-  // Snapshot the head state (data + OMAP rows) from the source.
+  // Snapshot the head state (data + OMAP rows) from the source. The data
+  // travels as references to the source's pages, not as a copy.
   objstore::Transaction push;
   push.oid = oid;
   size_t payload = 0;
@@ -166,6 +167,7 @@ sim::Task<void> RecoveryManager::PushObject(uint32_t pg, size_t target,
     data_op.type = objstore::OsdOp::Type::kRead;
     data_op.offset = 0;
     data_op.length = size;
+    data_op.as_pages = true;
     read.ops.push_back(std::move(data_op));
     objstore::OsdOp omap_op;
     omap_op.type = objstore::OsdOp::Type::kOmapGetRange;
@@ -178,8 +180,8 @@ sim::Task<void> RecoveryManager::PushObject(uint32_t pg, size_t target,
     }
     objstore::OsdOp write_op;
     write_op.type = objstore::OsdOp::Type::kWriteFull;
-    write_op.data = std::move(state->data);
-    payload += write_op.data.size();
+    write_op.pages = std::move(state->pages);
+    payload += write_op.payload_size();
     push.ops.push_back(std::move(write_op));
     if (!state->omap_values.empty()) {
       objstore::OsdOp omap_set;

@@ -10,6 +10,13 @@
 // mid-push bumps the object generation, which the push detects at
 // completion — the object stays missing and is pushed again.
 //
+// The data of a push is a run of references to the source's copy-on-write
+// device pages (objstore/object_store.h), not a copy: the target adopts
+// them, so a pushed object costs no host copy. The throttle, the NIC
+// transfer, the journal record and the apply charge still count every
+// byte. A write on the source mid-push copies the page it changes, so the
+// run keeps the bytes the push read.
+//
 // The token bucket throttles background pushes only. An inline pull (a
 // client op arriving at a primary that is itself missing the object) that
 // finds no push in flight pushes the object itself and skips the throttle.

@@ -414,6 +414,134 @@ TEST(SparseRam, SharedPageOutlivesTheDeviceThatWroteIt) {
   EXPECT_EQ(ReadBack(b, 4096, 4096), data);
 }
 
+// A recorded run is copy-on-write: the device it was recorded from copies
+// a page before changing it, so the run keeps the bytes it recorded, and a
+// device that writes the run later gets them.
+TEST(SparseRam, RecordedRunKeepsItsBytesAfterTheSourceChanges) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(15).RandomBytes(3 * 4096);
+  a.WriteAt(0, data);
+  SparseRam::PageRun run;
+  a.Record(100, 2 * 4096 + 500, run);  // partial, whole, partial
+  EXPECT_EQ(run.length(), 2 * 4096 + 500u);
+  EXPECT_EQ(a.PageRefs(0), 3u);     // a, and the run as before and after
+  EXPECT_EQ(a.PageRefs(4096), 2u);  // a and the run
+  a.WriteAt(50, Bytes(100, 0x01));
+  a.WriteAt(4096, Bytes(4096, 0x02));
+  a.Punch(2 * 4096, 4096);
+  const Bytes want(data.begin() + 100, data.begin() + 100 + 2 * 4096 + 500);
+  Bytes got(want.size());
+  run.Read(0, got);
+  EXPECT_EQ(got, want);
+  b.WriteAt(100, run);
+  EXPECT_EQ(ReadBack(b, 100, want.size()), want);
+  EXPECT_EQ(ReadBack(b, 0, 100), Bytes(100, 0));
+}
+
+// Pages a recorded range covers whole are adopted, not copied: the writer
+// holds the recorded device's pages, and the arena gains none.
+TEST(SparseRam, RecordedWholePagesAreAdopted) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(16).RandomBytes(3 * 4096);
+  a.WriteAt(4096, data);
+  const size_t live = SparseRam::ArenaLivePages();
+  {
+    SparseRam::PageRun run;
+    a.Record(4096, data.size(), run);
+    b.WriteAt(9 * 4096, run);
+    EXPECT_EQ(b.PageRefs(9 * 4096), 3u);  // a, b and the run
+  }
+  EXPECT_EQ(SparseRam::ArenaLivePages(), live);
+  for (uint64_t page = 0; page < 3; ++page) {
+    EXPECT_EQ(b.PageRefs((9 + page) * 4096), 2u) << page;
+  }
+  EXPECT_EQ(ReadBack(b, 9 * 4096, data.size()), data);
+}
+
+// A partial edge page is recorded as its own before page: a device that
+// already holds that page keeps it, and any other page (a diverged copy,
+// a hole) gets the recorded bytes copied in, its other bytes kept.
+TEST(SparseRam, RecordedPartialPageAdoptedOnlyOverTheRecordedPage) {
+  SharedPair p;
+  SparseRam c(1 << 20);
+  SparseRam d(1 << 20);
+  c.WriteAt(0, Bytes(4096, 0x66));
+  const size_t live = SparseRam::ArenaLivePages();
+  SparseRam::PageRun run;
+  p.a.Record(100, 300, run);
+  p.b.WriteAt(100, run);
+  c.WriteAt(100, run);
+  d.WriteAt(100, run);
+  EXPECT_EQ(p.b.PageRefs(0), 4u);  // a, b, and the run as before and after
+  EXPECT_EQ(c.PageRefs(0), 1u);
+  EXPECT_EQ(d.PageRefs(0), 1u);
+  EXPECT_EQ(SparseRam::ArenaLivePages(), live + 1);  // d's new page
+  EXPECT_EQ(ReadBack(p.b, 0, 4096), p.page);
+  Bytes want_c(4096, 0x66);
+  std::copy_n(p.page.begin() + 100, 300, want_c.begin() + 100);
+  EXPECT_EQ(ReadBack(c, 0, 4096), want_c);
+  Bytes want_d(4096, 0);
+  std::copy_n(p.page.begin() + 100, 300, want_d.begin() + 100);
+  EXPECT_EQ(ReadBack(d, 0, 4096), want_d);
+}
+
+// Holes are recorded as holes: a whole hole page releases the writer's
+// page, a partial one leaves a hole a hole and zeroes the recorded bytes
+// of a page the writer holds. A ZeroRun writes the same way.
+TEST(SparseRam, RecordedHolesStayHoles) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  SparseRam c(1 << 20);
+  const Bytes data = Rng(17).RandomBytes(4096);
+  a.WriteAt(0, data);
+  a.WriteAt(2 * 4096, data);  // page 1 and from page 3 on are holes
+  b.WriteAt(4096, Bytes(4096, 0x77));
+  c.WriteAt(3 * 4096, Bytes(4096, 0x88));
+  SparseRam::PageRun run;
+  a.Record(0, 3 * 4096 + 200, run);  // ends in a partial hole
+  b.WriteAt(0, run);
+  c.WriteAt(0, run);
+  EXPECT_EQ(b.PageRefs(4096), 0u);
+  EXPECT_EQ(b.PageRefs(3 * 4096), 0u);
+  EXPECT_EQ(b.allocated_pages(), 2u);
+  Bytes want(3 * 4096 + 200, 0);
+  std::copy(data.begin(), data.end(), want.begin());
+  std::copy(data.begin(), data.end(), want.begin() + 2 * 4096);
+  EXPECT_EQ(ReadBack(b, 0, want.size()), want);
+  Bytes want_c(4 * 4096, 0x88);
+  std::copy(want.begin(), want.end(), want_c.begin());
+  EXPECT_EQ(ReadBack(c, 0, want_c.size()), want_c);
+
+  c.WriteAt(0, SparseRam::ZeroRun(0, 4 * 4096 - 1));
+  EXPECT_EQ(c.allocated_pages(), 1u);  // the last page, partly kept
+  Bytes want_zero(4 * 4096, 0);
+  want_zero.back() = 0x88;
+  EXPECT_EQ(ReadBack(c, 0, want_zero.size()), want_zero);
+}
+
+// A run written at another in-page offset than it was recorded at cannot
+// line its pages up with the writer's: its bytes are copied.
+TEST(SparseRam, RecordedRunAtAnotherInPageOffsetIsCopied) {
+  SparseRam a(1 << 20);
+  SparseRam b(1 << 20);
+  const Bytes data = Rng(18).RandomBytes(2 * 4096);
+  a.WriteAt(0, data);
+  {
+    SparseRam::PageRun run;
+    a.Record(0, data.size(), run);
+    b.WriteAt(512, run);
+  }
+  EXPECT_EQ(a.PageRefs(0), 1u);
+  EXPECT_EQ(a.PageRefs(4096), 1u);
+  for (uint64_t page = 0; page < 3; ++page) {
+    EXPECT_EQ(b.PageRefs(page * 4096), 1u) << page;
+  }
+  EXPECT_EQ(ReadBack(b, 512, data.size()), data);
+  EXPECT_EQ(ReadBack(b, 0, 512), Bytes(512, 0));
+}
+
 // Relies on no other device being alive in this test binary.
 TEST(SparseRam, ArenaFreesItsSlabsOnceEmpty) {
   ASSERT_EQ(SparseRam::ArenaLivePages(), 0u);

@@ -335,6 +335,122 @@ TEST(ObjectStore, SnapshotWithoutLaterWriteReadsHead) {
   });
 }
 
+// Arena pages the device holds in its journal region.
+size_t JournalPages(const dev::NvmeDevice& nvme, const StoreConfig& config) {
+  size_t pages = 0;
+  for (uint64_t off = 0; off < config.journal_size;
+       off += dev::SparseRam::kPageSize) {
+    if (nvme.PeekPageRefs(off) > 0) ++pages;
+  }
+  return pages;
+}
+
+// A clone shares the head's pages: the first 4 KiB head write after a
+// snapshot costs one page (the head's copy of the page it rewrites), not a
+// copy of the object, and the snapshot still reads the old bytes.
+TEST(ObjectStore, SnapshotCloneSharesTheHeadsPages) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    const StoreConfig config = SmallStore();
+    auto store = co_await ObjectStore::Open(nvme, config);
+    auto& os = **store;
+    Rng rng(9);
+    const Bytes v1 = rng.RandomBytes(1 << 20);
+    const Bytes patch = rng.RandomBytes(4096);
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("big", 0, v1), {}));
+    const size_t live = dev::SparseRam::ArenaLivePages();
+    const size_t journal = JournalPages(*nvme, config);
+    const SnapContext snapc{4, {4}};
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("big", 8192, patch), snapc));
+    EXPECT_EQ(os.CloneCount("big"), 1u);
+    EXPECT_EQ(dev::SparseRam::ArenaLivePages() - live,
+              1 + JournalPages(*nvme, config) - journal);
+    EXPECT_EQ(os.PeekPageRefs("big", 0).value(), 2u);     // head and clone
+    EXPECT_EQ(os.PeekPageRefs("big", 8192).value(), 1u);  // head's own
+
+    Bytes v2 = v1;
+    std::copy(patch.begin(), patch.end(), v2.begin() + 8192);
+    auto head = co_await os.ExecuteRead(ReadTxn("big", 0, v1.size()),
+                                        kHeadSnap);
+    auto old = co_await os.ExecuteRead(ReadTxn("big", 0, v1.size()), 4);
+    CO_ASSERT_OK(head.status());
+    CO_ASSERT_OK(old.status());
+    EXPECT_EQ(head->data, v2);
+    EXPECT_EQ(old->data, v1);
+  });
+}
+
+// With a 512 B allocation unit a clone extent can start mid-page, where no
+// head page lines up with it: the clone copies, and still reads the old
+// bytes.
+TEST(ObjectStore, SnapshotCloneAtAnotherInPageOffsetCopies) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    StoreConfig config = SmallStore();
+    config.alloc_unit = 512;
+    auto store = co_await ObjectStore::Open(nvme, config);
+    auto& os = **store;
+    Rng rng(10);
+    const Bytes a = rng.RandomBytes(1536);
+    const Bytes b = rng.RandomBytes(3 * 4096);
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, a), {}));
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("b", 0, b), {}));
+    const SnapContext snapc{6, {6}};
+    // The clone of "a" takes 1536 B, so the clone of "b" after it starts
+    // 1536 B into a page.
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, Bytes(512, 1)), snapc));
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("b", 0, Bytes(512, 2)), snapc));
+    EXPECT_EQ(os.CloneCount("b"), 1u);
+    EXPECT_EQ(os.PeekPageRefs("b", 4096).value(), 1u);
+    auto old_a = co_await os.ExecuteRead(ReadTxn("a", 0, a.size()), 6);
+    auto old_b = co_await os.ExecuteRead(ReadTxn("b", 0, b.size()), 6);
+    CO_ASSERT_OK(old_a.status());
+    CO_ASSERT_OK(old_b.status());
+    EXPECT_EQ(old_a->data, a);
+    EXPECT_EQ(old_b->data, b);
+  });
+}
+
+// A read answered as pages is recorded under the object's shared lock, as
+// a read of bytes is: swept across a two-op transaction's apply, it sees
+// both ops' bytes or neither, never the data op without its record.
+TEST(ObjectStore, PageReadNeverSeesAHalfAppliedTransaction) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    const auto version = [](uint8_t v) {
+      Transaction txn = WriteTxn("pair", 0, Bytes(4096, v));
+      txn.ops.push_back(WriteTxn("pair", 8192, Bytes(16, v)).ops[0]);
+      return txn;
+    };
+    CO_ASSERT_OK(co_await os.Apply(version(1), {}));
+    Transaction read = ReadTxn("pair", 0, 8192 + 16);
+    read.ops[0].as_pages = true;
+    size_t saw_old = 0, saw_new = 0;
+    for (uint8_t v = 2; v < 80; ++v) {
+      bool applied = false;
+      sim::Scheduler::Current().Spawn(
+          [](ObjectStore& os, Transaction txn, bool* done) -> sim::Task<void> {
+            EXPECT_TRUE((co_await os.Apply(txn, {})).ok());
+            *done = true;
+          }(os, version(v), &applied));
+      co_await sim::Sleep{(v - 2) * 5 * sim::kUs};
+      auto got = co_await os.ExecuteRead(read, kHeadSnap);
+      CO_ASSERT_OK(got.status());
+      CO_ASSERT_EQ(got->pages.length(), 8192 + 16u);
+      uint8_t data = 0, record = 0;
+      got->pages.Read(100, MutByteSpan(&data, 1));
+      got->pages.Read(8192 + 5, MutByteSpan(&record, 1));
+      EXPECT_EQ(data, record) << "read " << (v - 2) * 5 << " us in";
+      (data == v ? saw_new : saw_old)++;
+      while (!applied) co_await sim::Sleep{sim::kMs};
+    }
+    EXPECT_GT(saw_old, 0u);
+    EXPECT_GT(saw_new, 0u);
+  });
+}
+
 TEST(ObjectStore, JournalGrowsWithPayload) {
   testutil::RunSim([]() -> sim::Task<void> {
     auto nvme = std::make_shared<dev::NvmeDevice>();

@@ -124,6 +124,37 @@ TEST(TxnRecord, LaterDiscardsBecomeHoles) {
   EXPECT_EQ(DecodeTxn(record, 4096).status().code(), StatusCode::kCorruption);
 }
 
+// A payload carried as device pages (a recovery push) encodes byte for
+// byte as the same payload carried as bytes: holes read as zeros, the run
+// may start mid-page, and a later discard still leaves its holes out.
+TEST(TxnRecord, PageBackedPayloadEncodesAsItsBytes) {
+  Rng rng(4);
+  dev::SparseRam ram(1 << 20);
+  ram.WriteAt(300, rng.RandomBytes(5000));
+  ram.WriteAt(3 * 4096 + 17, rng.RandomBytes(2000));  // page 2 is a hole
+  constexpr uint64_t kLength = 4 * 4096;
+  Bytes bytes(kLength);
+  ram.ReadAt(100, bytes);
+  for (const bool discard : {false, true}) {
+    Transaction by_bytes;
+    by_bytes.oid = "rbd_data.2";
+    by_bytes.ops.push_back(RangeOp(OsdOp::Type::kWriteFull, 0, 0, bytes));
+    Transaction by_pages;
+    by_pages.oid = by_bytes.oid;
+    OsdOp op = RangeOp(OsdOp::Type::kWriteFull, 0, 0);
+    ram.Record(100, kLength, op.pages);
+    by_pages.ops.push_back(std::move(op));
+    if (discard) {
+      by_bytes.ops.push_back(RangeOp(OsdOp::Type::kTrim, 4000, 5000));
+      by_pages.ops.push_back(by_bytes.ops.back());
+    }
+    EXPECT_EQ(by_pages.PayloadBytes(), by_bytes.PayloadBytes());
+    EXPECT_EQ(TxnRecord(by_pages, {}).size(), TxnRecord(by_bytes, {}).size());
+    EXPECT_EQ(EncodeTxn(by_pages, {3, {3}}), EncodeTxn(by_bytes, {3, {3}}))
+        << "discard " << discard;
+  }
+}
+
 // Compressible plaintext: a random head of 0-4 KiB per block, zeros after,
 // so the blocks of one write store anywhere from a few bytes to all 4 KiB.
 Bytes Plaintext(Rng& rng, size_t blocks) {

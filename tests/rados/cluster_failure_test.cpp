@@ -4,10 +4,12 @@
 // caps, reservations, and the rbd tenant plumb-through).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
+#include "core/format.h"
 #include "rados/cluster.h"
 #include "rbd/image.h"
 #include "util/rng.h"
@@ -195,6 +197,186 @@ TEST(ClusterFailure, RecoveryRespectsTokenBucketThrottle) {
         (static_cast<double>(rs.bytes_pushed) - 64.0 * 1024) / (1 << 20);
     EXPECT_GT(static_cast<double>(elapsed) / 1e9, floor_s * 0.9);
     co_await (*cluster)->Drain();
+  });
+}
+
+// Arena pages that the devices of every OSD hold in their journal region.
+size_t JournalPages(Cluster& cluster, const ClusterConfig& config) {
+  size_t pages = 0;
+  for (size_t id = 0; id < cluster.osd_count(); ++id) {
+    const dev::NvmeDevice& device = cluster.osd(id).device();
+    for (uint64_t off = 0; off < config.store.journal_size;
+         off += dev::SparseRam::kPageSize) {
+      if (device.PeekPageRefs(off) > 0) ++pages;
+    }
+  }
+  return pages;
+}
+
+// Reads `ext` from one OSD's store and authenticates it.
+sim::Task<Status> ReadOnOsd(Cluster& cluster, size_t id,
+                            core::EncryptionFormat& format,
+                            const core::ObjectExtent& ext, MutByteSpan out) {
+  objstore::Transaction read;
+  read.oid = ext.oid;
+  format.MakeRead(ext, read);
+  auto result =
+      co_await cluster.osd(id).store().ExecuteRead(read, objstore::kHeadSnap);
+  if (!result.ok()) co_return result.status();
+  co_return format.FinishRead(ext, *result, out);
+}
+
+// A recovery push ships the source replica's pages, not a copy: after an
+// OSD loss under object-end+HMAC objects, each new member holds the
+// survivors' pages (the arena grows by at most one partial tail page per
+// object beyond the journals' own pages, not 1,024 per object), every
+// pushed object authenticates there, and tampering with the new member's
+// copy fails its reads only.
+TEST(ClusterFailure, RecoveryPushesShareTheSourcesPages) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    const ClusterConfig config = TestCluster();
+    auto cluster = co_await Cluster::Create(config);
+    CO_ASSERT_OK(cluster.status());
+    core::EncryptionSpec spec;
+    spec.mode = core::CipherMode::kXtsRandom;
+    spec.layout = core::IvLayout::kObjectEnd;
+    spec.integrity = core::Integrity::kHmac;
+    spec.iv_seed = 1;
+    constexpr uint64_t kObjectSize = 4ull << 20;
+    auto format = core::MakeFormat(spec, Rng(5).RandomBytes(64), kObjectSize);
+    auto io = (*cluster)->ioctx();
+    constexpr int kObjects = 6;
+    std::vector<core::ObjectExtent> exts;
+    std::vector<Bytes> plains;
+    for (int i = 0; i < kObjects; ++i) {
+      core::ObjectExtent ext;
+      ext.oid = "push." + std::to_string(i);
+      ext.first_block = 0;
+      ext.block_count = kObjectSize / core::kBlockSize;
+      ext.image_block = i * ext.block_count;
+      plains.push_back(Rng(10 + i).RandomBytes(kObjectSize));
+      objstore::Transaction txn;
+      CO_ASSERT_OK(format->MakeWrite(ext, plains.back(), txn));
+      CO_ASSERT_OK(co_await io.Operate(ext.oid, std::move(txn), {}));
+      exts.push_back(ext);
+    }
+    co_await (*cluster)->Drain();
+    std::vector<std::vector<size_t>> before;
+    for (const auto& ext : exts) {
+      before.push_back((*cluster)->placement().OsdsFor(ext.oid));
+    }
+    const size_t live = dev::SparseRam::ArenaLivePages();
+    const size_t journal = JournalPages(**cluster, config);
+
+    (*cluster)->MarkOsdDown(before[0][1]);
+    co_await (*cluster)->WaitForClean();
+    co_await (*cluster)->Drain();
+    const uint64_t pushed = (*cluster)->recovery().stats().objects_pushed;
+    EXPECT_GT(pushed, 0u);
+    const int64_t growth =
+        static_cast<int64_t>(dev::SparseRam::ArenaLivePages()) -
+        static_cast<int64_t>(live);
+    const int64_t journal_growth =
+        static_cast<int64_t>(JournalPages(**cluster, config)) -
+        static_cast<int64_t>(journal);
+    EXPECT_LE(growth, journal_growth + static_cast<int64_t>(pushed));
+
+    // Every pushed object authenticates on its new member, from pages it
+    // shares with the survivors.
+    std::vector<std::pair<size_t, size_t>> moved;  // (object, new member)
+    for (size_t i = 0; i < exts.size(); ++i) {
+      for (size_t id : (*cluster)->placement().OsdsFor(exts[i].oid)) {
+        if (std::find(before[i].begin(), before[i].end(), id) ==
+            before[i].end()) {
+          moved.emplace_back(i, id);
+        }
+      }
+    }
+    EXPECT_EQ(moved.size(), pushed);
+    Bytes out(kObjectSize);
+    for (const auto& [i, id] : moved) {
+      CO_ASSERT_OK(co_await ReadOnOsd(**cluster, id, *format, exts[i], out));
+      EXPECT_EQ(out, plains[i]) << exts[i].oid;
+      EXPECT_GE((*cluster)->osd(id).store().PeekPageRefs(exts[i].oid, 0)
+                    .value(),
+                2u)
+          << exts[i].oid;
+    }
+
+    CO_ASSERT_TRUE(!moved.empty());
+    const auto [i, fresh] = moved.front();
+    objstore::ObjectStore& victim = (*cluster)->osd(fresh).store();
+    auto byte = victim.PeekObjectData(exts[i].oid, 5000, 1);
+    CO_ASSERT_OK(byte.status());
+    (*byte)[0] ^= 0x01;
+    CO_ASSERT_OK(victim.TamperObjectData(exts[i].oid, 5000, *byte));
+    for (size_t id : (*cluster)->placement().OsdsFor(exts[i].oid)) {
+      const Status s = co_await ReadOnOsd(**cluster, id, *format, exts[i], out);
+      if (id == fresh) {
+        EXPECT_EQ(s.code(), StatusCode::kCorruption) << "osd " << id;
+      } else {
+        EXPECT_TRUE(s.ok()) << "osd " << id << ": " << s.ToString();
+        EXPECT_EQ(out, plains[i]) << "osd " << id;
+      }
+    }
+  });
+}
+
+// Overwrites `oid` at `offset` through the replicated write path.
+sim::Task<Status> WriteAt(IoCtx& io, const std::string& oid, uint64_t offset,
+                          Bytes data) {
+  objstore::Transaction txn;
+  objstore::OsdOp op;
+  op.type = objstore::OsdOp::Type::kWrite;
+  op.offset = offset;
+  op.length = data.size();
+  op.data = std::move(data);
+  txn.ops.push_back(std::move(op));
+  co_return co_await io.Operate(oid, std::move(txn), {});
+}
+
+// A write that lands while a push of its object waits in the throttle
+// makes that push stale: the pages it recorded keep the old bytes (the
+// source copies a page before writing it), and the object is pushed again.
+// Once clean every member holds the same bytes, the write's included.
+TEST(ClusterFailure, StalePushLeavesEveryMemberIdentical) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    ClusterConfig config = TestCluster();
+    // The first push overdraws the bucket; the next ones wait for it.
+    config.recovery.rate_bytes_per_sec = 1.0 * (1 << 20);
+    config.recovery.burst_bytes = 16.0 * 1024;
+    auto cluster = co_await Cluster::Create(config);
+    CO_ASSERT_OK(cluster.status());
+    auto io = (*cluster)->ioctx();
+    std::vector<std::string> oids;
+    std::vector<Bytes> want;
+    for (int i = 0; i < 48; ++i) {
+      oids.push_back("stale." + std::to_string(i));
+      want.push_back(Rng(40 + i).RandomBytes(64 * 1024));
+      CO_ASSERT_OK(co_await io.WriteFull(oids.back(), want.back()));
+    }
+    co_await (*cluster)->Drain();
+    const size_t victim = (*cluster)->placement().OsdsFor(oids[0])[1];
+    (*cluster)->MarkOsdDown(victim);
+    co_await sim::Sleep{sim::kMs};
+    const Bytes patch = Rng(60).RandomBytes(6000);
+    for (size_t i = 0; i < oids.size(); ++i) {
+      CO_ASSERT_OK(co_await WriteAt(io, oids[i], 3000, patch));
+      std::copy(patch.begin(), patch.end(), want[i].begin() + 3000);
+    }
+    co_await (*cluster)->WaitForClean();
+    co_await (*cluster)->Drain();
+    EXPECT_GT((*cluster)->recovery().stats().stale_pushes, 0u);
+    for (size_t i = 0; i < oids.size(); ++i) {
+      for (size_t id : (*cluster)->placement().OsdsFor(oids[i])) {
+        const objstore::ObjectStore& store = (*cluster)->osd(id).store();
+        EXPECT_EQ(store.ObjectSize(oids[i]), want[i].size())
+            << oids[i] << " on osd " << id;
+        auto bytes = store.PeekObjectData(oids[i], 0, want[i].size());
+        CO_ASSERT_OK(bytes.status());
+        EXPECT_EQ(*bytes, want[i]) << oids[i] << " on osd " << id;
+      }
+    }
   });
 }
 
